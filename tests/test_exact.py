@@ -1,5 +1,7 @@
 """End-to-end exactness: reports, the equivalence of presentations, pieces."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,17 @@ from twoexact import (
     zero_ideal_1cat,
 )
 from twoexact.exact import _cod_projection, _dom_projection
+from twoexact.formats import (
+    document_to_two_category,
+    fs_to_document,
+    parse,
+    serialize,
+    two_ideal_to_document,
+    witness_bundle_to_document,
+)
+from twoexact.ideal import canonical_zero_ideal
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 LD_NAMES = ("ld_term", "ld_pb1", "ld_pb2", "ld_ct22", "ld_ps2")
 
@@ -143,6 +156,31 @@ def test_biequivalence_over_the_base(name):
         _dom_projection(e_arrow), _cod_projection(m_arrow),
         k, c, eta, epsilon)
     assert cert.ok, cert.counterexample
+
+
+def _bundle(t):
+    return witness_bundle_to_document(t, *fs_from_ideal(
+        t, canonical_zero_ideal(t)))
+
+
+def _fs_only(t):
+    return fs_to_document(t, fs_from_ideal(t, canonical_zero_ideal(t))[0])
+
+
+def _zero_ideal(t):
+    return two_ideal_to_document(t, canonical_zero_ideal(t))
+
+
+@pytest.mark.parametrize("base, build, golden", [
+    ("pb1.2cat.json", _bundle, "pb1.bundle.json"),
+    ("ct22.2cat.json", _fs_only, "ct22.fs.json"),
+    ("pb2.2cat.json", _zero_ideal, "pb2.ideal.json"),
+], ids=["pb1-bundle", "ct22-fs", "pb2-ideal"])
+def test_constructions_reproduce_the_shipped_fixtures(base, build, golden):
+    # The shipped constructive fixtures are golden outputs: rebuilding them
+    # from their base 2-category must give the same bytes.
+    t = document_to_two_category(parse((FIXTURE_DIR / base).read_text()))
+    assert serialize(build(t)) == (FIXTURE_DIR / golden).read_text()
 
 
 def test_fs_from_ideal_refuses_when_kernels_are_missing():
