@@ -18,14 +18,15 @@ the equivalence rather than assume it.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .core import (
     Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
-    _inconclusive, dualize,
+    _inconclusive,
 )
-from .ideal import TwoIdeal, dual_ideal, null_objects
+from .ideal import TwoIdeal, null_objects
 from .limits import (
-    CokernelPresentation, KernelPresentation, _to_dual_kernel,
-    cokernel_presentations_by_arrow, is_two_kernel,
+    CokernelPresentation, KernelPresentation, _to_dual_kernel, is_two_kernel,
     kernel_presentations_by_arrow,
 )
 
@@ -161,33 +162,28 @@ def weakly_reflects(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
         "leg": k, "arrow": pres.arrow, "structure": pres.structure})
 
 
-def _rename(cert: Certificate, name: str) -> Certificate:
-    return Certificate(name, cert.status, cert.witness, cert.counterexample,
-                       cert.detail)
-
-
 def coreflects_null_morphisms(t: TwoCategory, n: TwoIdeal, e: str,
                               cap: int | None = None) -> Certificate:
     """Dual of :func:`reflects_null_morphisms` for a 1-cell out of an
     object."""
-    return _rename(reflects_null_morphisms(dualize(t), dual_ideal(n), e, cap),
-                   "coreflects_null_morphisms")
+    return replace(reflects_null_morphisms(t.dual, n.dual, e, cap),
+                   check="coreflects_null_morphisms")
 
 
 def coreflects_null_2cells(t: TwoCategory, n: TwoIdeal, e: str,
                            cap: int | None = None) -> Certificate:
     """Dual of :func:`reflects_null_2cells`."""
-    return _rename(reflects_null_2cells(dualize(t), dual_ideal(n), e, cap),
-                   "coreflects_null_2cells")
+    return replace(reflects_null_2cells(t.dual, n.dual, e, cap),
+                   check="coreflects_null_2cells")
 
 
 def weakly_coreflects(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
                       cap: int | None = None,
                       _verified: bool = False) -> Certificate:
     """Dual of :func:`weakly_reflects` for a cokernel presentation."""
-    cert = weakly_reflects(dualize(t), dual_ideal(n), _to_dual_kernel(pres),
-                           cap, _verified=_verified)
-    return _rename(cert, "weakly_coreflects")
+    cert = weakly_reflects(t.dual, n.dual, _to_dual_kernel(pres), cap,
+                           _verified=_verified)
+    return replace(cert, check="weakly_coreflects")
 
 
 def _leg_order(by_arrow: dict) -> tuple[str, ...]:
@@ -200,47 +196,55 @@ def _leg_order(by_arrow: dict) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _missing(by_arrow: dict, name: str, clause: str) -> Certificate | None:
-    for f, presentations in by_arrow.items():
-        if not presentations:
-            return _fail(name, clause, arrow=f)
-    return None
+def _swept_sides(t: TwoCategory, n: TwoIdeal, name: str, budget: Budget
+                 ) -> Certificate | list[tuple[str, TwoCategory, TwoIdeal,
+                                               dict]]:
+    """The kernel sweep of ``t``, then the cokernel sweep as the kernel
+    sweep of the dual, as ``(side, category, ideal, presentations by
+    arrow)``; or a fail certificate for the first 1-cell a side misses,
+    before the next sweep starts."""
+    sides = []
+    for side, tt, nn in (("kernel", t, n), ("cokernel", t.dual, n.dual)):
+        by_arrow = kernel_presentations_by_arrow(tt, nn, _budget=budget)
+        for f, presentations in by_arrow.items():
+            if not presentations:
+                return _fail(name, f"missing-{side}", arrow=f)
+        sides.append((side, tt, nn, by_arrow))
+    return sides
+
+
+def _cited(name: str, prefix: str, cert: Certificate) -> Certificate:
+    """Fail ``name`` with the clause and cells of a failing ``cert``."""
+    return _fail(name, prefix + cert.counterexample["clause"],
+                 **cert.counterexample["cells"])
+
+
+def _legs_witness(name: str, sides: list) -> Certificate:
+    return Certificate(name, "pass", witness={
+        f"{side}_legs": list(_leg_order(by_arrow))
+        for side, _, _, by_arrow in sides})
 
 
 def is_closed_ideal(t: TwoCategory, n: TwoIdeal,
                     cap: int | None = None) -> Certificate:
     """Every verified kernel leg reflects null 1-cells and null 2-cells, and
-    every verified cokernel leg coreflects both; fails early when some
-    1-cell has no kernel or no cokernel."""
+    every verified cokernel leg coreflects both (reflects them in the dual);
+    fails early when some 1-cell has no kernel or no cokernel."""
     name = "is_closed_ideal"
     budget = Budget(cap, name)
-    dual_t, dual_n = dualize(t), dual_ideal(n)
     try:
-        kernels = kernel_presentations_by_arrow(t, n, _budget=budget)
-        bad = _missing(kernels, name, "missing-kernel")
-        if bad is not None:
-            return bad
-        cokernels = cokernel_presentations_by_arrow(t, n, _budget=budget)
-        bad = _missing(cokernels, name, "missing-cokernel")
-        if bad is not None:
-            return bad
-        for k in _leg_order(kernels):
-            for check in (reflects_null_morphisms, reflects_null_2cells):
-                cert = check(t, n, k, _budget=budget)
-                if not cert.ok:
-                    return _fail(name, "kernel-leg-" + cert.counterexample["clause"],
-                                 **cert.counterexample["cells"])
-        for e in _leg_order(cokernels):
-            for check in (reflects_null_morphisms, reflects_null_2cells):
-                cert = check(dual_t, dual_n, e, _budget=budget)
-                if not cert.ok:
-                    return _fail(name, "cokernel-leg-" + cert.counterexample["clause"],
-                                 **cert.counterexample["cells"])
+        sides = _swept_sides(t, n, name, budget)
+        if isinstance(sides, Certificate):
+            return sides
+        for side, tt, nn, by_arrow in sides:
+            for k in _leg_order(by_arrow):
+                for check in (reflects_null_morphisms, reflects_null_2cells):
+                    cert = check(tt, nn, k, _budget=budget)
+                    if not cert.ok:
+                        return _cited(name, f"{side}-leg-", cert)
     except CapExceeded as exc:
         return _inconclusive(name, exc)
-    return Certificate(name, "pass", witness={
-        "kernel_legs": list(_leg_order(kernels)),
-        "cokernel_legs": list(_leg_order(cokernels))})
+    return _legs_witness(name, sides)
 
 
 def is_weakly_closed(t: TwoCategory, n: TwoIdeal,
@@ -249,44 +253,24 @@ def is_weakly_closed(t: TwoCategory, n: TwoIdeal,
     reflects null 2-cells; dually for cokernel presentations."""
     name = "is_weakly_closed"
     budget = Budget(cap, name)
-    dual_t, dual_n = dualize(t), dual_ideal(n)
     try:
-        kernels = kernel_presentations_by_arrow(t, n, _budget=budget)
-        bad = _missing(kernels, name, "missing-kernel")
-        if bad is not None:
-            return bad
-        cokernels = cokernel_presentations_by_arrow(t, n, _budget=budget)
-        bad = _missing(cokernels, name, "missing-cokernel")
-        if bad is not None:
-            return bad
-        for presentations in kernels.values():
-            for p in presentations:
-                cert = weakly_reflects(t, n, p, _budget=budget, _verified=True)
+        sides = _swept_sides(t, n, name, budget)
+        if isinstance(sides, Certificate):
+            return sides
+        for side, tt, nn, by_arrow in sides:
+            for presentations in by_arrow.values():
+                for p in presentations:
+                    cert = weakly_reflects(tt, nn, p, _budget=budget,
+                                           _verified=True)
+                    if not cert.ok:
+                        return _cited(name, f"{side}-", cert)
+            for k in _leg_order(by_arrow):
+                cert = reflects_null_2cells(tt, nn, k, _budget=budget)
                 if not cert.ok:
-                    return _fail(name, "kernel-" + cert.counterexample["clause"],
-                                 **cert.counterexample["cells"])
-        for k in _leg_order(kernels):
-            cert = reflects_null_2cells(t, n, k, _budget=budget)
-            if not cert.ok:
-                return _fail(name, "kernel-leg-" + cert.counterexample["clause"],
-                             **cert.counterexample["cells"])
-        for presentations in cokernels.values():
-            for p in presentations:
-                cert = weakly_reflects(dual_t, dual_n, _to_dual_kernel(p),
-                                       _budget=budget, _verified=True)
-                if not cert.ok:
-                    return _fail(name, "cokernel-" + cert.counterexample["clause"],
-                                 **cert.counterexample["cells"])
-        for e in _leg_order(cokernels):
-            cert = reflects_null_2cells(dual_t, dual_n, e, _budget=budget)
-            if not cert.ok:
-                return _fail(name, "cokernel-leg-" + cert.counterexample["clause"],
-                             **cert.counterexample["cells"])
+                    return _cited(name, f"{side}-leg-", cert)
     except CapExceeded as exc:
         return _inconclusive(name, exc)
-    return Certificate(name, "pass", witness={
-        "kernel_legs": list(_leg_order(kernels)),
-        "cokernel_legs": list(_leg_order(cokernels))})
+    return _legs_witness(name, sides)
 
 
 def _factors_through_null_object(t: TwoCategory, n: TwoIdeal, h: str,
@@ -318,9 +302,8 @@ def weak_closure_triple(t: TwoCategory, n: TwoIdeal,
     weakly coreflect).  Raises :class:`CapExceeded` on budget overflow and
     :class:`InputError` when some 1-cell lacks a kernel or cokernel."""
     budget = Budget(cap, "weak_closure_triple")
-    dual_t, dual_n = dualize(t), dual_ideal(n)
     kernels = kernel_presentations_by_arrow(t, n, _budget=budget)
-    cokernels = cokernel_presentations_by_arrow(t, n, _budget=budget)
+    cokernels = kernel_presentations_by_arrow(t.dual, n.dual, _budget=budget)
     for f in t.one_ids:
         if not kernels[f]:
             raise InputError(f"no kernel found for {f}")
@@ -349,7 +332,6 @@ def weak_closure_triple(t: TwoCategory, n: TwoIdeal,
         break
 
     b3 = all(
-        weakly_reflects(dual_t, dual_n, _to_dual_kernel(p), _budget=budget,
-                        _verified=True).ok
+        weakly_reflects(t.dual, n.dual, p, _budget=budget, _verified=True).ok
         for presentations in cokernels.values() for p in presentations)
     return b1, b2, b3

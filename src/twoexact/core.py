@@ -11,7 +11,7 @@ results are deterministic for a given presentation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Iterator, Mapping
 
@@ -262,6 +262,31 @@ class TwoCategory:
     def iso2(self, f: str, g: str) -> tuple[str, ...]:
         """All invertible 2-cells from ``f`` to ``g``, in table order."""
         return tuple(a for a in self.hom2(f, g) if a in self.inverse2)
+
+    # -- duality ------------------------------------------------------------
+
+    @cached_property
+    def dual(self) -> "TwoCategory":
+        """The 1-cell dual: reverse 1-cells, keep 2-cell directions.
+
+        Composition reverses (``g∘f`` becomes ``f∘g``), left and right
+        whiskering trade places, and null/kernel notions turn into their
+        co-versions.  Built once and linked back, so ``t.dual.dual is t``:
+        the involution is an identity rather than merely an isomorphism.
+        """
+        d = TwoCategory(
+            objects=self.objects,
+            one_cells=tuple((i, tt, s) for i, s, tt in self.one_cells),
+            comp1={(f, g): v for (g, f), v in self.comp1.items()},
+            id1=dict(self.id1),
+            two_cells=self.two_cells,
+            vcomp=dict(self.vcomp),
+            id2=dict(self.id2),
+            lwhisker={(e, a): v for (a, e), v in self.rwhisker.items()},
+            rwhisker={(a, h): v for (h, a), v in self.lwhisker.items()},
+        )
+        d.__dict__["dual"] = self
+        return d
 
     def parallel_pairs(self) -> Iterator[tuple[str, str]]:
         """Ordered pairs of parallel 1-cells (same source and target objects),
@@ -581,35 +606,9 @@ def paste(t: TwoCategory, expr: PastingExpr) -> str:
 # dualization
 # ---------------------------------------------------------------------------
 
-_DUAL_CACHE: dict[int, tuple["TwoCategory", "TwoCategory"]] = {}
-
-
 def dualize(t: TwoCategory) -> TwoCategory:
-    """The 1-cell dual: reverse 1-cells, keep 2-cell directions.
-
-    Composition reverses (``g∘f`` becomes ``f∘g``), left and right whiskering
-    trade places, and null/kernel notions turn into their co-versions.
-    Applying it twice gives back the original presentation (the same object,
-    via a cache, so the involution is an identity rather than merely an
-    isomorphism).
-    """
-    hit = _DUAL_CACHE.get(id(t))
-    if hit is not None and hit[0] is t:
-        return hit[1]
-    d = TwoCategory(
-        objects=t.objects,
-        one_cells=tuple((i, tt, s) for i, s, tt in t.one_cells),
-        comp1={(f, g): v for (g, f), v in t.comp1.items()},
-        id1=dict(t.id1),
-        two_cells=t.two_cells,
-        vcomp=dict(t.vcomp),
-        id2=dict(t.id2),
-        lwhisker={(e, a): v for (a, e), v in t.rwhisker.items()},
-        rwhisker={(a, h): v for (h, a), v in t.lwhisker.items()},
-    )
-    _DUAL_CACHE[id(t)] = (t, d)
-    _DUAL_CACHE[id(d)] = (d, t)
-    return d
+    """The 1-cell dual, :attr:`TwoCategory.dual`."""
+    return t.dual
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +637,7 @@ def is_faithful(t: TwoCategory, f: str) -> Certificate:
 def is_cofaithful(t: TwoCategory, f: str) -> Certificate:
     """Whether right whiskering by ``f`` is injective; the dual of
     :func:`is_faithful`."""
-    cert = is_faithful(dualize(t), f)
-    return Certificate("is_cofaithful", cert.status, cert.witness, cert.counterexample)
+    return replace(is_faithful(t.dual, f), check="is_cofaithful")
 
 
 def is_equivalence(t: TwoCategory, f: str) -> Certificate:
@@ -694,13 +692,8 @@ def solve_lwhisker(t: TwoCategory, leg: str, src: str, tgt: str,
 def solve_rwhisker(t: TwoCategory, leg: str, src: str, tgt: str,
                    whiskered: str) -> str:
     """The unique 2-cell ``μ: src ⇒ tgt`` with ``μ ⋆ leg = whiskered``;
-    the cofaithful-leg dual of :func:`solve_lwhisker`."""
-    found = [mu for mu in t.hom2(src, tgt) if t.rw(mu, leg) == whiskered]
-    if len(found) != 1:
-        raise InputError(
-            f"expected exactly one 2-cell {src} ⇒ {tgt} whiskering to "
-            f"{whiskered} under {leg}; found {len(found)}")
-    return found[0]
+    :func:`solve_lwhisker` in the dual."""
+    return solve_lwhisker(t.dual, leg, src, tgt, whiskered)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ from typing import Any
 
 from .closure import _reflection_conclusion, is_closed_ideal, is_weakly_closed
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, dualize, natural_key, solve_lwhisker,
-                   solve_rwhisker)
+                   _fail, natural_key, solve_lwhisker, solve_rwhisker)
 from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
-                     check_fs_shape, check_weak_two_fibration, is_proper_11,
-                     validate_fs)
+                     check_fs_shape, check_weak_two_fibration, factorizations,
+                     is_proper_11, validate_fs)
 from .ideal import (TwoIdeal, bizero_objects, canonical_zero_ideal,
-                    check_ideal_shape, dual_ideal)
+                    check_ideal_shape)
 from .limits import (CokernelPresentation, KernelPresentation,
                      cokernel_factor, cokernel_presentations_by_arrow,
                      is_two_kernel, kernel_factor,
@@ -109,24 +108,14 @@ def check_grandis_ii(t: TwoCategory, n: TwoIdeal, weak: bool = False,
                        _inconclusive_at("all-kernels-exist", exc, "(sweep)")))
         return ExactnessReport(mode, tuple(checks))
 
-    missing = [f for f in t.one_ids if not kernels[f]]
-    if missing:
-        checks.append(("all-kernels-exist",
-                       _fail("all-kernels-exist", "missing-kernel",
-                             one_cell=missing[0])))
-    else:
-        checks.append(("all-kernels-exist",
-                       Certificate("all-kernels-exist", "pass",
-                                   {"arrows": len(t.one_ids)})))
-    missing = [f for f in t.one_ids if not cokernels[f]]
-    if missing:
-        checks.append(("all-cokernels-exist",
-                       _fail("all-cokernels-exist", "missing-cokernel",
-                             one_cell=missing[0])))
-    else:
-        checks.append(("all-cokernels-exist",
-                       Certificate("all-cokernels-exist", "pass",
-                                   {"arrows": len(t.one_ids)})))
+    for side, by_arrow in (("kernel", kernels), ("cokernel", cokernels)):
+        name = f"all-{side}s-exist"
+        missing = [f for f in t.one_ids if not by_arrow[f]]
+        if missing:
+            cert = _fail(name, f"missing-{side}", one_cell=missing[0])
+        else:
+            cert = Certificate(name, "pass", {"arrows": len(t.one_ids)})
+        checks.append((name, cert))
 
     if weak:
         checks.append(("weak-closedness", is_weakly_closed(t, n, cap)))
@@ -139,31 +128,20 @@ def check_grandis_ii(t: TwoCategory, n: TwoIdeal, weak: bool = False,
         p.leg for f in t.one_ids for p in cokernels[f]))
 
     checks.append(_kernel_of_its_cokernel(
-        t, n, kernel_legs, cokernels, budget))
-    checks.append(_cokernel_of_its_kernel(
-        t, n, cokernel_legs, kernels, budget))
+        t, n, kernel_legs, cokernels, budget, "kernel-of-its-cokernel"))
+    checks.append(_kernel_of_its_cokernel(
+        t.dual, n.dual, cokernel_legs, kernels, budget,
+        "cokernel-of-its-kernel"))
 
     name = "factorization"
     cert = None
     chosen: dict[str, list[str]] = {}
     for f in t.one_ids:
-        found = None
-        for e in cokernel_legs:
-            if t.src1[e] != t.src1[f]:
-                continue
-            for m in kernel_legs:
-                if t.src1[m] != t.tgt1[e] or t.tgt1[m] != t.tgt1[f]:
-                    continue
-                isos = t.iso2(f, t.cmp1(m, e))
-                if isos:
-                    found = [e, m, isos[0]]
-                    break
-            if found:
-                break
+        found = next(factorizations(t, f, cokernel_legs, kernel_legs), None)
         if found is None:
             cert = _fail(name, "no-cokernel-kernel-factorization", one_cell=f)
             break
-        chosen[f] = found
+        chosen[f] = list(found)
     if cert is None:
         cert = Certificate(name, "pass", {"chosen": chosen})
     checks.append((name, cert))
@@ -182,11 +160,12 @@ def _null_iso_adjustments(t: TwoCategory, n: TwoIdeal,
 def _kernel_of_its_cokernel(
         t: TwoCategory, n: TwoIdeal, kernel_legs: tuple[str, ...],
         cokernels: dict[str, tuple[CokernelPresentation, ...]],
-        budget: Budget) -> tuple[str, Certificate]:
+        budget: Budget, name: str) -> tuple[str, Certificate]:
     """Each kernel leg must be a kernel of its own cokernel, with structure
     cell obtained from the cokernel's structure cell by pasting an
-    invertible null 2-cell."""
-    name = "kernel-of-its-cokernel"
+    invertible null 2-cell.  On the duals, with the kernel presentations of
+    ``t`` in place of ``cokernels``, this checks that each cokernel leg is a
+    cokernel of its own kernel."""
     for m in kernel_legs:
         try:
             found = False
@@ -203,41 +182,10 @@ def _kernel_of_its_cokernel(
                 if found:
                     break
             if not found:
-                return name, _fail(name, "not-kernel-of-its-cokernel",
-                                   member=m)
+                return name, _fail(name, f"not-{name}", member=m)
         except CapExceeded as exc:
             return name, _inconclusive_at(name, exc, m)
     return name, Certificate(name, "pass", {"legs": len(kernel_legs)})
-
-
-def _cokernel_of_its_kernel(
-        t: TwoCategory, n: TwoIdeal, cokernel_legs: tuple[str, ...],
-        kernels: dict[str, tuple[KernelPresentation, ...]],
-        budget: Budget) -> tuple[str, Certificate]:
-    """Dual sub-check: each cokernel leg is a cokernel of its own kernel."""
-    name = "cokernel-of-its-kernel"
-    td, nd = dualize(t), dual_ideal(n)
-    for e in cokernel_legs:
-        try:
-            found = False
-            for pres_k in kernels[e]:
-                for zeta in _null_iso_adjustments(t, n, pres_k.null_cell):
-                    budget.tick()
-                    candidate = KernelPresentation(
-                        arrow=pres_k.leg, apex=t.tgt1[e], leg=e,
-                        null_cell=t.tgt2[zeta],
-                        structure=t.vc(zeta, pres_k.structure))
-                    if is_two_kernel(td, nd, candidate, _budget=budget).ok:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return name, _fail(name, "not-cokernel-of-its-kernel",
-                                   member=e)
-        except CapExceeded as exc:
-            return name, _inconclusive_at(name, exc, e)
-    return name, Certificate(name, "pass", {"legs": len(cokernel_legs)})
 
 
 def check_puppe(t: TwoCategory, weak: bool = False,
@@ -329,135 +277,114 @@ def _first_with_leg(presentations, leg: str):
     return None
 
 
-class _KernelFunctorBuilder:
-    """Builds the kernel functor from the left pseudo-arrow 2-category to
-    the right one: objects go to chosen kernel legs, squares to the induced
-    comparison squares, 2-cells and compositors to the unique cells solving
-    the faithfulness equations."""
+def _kernel_functor(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
+                    m_arrow: ArrowTwoCategory,
+                    chosen: dict[str, KernelPresentation]) -> PseudoFunctor:
+    """The kernel functor from the left pseudo-arrow 2-category to the right
+    one: objects go to chosen kernel legs, squares to the induced comparison
+    squares, 2-cells and compositors to the unique cells solving the
+    faithfulness equations."""
+    cat = e_arrow.cat
+    ob = {e: chosen[e].leg for e in e_arrow.members}
+    identity_squares = set(cat.id1.values())
+    one: dict[str, str] = {}
+    for sid in cat.one_ids:
+        e, e2 = cat.src1[sid], cat.tgt1[sid]
+        if sid in identity_squares:
+            one[sid] = m_arrow.cat.id1[ob[e]]
+            continue
+        a, b, phi = e_arrow.square(sid)
+        pres, pres2 = chosen[e], chosen[e2]
+        k_e = pres.leg
+        z = t.cmp1(a, k_e)
+        _, nu = n.repl(t.id1[t.src1[pres.null_cell]], pres.null_cell, b)
+        beta = t.vc_chain(nu, t.lw(b, pres.structure), t.rw(phi, k_e))
+        w_hat, gamma = kernel_factor(t, n, pres2, z, beta)
+        one[sid] = ArrowTwoCategory.square_id(
+            ob[e], ob[e2], w_hat, a, t.inv(gamma))
 
-    def __init__(self, t: TwoCategory, n: TwoIdeal,
-                 e_arrow: ArrowTwoCategory, m_arrow: ArrowTwoCategory,
-                 chosen_kernel: dict[str, KernelPresentation]):
-        self.t = t
-        self.n = n
-        self.e_arrow = e_arrow
-        self.m_arrow = m_arrow
-        self.chosen = chosen_kernel
+    two: dict[str, str] = {}
+    for tid in cat.two_ids:
+        sid, sid2 = cat.src2[tid], cat.tgt2[tid]
+        sigma, _ = e_arrow.pair(tid)
+        img, img2 = one[sid], one[sid2]
+        w_hat, _, psi = m_arrow.square(img)
+        w_hat2, _, psi2 = m_arrow.square(img2)
+        leg2 = chosen[cat.tgt1[sid]].leg
+        k_e = chosen[cat.src1[sid]].leg
+        needed = t.vc_chain(t.inv(psi2), t.rw(sigma, k_e), psi)
+        mu = solve_lwhisker(t, leg2, w_hat, w_hat2, needed)
+        two[tid] = ArrowTwoCategory.pair_id(img, img2, mu, sigma)
 
-    def build(self) -> PseudoFunctor:
-        t = self.t
-        cat = self.e_arrow.cat
-        ob = {e: self.chosen[e].leg for e in self.e_arrow.members}
-        identity_squares = set(cat.id1.values())
-        one: dict[str, str] = {}
-        for sid in cat.one_ids:
-            e, e2 = cat.src1[sid], cat.tgt1[sid]
-            if sid in identity_squares:
-                one[sid] = self.m_arrow.cat.id1[ob[e]]
-                continue
-            a, b, phi = self.e_arrow.square(sid)
-            pres, pres2 = self.chosen[e], self.chosen[e2]
-            k_e = pres.leg
-            z = t.cmp1(a, k_e)
-            _, nu = self.n.repl(t.id1[t.src1[pres.null_cell]],
-                                pres.null_cell, b)
-            beta = t.vc_chain(nu, t.lw(b, pres.structure), t.rw(phi, k_e))
-            w_hat, gamma = kernel_factor(t, self.n, pres2, z, beta)
-            one[sid] = ArrowTwoCategory.square_id(
-                ob[e], ob[e2], w_hat, a, t.inv(gamma))
+    compositor: dict[tuple[str, str], str] = {}
+    for (sid2, sid1), sid12 in cat.comp1.items():
+        img_comp = m_arrow.cat.comp1[(one[sid2], one[sid1])]
+        img_tgt = one[sid12]
+        u_comp, v_comp, psi_comp = m_arrow.square(img_comp)
+        u_tgt, _, psi_tgt = m_arrow.square(img_tgt)
+        leg2 = chosen[cat.tgt1[sid2]].leg
+        kappa = solve_lwhisker(t, leg2, u_comp, u_tgt,
+                               t.vc(t.inv(psi_tgt), psi_comp))
+        compositor[(sid2, sid1)] = ArrowTwoCategory.pair_id(
+            img_comp, img_tgt, kappa, t.id2[v_comp])
 
-        two: dict[str, str] = {}
-        for tid in cat.two_ids:
-            sid, sid2 = cat.src2[tid], cat.tgt2[tid]
-            sigma, _ = self.e_arrow.pair(tid)
-            img, img2 = one[sid], one[sid2]
-            w_hat, _, psi = self.m_arrow.square(img)
-            w_hat2, _, psi2 = self.m_arrow.square(img2)
-            leg2 = self.chosen[cat.tgt1[sid]].leg
-            k_e = self.chosen[cat.src1[sid]].leg
-            needed = t.vc_chain(t.inv(psi2), t.rw(sigma, k_e), psi)
-            mu = solve_lwhisker(t, leg2, w_hat, w_hat2, needed)
-            two[tid] = ArrowTwoCategory.pair_id(img, img2, mu, sigma)
-
-        compositor: dict[tuple[str, str], str] = {}
-        for (sid2, sid1), sid12 in cat.comp1.items():
-            img_comp = self.m_arrow.cat.comp1[(one[sid2], one[sid1])]
-            img_tgt = one[sid12]
-            u_comp, v_comp, psi_comp = self.m_arrow.square(img_comp)
-            u_tgt, _, psi_tgt = self.m_arrow.square(img_tgt)
-            leg2 = self.chosen[cat.tgt1[sid2]].leg
-            kappa = solve_lwhisker(t, leg2, u_comp, u_tgt,
-                                   t.vc(t.inv(psi_tgt), psi_comp))
-            compositor[(sid2, sid1)] = ArrowTwoCategory.pair_id(
-                img_comp, img_tgt, kappa, t.id2[v_comp])
-
-        return PseudoFunctor(source=cat, target=self.m_arrow.cat,
-                             ob=ob, one=one, two=two, compositor=compositor)
+    return PseudoFunctor(source=cat, target=m_arrow.cat,
+                         ob=ob, one=one, two=two, compositor=compositor)
 
 
-class _CokernelFunctorBuilder:
-    """Mirror of :class:`_KernelFunctorBuilder`: objects go to chosen
-    cokernel legs, with the unique cells solved along cofaithful legs."""
+def _cokernel_functor(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
+                      e_arrow: ArrowTwoCategory,
+                      chosen: dict[str, CokernelPresentation]
+                      ) -> PseudoFunctor:
+    """Mirror of :func:`_kernel_functor`: objects go to chosen cokernel legs,
+    with the unique cells solved along cofaithful legs."""
+    cat = m_arrow.cat
+    ob = {m: chosen[m].leg for m in m_arrow.members}
+    identity_squares = set(cat.id1.values())
+    one: dict[str, str] = {}
+    for sid in cat.one_ids:
+        m, m2 = cat.src1[sid], cat.tgt1[sid]
+        if sid in identity_squares:
+            one[sid] = e_arrow.cat.id1[ob[m]]
+            continue
+        u, v, psi = m_arrow.square(sid)
+        pres, pres2 = chosen[m], chosen[m2]
+        c_m2 = pres2.leg
+        z = t.cmp1(c_m2, v)
+        _, nu = n.repl(u, pres2.null_cell, t.id1[t.tgt1[pres2.null_cell]])
+        beta = t.vc_chain(nu, t.rw(pres2.structure, u),
+                          t.lw(c_m2, t.inv(psi)))
+        b_hat, gamma = cokernel_factor(t, n, pres, z, beta)
+        one[sid] = ArrowTwoCategory.square_id(
+            ob[m], ob[m2], v, b_hat, gamma)
 
-    def __init__(self, t: TwoCategory, n: TwoIdeal,
-                 m_arrow: ArrowTwoCategory, e_arrow: ArrowTwoCategory,
-                 chosen_cokernel: dict[str, CokernelPresentation]):
-        self.t = t
-        self.n = n
-        self.m_arrow = m_arrow
-        self.e_arrow = e_arrow
-        self.chosen = chosen_cokernel
+    two: dict[str, str] = {}
+    for tid in cat.two_ids:
+        sid, sid2 = cat.src2[tid], cat.tgt2[tid]
+        _, mu_v = m_arrow.pair(tid)
+        img, img2 = one[sid], one[sid2]
+        _, b_hat, chi = e_arrow.square(img)
+        _, b_hat2, chi2 = e_arrow.square(img2)
+        c_m = chosen[cat.src1[sid]].leg
+        c_m2 = chosen[cat.tgt1[sid]].leg
+        needed = t.vc_chain(chi2, t.lw(c_m2, mu_v), t.inv(chi))
+        kappa = solve_rwhisker(t, c_m, b_hat, b_hat2, needed)
+        two[tid] = ArrowTwoCategory.pair_id(img, img2, mu_v, kappa)
 
-    def build(self) -> PseudoFunctor:
-        t = self.t
-        cat = self.m_arrow.cat
-        ob = {m: self.chosen[m].leg for m in self.m_arrow.members}
-        identity_squares = set(cat.id1.values())
-        one: dict[str, str] = {}
-        for sid in cat.one_ids:
-            m, m2 = cat.src1[sid], cat.tgt1[sid]
-            if sid in identity_squares:
-                one[sid] = self.e_arrow.cat.id1[ob[m]]
-                continue
-            u, v, psi = self.m_arrow.square(sid)
-            pres, pres2 = self.chosen[m], self.chosen[m2]
-            c_m2 = pres2.leg
-            z = t.cmp1(c_m2, v)
-            _, nu = self.n.repl(u, pres2.null_cell,
-                                t.id1[t.tgt1[pres2.null_cell]])
-            beta = t.vc_chain(nu, t.rw(pres2.structure, u),
-                              t.lw(c_m2, t.inv(psi)))
-            b_hat, gamma = cokernel_factor(t, self.n, pres, z, beta)
-            one[sid] = ArrowTwoCategory.square_id(
-                ob[m], ob[m2], v, b_hat, gamma)
+    compositor: dict[tuple[str, str], str] = {}
+    for (sid2, sid1), sid12 in cat.comp1.items():
+        img_comp = e_arrow.cat.comp1[(one[sid2], one[sid1])]
+        img_tgt = one[sid12]
+        v_comp, b_comp, chi_comp = e_arrow.square(img_comp)
+        _, b_tgt, chi_tgt = e_arrow.square(img_tgt)
+        c_m = chosen[cat.src1[sid1]].leg
+        kappa = solve_rwhisker(t, c_m, b_comp, b_tgt,
+                               t.vc(chi_tgt, t.inv(chi_comp)))
+        compositor[(sid2, sid1)] = ArrowTwoCategory.pair_id(
+            img_comp, img_tgt, t.id2[v_comp], kappa)
 
-        two: dict[str, str] = {}
-        for tid in cat.two_ids:
-            sid, sid2 = cat.src2[tid], cat.tgt2[tid]
-            _, mu_v = self.m_arrow.pair(tid)
-            img, img2 = one[sid], one[sid2]
-            _, b_hat, chi = self.e_arrow.square(img)
-            _, b_hat2, chi2 = self.e_arrow.square(img2)
-            c_m = self.chosen[cat.src1[sid]].leg
-            c_m2 = self.chosen[cat.tgt1[sid]].leg
-            needed = t.vc_chain(chi2, t.lw(c_m2, mu_v), t.inv(chi))
-            kappa = solve_rwhisker(t, c_m, b_hat, b_hat2, needed)
-            two[tid] = ArrowTwoCategory.pair_id(img, img2, mu_v, kappa)
-
-        compositor: dict[tuple[str, str], str] = {}
-        for (sid2, sid1), sid12 in cat.comp1.items():
-            img_comp = self.e_arrow.cat.comp1[(one[sid2], one[sid1])]
-            img_tgt = one[sid12]
-            v_comp, b_comp, chi_comp = self.e_arrow.square(img_comp)
-            _, b_tgt, chi_tgt = self.e_arrow.square(img_tgt)
-            c_m = self.chosen[cat.src1[sid1]].leg
-            kappa = solve_rwhisker(t, c_m, b_comp, b_tgt,
-                                   t.vc(chi_tgt, t.inv(chi_comp)))
-            compositor[(sid2, sid1)] = ArrowTwoCategory.pair_id(
-                img_comp, img_tgt, t.id2[v_comp], kappa)
-
-        return PseudoFunctor(source=cat, target=self.e_arrow.cat,
-                             ob=ob, one=one, two=two, compositor=compositor)
+    return PseudoFunctor(source=cat, target=e_arrow.cat,
+                         ob=ob, one=one, two=two, compositor=compositor)
 
 
 def fs_from_ideal(t: TwoCategory, n: TwoIdeal, cap: int | None = None
@@ -492,19 +419,7 @@ def fs_from_ideal(t: TwoCategory, n: TwoIdeal, cap: int | None = None
 
     factorization: dict[str, tuple[str, str, str]] = {}
     for f in t.one_ids:
-        entry = None
-        for e in cokernel_legs:
-            if t.src1[e] != t.src1[f]:
-                continue
-            for m in kernel_legs:
-                if t.src1[m] != t.tgt1[e] or t.tgt1[m] != t.tgt1[f]:
-                    continue
-                isos = t.iso2(f, t.cmp1(m, e))
-                if isos:
-                    entry = (e, m, isos[0])
-                    break
-            if entry:
-                break
+        entry = next(factorizations(t, f, cokernel_legs, kernel_legs), None)
         if entry is None:
             raise InputError(f"precondition failure: {f} does not factor "
                              f"as a cokernel leg followed by a kernel leg")
@@ -515,13 +430,12 @@ def fs_from_ideal(t: TwoCategory, n: TwoIdeal, cap: int | None = None
 
     e_arrow = arrow_subcat(t, cokernel_legs)
     m_arrow = arrow_subcat(t, kernel_legs)
-    k = _KernelFunctorBuilder(t, n, e_arrow, m_arrow, chosen_kernel).build()
-    c = _CokernelFunctorBuilder(t, n, m_arrow, e_arrow,
-                                chosen_cokernel).build()
+    k = _kernel_functor(t, n, e_arrow, m_arrow, chosen_kernel)
+    c = _cokernel_functor(t, n, m_arrow, e_arrow, chosen_cokernel)
     eta = _unit(t, n, e_arrow, k, c, chosen_kernel, chosen_cokernel,
-                kernels, cokernels)
+                cokernels)
     epsilon = _counit(t, n, m_arrow, k, c, chosen_kernel, chosen_cokernel,
-                      kernels, cokernels)
+                      kernels)
     return fs, k, c, eta, epsilon
 
 
@@ -529,7 +443,7 @@ def _unit(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
           k: PseudoFunctor, c: PseudoFunctor,
           chosen_kernel: dict[str, KernelPresentation],
           chosen_cokernel: dict[str, CokernelPresentation],
-          kernels, cokernels) -> PseudoNatural:
+          cokernels) -> PseudoNatural:
     """The unit: at each left-class member ``e``, the comparison square from
     ``e`` to the chosen cokernel of its chosen kernel, induced by ``e``'s
     own presentation as a cokernel of its kernel."""
@@ -572,7 +486,7 @@ def _counit(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
             k: PseudoFunctor, c: PseudoFunctor,
             chosen_kernel: dict[str, KernelPresentation],
             chosen_cokernel: dict[str, CokernelPresentation],
-            kernels, cokernels) -> PseudoNatural:
+            kernels) -> PseudoNatural:
     """The counit: at each right-class member ``m``, the comparison square
     from the chosen kernel of its chosen cokernel down to ``m``, induced by
     ``m``'s own presentation as a kernel of its cokernel."""
@@ -762,7 +676,7 @@ def three_pieces(t: TwoCategory, n: TwoIdeal, f: str,
     # the kernel universal property
     u, mu = cokernel_factor(t, n, first, f, pres_kf.structure)
     chi = t.vc(pres_cf.structure, t.lw(pres_cf.leg, t.inv(mu)))
-    concl = _reflection_conclusion(dualize(t), dual_ideal(n), c,
+    concl = _reflection_conclusion(t.dual, n.dual, c,
                                    t.cmp1(pres_cf.leg, u), chi)
     if concl is None:
         raise InputError(

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, _inconclusive, dualize, equivalences, is_cofaithful,
+                   _fail, _inconclusive, equivalences, is_cofaithful,
                    is_equivalence, is_faithful)
 from .ideal import TwoIdeal
 from .limits import (CokernelPresentation, KernelPresentation,
@@ -123,6 +123,20 @@ def fill_ins(t: TwoCategory, e: str, m: str, u: str, v: str,
 
 def _ordered_unique(cls: Iterable[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(cls))
+
+
+def factorizations(t: TwoCategory, f: str, left: Sequence[str],
+                   right: Sequence[str]) -> Iterator[tuple[str, str, str]]:
+    """Every ``(e, m, θ)`` with ``e`` in ``left``, ``m`` in ``right`` and
+    invertible ``θ: f ⇒ m∘e``, in class order; the first is the one a
+    chosen factorization takes."""
+    for e in left:
+        if t.src1[e] != t.src1[f]:
+            continue
+        for m in right:
+            if t.src1[m] == t.tgt1[e] and t.tgt1[m] == t.tgt1[f]:
+                for theta in t.iso2(f, t.cmp1(m, e)):
+                    yield e, m, theta
 
 
 def validate_fs(t: TwoCategory, fs: FactorizationSystem,
@@ -239,15 +253,7 @@ def _validate_fs(t: TwoCategory, fs: FactorizationSystem,
     # any two factorizations of the same 1-cell are linked by an
     # equivalence diagonal
     for f in t.one_ids:
-        triples = []
-        for e in left:
-            if t.src1[e] != t.src1[f]:
-                continue
-            for m in right:
-                if t.tgt1[m] != t.tgt1[f] or t.src1[m] != t.tgt1[e]:
-                    continue
-                for theta in t.iso2(f, t.cmp1(m, e)):
-                    triples.append((e, m, theta))
+        triples = list(factorizations(t, f, left, right))
         for (e1, m1, th1), (e2, m2, th2) in itertools.product(triples,
                                                               repeat=2):
             budget.tick()
@@ -461,9 +467,14 @@ def check_weak_two_fibration(t: TwoCategory, fs: FactorizationSystem,
         right_class=fs.left_class,
         factorization={f: (r, l, th)
                        for f, (l, r, th) in fs.factorization.items()})
-    cert = _check_cod_fibration(dualize(t), flipped, cap)
-    detail = (cert.detail + "; " if cert.detail else "") + \
-        "checked on the formal dual; cited cells read in the dual orientation"
+    cert = _check_cod_fibration(t.dual, flipped, cap)
+    detail = cert.detail
+    if isinstance(detail, dict):
+        detail = {**detail, "direction": "dom"}
+    else:
+        detail = (detail + "; " if detail else "") + (
+            "checked on the formal dual; cited cells read in the dual "
+            "orientation")
     witness = cert.witness
     if witness is not None:
         witness = {**witness, "direction": "dom"}
@@ -660,12 +671,7 @@ def _validate_rofs(t: TwoCategory, n: TwoIdeal, left: tuple[str, ...],
                          member=e)
 
     for f in t.one_ids:
-        found = any(
-            t.iso2(f, t.cmp1(m, e))
-            for e in left if t.src1[e] == t.src1[f]
-            for m in right
-            if t.src1[m] == t.tgt1[e] and t.tgt1[m] == t.tgt1[f])
-        if not found:
+        if next(factorizations(t, f, left, right), None) is None:
             return _fail("validate_rofs", "factorization", one_cell=f)
 
     eqs = equivalences(t)

@@ -54,15 +54,24 @@ class TwoIdeal:
     def is_invertible_null2(self, t: TwoCategory, cell: str) -> bool:
         return cell in self.null2 and t.is_invertible2(cell)
 
+    @cached_property
+    def dual(self) -> "TwoIdeal":
+        """The same ideal read in the 1-cell dual: pre- and post-composition
+        trade places, so replacement keys flip ``(a, n, b) ↦ (b, n, a)``.
+        Built once and linked back, so ``n.dual.dual is n``."""
+        d = TwoIdeal(
+            null_one_cells=self.null_one_cells,
+            null_two_cells=self.null_two_cells,
+            replacement={(b, x, a): v
+                         for (a, x, b), v in self.replacement.items()},
+        )
+        d.__dict__["dual"] = self
+        return d
+
 
 def dual_ideal(n: TwoIdeal) -> TwoIdeal:
-    """The same ideal read in the 1-cell dual: pre- and post-composition
-    trade places, so replacement keys flip ``(a, n, b) ↦ (b, n, a)``."""
-    return TwoIdeal(
-        null_one_cells=n.null_one_cells,
-        null_two_cells=n.null_two_cells,
-        replacement={(b, x, a): v for (a, x, b), v in n.replacement.items()},
-    )
+    """The dual ideal, :attr:`TwoIdeal.dual`."""
+    return n.dual
 
 
 def check_ideal_shape(t: TwoCategory, n: TwoIdeal) -> None:

@@ -18,13 +18,13 @@ an inconclusive certificate from certificate-returning checkers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
-    _inconclusive, dualize,
+    _inconclusive,
 )
-from .ideal import TwoIdeal, dual_ideal
+from .ideal import TwoIdeal
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def is_two_kernel(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
                         continue
                     for beta in t.iso2(fz, nz):
                         budget.tick()
-                        if not _cone_factors(t, n, pres, z_obj, z, beta):
+                        if _cone_factor(t, n, pres, z, beta) is None:
                             return _fail(
                                 name, "cone-factorization",
                                 arrow=f, leg=k, cone=z, cone_null=nz, beta=beta)
@@ -163,16 +163,18 @@ def is_two_kernel(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
         "null_cell": pres.null_cell, "structure": pres.structure})
 
 
-def _cone_factors(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
-                  z_obj: str, z: str, beta: str) -> bool:
+def _cone_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
+                 z: str, beta: str) -> tuple[str, str] | None:
+    """The first ``(u, γ: z ⇒ leg∘u)`` whose clause-(1) comparison for the
+    cone ``(z, β)`` is an invertible null 2-cell, or ``None``."""
     k = pres.leg
-    for u in t.hom1(z_obj, pres.apex):
+    for u in t.hom1(t.src1[z], pres.apex):
         ku = t.cmp1(k, u)
         for gamma in t.iso2(z, ku):
             chi = _cone_comparison(t, n, pres, u, gamma, beta)
             if chi in n.null2 and t.is_invertible2(chi):
-                return True
-    return False
+                return u, gamma
+    return None
 
 
 def kernel_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
@@ -181,16 +183,11 @@ def kernel_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
     ``(u, γ: z ⇒ leg∘u)`` whose comparison is an invertible null 2-cell."""
     if z not in t.src1:
         raise InputError(f"unknown 1-cell {z}")
-    z_obj = t.src1[z]
-    k = pres.leg
-    for u in t.hom1(z_obj, pres.apex):
-        ku = t.cmp1(k, u)
-        for gamma in t.iso2(z, ku):
-            chi = _cone_comparison(t, n, pres, u, gamma, beta)
-            if chi in n.null2 and t.is_invertible2(chi):
-                return u, gamma
-    raise InputError(
-        f"cone {z} with {beta} does not factor through kernel leg {k}")
+    found = _cone_factor(t, n, pres, z, beta)
+    if found is None:
+        raise InputError(f"cone {z} with {beta} does not factor through "
+                         f"kernel leg {pres.leg}")
+    return found
 
 def kernel_descend(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
                    u: str, v: str, lam: str) -> str:
@@ -237,15 +234,14 @@ def _to_dual_kernel(pres: CokernelPresentation) -> KernelPresentation:
 def is_two_cokernel(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
                     cap: int | None = None) -> Certificate:
     """A cokernel is a kernel in the dual 2-category with the dual ideal."""
-    cert = is_two_kernel(dualize(t), dual_ideal(n), _to_dual_kernel(pres), cap)
-    return Certificate("is_two_cokernel", cert.status, cert.witness,
-                       cert.counterexample, cert.detail)
+    return replace(is_two_kernel(t.dual, n.dual, _to_dual_kernel(pres), cap),
+                   check="is_two_cokernel")
 
 
 def two_cokernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
                   _budget: Budget | None = None) -> tuple[CokernelPresentation, ...]:
     """All verified cokernel presentations of ``f``, via the dual search."""
-    duals = two_kernels(dualize(t), dual_ideal(n), f, cap, _budget=_budget)
+    duals = two_kernels(t.dual, n.dual, f, cap, _budget=_budget)
     return tuple(
         CokernelPresentation(p.arrow, p.apex, p.leg, p.null_cell, p.structure)
         for p in duals)
@@ -272,14 +268,14 @@ def cokernel_factor(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
                     z: str, beta: str) -> tuple[str, str]:
     """Dual of :func:`kernel_factor`: first ``(u, γ: z ⇒ u∘leg)`` in the dual
     sense for a cone ``z`` out of the arrow's target."""
-    return kernel_factor(dualize(t), dual_ideal(n), _to_dual_kernel(pres), z, beta)
+    return kernel_factor(t.dual, n.dual, _to_dual_kernel(pres), z, beta)
 
 
 def cokernel_descend(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
                      u: str, v: str, lam: str) -> str:
     """Dual of :func:`kernel_descend`: unique ``μ: u ⇒ v`` with
     ``μ ⋆ leg = λ``."""
-    return kernel_descend(dualize(t), dual_ideal(n), _to_dual_kernel(pres), u, v, lam)
+    return kernel_descend(t.dual, n.dual, _to_dual_kernel(pres), u, v, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Command-line interface, exercised end to end through subprocesses."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from clirun import run_cli as run
 from family import LD_PB2, ZERO_IDEALS
 from twoexact.formats import serialize, two_ideal_to_document
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def last_json(proc):
@@ -227,6 +230,21 @@ def test_small_cap_is_reported_as_inconclusive(files):
     out = last_json(proc)
     assert out["status"] == "inconclusive"
     assert "cap 2 exceeded" in out["detail"]
+
+
+def test_capped_dom_fibration_check_is_inconclusive():
+    proc = run("check-fibration", str(FIXTURE_DIR / "ct22.fs.json"),
+               "--direction", "dom", "--cap", "1")
+    assert proc.returncode == 3, proc.stderr
+    assert last_json(proc)["status"] == "inconclusive"
+
+
+def test_capped_check_fs_is_inconclusive():
+    # check-fs runs the dom fibration check as one of its parts
+    proc = run("check-fs", str(FIXTURE_DIR / "pb1.bundle.json"),
+               "--cap", "1")
+    assert proc.returncode == 3, proc.stderr
+    assert last_json(proc)["status"] == "inconclusive"
 
 
 def test_header_line_names_command_cap_and_inputs(files):

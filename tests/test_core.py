@@ -1,5 +1,8 @@
 """Composition tables, validation, pasting, duality, whisker solving."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +17,9 @@ from twoexact import (
     is_equivalence,
     is_faithful,
     iso_two_cells,
+    locally_discrete,
     natural_key,
+    partial_bijections,
     replay_two_category_counterexample,
     solve_lwhisker,
     solve_rwhisker,
@@ -72,6 +77,19 @@ def test_vertical_composition_chain_order():
 def test_dualize_is_an_involution(name):
     t = CORE[name]
     assert dualize(dualize(t)) == t
+    assert t.dual.dual is t
+    assert dualize(t) is t.dual
+
+
+def test_dualized_categories_are_not_retained():
+    refs = []
+    for _ in range(20):
+        t = locally_discrete(partial_bijections(2))
+        dualize(t)
+        refs.append(weakref.ref(t))
+    del t
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 @given(st.sampled_from(CORE_NAMES))

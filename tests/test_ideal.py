@@ -77,6 +77,8 @@ def test_no_zero_fixture_has_no_bizero_but_a_valid_ideal():
 def test_dual_ideal_is_an_involution(name):
     n = ZERO_IDEALS[name]
     assert dual_ideal(dual_ideal(n)) == n
+    assert n.dual.dual is n
+    assert dual_ideal(n) is n.dual
 
 
 @given(st.sampled_from(CORE_NAMES))
