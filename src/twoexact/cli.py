@@ -309,13 +309,13 @@ def _cmd_check_rofs(args) -> int:
 
 def _cmd_check_exact(args) -> int:
     weak = args.mode.startswith("weak-")
-    _header("check-exact", args.cap, [args.file])
     if args.mode.endswith("puppe"):
-        doc = _load(args.file)
-        t = document_to_two_category(doc)
+        t = document_to_two_category(_load(args.file))
+        _header("check-exact", args.cap, [args.file])
         report = check_puppe(t, weak=weak, cap=args.cap)
     else:
         t, n = _base_and_ideal(args)
+        _header("check-exact", args.cap, [args.file])
         report = check_grandis_ii(t, n, weak=weak, cap=args.cap)
     for _, cert in report.checks:
         _emit(cert.to_json_dict())

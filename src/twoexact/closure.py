@@ -19,6 +19,7 @@ the equivalence rather than assume it.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Iterable, Iterator
 
 from .core import (
     Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
@@ -186,31 +187,24 @@ def weakly_coreflects(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
     return replace(cert, check="weakly_coreflects")
 
 
+# (side, category, ideal, verified presentations by arrow); the cokernel
+# side is the kernel side of the duals.
+_Side = tuple[str, TwoCategory, TwoIdeal, dict]
+
+
 def _leg_order(by_arrow: dict) -> tuple[str, ...]:
     """Presentation legs deduplicated, first appearance first."""
-    seen: list[str] = []
-    for presentations in by_arrow.values():
-        for p in presentations:
-            if p.leg not in seen:
-                seen.append(p.leg)
-    return tuple(seen)
+    return tuple(dict.fromkeys(
+        p.leg for presentations in by_arrow.values() for p in presentations))
 
 
-def _swept_sides(t: TwoCategory, n: TwoIdeal, name: str, budget: Budget
-                 ) -> Certificate | list[tuple[str, TwoCategory, TwoIdeal,
-                                               dict]]:
+def _sweeps(t: TwoCategory, n: TwoIdeal, budget: Budget) -> Iterator[_Side]:
     """The kernel sweep of ``t``, then the cokernel sweep as the kernel
-    sweep of the dual, as ``(side, category, ideal, presentations by
-    arrow)``; or a fail certificate for the first 1-cell a side misses,
-    before the next sweep starts."""
-    sides = []
+    sweep of the dual, both spending from ``budget``.  Lazy, so a caller
+    can stop before the second sweep."""
     for side, tt, nn in (("kernel", t, n), ("cokernel", t.dual, n.dual)):
-        by_arrow = kernel_presentations_by_arrow(tt, nn, _budget=budget)
-        for f, presentations in by_arrow.items():
-            if not presentations:
-                return _fail(name, f"missing-{side}", arrow=f)
-        sides.append((side, tt, nn, by_arrow))
-    return sides
+        yield side, tt, nn, kernel_presentations_by_arrow(tt, nn,
+                                                          _budget=budget)
 
 
 def _cited(name: str, prefix: str, cert: Certificate) -> Certificate:
@@ -219,10 +213,41 @@ def _cited(name: str, prefix: str, cert: Certificate) -> Certificate:
                  **cert.counterexample["cells"])
 
 
-def _legs_witness(name: str, sides: list) -> Certificate:
+def _closedness(sides: Iterable[_Side], weak: bool,
+                budget: Budget) -> Certificate:
+    """Closedness (``weak``: weak closedness) read off the swept sides:
+    fail on the first 1-cell a side misses, before the next side is
+    swept; then each side's legs reflect null 1-cells (``weak``: each
+    presentation weakly reflects) and null 2-cells, spending from
+    ``budget``."""
+    name = "is_weakly_closed" if weak else "is_closed_ideal"
+    leg_checks = ((reflects_null_2cells,) if weak else
+                  (reflects_null_morphisms, reflects_null_2cells))
+    swept = []
+    try:
+        for side, tt, nn, by_arrow in sides:
+            for f, presentations in by_arrow.items():
+                if not presentations:
+                    return _fail(name, f"missing-{side}", arrow=f)
+            swept.append((side, tt, nn, by_arrow))
+        for side, tt, nn, by_arrow in swept:
+            if weak:
+                for presentations in by_arrow.values():
+                    for p in presentations:
+                        cert = weakly_reflects(tt, nn, p, _budget=budget,
+                                               _verified=True)
+                        if not cert.ok:
+                            return _cited(name, f"{side}-", cert)
+            for k in _leg_order(by_arrow):
+                for check in leg_checks:
+                    cert = check(tt, nn, k, _budget=budget)
+                    if not cert.ok:
+                        return _cited(name, f"{side}-leg-", cert)
+    except CapExceeded as exc:
+        return _inconclusive(name, exc)
     return Certificate(name, "pass", witness={
         f"{side}_legs": list(_leg_order(by_arrow))
-        for side, _, _, by_arrow in sides})
+        for side, _, _, by_arrow in swept})
 
 
 def is_closed_ideal(t: TwoCategory, n: TwoIdeal,
@@ -230,47 +255,16 @@ def is_closed_ideal(t: TwoCategory, n: TwoIdeal,
     """Every verified kernel leg reflects null 1-cells and null 2-cells, and
     every verified cokernel leg coreflects both (reflects them in the dual);
     fails early when some 1-cell has no kernel or no cokernel."""
-    name = "is_closed_ideal"
-    budget = Budget(cap, name)
-    try:
-        sides = _swept_sides(t, n, name, budget)
-        if isinstance(sides, Certificate):
-            return sides
-        for side, tt, nn, by_arrow in sides:
-            for k in _leg_order(by_arrow):
-                for check in (reflects_null_morphisms, reflects_null_2cells):
-                    cert = check(tt, nn, k, _budget=budget)
-                    if not cert.ok:
-                        return _cited(name, f"{side}-leg-", cert)
-    except CapExceeded as exc:
-        return _inconclusive(name, exc)
-    return _legs_witness(name, sides)
+    budget = Budget(cap, "is_closed_ideal")
+    return _closedness(_sweeps(t, n, budget), False, budget)
 
 
 def is_weakly_closed(t: TwoCategory, n: TwoIdeal,
                      cap: int | None = None) -> Certificate:
     """Every verified kernel presentation weakly reflects and its leg
     reflects null 2-cells; dually for cokernel presentations."""
-    name = "is_weakly_closed"
-    budget = Budget(cap, name)
-    try:
-        sides = _swept_sides(t, n, name, budget)
-        if isinstance(sides, Certificate):
-            return sides
-        for side, tt, nn, by_arrow in sides:
-            for presentations in by_arrow.values():
-                for p in presentations:
-                    cert = weakly_reflects(tt, nn, p, _budget=budget,
-                                           _verified=True)
-                    if not cert.ok:
-                        return _cited(name, f"{side}-", cert)
-            for k in _leg_order(by_arrow):
-                cert = reflects_null_2cells(tt, nn, k, _budget=budget)
-                if not cert.ok:
-                    return _cited(name, f"{side}-leg-", cert)
-    except CapExceeded as exc:
-        return _inconclusive(name, exc)
-    return _legs_witness(name, sides)
+    budget = Budget(cap, "is_weakly_closed")
+    return _closedness(_sweeps(t, n, budget), True, budget)
 
 
 def _factors_through_null_object(t: TwoCategory, n: TwoIdeal, h: str,
@@ -302,8 +296,7 @@ def weak_closure_triple(t: TwoCategory, n: TwoIdeal,
     weakly coreflect).  Raises :class:`CapExceeded` on budget overflow and
     :class:`InputError` when some 1-cell lacks a kernel or cokernel."""
     budget = Budget(cap, "weak_closure_triple")
-    kernels = kernel_presentations_by_arrow(t, n, _budget=budget)
-    cokernels = kernel_presentations_by_arrow(t.dual, n.dual, _budget=budget)
+    (_, _, _, kernels), (_, _, _, cokernels) = _sweeps(t, n, budget)
     for f in t.one_ids:
         if not kernels[f]:
             raise InputError(f"no kernel found for {f}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .closure import _reflection_conclusion, is_closed_ideal, is_weakly_closed
+from .closure import _closedness, _leg_order, _reflection_conclusion, _sweeps
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
                    _fail, natural_key, solve_lwhisker, solve_rwhisker)
 from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
@@ -101,14 +101,13 @@ def check_grandis_ii(t: TwoCategory, n: TwoIdeal, weak: bool = False,
     checks: list[tuple[str, Certificate]] = []
 
     try:
-        kernels = kernel_presentations_by_arrow(t, n, _budget=budget)
-        cokernels = cokernel_presentations_by_arrow(t, n, _budget=budget)
+        sides = list(_sweeps(t, n, budget))
     except CapExceeded as exc:
         checks.append(("all-kernels-exist",
                        _inconclusive_at("all-kernels-exist", exc, "(sweep)")))
         return ExactnessReport(mode, tuple(checks))
 
-    for side, by_arrow in (("kernel", kernels), ("cokernel", cokernels)):
+    for side, _, _, by_arrow in sides:
         name = f"all-{side}s-exist"
         missing = [f for f in t.one_ids if not by_arrow[f]]
         if missing:
@@ -117,15 +116,11 @@ def check_grandis_ii(t: TwoCategory, n: TwoIdeal, weak: bool = False,
             cert = Certificate(name, "pass", {"arrows": len(t.one_ids)})
         checks.append((name, cert))
 
-    if weak:
-        checks.append(("weak-closedness", is_weakly_closed(t, n, cap)))
-    else:
-        checks.append(("closedness", is_closed_ideal(t, n, cap)))
+    checks.append(("weak-closedness" if weak else "closedness",
+                   _closedness(sides, weak, budget)))
 
-    kernel_legs = tuple(dict.fromkeys(
-        p.leg for f in t.one_ids for p in kernels[f]))
-    cokernel_legs = tuple(dict.fromkeys(
-        p.leg for f in t.one_ids for p in cokernels[f]))
+    (_, _, _, kernels), (_, _, _, cokernels) = sides
+    kernel_legs, cokernel_legs = _leg_order(kernels), _leg_order(cokernels)
 
     checks.append(_kernel_of_its_cokernel(
         t, n, kernel_legs, cokernels, budget, "kernel-of-its-cokernel"))
@@ -159,13 +154,14 @@ def _null_iso_adjustments(t: TwoCategory, n: TwoIdeal,
 
 def _kernel_of_its_cokernel(
         t: TwoCategory, n: TwoIdeal, kernel_legs: tuple[str, ...],
-        cokernels: dict[str, tuple[CokernelPresentation, ...]],
+        cokernels: dict[str, tuple[KernelPresentation, ...]],
         budget: Budget, name: str) -> tuple[str, Certificate]:
     """Each kernel leg must be a kernel of its own cokernel, with structure
     cell obtained from the cokernel's structure cell by pasting an
-    invertible null 2-cell.  On the duals, with the kernel presentations of
-    ``t`` in place of ``cokernels``, this checks that each cokernel leg is a
-    cokernel of its own kernel."""
+    invertible null 2-cell; ``cokernels`` holds the cokernel presentations
+    as kernel presentations of the duals.  On the duals, with the kernel
+    presentations of ``t`` in place of ``cokernels``, this checks that each
+    cokernel leg is a cokernel of its own kernel."""
     for m in kernel_legs:
         try:
             found = False
@@ -260,7 +256,8 @@ def check_grandis_i(t: TwoCategory, fs: FactorizationSystem,
                                detail=cert.detail)
         if cert.status == "inconclusive" and inconclusive is None:
             inconclusive = Certificate(name, "inconclusive",
-                                       detail=f"{tag}: {cert.detail}")
+                                       detail={"clause": tag,
+                                               "inner": cert.detail})
     if inconclusive is not None:
         return inconclusive
     return Certificate(name, "pass", {"checks": statuses})

@@ -97,10 +97,18 @@ def test_validate_reports_dangling_references(files, tmp_path):
     assert "m99_missing" in proc.stderr
 
 
-def test_unreadable_file_is_an_input_error():
-    proc = run("validate", "/nonexistent/nowhere.json")
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["check-exact", "--mode", "puppe"],
+    ["check-exact", "--mode", "grandis"],
+    ["check-closed"],
+], ids=["validate", "check-exact-puppe", "check-exact-grandis",
+        "check-closed"])
+def test_unreadable_file_is_an_input_error(command):
+    proc = run(*command, "/nonexistent/nowhere.json")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot read")
+    assert proc.stdout == ""
 
 
 def test_unknown_flag_exits_with_usage_error(files):
@@ -244,7 +252,11 @@ def test_capped_check_fs_is_inconclusive():
     proc = run("check-fs", str(FIXTURE_DIR / "pb1.bundle.json"),
                "--cap", "1")
     assert proc.returncode == 3, proc.stderr
-    assert last_json(proc)["status"] == "inconclusive"
+    result = last_json(proc)
+    assert result["status"] == "inconclusive"
+    assert isinstance(result["detail"], dict)
+    assert result["detail"]["clause"] == "factorization-system"
+    assert result["detail"]["inner"]["context"] == "validate_fs"
 
 
 def test_header_line_names_command_cap_and_inputs(files):

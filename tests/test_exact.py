@@ -20,6 +20,7 @@ from family import (
     ZERO_IDEALS,
 )
 from twoexact import (
+    Budget,
     InputError,
     arrow_subcat,
     check_grandis_i,
@@ -38,9 +39,11 @@ from twoexact import (
     validate_two_ideal,
     zero_ideal_1cat,
 )
+from twoexact import limits
 from twoexact.exact import _cod_projection, _dom_projection
 from twoexact.formats import (
     document_to_two_category,
+    document_to_two_ideal,
     fs_to_document,
     parse,
     serialize,
@@ -122,6 +125,41 @@ def test_missing_kernels_are_reported_per_arrow():
     cert = rep.certificate("all-kernels-exist")
     assert cert.status == "fail"
     assert cert.counterexample["clause"] == "missing-kernel"
+
+
+def _pb2_ideal():
+    return document_to_two_ideal(
+        parse((FIXTURE_DIR / "pb2.ideal.json").read_text()))
+
+
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+def test_grandis_report_sweeps_each_side_once(weak, monkeypatch):
+    t, n = _pb2_ideal()
+    calls = []
+    two_kernels = limits.two_kernels
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return two_kernels(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "two_kernels", counted)
+    check_grandis_ii(t, n, weak=weak)
+    assert len(calls) == 2 * len(t.one_ids)
+
+
+def test_closedness_spends_from_the_report_budget():
+    # a cap that the two sweeps use up exactly leaves nothing for
+    # closedness, which therefore stops on the report's own budget
+    t, n = _pb2_ideal()
+    sweeps = Budget(None, "sweeps")
+    limits.kernel_presentations_by_arrow(t, n, _budget=sweeps)
+    limits.cokernel_presentations_by_arrow(t, n, _budget=sweeps)
+    rep = check_grandis_ii(t, n, cap=sweeps.spent)
+    assert rep.certificate("all-kernels-exist").ok
+    assert rep.certificate("all-cokernels-exist").ok
+    cert = rep.certificate("closedness")
+    assert cert.status == "inconclusive"
+    assert cert.detail["context"] == "check_grandis_ii"
 
 
 @pytest.mark.parametrize("name", EXACT_NAMES)
