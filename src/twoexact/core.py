@@ -724,43 +724,45 @@ def replay_two_category_counterexample(t: TwoCategory, cert: Certificate) -> boo
     clause = cert.counterexample["clause"]
     c = cert.counterexample["cells"]
     if clause == "id1-boundary":
-        e = c["id1"]
-        return not (t.src1[e] == c["object"] == t.tgt1[e])
+        obj, e = c["object"], c["id1"]
+        return t.id1.get(obj) == e and not (t.src1[e] == obj == t.tgt1[e])
     if clause == "comp1-unit":
         f = c["one_cell"]
         if c["side"] == "right":
             return t.comp1[(f, t.id1[t.src1[f]])] != f
         return t.comp1[(t.id1[t.tgt1[f]], f)] != f
     if clause == "comp1-boundary":
-        gf = c["composite"]
-        return not (t.src1[gf] == t.src1[c["f"]] and t.tgt1[gf] == t.tgt1[c["g"]])
+        g, f, gf = c["g"], c["f"], c["composite"]
+        return t.comp1.get((g, f)) == gf and not (
+            t.src1[gf] == t.src1[f] and t.tgt1[gf] == t.tgt1[g])
     if clause == "comp1-assoc":
         h, g, f = c["h"], c["g"], c["f"]
         return t.comp1[(t.comp1[(h, g)], f)] != t.comp1[(h, t.comp1[(g, f)])]
     if clause == "id2-boundary":
-        i = c["id2"]
-        return not (t.src2[i] == c["one_cell"] == t.tgt2[i])
+        f, i = c["one_cell"], c["id2"]
+        return t.id2.get(f) == i and not (t.src2[i] == f == t.tgt2[i])
     if clause == "vcomp-unit":
         a = c["two_cell"]
         if c["side"] == "right":
             return t.vcomp[(a, t.id2[t.src2[a]])] != a
         return t.vcomp[(t.id2[t.tgt2[a]], a)] != a
     if clause == "vcomp-boundary":
-        ba = c["composite"]
-        return not (t.src2[ba] == t.src2[c["a"]] and t.tgt2[ba] == t.tgt2[c["b"]])
+        b, a, ba = c["b"], c["a"], c["composite"]
+        return t.vcomp.get((b, a)) == ba and not (
+            t.src2[ba] == t.src2[a] and t.tgt2[ba] == t.tgt2[b])
     if clause == "vcomp-assoc":
         cc, b, a = c["c"], c["b"], c["a"]
         return t.vcomp[(t.vcomp[(cc, b)], a)] != t.vcomp[(cc, t.vcomp[(b, a)])]
     if clause == "lwhisker-boundary":
-        ha = c["result"]
-        h, a = c["h"], c["a"]
-        return not (t.src2[ha] == t.comp1[(h, t.src2[a])]
-                    and t.tgt2[ha] == t.comp1[(h, t.tgt2[a])])
+        h, a, ha = c["h"], c["a"], c["result"]
+        return t.lwhisker.get((h, a)) == ha and not (
+            t.src2[ha] == t.comp1[(h, t.src2[a])]
+            and t.tgt2[ha] == t.comp1[(h, t.tgt2[a])])
     if clause == "rwhisker-boundary":
-        ae = c["result"]
-        a, e = c["a"], c["e"]
-        return not (t.src2[ae] == t.comp1[(t.src2[a], e)]
-                    and t.tgt2[ae] == t.comp1[(t.tgt2[a], e)])
+        a, e, ae = c["a"], c["e"], c["result"]
+        return t.rwhisker.get((a, e)) == ae and not (
+            t.src2[ae] == t.comp1[(t.src2[a], e)]
+            and t.tgt2[ae] == t.comp1[(t.tgt2[a], e)])
     if clause == "lwhisker-id2":
         h, a = c["h"], c["a"]
         return t.lwhisker[(h, a)] != t.id2[t.comp1[(h, t.src2[a])]]

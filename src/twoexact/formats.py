@@ -12,11 +12,35 @@ is the identity on documents already in that form.  ``canonicalize``
 renames every cell to the stable scheme ``o0, o1, …`` / ``f0, …`` /
 ``a0, …`` in declaration order and is idempotent on serializer output.
 
-Inside ``witness-bundle`` documents the functor tables reference derived
-square and square-pair identifiers of the two pseudo-arrow 2-categories;
-those are reconstructed from the base tables and the two classes, so
-referential integrity for them is established when the bundle is rebuilt,
-not at parse time.
+One annotated schema, ``_SCHEMAS``, states the format once.  A field spec
+gives the field's shape and the pool each of its strings names::
+
+    ("list-str", ref)             a list of strings
+    ("rows", {column: ref}, n)    a list of rows with exactly these string
+                                  columns, sorted by their first n columns
+    ("map", key_ref, value_ref)   a string-to-string map
+    ("bool",)                     a boolean
+    ("nested", kind, export)      a document of that kind, whose pools are
+                                  seen here under the prefix ``export``
+                                  (not at all when it is None)
+    ("table", fields)             a sub-object in the enclosing scope that
+                                  holds derived cells only
+
+A ref names a pool: ``o`` objects, ``f`` 1-cells (morphisms) or ``a``
+2-cells, after an optional scope prefix, ``src.`` or ``tgt.``, for a
+functor's source or target.  ``o!``, ``f!`` and ``a!`` mark the column that
+declares a pool, and its order gives the canonical names.  Parsing reports
+every string missing from its pool as a dangling reference, at its path in
+the document, or at its bare field name when its pool is scoped.
+
+A leading ``~`` marks derived cells.  The functor and natural tables of a
+``witness-bundle`` name squares and square pairs of the two pseudo-arrow
+2-categories, which are rebuilt from the base tables and the two classes,
+so their integrity is established when the bundle is rebuilt, not at parse
+time; the component and structure tables of a ``pseudonatural`` are not
+checked at parse time either.  ``canonicalize`` renames a derived cell as
+a cell of its ref's pool, else as an object of the ref's scope, else as a
+1-cell or 2-cell, else componentwise as a square or square pair.
 """
 
 from __future__ import annotations
@@ -55,52 +79,55 @@ def _rule(rule: str, msg: str) -> InputError:
 # field schemas
 # ---------------------------------------------------------------------------
 
-# a field spec is ("list-str" | "rows" | "map" | "bool" | "nested" | "table",
-#                  extra): "rows" carries the column names, "nested" the
-# sub-schema name, "table" a dict of sub-fields.
-
 _TWOCAT_FIELDS: dict[str, tuple] = {
-    "objects": ("list-str",),
-    "one_cells": ("rows", ("id", "src", "tgt")),
-    "comp1": ("rows", ("g", "f", "gf")),
-    "id1": ("map",),
-    "two_cells": ("rows", ("id", "src", "tgt")),
-    "vcomp": ("rows", ("b", "a", "ba")),
-    "id2": ("map",),
-    "lwhisker": ("rows", ("h", "a", "ha")),
-    "rwhisker": ("rows", ("a", "e", "ae")),
+    "objects": ("list-str", "o!"),
+    "one_cells": ("rows", {"id": "f!", "src": "o", "tgt": "o"}, 1),
+    "comp1": ("rows", {"g": "f", "f": "f", "gf": "f"}, 2),
+    "id1": ("map", "o", "f"),
+    "two_cells": ("rows", {"id": "a!", "src": "f", "tgt": "f"}, 1),
+    "vcomp": ("rows", {"b": "a", "a": "a", "ba": "a"}, 2),
+    "id2": ("map", "f", "a"),
+    "lwhisker": ("rows", {"h": "f", "a": "a", "ha": "a"}, 2),
+    "rwhisker": ("rows", {"a": "a", "e": "f", "ae": "a"}, 2),
 }
 
 _IDEAL_FIELDS: dict[str, tuple] = {
-    "null_one_cells": ("list-str",),
-    "null_two_cells": ("list-str",),
-    "replacement": ("rows", ("a", "n", "b", "tilde", "nu")),
+    "null_one_cells": ("list-str", "f"),
+    "null_two_cells": ("list-str", "a"),
+    "replacement": ("rows", {"a": "f", "n": "f", "b": "f", "tilde": "f",
+                             "nu": "a"}, 4),
 }
 
 _FS_FIELDS: dict[str, tuple] = {
-    "E": ("list-str",),
-    "M": ("list-str",),
-    "fact": ("rows", ("f", "e", "m", "theta")),
+    "E": ("list-str", "f"),
+    "M": ("list-str", "f"),
+    "fact": ("rows", {"f": "f", "e": "f", "m": "f", "theta": "a"}, 1),
 }
 
-_FUNCTOR_TABLE_FIELDS: dict[str, tuple] = {
-    "ob": ("map",),
-    "one": ("map",),
-    "two": ("map",),
-    "compositor": ("rows", ("g", "f", "cell")),
-}
 
-_NATURAL_TABLE_FIELDS: dict[str, tuple] = {
-    "component": ("map",),
-    "structure": ("map",),
-    "claims_equivalences": ("bool",),
-}
+def _functor_fields(src: str, tgt: str) -> dict[str, tuple]:
+    return {
+        "ob": ("map", src + "o", tgt + "o"),
+        "one": ("map", src + "f", tgt + "f"),
+        "two": ("map", src + "a", tgt + "a"),
+        "compositor": ("rows", {"g": src + "f", "f": src + "f",
+                                "cell": tgt + "a"}, 2),
+    }
+
+
+def _natural_fields(src: str, tgt: str) -> dict[str, tuple]:
+    return {
+        "component": ("map", src + "o", tgt + "f"),
+        "structure": ("map", src + "f", tgt + "a"),
+        "claims_equivalences": ("bool",),
+    }
+
 
 _ONECAT_FIELDS: dict[str, tuple] = {
-    "objects": ("list-str",),
-    "morphisms": ("rows", ("id", "src", "tgt")),
-    "comp": ("rows", ("g", "f", "gf")),
-    "ident": ("map",),
+    "objects": ("list-str", "o!"),
+    "morphisms": ("rows", {"id": "f!", "src": "o", "tgt": "o"}, 1),
+    "comp": ("rows", {"g": "f", "f": "f", "gf": "f"}, 2),
+    "ident": ("map", "o", "f"),
 }
 
 _SCHEMAS: dict[str, dict[str, tuple]] = {
@@ -108,25 +135,25 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     "two_ideal": {**_TWOCAT_FIELDS, **_IDEAL_FIELDS},
     "factorization_system": {**_TWOCAT_FIELDS, **_FS_FIELDS},
     "pseudofunctor": {
-        "source": ("nested", "two_category"),
-        "target": ("nested", "two_category"),
-        **_FUNCTOR_TABLE_FIELDS,
+        "source": ("nested", "two_category", "src."),
+        "target": ("nested", "two_category", "tgt."),
+        **_functor_fields("src.", "tgt."),
     },
     "pseudonatural": {
-        "source_functor": ("nested", "pseudofunctor"),
-        "target_functor": ("nested", "pseudofunctor"),
-        **_NATURAL_TABLE_FIELDS,
+        "source_functor": ("nested", "pseudofunctor", ""),
+        "target_functor": ("nested", "pseudofunctor", None),
+        **_natural_fields("~src.", "~tgt."),
     },
     "witness-bundle": {
-        "base": ("nested", "two_category"),
+        "base": ("nested", "two_category", ""),
         **_FS_FIELDS,
-        "k": ("table", _FUNCTOR_TABLE_FIELDS),
-        "c": ("table", _FUNCTOR_TABLE_FIELDS),
-        "eta": ("table", _NATURAL_TABLE_FIELDS),
-        "epsilon": ("table", _NATURAL_TABLE_FIELDS),
+        "k": ("table", _functor_fields("~", "~")),
+        "c": ("table", _functor_fields("~", "~")),
+        "eta": ("table", _natural_fields("~", "~")),
+        "epsilon": ("table", _natural_fields("~", "~")),
     },
     "finite_category": _ONECAT_FIELDS,
-    "one_ideal": {**_ONECAT_FIELDS, "null": ("list-str",)},
+    "one_ideal": {**_ONECAT_FIELDS, "null": ("list-str", "f")},
 }
 
 
@@ -180,158 +207,139 @@ def _check_fields(body: Any, fields: dict[str, tuple], where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# referential integrity
+# the two schema walks: referential integrity and canonical renaming
 # ---------------------------------------------------------------------------
 
-def _twocat_integrity(body: Mapping[str, Any], where: str,
-                      dangling: list[str]) -> None:
-    objects = set(body["objects"])
-    ones = {row["id"] for row in body["one_cells"]}
-    twos = {row["id"] for row in body["two_cells"]}
-
-    def need(ref: str, pool: set[str], at: str) -> None:
-        if ref not in pool:
-            dangling.append(f"{ref} (at {where}{at})")
-
-    for row in body["one_cells"]:
-        need(row["src"], objects, f"one_cells[{row['id']}].src")
-        need(row["tgt"], objects, f"one_cells[{row['id']}].tgt")
-    for row in body["comp1"]:
-        for col in ("g", "f", "gf"):
-            need(row[col], ones, f"comp1.{col}")
-    for obj, cell in body["id1"].items():
-        need(obj, objects, "id1 key")
-        need(cell, ones, f"id1[{obj}]")
-    for row in body["two_cells"]:
-        need(row["src"], ones, f"two_cells[{row['id']}].src")
-        need(row["tgt"], ones, f"two_cells[{row['id']}].tgt")
-    for row in body["vcomp"]:
-        for col in ("b", "a", "ba"):
-            need(row[col], twos, f"vcomp.{col}")
-    for f, cell in body["id2"].items():
-        need(f, ones, "id2 key")
-        need(cell, twos, f"id2[{f}]")
-    for row in body["lwhisker"]:
-        need(row["h"], ones, "lwhisker.h")
-        need(row["a"], twos, "lwhisker.a")
-        need(row["ha"], twos, "lwhisker.ha")
-    for row in body["rwhisker"]:
-        need(row["a"], twos, "rwhisker.a")
-        need(row["e"], ones, "rwhisker.e")
-        need(row["ae"], twos, "rwhisker.ae")
+_Pools = dict[str, dict[str, str]]
 
 
-def _ideal_integrity(body: Mapping[str, Any], dangling: list[str]) -> None:
-    ones = {row["id"] for row in body["one_cells"]}
-    twos = {row["id"] for row in body["two_cells"]}
-    for n in body["null_one_cells"]:
-        if n not in ones:
-            dangling.append(f"{n} (at null_one_cells)")
-    for a in body["null_two_cells"]:
-        if a not in twos:
-            dangling.append(f"{a} (at null_two_cells)")
-    for row in body["replacement"]:
-        for col in ("a", "n", "b", "tilde"):
-            if row[col] not in ones:
-                dangling.append(f"{row[col]} (at replacement.{col})")
-        if row["nu"] not in twos:
-            dangling.append(f"{row['nu']} (at replacement.nu)")
+def _key(spec: tuple) -> str | None:
+    """The column of a rows spec that declares its pool, if any."""
+    return next((c for c, r in spec[1].items() if r[-1] == "!"), None)
 
 
-def _fs_integrity(body: Mapping[str, Any], prefix: str,
-                  dangling: list[str], base: Mapping[str, Any]) -> None:
-    ones = {row["id"] for row in base["one_cells"]}
-    twos = {row["id"] for row in base["two_cells"]}
-    for e in body["E"]:
-        if e not in ones:
-            dangling.append(f"{e} (at {prefix}E)")
-    for m in body["M"]:
-        if m not in ones:
-            dangling.append(f"{m} (at {prefix}M)")
-    for row in body["fact"]:
-        for col in ("f", "e", "m"):
-            if row[col] not in ones:
-                dangling.append(f"{row[col]} (at {prefix}fact.{col})")
-        if row["theta"] not in twos:
-            dangling.append(f"{row['theta']} (at {prefix}fact.theta)")
+def _pools(fields: dict[str, tuple], body: Mapping[str, Any],
+           nested: Callable[[str, str], _Pools]) -> _Pools:
+    """The pools a document sees, each mapping its identifiers to their
+    canonical names: those it declares, and those its nested documents
+    export (``nested(field, kind)`` walks one and returns its pools)."""
+    pools: _Pools = {}
+    for name, spec in fields.items():
+        if spec[0] == "nested":
+            sub = nested(name, spec[1])
+            if spec[2] is not None:
+                pools.update({spec[2] + p: m for p, m in sub.items()})
+            continue
+        if spec[0] == "list-str" and spec[1][-1] == "!":
+            ref, ids = spec[1], body[name]
+        elif spec[0] == "rows" and (key := _key(spec)):
+            ref, ids = spec[1][key], [row[key] for row in body[name]]
+        else:
+            continue
+        pools[ref[0]] = {x: f"{ref[0]}{i}" for i, x in enumerate(ids)}
+    return pools
 
 
-def _functor_integrity(body: Mapping[str, Any], dangling: list[str]) -> None:
-    src, tgt = body["source"], body["target"]
-    pools = {
-        "src-objects": set(src["objects"]),
-        "tgt-objects": set(tgt["objects"]),
-        "src-ones": {row["id"] for row in src["one_cells"]},
-        "tgt-ones": {row["id"] for row in tgt["one_cells"]},
-        "src-twos": {row["id"] for row in src["two_cells"]},
-        "tgt-twos": {row["id"] for row in tgt["two_cells"]},
-    }
+def _dangling(fields: dict[str, tuple], body: Mapping[str, Any], where: str,
+              out: list[str]) -> _Pools:
+    """Append each string of a document that names no cell of its pool to
+    ``out`` as ``"<ref> (at <place>)"``, in field, row and column order, and
+    return the document's pools.  A place is prefixed by ``where`` unless
+    its pool is scoped; derived cells are skipped."""
+    pools = _pools(fields, body, lambda name, kind: _dangling(
+        _SCHEMAS[kind], body[name], f"{where}{name}.", out))
 
-    def need(ref: str, pool: str, at: str) -> None:
-        if ref not in pools[pool]:
-            dangling.append(f"{ref} (at {at})")
+    def place(ref: str, name: str) -> str:
+        return name if "." in ref else where + name
 
-    for k, v in body["ob"].items():
-        need(k, "src-objects", "ob key")
-        need(v, "tgt-objects", f"ob[{k}]")
-    for k, v in body["one"].items():
-        need(k, "src-ones", "one key")
-        need(v, "tgt-ones", f"one[{k}]")
-    for k, v in body["two"].items():
-        need(k, "src-twos", "two key")
-        need(v, "tgt-twos", f"two[{k}]")
-    for row in body["compositor"]:
-        need(row["g"], "src-ones", "compositor.g")
-        need(row["f"], "src-ones", "compositor.f")
-        need(row["cell"], "tgt-twos", "compositor.cell")
-
-
-def _onecat_integrity(body: Mapping[str, Any], dangling: list[str]) -> None:
-    objects = set(body["objects"])
-    mors = {row["id"] for row in body["morphisms"]}
-    for row in body["morphisms"]:
-        for col in ("src", "tgt"):
-            if row[col] not in objects:
-                dangling.append(
-                    f"{row[col]} (at morphisms[{row['id']}].{col})")
-    for row in body["comp"]:
-        for col in ("g", "f", "gf"):
-            if row[col] not in mors:
-                dangling.append(f"{row[col]} (at comp.{col})")
-    for obj, cell in body["ident"].items():
-        if obj not in objects:
-            dangling.append(f"{obj} (at ident key)")
-        if cell not in mors:
-            dangling.append(f"{cell} (at ident[{obj}])")
-    for n in body.get("null", ()):
-        if n not in mors:
-            dangling.append(f"{n} (at null)")
+    for name, spec in fields.items():
+        shape, value = spec[0], body[name]
+        if shape == "list-str" and spec[1][-1] != "!":
+            pool, at = pools[spec[1]], place(spec[1], name)
+            out.extend(f"{x} (at {at})" for x in value if x not in pool)
+        elif shape == "rows":
+            key = _key(spec)
+            need = [(col, pools[ref], place(ref, name))
+                    for col, ref in spec[1].items() if ref[-1] != "!"
+                    and ref[0] != "~"]
+            for row in value:
+                for col, pool, at in need:
+                    if row[col] not in pool:
+                        label = at if key is None else f"{at}[{row[key]}]"
+                        out.append(f"{row[col]} (at {label}.{col})")
+        elif shape == "map" and spec[1][0] != "~":
+            kpool, vpool = pools[spec[1]], pools[spec[2]]
+            at = place(spec[1], name)
+            for k, v in value.items():
+                if k not in kpool:
+                    out.append(f"{k} (at {at} key)")
+                if v not in vpool:
+                    out.append(f"{v} (at {at}[{k}])")
+    return pools
 
 
-def _check_integrity(kind: str, body: Mapping[str, Any]) -> None:
-    dangling: list[str] = []
-    if kind in ("two_category", "two_ideal", "factorization_system"):
-        _twocat_integrity(body, "", dangling)
-        if kind == "two_ideal":
-            _ideal_integrity(body, dangling)
-        if kind == "factorization_system":
-            _fs_integrity(body, "", dangling, body)
-    elif kind == "pseudofunctor":
-        _twocat_integrity(body["source"], "source.", dangling)
-        _twocat_integrity(body["target"], "target.", dangling)
-        _functor_integrity(body, dangling)
-    elif kind == "pseudonatural":
-        for key in ("source_functor", "target_functor"):
-            _twocat_integrity(body[key]["source"], f"{key}.source.", dangling)
-            _twocat_integrity(body[key]["target"], f"{key}.target.", dangling)
-            _functor_integrity(body[key], dangling)
-    elif kind == "witness-bundle":
-        _twocat_integrity(body["base"], "base.", dangling)
-        _fs_integrity(body, "", dangling, body["base"])
-    elif kind in ("finite_category", "one_ideal"):
-        _onecat_integrity(body, dangling)
-    if dangling:
-        raise InputError("dangling references: " + "; ".join(dangling))
+def _rename_derived(cell: str, one_map: dict, two_map: dict) -> str:
+    """Rename a possibly derived identifier: declared cells by their own
+    map, square and square-pair encodings componentwise."""
+    if cell in one_map:
+        return one_map[cell]
+    if cell in two_map:
+        return two_map[cell]
+    parts = cell.split("|")
+    if len(parts) == 5:
+        f, g, a, b, phi = parts
+        return "|".join([one_map[f], one_map[g], one_map[a], one_map[b],
+                         two_map[phi]])
+    if len(parts) == 12:
+        return "|".join([
+            _rename_derived("|".join(parts[0:5]), one_map, two_map),
+            _rename_derived("|".join(parts[5:10]), one_map, two_map),
+            two_map[parts[10]], two_map[parts[11]]])
+    raise InputError(f"cannot canonicalize unknown cell {cell}")
+
+
+def _renamed(fields: dict[str, tuple], body: Mapping[str, Any],
+             pools: _Pools | None = None) -> tuple[dict, _Pools]:
+    """A document with every string replaced by its canonical name, and
+    its pools.  A table is renamed in the given enclosing ``pools``."""
+    out: dict[str, Any] = {}
+
+    def nested(name: str, kind: str) -> _Pools:
+        out[name], sub = _renamed(_SCHEMAS[kind], body[name])
+        return sub
+
+    if pools is None:
+        pools = _pools(fields, body, nested)
+
+    def renamer(ref: str) -> Callable[[str], str]:
+        if ref[0] != "~":
+            return pools[ref.rstrip("!")].__getitem__
+        scope = ref[1:-1]
+        tried = (pools[ref[1:]], pools[scope + "o"])
+
+        def derived(x: str) -> str:
+            for pool in tried:
+                if x in pool:
+                    return pool[x]
+            return _rename_derived(x, pools[scope + "f"], pools[scope + "a"])
+        return derived
+
+    for name, spec in fields.items():
+        shape, value = spec[0], body[name]
+        if shape == "list-str":
+            out[name] = list(map(renamer(spec[1]), value))
+        elif shape == "rows":
+            cols = [(col, renamer(ref)) for col, ref in spec[1].items()]
+            out[name] = [{col: new(row[col]) for col, new in cols}
+                         for row in value]
+        elif shape == "map":
+            key, val = renamer(spec[1]), renamer(spec[2])
+            out[name] = {key(k): val(v) for k, v in value.items()}
+        elif shape == "bool":
+            out[name] = value
+        elif shape == "table":
+            out[name] = _renamed(spec[1], value, pools)[0]
+    return out, pools
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +368,11 @@ def parse(text: str) -> Document:
         raise _rule("kind", f"unknown kind {kind!r}")
     body = {k: v for k, v in data.items() if k not in ("version", "kind")}
     _check_fields(body, _SCHEMAS[kind], "")
-    _check_integrity(kind, body)
+    dangling: list[str] = []
+    _dangling(_SCHEMAS[kind], body, "", dangling)
+    if dangling:
+        raise InputError("dangling references: " + "; ".join(dangling))
     return Document(1, kind, body)
-
-
-def _row_sorter(cols: tuple[str, ...]) -> Callable[[dict], tuple]:
-    keys = cols[:-1] if len(cols) > 1 else cols
-    return lambda row: tuple(natural_key(row[c]) for c in keys)
 
 
 def _normalize(fields: dict[str, tuple], body: Mapping[str, Any]) -> dict:
@@ -377,15 +383,10 @@ def _normalize(fields: dict[str, tuple], body: Mapping[str, Any]) -> dict:
         if shape == "list-str":
             out[name] = sorted(value, key=natural_key)
         elif shape == "rows":
-            cols = spec[1]
-            if name in ("one_cells", "two_cells", "morphisms"):
-                sorter = _row_sorter(("id",))
-            elif name == "fact":
-                sorter = _row_sorter(("f",))
-            else:
-                sorter = _row_sorter(cols)
-            out[name] = sorted((dict(sorted(r.items())) for r in value),
-                               key=sorter)
+            keys = tuple(spec[1])[:spec[2]]
+            out[name] = sorted(
+                (dict(sorted(r.items())) for r in value),
+                key=lambda row: tuple(natural_key(row[c]) for c in keys))
         elif shape == "map":
             out[name] = dict(sorted(value.items(), key=lambda kv:
                              natural_key(kv[0])))
@@ -409,193 +410,14 @@ def serialize(doc: Document) -> str:
                       ensure_ascii=False) + "\n"
 
 
-def _twocat_renames(body: Mapping[str, Any]) -> tuple[dict, dict, dict]:
-    obj_map = {o: f"o{i}" for i, o in enumerate(body["objects"])}
-    one_map = {row["id"]: f"f{i}"
-               for i, row in enumerate(body["one_cells"])}
-    two_map = {row["id"]: f"a{i}"
-               for i, row in enumerate(body["two_cells"])}
-    return obj_map, one_map, two_map
-
-
-def _rename_twocat(body: Mapping[str, Any], obj_map: dict, one_map: dict,
-                   two_map: dict) -> dict:
-    return {
-        "objects": [obj_map[o] for o in body["objects"]],
-        "one_cells": [{"id": one_map[r["id"]], "src": obj_map[r["src"]],
-                       "tgt": obj_map[r["tgt"]]}
-                      for r in body["one_cells"]],
-        "comp1": [{"g": one_map[r["g"]], "f": one_map[r["f"]],
-                   "gf": one_map[r["gf"]]} for r in body["comp1"]],
-        "id1": {obj_map[o]: one_map[c] for o, c in body["id1"].items()},
-        "two_cells": [{"id": two_map[r["id"]], "src": one_map[r["src"]],
-                       "tgt": one_map[r["tgt"]]}
-                      for r in body["two_cells"]],
-        "vcomp": [{"b": two_map[r["b"]], "a": two_map[r["a"]],
-                   "ba": two_map[r["ba"]]} for r in body["vcomp"]],
-        "id2": {one_map[f]: two_map[a] for f, a in body["id2"].items()},
-        "lwhisker": [{"h": one_map[r["h"]], "a": two_map[r["a"]],
-                      "ha": two_map[r["ha"]]} for r in body["lwhisker"]],
-        "rwhisker": [{"a": two_map[r["a"]], "e": one_map[r["e"]],
-                      "ae": two_map[r["ae"]]} for r in body["rwhisker"]],
-    }
-
-
-def _rename_derived(cell: str, one_map: dict, two_map: dict) -> str:
-    """Rename a possibly derived identifier: declared cells by their own
-    map, square and square-pair encodings componentwise."""
-    if cell in one_map:
-        return one_map[cell]
-    if cell in two_map:
-        return two_map[cell]
-    parts = cell.split("|")
-    if len(parts) == 5:
-        f, g, a, b, phi = parts
-        return "|".join([one_map[f], one_map[g], one_map[a], one_map[b],
-                         two_map[phi]])
-    if len(parts) == 12:
-        return "|".join([
-            _rename_derived("|".join(parts[0:5]), one_map, two_map),
-            _rename_derived("|".join(parts[5:10]), one_map, two_map),
-            two_map[parts[10]], two_map[parts[11]]])
-    raise InputError(f"cannot canonicalize unknown cell {cell}")
-
-
-def _rename_functor_tables(body: Mapping[str, Any], src_maps: tuple,
-                           tgt_maps: tuple) -> dict:
-    s_obj, s_one, s_two = src_maps
-    t_obj, t_one, t_two = tgt_maps
-
-    def src(cell: str) -> str:
-        if cell in s_obj:
-            return s_obj[cell]
-        return _rename_derived(cell, s_one, s_two)
-
-    def tgt(cell: str) -> str:
-        if cell in t_obj:
-            return t_obj[cell]
-        return _rename_derived(cell, t_one, t_two)
-
-    return {
-        "ob": {src(k): tgt(v) for k, v in body["ob"].items()},
-        "one": {src(k): tgt(v) for k, v in body["one"].items()},
-        "two": {src(k): tgt(v) for k, v in body["two"].items()},
-        "compositor": [{"g": src(r["g"]), "f": src(r["f"]),
-                        "cell": tgt(r["cell"])}
-                       for r in body["compositor"]],
-    }
-
-
 def canonicalize(doc: Document) -> Document:
     """Rename all cells to the stable scheme (objects ``o0, o1, …``,
     1-cells ``f0, …``, 2-cells ``a0, …``) in declaration order, rewriting
     derived square identifiers componentwise.  Idempotent on serializer
     output."""
-    kind, body = doc.kind, doc.body
-    if kind in ("two_category", "two_ideal", "factorization_system"):
-        maps = _twocat_renames(body)
-        obj_map, one_map, two_map = maps
-        out = _rename_twocat(body, *maps)
-        if kind == "two_ideal":
-            out["null_one_cells"] = [one_map[n]
-                                     for n in body["null_one_cells"]]
-            out["null_two_cells"] = [two_map[a]
-                                     for a in body["null_two_cells"]]
-            out["replacement"] = [
-                {"a": one_map[r["a"]], "n": one_map[r["n"]],
-                 "b": one_map[r["b"]], "tilde": one_map[r["tilde"]],
-                 "nu": two_map[r["nu"]]} for r in body["replacement"]]
-        if kind == "factorization_system":
-            out["E"] = [one_map[e] for e in body["E"]]
-            out["M"] = [one_map[m] for m in body["M"]]
-            out["fact"] = [{"f": one_map[r["f"]], "e": one_map[r["e"]],
-                            "m": one_map[r["m"]],
-                            "theta": two_map[r["theta"]]}
-                           for r in body["fact"]]
-        return Document(1, kind, out)
-    if kind == "pseudofunctor":
-        src_maps = _twocat_renames(body["source"])
-        tgt_maps = _twocat_renames(body["target"])
-        out = {
-            "source": _rename_twocat(body["source"], *src_maps),
-            "target": _rename_twocat(body["target"], *tgt_maps),
-            **_rename_functor_tables(body, src_maps, tgt_maps),
-        }
-        return Document(1, kind, out)
-    if kind == "pseudonatural":
-        src_f = canonicalize(Document(1, "pseudofunctor",
-                                      body["source_functor"])).body
-        tgt_f = canonicalize(Document(1, "pseudofunctor",
-                                      body["target_functor"])).body
-        src_maps = _twocat_renames(body["source_functor"]["source"])
-        tgt_maps = _twocat_renames(body["source_functor"]["target"])
-
-        def src(cell: str) -> str:
-            if cell in src_maps[0]:
-                return src_maps[0][cell]
-            return _rename_derived(cell, src_maps[1], src_maps[2])
-
-        def tgt(cell: str) -> str:
-            return _rename_derived(cell, tgt_maps[1], tgt_maps[2])
-
-        out = {
-            "source_functor": src_f,
-            "target_functor": tgt_f,
-            "component": {src(k): tgt(v)
-                          for k, v in body["component"].items()},
-            "structure": {src(k): tgt(v)
-                          for k, v in body["structure"].items()},
-            "claims_equivalences": body["claims_equivalences"],
-        }
-        return Document(1, kind, out)
-    if kind == "witness-bundle":
-        maps = _twocat_renames(body["base"])
-        obj_map, one_map, two_map = maps
-        derived_maps = (obj_map, one_map, two_map)
-
-        def cell(x: str) -> str:
-            if x in obj_map:
-                return obj_map[x]
-            return _rename_derived(x, one_map, two_map)
-
-        out: dict[str, Any] = {"base": _rename_twocat(body["base"], *maps)}
-        out["E"] = [one_map[e] for e in body["E"]]
-        out["M"] = [one_map[m] for m in body["M"]]
-        out["fact"] = [{"f": one_map[r["f"]], "e": one_map[r["e"]],
-                        "m": one_map[r["m"]], "theta": two_map[r["theta"]]}
-                       for r in body["fact"]]
-        for key in ("k", "c"):
-            out[key] = _rename_functor_tables(body[key], derived_maps,
-                                              derived_maps)
-        for key in ("eta", "epsilon"):
-            sub = body[key]
-            out[key] = {
-                "component": {cell(k): cell(v)
-                              for k, v in sub["component"].items()},
-                "structure": {cell(k): cell(v)
-                              for k, v in sub["structure"].items()},
-                "claims_equivalences": sub["claims_equivalences"],
-            }
-        return Document(1, kind, out)
-    if kind in ("finite_category", "one_ideal"):
-        obj_map = {o: f"o{i}" for i, o in enumerate(body["objects"])}
-        mor_map = {row["id"]: f"f{i}"
-                   for i, row in enumerate(body["morphisms"])}
-        out = {
-            "objects": [obj_map[o] for o in body["objects"]],
-            "morphisms": [{"id": mor_map[r["id"]],
-                           "src": obj_map[r["src"]],
-                           "tgt": obj_map[r["tgt"]]}
-                          for r in body["morphisms"]],
-            "comp": [{"g": mor_map[r["g"]], "f": mor_map[r["f"]],
-                      "gf": mor_map[r["gf"]]} for r in body["comp"]],
-            "ident": {obj_map[o]: mor_map[c]
-                      for o, c in body["ident"].items()},
-        }
-        if kind == "one_ideal":
-            out["null"] = [mor_map[n] for n in body["null"]]
-        return Document(1, kind, out)
-    raise InputError(f"unknown kind {kind!r}")
+    if doc.kind not in KINDS:
+        raise InputError(f"unknown kind {doc.kind!r}")
+    return Document(1, doc.kind, _renamed(_SCHEMAS[doc.kind], doc.body)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Composition tables, validation, pasting, duality, whisker solving."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -204,6 +205,27 @@ def test_mutant_certificates_replay(seed):
     cert = validate_two_category(mut)
     assert cert.status == "fail"
     assert replay_two_category_counterexample(mut, cert)
+
+
+@pytest.mark.parametrize("table, clause", [
+    ("id1", "id1-boundary"), ("comp1", "comp1-boundary"),
+    ("id2", "id2-boundary"), ("vcomp", "vcomp-boundary"),
+    ("lwhisker", "lwhisker-boundary"), ("rwhisker", "rwhisker-boundary")])
+def test_boundary_counterexamples_replay_only_where_they_hold(table, clause):
+    # Retarget one entry of the table; the certificate must replay on the
+    # mutant and not on the valid category it came from.
+    entries = getattr(CH_PB1, table)
+    cells = CH_PB1.one_ids if table in ("id1", "comp1") else CH_PB1.two_ids
+    for key in entries:
+        for cell in cells:
+            mutant = dataclasses.replace(CH_PB1, **{table: {**entries,
+                                                            key: cell}})
+            cert = validate_two_category(mutant)
+            if cert.status == "fail" and cert.counterexample["clause"] == clause:
+                assert replay_two_category_counterexample(mutant, cert)
+                assert not replay_two_category_counterexample(CH_PB1, cert)
+                return
+    pytest.fail(f"no single retarget in {table} breaks {clause}")
 
 
 def test_validation_cites_the_broken_clause():

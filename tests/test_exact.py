@@ -44,6 +44,7 @@ from twoexact.exact import _cod_projection, _dom_projection
 from twoexact.formats import (
     document_to_two_category,
     document_to_two_ideal,
+    document_to_witness_bundle,
     fs_to_document,
     parse,
     serialize,
@@ -251,3 +252,26 @@ def test_three_pieces_refuses_weak_closedness():
     t, n = LD_PB2, ZERO_IDEALS["ld_pb2"]
     with pytest.raises(InputError):
         three_pieces(t, n, "m05_1to1_11", closedness="weak")
+
+
+def test_grandis_i_stops_at_the_first_inconclusive_subcheck(monkeypatch):
+    from twoexact import exact
+    bundle = document_to_witness_bundle(
+        parse((FIXTURE_DIR / "pb1.bundle.json").read_text()))
+    called = []
+
+    def recording(name):
+        real = getattr(exact, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("validate_fs", "is_proper_11", "check_weak_two_fibration",
+                 "is_biequivalence_over_base"):
+        monkeypatch.setattr(exact, name, recording(name))
+    cert = exact.check_grandis_i(*bundle, cap=1)
+    assert cert.status == "inconclusive"
+    assert cert.detail["clause"] == "factorization-system"
+    assert called == ["validate_fs"]

@@ -1,6 +1,8 @@
 """Wire format: round trips, canonical form, and strict parse errors."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,8 @@ from twoexact.formats import (
     two_ideal_to_document,
     witness_bundle_to_document,
 )
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 T = LD_PB1
 N = ZERO_IDEALS["ld_pb1"]
@@ -203,3 +207,85 @@ def test_truncating_any_table_is_caught(field, index):
         return  # dangling reference found at parse time
     from twoexact import validate_two_category
     assert not validate_two_category(document_to_two_category(doc)).ok
+
+
+def _dangle(body, path):
+    """Point the string at ``path`` in a parsed JSON body at an undeclared
+    identifier; a last step ``("key", k)`` renames the map key ``k``."""
+    *head, last = path
+    for step in head:
+        body = body[step]
+    if isinstance(last, tuple):
+        body["zz_missing"] = body.pop(last[1])
+    else:
+        body[last] = "zz_missing"
+
+
+@pytest.mark.parametrize("fixture, paths, expected", [
+    ("pb1.2cat", [("one_cells", 1, "src")],
+     "zz_missing (at one_cells[m1_0to1_e].src)"),
+    ("pb1.2cat", [("comp1", 2, "gf")], "zz_missing (at comp1.gf)"),
+    ("pb1.2cat", [("id1", ("key", "o1"))], "zz_missing (at id1 key)"),
+    ("pb1.2cat", [("id1", "o1")], "zz_missing (at id1[o1])"),
+    ("pb2.ideal", [("null_two_cells", 0)], "zz_missing (at null_two_cells)"),
+    ("pb2.ideal", [("replacement", 3, "nu")],
+     "zz_missing (at replacement.nu)"),
+    ("ct22.fs", [("fact", 4, "theta")], "zz_missing (at fact.theta)"),
+    ("pb1.pf", [("ob", "m2_1to0_e")], "zz_missing (at ob[m2_1to0_e])"),
+    ("pb1.pf", [("compositor", 5, "cell")],
+     "zz_missing (at compositor.cell)"),
+    ("pb1.pn", [("source_functor", "one", ("key", "m0_0to0_e|m2_1to0_e|"
+                                           "m1_0to1_e|m0_0to0_e|id_m0_0to0_e"))],
+     "zz_missing (at one key)"),
+    ("pb1.pn", [("target_functor", "source", "id1", ("key", "m2_1to0_e"))],
+     "zz_missing (at target_functor.source.id1 key)"),
+    ("pb1.pn", [("target_functor", "ob", "m0_0to0_e"),
+                ("source_functor", "compositor", 0, "g"),
+                ("source_functor", "target", "vcomp", 0, "ba")],
+     "zz_missing (at source_functor.target.vcomp.ba); "
+     "zz_missing (at compositor.g); zz_missing (at ob[m0_0to0_e])"),
+    ("pb2.1ideal", [("null", 0)], "zz_missing (at null)"),
+    ("pb1.bundle", [("E", 1)], "zz_missing (at E)"),
+], ids=["one_cells.src", "comp1.gf", "id1-key", "id1-value",
+        "null_two_cells", "replacement.nu", "fact.theta", "pseudofunctor-ob",
+        "compositor.cell", "pseudonatural-functor-table",
+        "pseudonatural-functor-category", "pseudonatural-order",
+        "one_ideal-null", "witness-bundle-E"])
+def test_dangling_reference_messages_are_pinned(fixture, paths, expected):
+    body = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
+    for path in paths:
+        _dangle(body, path)
+    with pytest.raises(InputError) as err:
+        parse(json.dumps(body))
+    assert str(err.value) == "dangling references: " + expected
+
+
+CANONICAL_SHA256 = {
+    "ch_pb1.2cat": "7c38f7b40e589c4efbe8ce96cc85d602c9e04785020de429bea57288c3c11943",
+    "ct22.2cat": "39c7dfa4eb1b409b442d22f6d684e64cc5ab012f2d600a51744e255a2bdec1e5",
+    "ct22.fs": "9c491560cc2a5570788270897c00c31fa42cd07eb6e1e8a38ec25be4b3a32f03",
+    "pb1.2cat": "73b052589e20f312ed06271f489aca826a3d1ada54c1fba71a45104112f3c2b7",
+    "pb1.bundle": "ff2c839a8779f42b025bdfd048bbff7352db1fca2b6fce12b8b17fbce2b477e9",
+    "pb1.pf": "7af689728347dc4f7bb7401a4278156b818984c44ab3b2f1406be03353d4aa12",
+    "pb1.pn": "11dbd4a29f4c5a94c87556beaa77a32ad1db7324ac4359c6147606f0cfb82b44",
+    "pb2.1cat": "ece2a552389fdac934198209da9d6f7c42c44e91f7d7b3eadc0488632f9831d9",
+    "pb2.1ideal": "633087d4ad2e44ebe304af8c8073f155465720274d6b52293360d7a26f1b5329",
+    "pb2.2cat": "152d168038227bad63a497c44b9937a8e4c2ce8a8c01879103fb25da50015be6",
+    "pb2.ideal": "3903dcb0cf3c80aac88de8fca4023d6c276e9db27ce3689d933068a36a339afd",
+    "pb3.2cat": "9b6fcdcf23e72e46da017b4833c06bd33d6eacc32806c6bfe63acfb24ac6b4d4",
+    "ps2.2cat": "d207f6041454ce8f49b09e65ba9ff7b45b1d88cd9aeb587356b461a10cb968a4",
+    "terminal.2cat": "12520bba456a5c9a7700fa04b94696b6b132de1a8f02cc744e2cf0b85b4e8c88",
+}
+
+
+def test_every_fixture_has_a_pinned_canonical_form():
+    assert sorted(p.name[:-5] for p in FIXTURE_DIR.glob("*.json")) == sorted(
+        CANONICAL_SHA256)
+
+
+@pytest.mark.parametrize("fixture", sorted(CANONICAL_SHA256))
+def test_canonical_forms_are_pinned(fixture):
+    # Idempotence alone would pass a consistent but different renaming.
+    doc = parse((FIXTURE_DIR / f"{fixture}.json").read_text())
+    text = serialize(canonicalize(doc))
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[fixture]
