@@ -390,31 +390,35 @@ def check_shape(t: TwoCategory) -> None:
 # law validation
 # ---------------------------------------------------------------------------
 
-def validate_two_category(t: TwoCategory) -> Certificate:
-    """Check every strict 2-category law over the given tables.
+def _violations(t: TwoCategory) -> Iterator[tuple[str, dict[str, str]]]:
+    """Every violation of a strict 2-category law in the shape-checked tables,
+    as ``(clause, cells)`` in the fixed clause order.
 
-    Returns a pass certificate, or a fail certificate citing the first
-    violated clause (in a fixed deterministic clause order) with the cells
-    that violate it.  Raises :class:`InputError` for shape defects.
+    A violated boundary clause ends the sweep once its loop is done: the laws
+    after it would read those table values as cells of the wrong boundary.
     """
-    check_shape(t)
-    name = "validate_two_category"
-
     # identity 1-cells: boundaries and unit laws
+    broken = False
     for obj in t.objects:
         e = t.id1[obj]
         if not (t.src1[e] == obj and t.tgt1[e] == obj):
-            return _fail(name, "id1-boundary", object=obj, id1=e)
+            broken = True
+            yield "id1-boundary", {"object": obj, "id1": e}
+    if broken:
+        return
     for f in t.one_ids:
         if t.comp1[(f, t.id1[t.src1[f]])] != f:
-            return _fail(name, "comp1-unit", one_cell=f, side="right")
+            yield "comp1-unit", {"one_cell": f, "side": "right"}
         if t.comp1[(t.id1[t.tgt1[f]], f)] != f:
-            return _fail(name, "comp1-unit", one_cell=f, side="left")
+            yield "comp1-unit", {"one_cell": f, "side": "left"}
 
     # composite boundaries
     for (g, f), gf in t.comp1.items():
         if not (t.src1[gf] == t.src1[f] and t.tgt1[gf] == t.tgt1[g]):
-            return _fail(name, "comp1-boundary", g=g, f=f, composite=gf)
+            broken = True
+            yield "comp1-boundary", {"g": g, "f": f, "composite": gf}
+    if broken:
+        return
 
     # associativity of 1-cell composition
     for h in t.one_ids:
@@ -426,23 +430,29 @@ def validate_two_category(t: TwoCategory) -> Certificate:
                 if t.src1[g] != t.tgt1[f]:
                     continue
                 if t.comp1[(hg, f)] != t.comp1[(h, t.comp1[(g, f)])]:
-                    return _fail(name, "comp1-assoc", h=h, g=g, f=f)
+                    yield "comp1-assoc", {"h": h, "g": g, "f": f}
 
     # identity 2-cells: boundaries and vertical unit laws
     for f in t.one_ids:
         i = t.id2[f]
         if not (t.src2[i] == f and t.tgt2[i] == f):
-            return _fail(name, "id2-boundary", one_cell=f, id2=i)
+            broken = True
+            yield "id2-boundary", {"one_cell": f, "id2": i}
+    if broken:
+        return
     for a, sa, ta in t.two_cells:
         if t.vcomp[(a, t.id2[sa])] != a:
-            return _fail(name, "vcomp-unit", two_cell=a, side="right")
+            yield "vcomp-unit", {"two_cell": a, "side": "right"}
         if t.vcomp[(t.id2[ta], a)] != a:
-            return _fail(name, "vcomp-unit", two_cell=a, side="left")
+            yield "vcomp-unit", {"two_cell": a, "side": "left"}
 
     # vertical composite boundaries
     for (b, a), ba in t.vcomp.items():
         if not (t.src2[ba] == t.src2[a] and t.tgt2[ba] == t.tgt2[b]):
-            return _fail(name, "vcomp-boundary", b=b, a=a, composite=ba)
+            broken = True
+            yield "vcomp-boundary", {"b": b, "a": a, "composite": ba}
+    if broken:
+        return
 
     # associativity of vertical composition (within each hom-category)
     by_tgt: dict[str, list[str]] = {}
@@ -453,60 +463,64 @@ def validate_two_category(t: TwoCategory) -> Certificate:
             cb = t.vcomp[(c, b)]
             for a in by_tgt.get(t.src2[b], ()):
                 if t.vcomp[(cb, a)] != t.vcomp[(c, t.vcomp[(b, a)])]:
-                    return _fail(name, "vcomp-assoc", c=c, b=b, a=a)
+                    yield "vcomp-assoc", {"c": c, "b": b, "a": a}
 
     # whisker boundaries
     for (h, a), ha in t.lwhisker.items():
         want_s = t.comp1[(h, t.src2[a])]
         want_t = t.comp1[(h, t.tgt2[a])]
         if not (t.src2[ha] == want_s and t.tgt2[ha] == want_t):
-            return _fail(name, "lwhisker-boundary", h=h, a=a, result=ha)
+            broken = True
+            yield "lwhisker-boundary", {"h": h, "a": a, "result": ha}
     for (a, e), ae in t.rwhisker.items():
         want_s = t.comp1[(t.src2[a], e)]
         want_t = t.comp1[(t.tgt2[a], e)]
         if not (t.src2[ae] == want_s and t.tgt2[ae] == want_t):
-            return _fail(name, "rwhisker-boundary", a=a, e=e, result=ae)
+            broken = True
+            yield "rwhisker-boundary", {"a": a, "e": e, "result": ae}
+    if broken:
+        return
 
     # whiskering is functorial in the 2-cell
     for (h, a) in t.lwhisker:
         if a == t.id2[t.src2[a]] and t.lwhisker[(h, a)] != t.id2[t.comp1[(h, t.src2[a])]]:
-            return _fail(name, "lwhisker-id2", h=h, a=a)
+            yield "lwhisker-id2", {"h": h, "a": a}
     for (a, e) in t.rwhisker:
         if a == t.id2[t.src2[a]] and t.rwhisker[(a, e)] != t.id2[t.comp1[(t.src2[a], e)]]:
-            return _fail(name, "rwhisker-id2", a=a, e=e)
+            yield "rwhisker-id2", {"a": a, "e": e}
     for (b, a), ba in t.vcomp.items():
         tb_tgt = t.tgt1[t.src2[a]]
         for h in t.one_ids:
             if t.src1[h] != tb_tgt:
                 continue
             if t.lwhisker[(h, ba)] != t.vcomp[(t.lwhisker[(h, b)], t.lwhisker[(h, a)])]:
-                return _fail(name, "lwhisker-vcomp", h=h, b=b, a=a)
+                yield "lwhisker-vcomp", {"h": h, "b": b, "a": a}
         sb_src = t.src1[t.src2[a]]
         for e in t.one_ids:
             if t.tgt1[e] != sb_src:
                 continue
             if t.rwhisker[(ba, e)] != t.vcomp[(t.rwhisker[(b, e)], t.rwhisker[(a, e)])]:
-                return _fail(name, "rwhisker-vcomp", b=b, a=a, e=e)
+                yield "rwhisker-vcomp", {"b": b, "a": a, "e": e}
 
     # whiskering is compatible with 1-cell composition and identities
     for a in t.two_ids:
         fa = t.src2[a]
         if t.lwhisker[(t.id1[t.tgt1[fa]], a)] != a:
-            return _fail(name, "lwhisker-id1", a=a)
+            yield "lwhisker-id1", {"a": a}
         if t.rwhisker[(a, t.id1[t.src1[fa]])] != a:
-            return _fail(name, "rwhisker-id1", a=a)
+            yield "rwhisker-id1", {"a": a}
     for (h, a) in t.lwhisker:
         for h2 in t.one_ids:
             if t.src1[h2] != t.tgt1[h]:
                 continue
             if t.lwhisker[(t.comp1[(h2, h)], a)] != t.lwhisker[(h2, t.lwhisker[(h, a)])]:
-                return _fail(name, "lwhisker-comp1", h2=h2, h=h, a=a)
+                yield "lwhisker-comp1", {"h2": h2, "h": h, "a": a}
     for (a, e) in t.rwhisker:
         for e2 in t.one_ids:
             if t.tgt1[e2] != t.src1[e]:
                 continue
             if t.rwhisker[(a, t.comp1[(e, e2)])] != t.rwhisker[(t.rwhisker[(a, e)], e2)]:
-                return _fail(name, "rwhisker-comp1", a=a, e=e, e2=e2)
+                yield "rwhisker-comp1", {"a": a, "e": e, "e2": e2}
 
     # middle-four interchange, in the derived-horizontal-composition form
     for b in t.two_ids:
@@ -519,11 +533,33 @@ def validate_two_category(t: TwoCategory) -> Certificate:
             lhs = t.vcomp[(t.rwhisker[(b, fa2)], t.lwhisker[(g, a)])]
             rhs = t.vcomp[(t.lwhisker[(g2, a)], t.rwhisker[(b, fa)])]
             if lhs != rhs:
-                return _fail(name, "interchange", b=b, a=a)
+                yield "interchange", {"b": b, "a": a}
 
+
+def validate_two_category(t: TwoCategory) -> Certificate:
+    """Check every strict 2-category law over the given tables.
+
+    Returns a pass certificate, or a fail certificate citing the first
+    violated clause (in a fixed deterministic clause order) with the cells
+    that violate it.  Raises :class:`InputError` for shape defects.
+    """
+    check_shape(t)
+    name = "validate_two_category"
+    for clause, cells in _violations(t):
+        return _fail(name, clause, **cells)
     return Certificate(name, "pass", witness={
         "objects": len(t.objects), "one_cells": len(t.one_cells),
         "two_cells": len(t.two_cells)})
+
+
+def replay_two_category_counterexample(t: TwoCategory, cert: Certificate) -> bool:
+    """Re-run the law sweep of :func:`validate_two_category`; True iff it finds
+    the cited clause violated on exactly the cited cells."""
+    if cert.status != "fail" or cert.check != "validate_two_category":
+        raise InputError("not a validate_two_category fail certificate")
+    check_shape(t)
+    c = cert.counterexample
+    return (c["clause"], c["cells"]) in _violations(t)
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +636,6 @@ def paste(t: TwoCategory, expr: PastingExpr) -> str:
     if isinstance(expr, Inverse):
         return t.inv(paste(t, expr.expr))
     raise InputError(f"not a pasting expression: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# dualization
-# ---------------------------------------------------------------------------
-
-def dualize(t: TwoCategory) -> TwoCategory:
-    """The 1-cell dual, :attr:`TwoCategory.dual`."""
-    return t.dual
 
 
 # ---------------------------------------------------------------------------
@@ -709,93 +736,3 @@ def natural_key(s: str) -> tuple:
         text = "".join(run)
         parts.append((0, int(text)) if is_digit else (1, text))
     return tuple(parts)
-
-
-# ---------------------------------------------------------------------------
-# counterexample replay
-# ---------------------------------------------------------------------------
-
-def replay_two_category_counterexample(t: TwoCategory, cert: Certificate) -> bool:
-    """Re-run the clause cited by a fail certificate of
-    :func:`validate_two_category` on the cited cells; True iff the violation
-    reproduces."""
-    if cert.status != "fail" or cert.check != "validate_two_category":
-        raise InputError("not a validate_two_category fail certificate")
-    clause = cert.counterexample["clause"]
-    c = cert.counterexample["cells"]
-    if clause == "id1-boundary":
-        obj, e = c["object"], c["id1"]
-        return t.id1.get(obj) == e and not (t.src1[e] == obj == t.tgt1[e])
-    if clause == "comp1-unit":
-        f = c["one_cell"]
-        if c["side"] == "right":
-            return t.comp1[(f, t.id1[t.src1[f]])] != f
-        return t.comp1[(t.id1[t.tgt1[f]], f)] != f
-    if clause == "comp1-boundary":
-        g, f, gf = c["g"], c["f"], c["composite"]
-        return t.comp1.get((g, f)) == gf and not (
-            t.src1[gf] == t.src1[f] and t.tgt1[gf] == t.tgt1[g])
-    if clause == "comp1-assoc":
-        h, g, f = c["h"], c["g"], c["f"]
-        return t.comp1[(t.comp1[(h, g)], f)] != t.comp1[(h, t.comp1[(g, f)])]
-    if clause == "id2-boundary":
-        f, i = c["one_cell"], c["id2"]
-        return t.id2.get(f) == i and not (t.src2[i] == f == t.tgt2[i])
-    if clause == "vcomp-unit":
-        a = c["two_cell"]
-        if c["side"] == "right":
-            return t.vcomp[(a, t.id2[t.src2[a]])] != a
-        return t.vcomp[(t.id2[t.tgt2[a]], a)] != a
-    if clause == "vcomp-boundary":
-        b, a, ba = c["b"], c["a"], c["composite"]
-        return t.vcomp.get((b, a)) == ba and not (
-            t.src2[ba] == t.src2[a] and t.tgt2[ba] == t.tgt2[b])
-    if clause == "vcomp-assoc":
-        cc, b, a = c["c"], c["b"], c["a"]
-        return t.vcomp[(t.vcomp[(cc, b)], a)] != t.vcomp[(cc, t.vcomp[(b, a)])]
-    if clause == "lwhisker-boundary":
-        h, a, ha = c["h"], c["a"], c["result"]
-        return t.lwhisker.get((h, a)) == ha and not (
-            t.src2[ha] == t.comp1[(h, t.src2[a])]
-            and t.tgt2[ha] == t.comp1[(h, t.tgt2[a])])
-    if clause == "rwhisker-boundary":
-        a, e, ae = c["a"], c["e"], c["result"]
-        return t.rwhisker.get((a, e)) == ae and not (
-            t.src2[ae] == t.comp1[(t.src2[a], e)]
-            and t.tgt2[ae] == t.comp1[(t.tgt2[a], e)])
-    if clause == "lwhisker-id2":
-        h, a = c["h"], c["a"]
-        return t.lwhisker[(h, a)] != t.id2[t.comp1[(h, t.src2[a])]]
-    if clause == "rwhisker-id2":
-        a, e = c["a"], c["e"]
-        return t.rwhisker[(a, e)] != t.id2[t.comp1[(t.src2[a], e)]]
-    if clause == "lwhisker-vcomp":
-        h, b, a = c["h"], c["b"], c["a"]
-        return (t.lwhisker[(h, t.vcomp[(b, a)])]
-                != t.vcomp[(t.lwhisker[(h, b)], t.lwhisker[(h, a)])])
-    if clause == "rwhisker-vcomp":
-        b, a, e = c["b"], c["a"], c["e"]
-        return (t.rwhisker[(t.vcomp[(b, a)], e)]
-                != t.vcomp[(t.rwhisker[(b, e)], t.rwhisker[(a, e)])])
-    if clause == "lwhisker-id1":
-        a = c["a"]
-        return t.lwhisker[(t.id1[t.tgt1[t.src2[a]]], a)] != a
-    if clause == "rwhisker-id1":
-        a = c["a"]
-        return t.rwhisker[(a, t.id1[t.src1[t.src2[a]]])] != a
-    if clause == "lwhisker-comp1":
-        h2, h, a = c["h2"], c["h"], c["a"]
-        return (t.lwhisker[(t.comp1[(h2, h)], a)]
-                != t.lwhisker[(h2, t.lwhisker[(h, a)])])
-    if clause == "rwhisker-comp1":
-        a, e, e2 = c["a"], c["e"], c["e2"]
-        return (t.rwhisker[(a, t.comp1[(e, e2)])]
-                != t.rwhisker[(t.rwhisker[(a, e)], e2)])
-    if clause == "interchange":
-        b, a = c["b"], c["a"]
-        g, g2 = t.src2[b], t.tgt2[b]
-        fa, fa2 = t.src2[a], t.tgt2[a]
-        lhs = t.vcomp[(t.rwhisker[(b, fa2)], t.lwhisker[(g, a)])]
-        rhs = t.vcomp[(t.lwhisker[(g2, a)], t.rwhisker[(b, fa)])]
-        return lhs != rhs
-    raise InputError(f"unknown clause tag {clause}")

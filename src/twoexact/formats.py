@@ -286,15 +286,18 @@ def _rename_derived(cell: str, one_map: dict, two_map: dict) -> str:
     if cell in two_map:
         return two_map[cell]
     parts = cell.split("|")
-    if len(parts) == 5:
-        f, g, a, b, phi = parts
-        return "|".join([one_map[f], one_map[g], one_map[a], one_map[b],
-                         two_map[phi]])
-    if len(parts) == 12:
-        return "|".join([
-            _rename_derived("|".join(parts[0:5]), one_map, two_map),
-            _rename_derived("|".join(parts[5:10]), one_map, two_map),
-            two_map[parts[10]], two_map[parts[11]]])
+    try:
+        if len(parts) == 5:
+            f, g, a, b, phi = parts
+            return "|".join([one_map[f], one_map[g], one_map[a], one_map[b],
+                             two_map[phi]])
+        if len(parts) == 12:
+            return "|".join([
+                _rename_derived("|".join(parts[0:5]), one_map, two_map),
+                _rename_derived("|".join(parts[5:10]), one_map, two_map),
+                two_map[parts[10]], two_map[parts[11]]])
+    except KeyError:
+        pass
     raise InputError(f"cannot canonicalize unknown cell {cell}")
 
 

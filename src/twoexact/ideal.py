@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .core import (
-    Certificate, Gen, InputError, Inverse, LWhisker, PastingExpr, RWhisker,
-    TwoCategory, VComp, _fail, paste,
-)
+from .core import Certificate, InputError, TwoCategory, _fail
 
 
 @dataclass(frozen=True)
@@ -69,11 +66,6 @@ class TwoIdeal:
         return d
 
 
-def dual_ideal(n: TwoIdeal) -> TwoIdeal:
-    """The dual ideal, :attr:`TwoIdeal.dual`."""
-    return n.dual
-
-
 def check_ideal_shape(t: TwoCategory, n: TwoIdeal) -> None:
     """Referential integrity and replacement-table totality."""
     ones = set(t.one_ids)
@@ -107,30 +99,25 @@ def check_ideal_shape(t: TwoCategory, n: TwoIdeal) -> None:
             raise InputError(f"replacement[{k}] names unknown 2-cell {nu}")
 
 
-def _sandwich(t: TwoCategory, b: str, mid: PastingExpr, a: str) -> PastingExpr:
-    """Pasting expression for ``b ⋆ mid ⋆ a`` (whisker on both sides)."""
-    return LWhisker(b, RWhisker(mid, a))
+def _violations(t: TwoCategory, n: TwoIdeal) -> Iterator[tuple[str, dict[str, str]]]:
+    """Every violation of an ideal axiom in the shape-checked tables, as
+    ``(clause, cells)`` in the fixed clause order.
 
-
-def validate_two_ideal(t: TwoCategory, n: TwoIdeal) -> Certificate:
-    """Check the ideal axioms, citing the first violated clause.
-
-    Clause order: null 2-cell boundaries, identity closure, vertical-composite
-    closure, replacement boundaries/invertibility/nullity, identity
-    normalization (ax1), conjugation-nullity for null 2-cells (ax2) and for
-    whiskering 2-cells (ax3), and coherence of iterated replacement (ax4).
+    Violated null 2-cell or replacement boundaries end the sweep once their
+    loop is done: the axioms after them compose cells of those boundaries.
     """
-    check_ideal_shape(t, n)
-    name = "validate_two_ideal"
-
+    broken = False
     for mu in n.null_two_cells:
         if t.src2[mu] not in n.null1 or t.tgt2[mu] not in n.null1:
-            return _fail(name, "null2-boundary", two_cell=mu,
-                         src=t.src2[mu], tgt=t.tgt2[mu])
+            broken = True
+            yield "null2-boundary", {"two_cell": mu, "src": t.src2[mu],
+                                     "tgt": t.tgt2[mu]}
+    if broken:
+        return
 
     for x in n.null_one_cells:
         if t.id2[x] not in n.null2:
-            return _fail(name, "closure-id2", null_one_cell=x, id2=t.id2[x])
+            yield "closure-id2", {"null_one_cell": x, "id2": t.id2[x]}
 
     for mu in n.null_two_cells:
         src = t.src2[mu]
@@ -138,17 +125,22 @@ def validate_two_ideal(t: TwoCategory, n: TwoIdeal) -> Certificate:
             if t.tgt2[prev] != src:
                 continue
             if t.vcomp[(mu, prev)] not in n.null2:
-                return _fail(name, "closure-vcomp", after=mu, before=prev,
-                             composite=t.vcomp[(mu, prev)])
+                yield "closure-vcomp", {"after": mu, "before": prev,
+                                        "composite": t.vcomp[(mu, prev)]}
 
     for (a, x, b), (tilde, nu) in n.replacement.items():
         if tilde not in n.null1:
-            return _fail(name, "repl-null", a=a, n=x, b=b, tilde=tilde)
+            broken = True
+            yield "repl-null", {"a": a, "n": x, "b": b, "tilde": tilde}
         composite = t.cmp1(b, t.cmp1(x, a))
         if not (t.src2[nu] == composite and t.tgt2[nu] == tilde):
-            return _fail(name, "repl-boundary", a=a, n=x, b=b, nu=nu)
+            broken = True
+            yield "repl-boundary", {"a": a, "n": x, "b": b, "nu": nu}
         if not t.is_invertible2(nu):
-            return _fail(name, "repl-invertible", a=a, n=x, b=b, nu=nu)
+            broken = True
+            yield "repl-invertible", {"a": a, "n": x, "b": b, "nu": nu}
+    if broken:
+        return
 
     # ax1: replacement along identities is the identity comparison
     for x in n.null_one_cells:
@@ -156,7 +148,7 @@ def validate_two_ideal(t: TwoCategory, n: TwoIdeal) -> Certificate:
         ib = t.id1[t.tgt1[x]]
         tilde, nu = n.replacement[(ia, x, ib)]
         if tilde != x or nu != t.id2[x]:
-            return _fail(name, "ax1", n=x, tilde=tilde, nu=nu)
+            yield "ax1", {"n": x, "tilde": tilde, "nu": nu}
 
     into: dict[str, list[str]] = {o: [] for o in t.objects}
     outof: dict[str, list[str]] = {o: [] for o in t.objects}
@@ -175,7 +167,7 @@ def validate_two_ideal(t: TwoCategory, n: TwoIdeal) -> Certificate:
                 cell = t.vcomp[(nu2, t.vcomp[
                     (t.lwhisker[(b, mu_a)], t.inv(nu1))])]
                 if cell not in n.null2:
-                    return _fail(name, "ax2", mu=mu, a=a, b=b, conjugate=cell)
+                    yield "ax2", {"mu": mu, "a": a, "b": b, "conjugate": cell}
 
     # ax3: conjugated whiskerings of the null 1-cell by arbitrary 2-cells are null
     for x in n.null_one_cells:
@@ -193,8 +185,8 @@ def validate_two_ideal(t: TwoCategory, n: TwoIdeal) -> Certificate:
                 mid = t.hc(beta, t.hc(t.id2[x], alpha))
                 cell = t.vc(nu2, t.vc(mid, t.inv(nu1)))
                 if cell not in n.null2:
-                    return _fail(name, "ax3", n=x, alpha=alpha, beta=beta,
-                                 conjugate=cell)
+                    yield "ax3", {"n": x, "alpha": alpha, "beta": beta,
+                                  "conjugate": cell}
 
     # ax4: iterated replacement agrees with direct replacement
     vcomp, lwhisker, rwhisker, comp1 = (t.vcomp, t.lwhisker, t.rwhisker,
@@ -213,9 +205,22 @@ def validate_two_ideal(t: TwoCategory, n: TwoIdeal) -> Certificate:
                 cell = vcomp[(repl[(aa, x, bb)][1], vcomp[
                     (lwhisker[(b2, inner_a)], inv2[repl[(a2, m, b2)][1]])])]
                 if cell not in null2s or cell not in inv2:
-                    return _fail(name, "ax4", a=a, n=x, b=b, a2=a2, b2=b2,
-                                 comparison=cell)
+                    yield "ax4", {"a": a, "n": x, "b": b, "a2": a2, "b2": b2,
+                                  "comparison": cell}
 
+
+def validate_two_ideal(t: TwoCategory, n: TwoIdeal) -> Certificate:
+    """Check the ideal axioms, citing the first violated clause.
+
+    Clause order: null 2-cell boundaries, identity closure, vertical-composite
+    closure, replacement boundaries/invertibility/nullity, identity
+    normalization (ax1), conjugation-nullity for null 2-cells (ax2) and for
+    whiskering 2-cells (ax3), and coherence of iterated replacement (ax4).
+    """
+    check_ideal_shape(t, n)
+    name = "validate_two_ideal"
+    for clause, cells in _violations(t, n):
+        return _fail(name, clause, **cells)
     return Certificate(name, "pass", witness={
         "null_one_cells": len(n.null_one_cells),
         "null_two_cells": len(n.null_two_cells),
@@ -224,53 +229,13 @@ def validate_two_ideal(t: TwoCategory, n: TwoIdeal) -> Certificate:
 
 def replay_two_ideal_counterexample(t: TwoCategory, n: TwoIdeal,
                                     cert: Certificate) -> bool:
-    """Re-run the clause cited by a fail certificate of
-    :func:`validate_two_ideal` on the cited cells."""
+    """Re-run the axiom sweep of :func:`validate_two_ideal`; True iff it finds
+    the cited clause violated on exactly the cited cells."""
     if cert.status != "fail" or cert.check != "validate_two_ideal":
         raise InputError("not a validate_two_ideal fail certificate")
-    clause = cert.counterexample["clause"]
-    c = cert.counterexample["cells"]
-    if clause == "null2-boundary":
-        mu = c["two_cell"]
-        return not (t.src2[mu] in n.null1 and t.tgt2[mu] in n.null1)
-    if clause == "closure-id2":
-        return t.id2[c["null_one_cell"]] not in n.null2
-    if clause == "closure-vcomp":
-        return t.vcomp[(c["after"], c["before"])] not in n.null2
-    if clause == "repl-null":
-        return n.replacement[(c["a"], c["n"], c["b"])][0] not in n.null1
-    if clause == "repl-boundary":
-        a, x, b = c["a"], c["n"], c["b"]
-        tilde, nu = n.replacement[(a, x, b)]
-        composite = t.cmp1(b, t.cmp1(x, a))
-        return not (t.src2[nu] == composite and t.tgt2[nu] == tilde)
-    if clause == "repl-invertible":
-        return not t.is_invertible2(n.replacement[(c["a"], c["n"], c["b"])][1])
-    if clause == "ax1":
-        x = c["n"]
-        tilde, nu = n.replacement[(t.id1[t.src1[x]], x, t.id1[t.tgt1[x]])]
-        return tilde != x or nu != t.id2[x]
-    if clause == "ax2":
-        mu, a, b = c["mu"], c["a"], c["b"]
-        _, nu1 = n.replacement[(a, t.src2[mu], b)]
-        _, nu2 = n.replacement[(a, t.tgt2[mu], b)]
-        cell = t.vc(nu2, t.vc(t.lw(b, t.rw(mu, a)), t.inv(nu1)))
-        return cell not in n.null2
-    if clause == "ax3":
-        x, alpha, beta = c["n"], c["alpha"], c["beta"]
-        _, nu1 = n.replacement[(t.src2[alpha], x, t.src2[beta])]
-        _, nu2 = n.replacement[(t.tgt2[alpha], x, t.tgt2[beta])]
-        mid = t.hc(beta, t.hc(t.id2[x], alpha))
-        return t.vc(nu2, t.vc(mid, t.inv(nu1))) not in n.null2
-    if clause == "ax4":
-        a, x, b, a2, b2 = c["a"], c["n"], c["b"], c["a2"], c["b2"]
-        m, nu1 = n.replacement[(a, x, b)]
-        _, nu_direct = n.replacement[(t.cmp1(a, a2), x, t.cmp1(b2, b))]
-        _, nu_outer = n.replacement[(a2, m, b2)]
-        cell = t.vc(nu_direct,
-                    t.vc(t.lw(b2, t.rw(t.inv(nu1), a2)), t.inv(nu_outer)))
-        return cell not in n.null2 or not t.is_invertible2(cell)
-    raise InputError(f"unknown clause tag {clause}")
+    check_ideal_shape(t, n)
+    c = cert.counterexample
+    return (c["clause"], c["cells"]) in _violations(t, n)
 
 
 # ---------------------------------------------------------------------------

@@ -189,20 +189,6 @@ def kernel_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
                          f"kernel leg {pres.leg}")
     return found
 
-def kernel_descend(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
-                   u: str, v: str, lam: str) -> str:
-    """Apply clause 2 of a verified kernel: the unique ``μ: u ⇒ v`` with
-    ``leg ⋆ μ = λ`` (the comparison of ``λ`` must be null)."""
-    if _descent_comparison(t, n, pres, u, v, lam) not in n.null2:
-        raise InputError(f"comparison of {lam} is not null; nothing descends")
-    mus = [mu for mu in t.hom2(u, v) if t.lw(pres.leg, mu) == lam]
-    if len(mus) != 1:
-        raise InputError(
-            f"expected exactly one descent of {lam} along {pres.leg}; "
-            f"found {len(mus)}")
-    return mus[0]
-
-
 def two_kernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
                 _budget: Budget | None = None) -> tuple[KernelPresentation, ...]:
     """All verified kernel presentations of ``f``, in candidate table order.
@@ -269,13 +255,6 @@ def cokernel_factor(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
     """Dual of :func:`kernel_factor`: first ``(u, γ: z ⇒ u∘leg)`` in the dual
     sense for a cone ``z`` out of the arrow's target."""
     return kernel_factor(t.dual, n.dual, _to_dual_kernel(pres), z, beta)
-
-
-def cokernel_descend(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
-                     u: str, v: str, lam: str) -> str:
-    """Dual of :func:`kernel_descend`: unique ``μ: u ⇒ v`` with
-    ``μ ⋆ leg = λ``."""
-    return kernel_descend(t.dual, n.dual, _to_dual_kernel(pres), u, v, lam)
 
 
 # ---------------------------------------------------------------------------

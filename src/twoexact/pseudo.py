@@ -1,5 +1,5 @@
 """Normal pseudofunctors between table 2-categories, pseudonatural
-transformations, modifications, and biequivalences over a common base.
+transformations, and biequivalences over a common base.
 
 All structure maps are explicit tables; validation checks totality, cell
 boundaries, normalization on identities, compositor invertibility and
@@ -277,40 +277,6 @@ def validate_pseudonatural(nat: PseudoNatural,
     return Certificate(name, "pass", witness={
         "components": len(nat.component),
         "equivalences_required": bool(require_equivalences)})
-
-
-@dataclass(frozen=True)
-class Modification:
-    """2-cells ``m_X: σ_X ⇒ τ_X`` between parallel pseudonatural
-    transformations, compatible with the structure cells."""
-
-    source_nat: PseudoNatural
-    target_nat: PseudoNatural
-    component: Mapping[str, str]
-
-
-def validate_modification(mod: Modification) -> Certificate:
-    name = "validate_modification"
-    sig, tau = mod.source_nat, mod.target_nat
-    if (sig.source_functor != tau.source_functor
-            or sig.target_functor != tau.target_functor):
-        raise InputError("modification endpoints are not parallel")
-    f, g = sig.source_functor, sig.target_functor
-    s, t = f.source, f.target
-    if set(mod.component) != set(s.objects):
-        raise InputError("modification components are not indexed by the objects")
-    for x, m in mod.component.items():
-        if m not in t.src2:
-            raise InputError(f"modification component at {x} names unknown 2-cell {m}")
-        if not (t.src2[m] == sig.component[x] and t.tgt2[m] == tau.component[x]):
-            return _fail(name, "component-boundary", object=x, component=m)
-    for h in s.one_ids:
-        x, y = s.src1[h], s.tgt1[h]
-        lhs = t.vc(t.rw(mod.component[y], f.one[h]), sig.structure[h])
-        rhs = t.vc(tau.structure[h], t.lw(g.one[h], mod.component[x]))
-        if lhs != rhs:
-            return _fail(name, "structure-compatibility", one_cell=h)
-    return Certificate(name, "pass", witness={"components": len(mod.component)})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from twoexact import (
     Budget,
     CapExceeded,
     InputError,
-    dualize,
     is_cofaithful,
     is_equivalence,
     is_faithful,
@@ -77,16 +76,16 @@ def test_vertical_composition_chain_order():
 @given(st.sampled_from(CORE_NAMES))
 def test_dualize_is_an_involution(name):
     t = CORE[name]
-    assert dualize(dualize(t)) == t
+    assert t.dual.dual == t
     assert t.dual.dual is t
-    assert dualize(t) is t.dual
+    assert t.dual is t.dual
 
 
 def test_dualized_categories_are_not_retained():
     refs = []
     for _ in range(20):
         t = locally_discrete(partial_bijections(2))
-        dualize(t)
+        t.dual
         refs.append(weakref.ref(t))
     del t
     gc.collect()
@@ -95,7 +94,7 @@ def test_dualized_categories_are_not_retained():
 
 @given(st.sampled_from(CORE_NAMES))
 def test_dualize_preserves_validity(name):
-    assert validate_two_category(dualize(CORE[name])).ok
+    assert validate_two_category(CORE[name].dual).ok
 
 
 def test_paste_evaluates_expression_trees():
@@ -207,6 +206,19 @@ def test_mutant_certificates_replay(seed):
     assert replay_two_category_counterexample(mut, cert)
 
 
+def test_replay_needs_a_known_clause_and_well_shaped_tables():
+    mut = mutate(LD_PB2, "retarget-vcomp", 0)
+    cert = validate_two_category(mut)
+    unknown = dataclasses.replace(cert, counterexample={
+        **cert.counterexample, "clause": "no-such-clause"})
+    assert not replay_two_category_counterexample(mut, unknown)
+    a = cert.counterexample["cells"]["two_cell"]
+    vcomp = {k: v for k, v in mut.vcomp.items() if k != (a, mut.id2[mut.src2[a]])}
+    with pytest.raises(InputError):
+        replay_two_category_counterexample(
+            dataclasses.replace(mut, vcomp=vcomp), cert)
+
+
 @pytest.mark.parametrize("table, clause", [
     ("id1", "id1-boundary"), ("comp1", "comp1-boundary"),
     ("id2", "id2-boundary"), ("vcomp", "vcomp-boundary"),
@@ -224,6 +236,11 @@ def test_boundary_counterexamples_replay_only_where_they_hold(table, clause):
             if cert.status == "fail" and cert.counterexample["clause"] == clause:
                 assert replay_two_category_counterexample(mutant, cert)
                 assert not replay_two_category_counterexample(CH_PB1, cert)
+                # The laws after a broken boundary are not read, so a
+                # certificate from another category does not replay here.
+                foreign = validate_two_category(
+                    mutate(LD_PB2, "retarget-vcomp", 0))
+                assert not replay_two_category_counterexample(mutant, foreign)
                 return
     pytest.fail(f"no single retarget in {table} breaks {clause}")
 
@@ -233,3 +250,10 @@ def test_validation_cites_the_broken_clause():
     cert = validate_two_category(mut)
     assert cert.counterexample["clause"]
     assert cert.counterexample["cells"]
+
+
+def test_every_export_resolves_and_is_listed_once():
+    import twoexact
+    assert len(set(twoexact.__all__)) == len(twoexact.__all__)
+    for name in twoexact.__all__:
+        assert hasattr(twoexact, name), name

@@ -289,3 +289,13 @@ def test_canonical_forms_are_pinned(fixture):
     doc = parse((FIXTURE_DIR / f"{fixture}.json").read_text())
     text = serialize(canonicalize(doc))
     assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[fixture]
+
+
+def test_canonicalize_rejects_a_square_id_with_unknown_components():
+    # Parse does not check derived tables, so this is caught on renaming.
+    body = json.loads((FIXTURE_DIR / "pb1.bundle.json").read_text())
+    one = body["k"]["one"]
+    one["q|q|q|q|q"] = one.pop(next(iter(one)))
+    with pytest.raises(InputError) as err:
+        canonicalize(parse(json.dumps(body)))
+    assert str(err.value) == "cannot canonicalize unknown cell q|q|q|q|q"

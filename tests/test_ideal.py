@@ -1,5 +1,7 @@
 """Null-cell classes with replacement: validity, duals, canonical forms."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,12 +19,12 @@ from twoexact import (
     InputError,
     bizero_objects,
     canonical_zero_ideal,
-    dual_ideal,
-    dualize,
+    chaotic_enrichment,
     is_strong_bizero,
     maximal_two_ideal,
     mutate,
     null_objects,
+    partial_bijections,
     replay_two_ideal_counterexample,
     validate_two_ideal,
 )
@@ -76,15 +78,15 @@ def test_no_zero_fixture_has_no_bizero_but_a_valid_ideal():
 @given(st.sampled_from(CORE_NAMES))
 def test_dual_ideal_is_an_involution(name):
     n = ZERO_IDEALS[name]
-    assert dual_ideal(dual_ideal(n)) == n
+    assert n.dual.dual == n
     assert n.dual.dual is n
-    assert dual_ideal(n) is n.dual
+    assert n.dual is n.dual
 
 
 @given(st.sampled_from(CORE_NAMES))
 def test_dual_ideal_is_valid_for_the_dual_category(name):
     t, n = CORE[name], ZERO_IDEALS[name]
-    assert validate_two_ideal(dualize(t), dual_ideal(n)).ok
+    assert validate_two_ideal(t.dual, n.dual).ok
 
 
 def test_null_objects_of_the_zero_ideal_include_the_basepoint():
@@ -115,12 +117,49 @@ def test_dropped_null_2cell_mutants_fail_and_replay(seed):
     cert = validate_two_ideal(t, mut)
     assert cert.status == "fail"
     assert replay_two_ideal_counterexample(t, mut, cert)
+    assert not replay_two_ideal_counterexample(t, n, cert)
+
+
+@pytest.mark.parametrize("dropped, clause, derived", [
+    ("c06x07", "closure-vcomp", "composite"),
+    ("c04x05", "ax2", "conjugate")])
+def test_replay_matches_the_cited_cells_exactly(dropped, clause, derived):
+    t = chaotic_enrichment(partial_bijections(2))
+    n = maximal_two_ideal(t)
+    mut = dataclasses.replace(n, null_two_cells=tuple(
+        c for c in n.null_two_cells if c != dropped))
+    cert = validate_two_ideal(t, mut)
+    assert cert.counterexample["clause"] == clause
+    cells = cert.counterexample["cells"]
+    assert cells[derived] == dropped
+    assert replay_two_ideal_counterexample(t, mut, cert)
+    for tampered in ({"clause": clause,
+                      "cells": {**cells, derived: t.id2[t.src2[dropped]]}},
+                     {"clause": "no-such-clause", "cells": cells}):
+        assert not replay_two_ideal_counterexample(
+            t, mut, dataclasses.replace(cert, counterexample=tampered))
+
+
+def test_replay_does_not_read_past_a_broken_boundary():
+    # The axioms after a broken boundary would compose cells off the tables.
+    t, n = LD_PB2, ZERO_IDEALS["ld_pb2"]
+    outside = next(f for f in t.one_ids if f not in n.null1)
+    key = next(iter(n.replacement))
+    for broken in (
+            dataclasses.replace(n, null_two_cells=n.null_two_cells
+                                + (t.id2[outside],)),
+            dataclasses.replace(n, replacement={
+                **n.replacement, key: (outside, t.id2[outside])})):
+        cert = validate_two_ideal(t, broken)
+        unknown = dataclasses.replace(cert, counterexample={
+            **cert.counterexample, "clause": "no-such-clause"})
+        assert replay_two_ideal_counterexample(t, broken, cert)
+        assert not replay_two_ideal_counterexample(t, broken, unknown)
 
 
 def test_ideal_validation_rejects_unknown_cells():
     t = LD_PB2
     n = ZERO_IDEALS["ld_pb2"]
-    import dataclasses
     broken = dataclasses.replace(
         n, null_one_cells=n.null_one_cells + ("m99_missing",))
     with pytest.raises(InputError):
