@@ -78,8 +78,11 @@ def _write_product(doc: Document, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def _base_and_ideal(args) -> tuple[TwoCategory, TwoIdeal]:

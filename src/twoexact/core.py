@@ -11,6 +11,7 @@ results are deterministic for a given presentation.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Iterator, Mapping
@@ -287,6 +288,12 @@ class TwoCategory:
         )
         d.__dict__["dual"] = self
         return d
+
+    @cached_property
+    def _arrow_subcats(self) -> dict[tuple[str, ...], Any]:
+        """The pseudo-arrow 2-categories on this base, by member tuple;
+        filled by :func:`twoexact.factor.arrow_subcat`."""
+        return {}
 
     def parallel_pairs(self) -> Iterator[tuple[str, str]]:
         """Ordered pairs of parallel 1-cells (same source and target objects),
@@ -730,9 +737,8 @@ def solve_rwhisker(t: TwoCategory, leg: str, src: str, tgt: str,
 def natural_key(s: str) -> tuple:
     """Sort key comparing digit runs numerically, so ``f2`` sorts before
     ``f10``.  The canonical ordering for identifier lists everywhere cell
-    names are emitted or classes are enumerated."""
-    parts: list[tuple[int, object]] = []
-    for is_digit, run in itertools.groupby(s, str.isdigit):
-        text = "".join(run)
-        parts.append((0, int(text)) if is_digit else (1, text))
-    return tuple(parts)
+    names are emitted or classes are enumerated.  A digit is a decimal digit
+    (Unicode category Nd); other numerals such as ``²`` count as text."""
+    runs = re.split(r"(\d+)", s)
+    return tuple((0, int(run)) if i % 2 else (1, run)
+                 for i, run in enumerate(runs) if run)

@@ -333,13 +333,17 @@ class ArrowTwoCategory:
 
 
 def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
-    """Build the pseudo-arrow 2-category of ``t`` on the given 1-cells.
+    """The pseudo-arrow 2-category of ``t`` on the given 1-cells.
 
     Composition of squares pastes the fillers, ``(a', b', φ')∘(a, b, φ) =
     (a'∘a, b'∘b, (b'⋆φ)·(φ'⋆a))``; 2-cells compose and whisker
-    componentwise.
+    componentwise.  Built once per base and member list and kept on the
+    base, like :attr:`TwoCategory.dual`, so every caller shares one object.
     """
     mem = _ordered_unique(members)
+    built = t._arrow_subcats
+    if mem in built:
+        return built[mem]
     for f in mem:
         if f not in t.src1:
             raise InputError(f"unknown 1-cell {f}")
@@ -353,6 +357,9 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
     ends: dict[str, tuple[str, str]] = {}
     one_cells: list[tuple[str, str, str]] = []
     by_pair: dict[tuple[str, str], list[str]] = {}
+    # squares out of and into each member, in square order
+    out_of: dict[str, list[str]] = {f: [] for f in mem}
+    into: dict[str, list[str]] = {f: [] for f in mem}
     for f in mem:
         for g in mem:
             here = []
@@ -362,6 +369,8 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
                 ends[sid] = (f, g)
                 one_cells.append((sid, f, g))
                 here.append(sid)
+                out_of[f].append(sid)
+                into[g].append(sid)
             by_pair[(f, g)] = here
 
     id1 = {}
@@ -371,17 +380,16 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
 
     comp1 = {}
     for sid2, (a2, b2, phi2) in sq_of.items():
-        g2, h = ends[sid2]
-        for sid1, (a1, b1, phi1) in sq_of.items():
-            f, g1 = ends[sid1]
-            if g1 != g2:
-                continue
+        g, h = ends[sid2]
+        for sid1 in into[g]:
+            a1, b1, phi1 = sq_of[sid1]
             psi = t.vc(t.lw(b2, phi1), t.rw(phi2, a1))
             comp1[(sid2, sid1)] = ArrowTwoCategory.square_id(
-                f, h, t.cmp1(a2, a1), t.cmp1(b2, b1), psi)
+                ends[sid1][0], h, t.cmp1(a2, a1), t.cmp1(b2, b1), psi)
 
     two_cells: list[tuple[str, str, str]] = []
     pair_of: dict[str, tuple[str, str]] = {}
+    into2: dict[str, list[str]] = {sid: [] for sid in sq_of}
     for (f, g), sids in by_pair.items():
         for sid, sid2 in itertools.product(sids, repeat=2):
             for sigma, tau in square_two_cells(t, f, g, sq_of[sid],
@@ -389,6 +397,7 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
                 tid = ArrowTwoCategory.pair_id(sid, sid2, sigma, tau)
                 two_cells.append((tid, sid, sid2))
                 pair_of[tid] = (sigma, tau)
+                into2[sid2].append(tid)
 
     src2 = {i: s for i, s, _ in two_cells}
     tgt2 = {i: s for i, _, s in two_cells}
@@ -398,12 +407,9 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
         id2[sid] = ArrowTwoCategory.pair_id(sid, sid, t.id2[a], t.id2[b])
 
     vcomp = {}
-    for tid2 in pair_of:
-        for tid1 in pair_of:
-            if src2[tid2] != tgt2[tid1]:
-                continue
+    for tid2, (s2, t2_) in pair_of.items():
+        for tid1 in into2[src2[tid2]]:
             s1, t1_ = pair_of[tid1]
-            s2, t2_ = pair_of[tid2]
             vcomp[(tid2, tid1)] = ArrowTwoCategory.pair_id(
                 src2[tid1], tgt2[tid2], t.vc(s2, s1), t.vc(t2_, t1_))
 
@@ -412,16 +418,16 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
     for tid, (sigma, tau) in pair_of.items():
         lo, hi = src2[tid], tgt2[tid]
         f, g = ends[lo]
-        for sid, (a2, b2, _) in sq_of.items():
-            wf, wg = ends[sid]
-            if wf == g:  # whisker a square g → wg on the left of the 2-cell
-                lwhisker[(sid, tid)] = ArrowTwoCategory.pair_id(
-                    comp1[(sid, lo)], comp1[(sid, hi)],
-                    t.lw(a2, sigma), t.lw(b2, tau))
-            if wg == f:  # whisker a square wf → f on the right
-                rwhisker[(tid, sid)] = ArrowTwoCategory.pair_id(
-                    comp1[(lo, sid)], comp1[(hi, sid)],
-                    t.rw(sigma, a2), t.rw(tau, b2))
+        for sid in out_of[g]:  # whisker a square g → · on the left
+            a2, b2, _ = sq_of[sid]
+            lwhisker[(sid, tid)] = ArrowTwoCategory.pair_id(
+                comp1[(sid, lo)], comp1[(sid, hi)],
+                t.lw(a2, sigma), t.lw(b2, tau))
+        for sid in into[f]:  # whisker a square · → f on the right
+            a2, b2, _ = sq_of[sid]
+            rwhisker[(tid, sid)] = ArrowTwoCategory.pair_id(
+                comp1[(lo, sid)], comp1[(hi, sid)],
+                t.rw(sigma, a2), t.rw(tau, b2))
 
     cat = TwoCategory(
         objects=mem,
@@ -434,7 +440,8 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
         lwhisker=lwhisker,
         rwhisker=rwhisker,
     )
-    return ArrowTwoCategory(cat=cat, base=t, members=mem)
+    built[mem] = ArrowTwoCategory(cat=cat, base=t, members=mem)
+    return built[mem]
 
 
 # ---------------------------------------------------------------------------

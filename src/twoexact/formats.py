@@ -378,27 +378,33 @@ def parse(text: str) -> Document:
     return Document(1, kind, body)
 
 
-def _normalize(fields: dict[str, tuple], body: Mapping[str, Any]) -> dict:
+class _NaturalKeys(dict):
+    """Natural keys of identifiers, each computed on first lookup only, so
+    equal identifiers share one key object and compare by identity."""
+
+    def __missing__(self, s: str) -> tuple:
+        key = self[s] = natural_key(s)
+        return key
+
+
+def _normalize(fields: dict[str, tuple], body: Mapping[str, Any],
+               key: Callable[[str], tuple]) -> dict:
     out: dict[str, Any] = {}
     for name, spec in fields.items():
         value = body[name]
         shape = spec[0]
         if shape == "list-str":
-            out[name] = sorted(value, key=natural_key)
+            out[name] = sorted(value, key=key)
         elif shape == "rows":
-            keys = tuple(spec[1])[:spec[2]]
-            out[name] = sorted(
-                (dict(sorted(r.items())) for r in value),
-                key=lambda row: tuple(natural_key(row[c]) for c in keys))
-        elif shape == "map":
-            out[name] = dict(sorted(value.items(), key=lambda kv:
-                             natural_key(kv[0])))
-        elif shape == "bool":
-            out[name] = value
+            cols = tuple(spec[1])[:spec[2]]
+            out[name] = sorted(value,
+                               key=lambda row: [key(row[c]) for c in cols])
         elif shape == "nested":
-            out[name] = _normalize(_SCHEMAS[spec[1]], value)
+            out[name] = _normalize(_SCHEMAS[spec[1]], value, key)
         elif shape == "table":
-            out[name] = _normalize(spec[1], value)
+            out[name] = _normalize(spec[1], value, key)
+        else:  # maps and booleans: json.dumps sorts object keys itself
+            out[name] = value
     return out
 
 
@@ -407,8 +413,9 @@ def serialize(doc: Document) -> str:
     identifier lists and rows, two-space indentation, trailing newline."""
     if doc.kind not in KINDS:
         raise InputError(f"unknown kind {doc.kind!r}")
+    key = _NaturalKeys().__getitem__
     payload = {"version": 1, "kind": doc.kind,
-               **_normalize(_SCHEMAS[doc.kind], doc.body)}
+               **_normalize(_SCHEMAS[doc.kind], doc.body, key)}
     return json.dumps(payload, sort_keys=True, indent=2,
                       ensure_ascii=False) + "\n"
 

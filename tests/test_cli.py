@@ -1,5 +1,6 @@
 """Command-line interface, exercised end to end through subprocesses."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from clirun import run_cli as run
 from family import LD_PB2, ZERO_IDEALS
-from twoexact.formats import serialize, two_ideal_to_document
+from twoexact.formats import parse, serialize, two_ideal_to_document
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -264,3 +265,51 @@ def test_header_line_names_command_cap_and_inputs(files):
     first = json.loads(proc.stdout.splitlines()[0])
     assert first == {"command": "check-closed", "cap": 100000,
                      "inputs": [str(files["pb2"])]}
+
+
+@pytest.mark.parametrize("command", [
+    ["fs-from-ideal", str(FIXTURE_DIR / "pb1.2cat.json")],
+    ["ideal-from-fs", str(FIXTURE_DIR / "pb1.bundle.json")],
+    ["mutate", str(FIXTURE_DIR / "pb1.pf.json"), "break-compositor"],
+    ["gen", "terminal"],
+], ids=["fs-from-ideal", "ideal-from-fs", "mutate", "gen"])
+def test_unwritable_output_is_an_input_error(command):
+    proc = run(*command, "--out", "/nonexistent/out.json")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write /nonexistent/out.json")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_identifiers_with_non_decimal_digits_are_written(tmp_path):
+    # '²'.isdigit() holds but int('²') fails; natural_key reads it as text.
+    text = (FIXTURE_DIR / "terminal.2cat.json").read_text()
+    source = tmp_path / "sq.2cat.json"
+    source.write_text(text.replace("m0_id", "m²"), encoding="utf-8")
+    bundle = tmp_path / "sq.bundle.json"
+    proc = run("fs-from-ideal", str(source), "--out", str(bundle))
+    assert proc.returncode == 0, proc.stderr
+    doc = parse(bundle.read_text(encoding="utf-8"))
+    assert doc.kind == "witness-bundle"
+    assert doc.body["E"] == ["m²"]
+
+
+#: sha256 of the pb2 round trip: square ids there are long, with many
+#: digit runs, so these pin the serializer's natural ordering of them.
+PB2_BUNDLE_SHA256 = \
+    "3c28ea89a7bb6c9144257562d4ed0bf27dcfd51d9cc4284219713b371aec54ff"
+PB2_RECOVERED_SHA256 = \
+    "8cd09d034c8a024f8de8f4a13d06c735d38f930d21efae113e222409eb39d44a"
+
+
+def test_pb2_round_trip_bytes_are_pinned(tmp_path):
+    proc = run("fs-from-ideal", str(FIXTURE_DIR / "pb2.2cat.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() \
+        == PB2_BUNDLE_SHA256
+    bundle = tmp_path / "pb2.bundle.json"
+    bundle.write_text(proc.stdout, encoding="utf-8")
+    proc = run("ideal-from-fs", str(bundle))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() \
+        == PB2_RECOVERED_SHA256

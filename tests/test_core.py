@@ -153,6 +153,12 @@ def test_natural_key_orders_digit_runs_numerically():
         "a2b9", "a2b10", "f1", "f2", "f10", "o2", "o10"]
 
 
+def test_natural_key_reads_non_decimal_numerals_as_text():
+    # '¹' and '²' satisfy str.isdigit but are not decimal digits
+    assert natural_key("a⁻¹") == ((1, "a⁻¹"),)
+    assert natural_key("m²3") == ((1, "m²"), (0, 3))
+
+
 def test_iso_two_cells_on_locally_discrete_are_identities():
     t = LD_PB2
     for f, g in t.parallel_pairs():

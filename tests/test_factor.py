@@ -1,5 +1,8 @@
 """Factorization systems, squares, fibration property, relative orthogonality."""
 
+import gc
+import weakref
+
 import pytest
 
 from family import CT22, LD_CT22, LD_PB1, LD_PB2, ZERO_IDEALS, epi_mono_fs
@@ -13,13 +16,17 @@ from twoexact import (
     fill_ins,
     fs_from_ideal,
     is_proper_11,
+    locally_discrete,
     mutate,
     natural_key,
+    partial_bijections,
     squares_between,
     validate_fs,
     validate_rofs,
     validate_two_category,
 )
+from twoexact import cli, factor
+from twoexact.formats import serialize, witness_bundle_to_document
 
 _T = LD_PB2
 _N = ZERO_IDEALS["ld_pb2"]
@@ -84,6 +91,45 @@ def test_square_ids_decode_to_their_parts():
         a, b, phi = arrow.square(sid)
         assert sid == ArrowTwoCategory.square_id(
             src_member, tgt_member, a, b, phi)
+
+
+def test_arrow_subcat_is_built_once_per_base_and_members():
+    assert arrow_subcat(_T, _FS.right_class) is arrow_subcat(
+        _T, _FS.right_class)
+    # members are deduplicated, keeping their order, before the lookup
+    assert arrow_subcat(_T, _FS.left_class * 2) is arrow_subcat(
+        _T, _FS.left_class)
+
+
+@pytest.mark.parametrize("command", ["ideal-from-fs", "check-fs"])
+def test_bundle_commands_build_each_arrow_category_once(
+        command, monkeypatch, tmp_path, capsys):
+    built = []
+
+    class Counted(factor.ArrowTwoCategory):
+        def __init__(self, **fields):
+            built.append(fields["members"])
+            super().__init__(**fields)
+
+    monkeypatch.setattr(factor, "ArrowTwoCategory", Counted)
+    bundle = tmp_path / "pb2.bundle.json"
+    bundle.write_text(serialize(witness_bundle_to_document(
+        _T, _FS, _K, _C, _ETA, _EPS)), encoding="utf-8")
+    assert cli.main([command, str(bundle)]) == 0
+    # one for each class: parsing the bundle builds both, and the command
+    # itself reuses them
+    assert len(built) == 2
+
+
+def test_arrow_categories_do_not_keep_their_base_alive():
+    refs = []
+    for _ in range(5):
+        t = locally_discrete(partial_bijections(1))
+        arrow_subcat(t, t.one_ids)
+        refs.append(weakref.ref(t))
+    del t
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_squares_between_finds_the_identity_square():

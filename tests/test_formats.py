@@ -1,7 +1,9 @@
 """Wire format: round trips, canonical form, and strict parse errors."""
 
 import hashlib
+import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from family import CH_PB1, LD_PB1, PB1, ZERO_IDEALS
-from twoexact import InputError, fs_from_ideal, identity_pseudofunctor, zero_ideal_1cat
+from twoexact import (InputError, canonical_zero_ideal, fs_from_ideal,
+                      identity_pseudofunctor, zero_ideal_1cat)
+from twoexact import formats as formats_module
 from twoexact.formats import (
     KINDS,
     canonicalize,
@@ -137,6 +141,55 @@ def test_natural_key_orders_numeric_runs_numerically():
     names = ["f10", "f2", "o10", "a2b10", "f1", "o2", "a2b9"]
     assert sorted(names, key=natural_key) == [
         "a2b9", "a2b10", "f1", "f2", "f10", "o2", "o10"]
+
+
+def _groupby_key(s):
+    """The digit-run key as first written, kept as the reference: runs of
+    ``str.isdigit`` through ``int``, which fails on numerals such as ``²``
+    that are not decimal digits."""
+    parts = []
+    for is_digit, run in itertools.groupby(s, str.isdigit):
+        text = "".join(run)
+        parts.append((0, int(text)) if is_digit else (1, text))
+    return tuple(parts)
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for k, v in node.items():
+            yield k
+            yield from _strings(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _strings(v)
+
+
+def test_natural_key_agrees_with_the_groupby_reference():
+    # every identifier of every fixture, and of the pb2 bundle, whose
+    # square ids are long runs of alternating text and digits
+    texts = [p.read_text() for p in sorted(FIXTURE_DIR.glob("*.json"))]
+    t = document_to_two_category(parse(
+        (FIXTURE_DIR / "pb2.2cat.json").read_text()))
+    texts.append(serialize(witness_bundle_to_document(
+        t, *fs_from_ideal(t, canonical_zero_ideal(t)))))
+    ids = {s for text in texts for s in _strings(json.loads(text))}
+    assert any(s.count("|") == 11 for s in ids)
+    for s in ids:
+        assert natural_key(s) == _groupby_key(s), s
+
+
+def test_serialize_keys_each_distinct_identifier_once(monkeypatch):
+    calls = Counter()
+
+    def counted(s):
+        calls[s] += 1
+        return natural_key(s)
+
+    monkeypatch.setattr(formats_module, "natural_key", counted)
+    serialize(witness_bundle_to_document(T, FS, K, C, ETA, EPS))
+    assert calls and max(calls.values()) == 1
 
 
 def _mangle(mutator):
