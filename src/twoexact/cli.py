@@ -411,6 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
             pair: bool = False, second_file: bool = False,
             operator: bool = False, recipe: bool = False,
             direction: bool = False, mode: tuple[str, ...] | None = None,
+            ideal: bool = False, fs: bool = False, cap: bool = True,
             out: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
@@ -432,12 +433,15 @@ def _build_parser() -> argparse.ArgumentParser:
         if operator:
             p.add_argument("operator", choices=MUTATION_OPERATORS)
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--ideal", default=None,
-                       help="two_ideal document path")
-        p.add_argument("--fs", default=None,
-                       help="factorization_system document path")
-        p.add_argument("--cap", type=int, default=None,
-                       help="search budget; omitted means unbounded")
+        if ideal:
+            p.add_argument("--ideal", default=None,
+                           help="two_ideal document path")
+        if fs:
+            p.add_argument("--fs", default=None,
+                           help="factorization_system document path")
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help="search budget; omitted means unbounded")
         if mode:
             p.add_argument("--mode", choices=mode, default=mode[0])
         if direction:
@@ -450,23 +454,23 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     add("validate", _cmd_validate)
-    add("gen", _cmd_gen, file=False, recipe=True, out=True)
-    add("kernel", _cmd_kernel, arrow=True)
-    add("cokernel", _cmd_cokernel, arrow=True)
+    add("gen", _cmd_gen, file=False, recipe=True, cap=False, out=True)
+    add("kernel", _cmd_kernel, arrow=True, ideal=True)
+    add("cokernel", _cmd_cokernel, arrow=True, ideal=True)
     add("biisoinserter", _cmd_biisoinserter, pair=True)
-    add("check-ideal", _cmd_check_ideal)
-    add("check-closed", _cmd_check_closed)
+    add("check-ideal", _cmd_check_ideal, ideal=True)
+    add("check-closed", _cmd_check_closed, ideal=True)
     add("equiv-ideals", _cmd_equiv_ideals, second_file=True)
-    add("check-fs", _cmd_check_fs)
-    add("check-fibration", _cmd_check_fibration, direction=True)
-    add("check-rofs", _cmd_check_rofs)
-    add("check-exact", _cmd_check_exact,
+    add("check-fs", _cmd_check_fs, fs=True)
+    add("check-fibration", _cmd_check_fibration, direction=True, fs=True)
+    add("check-rofs", _cmd_check_rofs, ideal=True, fs=True)
+    add("check-exact", _cmd_check_exact, ideal=True,
         mode=("grandis", "puppe", "weak-grandis", "weak-puppe"))
-    add("fs-from-ideal", _cmd_fs_from_ideal, out=True)
-    add("ideal-from-fs", _cmd_ideal_from_fs, out=True)
-    add("three-pieces", _cmd_three_pieces, arrow=True)
+    add("fs-from-ideal", _cmd_fs_from_ideal, ideal=True, out=True)
+    add("ideal-from-fs", _cmd_ideal_from_fs, cap=False, out=True)
+    add("three-pieces", _cmd_three_pieces, arrow=True, ideal=True)
     add("oracle-1cat", _cmd_oracle_1cat, mode=("grandis", "puppe"))
-    add("mutate", _cmd_mutate, operator=True, out=True)
+    add("mutate", _cmd_mutate, operator=True, cap=False, out=True)
     return parser
 
 

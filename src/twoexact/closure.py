@@ -18,7 +18,6 @@ the equivalence rather than assume it.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Iterator
 
 from .core import (
@@ -27,8 +26,7 @@ from .core import (
 )
 from .ideal import TwoIdeal, null_objects
 from .limits import (
-    CokernelPresentation, KernelPresentation, _to_dual_kernel, is_two_kernel,
-    kernel_presentations_by_arrow,
+    KernelPresentation, is_two_kernel, kernel_presentations_by_arrow,
 )
 
 
@@ -161,30 +159,6 @@ def weakly_reflects(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
         return _inconclusive(name, exc)
     return Certificate(name, "pass", witness={
         "leg": k, "arrow": pres.arrow, "structure": pres.structure})
-
-
-def coreflects_null_morphisms(t: TwoCategory, n: TwoIdeal, e: str,
-                              cap: int | None = None) -> Certificate:
-    """Dual of :func:`reflects_null_morphisms` for a 1-cell out of an
-    object."""
-    return replace(reflects_null_morphisms(t.dual, n.dual, e, cap),
-                   check="coreflects_null_morphisms")
-
-
-def coreflects_null_2cells(t: TwoCategory, n: TwoIdeal, e: str,
-                           cap: int | None = None) -> Certificate:
-    """Dual of :func:`reflects_null_2cells`."""
-    return replace(reflects_null_2cells(t.dual, n.dual, e, cap),
-                   check="coreflects_null_2cells")
-
-
-def weakly_coreflects(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
-                      cap: int | None = None,
-                      _verified: bool = False) -> Certificate:
-    """Dual of :func:`weakly_reflects` for a cokernel presentation."""
-    cert = weakly_reflects(t.dual, n.dual, _to_dual_kernel(pres), cap,
-                           _verified=_verified)
-    return replace(cert, check="weakly_coreflects")
 
 
 # (side, category, ideal, verified presentations by arrow); the cokernel

@@ -163,9 +163,6 @@ class TwoCategory:
         """All 2-cells from 1-cell ``f`` to 1-cell ``g``, in table order."""
         return self._hom2.get((f, g), ())
 
-    def endo2(self, f: str) -> tuple[str, ...]:
-        return self.hom2(f, f)
-
     # -- operations --------------------------------------------------------
 
     def cmp1(self, g: str, f: str) -> str:
@@ -195,12 +192,6 @@ class TwoCategory:
             return self.rwhisker[(a, e)]
         except KeyError:
             raise InputError(f"right whiskering undefined: ({a}, {e})") from None
-
-    def id1_of(self, obj: str) -> str:
-        try:
-            return self.id1[obj]
-        except KeyError:
-            raise InputError(f"no identity 1-cell recorded for object {obj}") from None
 
     def id2_of(self, f: str) -> str:
         try:

@@ -53,8 +53,8 @@ from .core import InputError, TwoCategory, natural_key
 from .factor import FactorizationSystem, arrow_subcat
 from .ideal import TwoIdeal
 from .onecat import FiniteCategory, OneIdeal
-from .pseudo import (PseudoFunctor, PseudoNatural, compose_pseudofunctors,
-                     identity_pseudofunctor)
+from .pseudo import (PseudoFunctor, PseudoNatural, check_pseudofunctor_shape,
+                     compose_pseudofunctors, identity_pseudofunctor)
 
 KINDS = ("two_category", "two_ideal", "factorization_system",
          "pseudofunctor", "pseudonatural", "witness-bundle",
@@ -647,6 +647,8 @@ def document_to_witness_bundle(doc: Document) -> tuple[
 
     k = functor(body["k"], e_arrow.cat, m_arrow.cat)
     c = functor(body["c"], m_arrow.cat, e_arrow.cat)
+    check_pseudofunctor_shape(k)
+    check_pseudofunctor_shape(c)
     eta = PseudoNatural(
         source_functor=identity_pseudofunctor(e_arrow.cat),
         target_functor=compose_pseudofunctors(c, k),

@@ -11,10 +11,17 @@ validator rejects.
 from __future__ import annotations
 
 import itertools
-from typing import Any
+from dataclasses import replace
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import InputError, TwoCategory
+from .core import (InputError, TwoCategory, is_equivalence,
+                   validate_two_category)
+from .factor import FactorizationSystem, validate_fs
+from .ideal import TwoIdeal, validate_two_ideal
 from .onecat import FiniteCategory
+from .pseudo import (PseudoFunctor, PseudoNatural, validate_pseudofunctor,
+                     validate_pseudonatural)
 
 
 def _width(count: int) -> int:
@@ -35,6 +42,31 @@ def terminal_category() -> FiniteCategory:
     )
 
 
+def _family(size: int, hom: Callable[[int, int], Iterable[Any]],
+            label: Callable[[Any], str], compose: Callable[[tuple, tuple], Any],
+            identity: Callable[[int], Any]) -> FiniteCategory:
+    """The category on objects ``o0, …, o<size>`` whose morphisms ``a → b``
+    are the data ``hom(a, b)``.
+
+    Morphisms are listed by source, then target, then ``hom`` order, and the
+    one at index ``i`` is named ``m<i>_<a>to<b><label(datum)>``.
+    ``compose(g, f)`` maps the ``(a, b, datum)`` triples of ``g`` and ``f``
+    to the datum of ``g∘f``; ``identity(a)`` is the datum of ``id_o<a>``.
+    """
+    raw = [(a, b, d) for a in range(size + 1) for b in range(size + 1)
+           for d in hom(a, b)]
+    w = _width(len(raw))
+    ids = {m: f"m{i:0{w}d}_{m[0]}to{m[1]}{label(m[2])}"
+           for i, m in enumerate(raw)}
+    into = {b: [m for m in raw if m[1] == b] for b in range(size + 1)}
+    return FiniteCategory(
+        objects=tuple(f"o{a}" for a in range(size + 1)),
+        morphisms=tuple((ids[m], f"o{m[0]}", f"o{m[1]}") for m in raw),
+        comp={(ids[g], ids[f]): ids[(f[0], g[1], compose(g, f))]
+              for g in raw for f in into[g[0]]},
+        ident={f"o{a}": ids[(a, a, identity(a))] for a in range(size + 1)})
+
+
 def partial_bijections(n: int) -> FiniteCategory:
     """The category of cardinalities ``0..n`` with partial injections.
 
@@ -43,37 +75,21 @@ def partial_bijections(n: int) -> FiniteCategory:
     """
     if n < 0:
         raise InputError("size must be nonnegative")
-    objects = tuple(f"o{a}" for a in range(n + 1))
-    raw: list[tuple[int, int, tuple[tuple[int, int], ...]]] = []
-    for a in range(n + 1):
-        for b in range(n + 1):
-            elems = list(range(1, a + 1))
-            for mask in range(1 << a):
-                dom = [elems[i] for i in range(a) if mask >> i & 1]
-                for img in itertools.permutations(range(1, b + 1), len(dom)):
-                    raw.append((a, b, tuple(zip(dom, img))))
-    w = _width(len(raw))
-    ids: dict[tuple[int, int, tuple[tuple[int, int], ...]], str] = {}
-    morphisms = []
-    for idx, (a, b, graph) in enumerate(raw):
-        desc = "".join(f"{i}{j}" for i, j in graph) or "e"
-        mid = f"m{idx:0{w}d}_{a}to{b}_{desc}"
-        ids[(a, b, graph)] = mid
-        morphisms.append((mid, f"o{a}", f"o{b}"))
-    comp = {}
-    for (b1, c1, g_graph) in raw:
-        g_map = dict(g_graph)
-        for (a2, b2, f_graph) in raw:
-            if b2 != b1:
-                continue
-            gf = tuple(sorted((i, g_map[j]) for i, j in f_graph if j in g_map))
-            comp[(ids[(b1, c1, g_graph)], ids[(a2, b2, f_graph)])] = \
-                ids[(a2, c1, gf)]
-    ident = {
-        f"o{a}": ids[(a, a, tuple((i, i) for i in range(1, a + 1)))]
-        for a in range(n + 1)
-    }
-    return FiniteCategory(objects, tuple(morphisms), comp, ident)
+
+    def hom(a: int, b: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        for mask in range(1 << a):
+            dom = [i + 1 for i in range(a) if mask >> i & 1]
+            for img in itertools.permutations(range(1, b + 1), len(dom)):
+                yield tuple(zip(dom, img))
+
+    def compose(g: tuple, f: tuple) -> tuple[tuple[int, int], ...]:
+        g_map = dict(g[2])
+        return tuple(sorted((i, g_map[j]) for i, j in f[2] if j in g_map))
+
+    return _family(
+        n, hom, lambda graph: "_" + ("".join(f"{i}{j}" for i, j in graph)
+                                     or "e"),
+        compose, lambda a: tuple((i, i) for i in range(1, a + 1)))
 
 
 def cyclic_tower(p: int, k: int) -> FiniteCategory:
@@ -85,28 +101,10 @@ def cyclic_tower(p: int, k: int) -> FiniteCategory:
     if p < 2 or k < 0:
         raise InputError("need a base ≥ 2 and a nonnegative height")
     mods = [p ** i for i in range(k + 1)]
-    objects = tuple(f"o{i}" for i in range(k + 1))
-    raw: list[tuple[int, int, int]] = []
-    for i in range(k + 1):
-        for j in range(k + 1):
-            step = p ** max(0, j - i)
-            raw.extend((i, j, t) for t in range(0, mods[j], step))
-    w = _width(len(raw))
-    ids = {}
-    morphisms = []
-    for idx, (i, j, t) in enumerate(raw):
-        mid = f"m{idx:0{w}d}_{i}to{j}x{t}"
-        ids[(i, j, t)] = mid
-        morphisms.append((mid, f"o{i}", f"o{j}"))
-    comp = {}
-    for (j1, l1, s) in raw:
-        for (i2, j2, t) in raw:
-            if j2 != j1:
-                continue
-            comp[(ids[(j1, l1, s)], ids[(i2, j2, t)])] = \
-                ids[(i2, l1, (s * t) % mods[l1])]
-    ident = {f"o{i}": ids[(i, i, 1 % mods[i])] for i in range(k + 1)}
-    return FiniteCategory(objects, tuple(morphisms), comp, ident)
+    return _family(
+        k, lambda i, j: range(0, mods[j], p ** max(0, j - i)),
+        lambda t: f"x{t}", lambda g, f: (g[2] * f[2]) % mods[g[1]],
+        lambda i: 1 % mods[i])
 
 
 def pointed_sets(n: int) -> FiniteCategory:
@@ -114,29 +112,11 @@ def pointed_sets(n: int) -> FiniteCategory:
     base-point-preserving maps."""
     if n < 0:
         raise InputError("size must be nonnegative")
-    objects = tuple(f"o{a}" for a in range(n + 1))
-    raw: list[tuple[int, int, tuple[int, ...]]] = []
-    for a in range(n + 1):
-        for b in range(n + 1):
-            raw.extend((a, b, phi)
-                       for phi in itertools.product(range(b + 1), repeat=a))
-    w = _width(len(raw))
-    ids = {}
-    morphisms = []
-    for idx, (a, b, phi) in enumerate(raw):
-        desc = "".join(str(v) for v in phi) or "e"
-        mid = f"m{idx:0{w}d}_{a}to{b}_{desc}"
-        ids[(a, b, phi)] = mid
-        morphisms.append((mid, f"o{a}", f"o{b}"))
-    comp = {}
-    for (b1, c1, g) in raw:
-        for (a2, b2, f) in raw:
-            if b2 != b1:
-                continue
-            gf = tuple(0 if v == 0 else g[v - 1] for v in f)
-            comp[(ids[(b1, c1, g)], ids[(a2, b2, f)])] = ids[(a2, c1, gf)]
-    ident = {f"o{a}": ids[(a, a, tuple(range(1, a + 1)))] for a in range(n + 1)}
-    return FiniteCategory(objects, tuple(morphisms), comp, ident)
+    return _family(
+        n, lambda a, b: itertools.product(range(b + 1), repeat=a),
+        lambda phi: "_" + ("".join(str(v) for v in phi) or "e"),
+        lambda g, f: tuple(0 if v == 0 else g[2][v - 1] for v in f[2]),
+        lambda a: tuple(range(1, a + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +194,17 @@ def chaotic_enrichment(c: FiniteCategory) -> TwoCategory:
 # mutation operators
 # ---------------------------------------------------------------------------
 
-MUTATION_OPERATORS = (
-    "retarget-vcomp",
-    "drop-null-2cell",
-    "break-compositor",
-    "drop-M-translate",
-    "swap-structure-cell",
-    "remove-eta-inverse",
-)
+#: Each operator's entity, as the classes of its parts, in operator order.
+_SHAPES: dict[str, tuple[type, ...]] = {
+    "retarget-vcomp": (TwoCategory,),
+    "drop-null-2cell": (TwoCategory, TwoIdeal),
+    "break-compositor": (PseudoFunctor,),
+    "drop-M-translate": (TwoCategory, FactorizationSystem),
+    "swap-structure-cell": (PseudoNatural,),
+    "remove-eta-inverse": (PseudoNatural,),
+}
+
+MUTATION_OPERATORS = tuple(_SHAPES)
 
 
 def _alternatives(t: TwoCategory, val: str) -> list[str]:
@@ -230,6 +213,56 @@ def _alternatives(t: TwoCategory, val: str) -> list[str]:
     parallel = [c for c in t.hom2(t.src2[val], t.tgt2[val]) if c != val]
     rest = [c for c in t.two_ids if c != val and c not in parallel]
     return parallel + rest
+
+
+def _retargets(obj: Any, field: str, alternatives: Callable[[str], list]):
+    """Sites are the entries of the table ``obj.<field>``; the mutants at
+    one send its key to each of ``alternatives(value)`` in turn."""
+    table = getattr(obj, field)
+    return list(table.items()), lambda site: (
+        replace(obj, **{field: {**table, site[0]: alt}})
+        for alt in alternatives(site[1]))
+
+
+def _drops(obj: Any, field: str, sites: Sequence[str]):
+    """The mutant at a site is ``obj`` without that member of its tuple
+    ``obj.<field>``."""
+    return sites, lambda drop: [replace(obj, **{field: tuple(
+        x for x in getattr(obj, field) if x != drop)})]
+
+
+def _plan(operator: str, entity: Any):
+    """The sites of ``operator`` on ``entity``, the mutants it tries at one
+    site, and the validator a mutant must fail, looked up by name on each
+    call so that one patched on this module (as perfbench does) is used."""
+    if operator == "retarget-vcomp":
+        return (*_retargets(entity, "vcomp", partial(_alternatives, entity)),
+                validate_two_category)
+    if operator == "drop-null-2cell":
+        t, ideal = entity
+        return (*_drops(ideal, "null_two_cells", ideal.null_two_cells),
+                partial(validate_two_ideal, t))
+    if operator == "break-compositor":
+        return (*_retargets(entity, "compositor",
+                            partial(_alternatives, entity.target)),
+                validate_pseudofunctor)
+    if operator == "drop-M-translate":
+        t, fs = entity
+        rights = {v[1] for v in fs.factorization.values()}
+        return (*_drops(fs, "right_class",
+                        [m for m in fs.right_class if m in rights]),
+                partial(validate_fs, t))
+    target = entity.source_functor.target
+    if operator == "swap-structure-cell":
+        return (*_retargets(entity, "structure",
+                            partial(_alternatives, target)),
+                validate_pseudonatural)
+    # remove-eta-inverse: replace a component 1-cell by a parallel
+    # non-equivalence, so the equivalence-components requirement fails
+    return (*_retargets(entity, "component", lambda val: [
+        f for f in target.hom1(target.src1[val], target.tgt1[val])
+        if f != val and not is_equivalence(target, f).ok]),
+        partial(validate_pseudonatural, require_equivalences=True))
 
 
 def mutate(entity: Any, operator: str, seed: int) -> Any:
@@ -246,24 +279,11 @@ def mutate(entity: Any, operator: str, seed: int) -> Any:
     system)`` pair; ``swap-structure-cell`` and ``remove-eta-inverse`` a
     pseudonatural transformation.
     """
-    if operator not in MUTATION_OPERATORS:
+    if operator not in _SHAPES:
         raise InputError(f"unknown mutation operator {operator}")
     if seed < 0:
         raise InputError("seed must be nonnegative")
-
-    from .core import TwoCategory as _TC
-    from .factor import FactorizationSystem as _FS
-    from .ideal import TwoIdeal as _TI
-    from .pseudo import PseudoFunctor as _PF, PseudoNatural as _PN
-    expected: dict[str, tuple] = {
-        "retarget-vcomp": (_TC,),
-        "drop-null-2cell": (_TC, _TI),
-        "break-compositor": (_PF,),
-        "drop-M-translate": (_TC, _FS),
-        "swap-structure-cell": (_PN,),
-        "remove-eta-inverse": (_PN,),
-    }
-    shape = expected[operator]
+    shape = _SHAPES[operator]
     given = entity if len(shape) > 1 else (entity,)
     if (not isinstance(given, tuple) or len(given) != len(shape)
             or any(not isinstance(part, want)
@@ -272,99 +292,9 @@ def mutate(entity: Any, operator: str, seed: int) -> Any:
         raise InputError(f"{operator} mutates a {wanted}, "
                          f"got {type(entity).__name__}")
 
-    if operator == "retarget-vcomp":
-        from dataclasses import replace
-        from .core import validate_two_category
-        t: TwoCategory = entity
-        sites = list(t.vcomp.items())
-        if not sites or len(t.two_cells) < 2:
-            raise InputError("no eligible site for retarget-vcomp")
-        for off in range(len(sites)):
-            key, val = sites[(seed + off) % len(sites)]
-            for alt in _alternatives(t, val):
-                mutant = replace(t, vcomp={**t.vcomp, key: alt})
-                if not validate_two_category(mutant).ok:
-                    return mutant
-        raise InputError("no eligible site for retarget-vcomp")
-
-    if operator == "drop-null-2cell":
-        from dataclasses import replace
-        from .ideal import TwoIdeal, validate_two_ideal
-        t, ideal = entity
-        sites = list(ideal.null_two_cells)
-        if not sites:
-            raise InputError("no eligible site for drop-null-2cell")
-        for off in range(len(sites)):
-            drop = sites[(seed + off) % len(sites)]
-            mutant = replace(ideal, null_two_cells=tuple(
-                a for a in ideal.null_two_cells if a != drop))
-            if not validate_two_ideal(t, mutant).ok:
-                return mutant
-        raise InputError("no eligible site for drop-null-2cell")
-
-    if operator == "break-compositor":
-        from dataclasses import replace
-        from .pseudo import validate_pseudofunctor
-        func = entity
-        sites = list(func.compositor.items())
-        if not sites:
-            raise InputError("no eligible site for break-compositor")
-        for off in range(len(sites)):
-            key, val = sites[(seed + off) % len(sites)]
-            for alt in _alternatives(func.target, val):
-                mutant = replace(func, compositor={**func.compositor, key: alt})
-                if not validate_pseudofunctor(mutant).ok:
-                    return mutant
-        raise InputError("no eligible site for break-compositor")
-
-    if operator == "drop-M-translate":
-        from dataclasses import replace
-        from .factor import validate_fs
-        t, fs = entity
-        sites = [m for m in fs.right_class
-                 if any(m == v[1] for v in fs.factorization.values())]
-        if not sites:
-            raise InputError("no eligible site for drop-M-translate")
-        for off in range(len(sites)):
-            drop = sites[(seed + off) % len(sites)]
-            mutant = replace(fs, right_class=tuple(
-                m for m in fs.right_class if m != drop))
-            if not validate_fs(t, mutant).ok:
-                return mutant
-        raise InputError("no eligible site for drop-M-translate")
-
-    if operator == "swap-structure-cell":
-        from dataclasses import replace
-        from .pseudo import validate_pseudonatural
-        nat = entity
-        sites = list(nat.structure.items())
-        if not sites:
-            raise InputError("no eligible site for swap-structure-cell")
-        target = nat.source_functor.target
-        for off in range(len(sites)):
-            key, val = sites[(seed + off) % len(sites)]
-            for alt in _alternatives(target, val):
-                mutant = replace(nat, structure={**nat.structure, key: alt})
-                if not validate_pseudonatural(mutant).ok:
-                    return mutant
-        raise InputError("no eligible site for swap-structure-cell")
-
-    # remove-eta-inverse: replace a component 1-cell by a parallel
-    # non-equivalence, so the equivalence-components requirement fails
-    from dataclasses import replace
-    from .core import is_equivalence
-    from .pseudo import validate_pseudonatural
-    nat = entity
-    target = nat.source_functor.target
-    sites = list(nat.component.items())
-    if not sites:
-        raise InputError("no eligible site for remove-eta-inverse")
+    sites, mutants, validator = _plan(operator, entity)
     for off in range(len(sites)):
-        key, val = sites[(seed + off) % len(sites)]
-        alts = [f for f in target.hom1(target.src1[val], target.tgt1[val])
-                if f != val and not is_equivalence(target, f).ok]
-        for alt in alts:
-            mutant = replace(nat, component={**nat.component, key: alt})
-            if not validate_pseudonatural(mutant, require_equivalences=True).ok:
+        for mutant in mutants(sites[(seed + off) % len(sites)]):
+            if not validator(mutant).ok:
                 return mutant
-    raise InputError("no eligible site for remove-eta-inverse")
+    raise InputError(f"no eligible site for {operator}")

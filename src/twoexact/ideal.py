@@ -35,12 +35,6 @@ class TwoIdeal:
     def null2(self) -> frozenset[str]:
         return frozenset(self.null_two_cells)
 
-    def is_null1(self, f: str) -> bool:
-        return f in self.null1
-
-    def is_null2(self, a: str) -> bool:
-        return a in self.null2
-
     def repl(self, a: str, n: str, b: str) -> tuple[str, str]:
         """The pair ``(ñ, ν)`` replacing ``b∘n∘a``."""
         try:

@@ -47,8 +47,9 @@ def check_pseudofunctor_shape(func: PseudoFunctor) -> None:
     if set(func.compositor) != set(s.comp1):
         raise InputError("compositor table is not indexed by exactly the "
                          "composable pairs of the source")
+    objects = set(t.objects)
     for x, v in func.ob.items():
-        if v not in set(t.objects):
+        if v not in objects:
             raise InputError(f"object map sends {x} to unknown object {v}")
     for x, v in func.one.items():
         if v not in t.src1:

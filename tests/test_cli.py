@@ -1,5 +1,6 @@
 """Command-line interface, exercised end to end through subprocesses."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from clirun import run_cli as run
 from family import LD_PB2, ZERO_IDEALS
+from twoexact.cli import _build_parser
 from twoexact.formats import parse, serialize, two_ideal_to_document
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -313,3 +315,88 @@ def test_pb2_round_trip_bytes_are_pinned(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() \
         == PB2_RECOVERED_SHA256
+
+
+#: Edits that leave a witness bundle's `k` table malformed; each used to
+#: crash the bundle reader while it composed `c∘k` and `k∘c`.
+def _drop_ob(body):
+    del body["k"]["ob"][next(iter(body["k"]["ob"]))]
+
+
+def _drop_one(body):
+    del body["k"]["one"][next(iter(body["k"]["one"]))]
+
+
+def _bogus_one(body):
+    body["k"]["one"][next(iter(body["k"]["one"]))] = "bogus"
+
+
+def _drop_compositor_row(body):
+    del body["k"]["compositor"][0]
+
+
+@pytest.mark.parametrize("edit", [_drop_ob, _drop_one, _bogus_one,
+                                  _drop_compositor_row],
+                         ids=["drop-ob", "drop-one", "bogus-one",
+                              "drop-compositor-row"])
+@pytest.mark.parametrize("command", ["validate", "check-fs", "ideal-from-fs"])
+def test_malformed_bundle_functor_is_an_input_error(tmp_path, command, edit):
+    body = json.loads((FIXTURE_DIR / "pb1.bundle.json").read_text())
+    edit(body)
+    broken = tmp_path / "broken.bundle.json"
+    broken.write_text(json.dumps(body))
+    proc = run(command, str(broken))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+#: The input-selection and budget options each subcommand accepts: --ideal
+#: where it reads an ideal document, --fs where it reads a factorization
+#: system, --cap where it runs a capped search or prints a header.
+SUBCOMMAND_OPTIONS = {
+    "validate": {"--cap"},
+    "gen": set(),
+    "kernel": {"--ideal", "--cap"},
+    "cokernel": {"--ideal", "--cap"},
+    "biisoinserter": {"--cap"},
+    "check-ideal": {"--ideal", "--cap"},
+    "check-closed": {"--ideal", "--cap"},
+    "equiv-ideals": {"--cap"},
+    "check-fs": {"--fs", "--cap"},
+    "check-fibration": {"--fs", "--cap"},
+    "check-rofs": {"--ideal", "--fs", "--cap"},
+    "check-exact": {"--ideal", "--cap"},
+    "fs-from-ideal": {"--ideal", "--cap"},
+    "ideal-from-fs": set(),
+    "three-pieces": {"--ideal", "--cap"},
+    "oracle-1cat": {"--cap"},
+    "mutate": set(),
+}
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads():
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: {o for a in p._actions for o in a.option_strings
+                       if o in ("--ideal", "--fs", "--cap")}
+                for name, p in subparsers.choices.items()}
+    assert accepted == SUBCOMMAND_OPTIONS
+    assert sum(map(len, accepted.values())) == 25
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", str(FIXTURE_DIR / "pb2.2cat.json"), "--ideal", "x"],
+    ["gen", "terminal", "--cap", "1"],
+    ["mutate", str(FIXTURE_DIR / "pb1.pf.json"), "break-compositor",
+     "--cap", "1"],
+    ["ideal-from-fs", str(FIXTURE_DIR / "pb1.bundle.json"), "--fs", "x"],
+    ["kernel", str(FIXTURE_DIR / "pb2.2cat.json"), "m05_1to1_11",
+     "--fs", "x"],
+], ids=["validate-ideal", "gen-cap", "mutate-cap", "ideal-from-fs-fs",
+        "kernel-fs"])
+def test_options_a_subcommand_does_not_read_are_refused(argv):
+    proc = run(*argv)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert proc.stdout == ""
