@@ -10,7 +10,6 @@ results are deterministic for a given presentation.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -142,26 +141,25 @@ class TwoCategory:
         return {i: t for i, _, t in self.two_cells}
 
     @cached_property
-    def _hom1(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        out: dict[tuple[str, str], list[str]] = {}
-        for i, s, t in self.one_cells:
-            out.setdefault((s, t), []).append(i)
+    def _bounds(self) -> dict[tuple[int, str | None, str | None], tuple[str, ...]]:
+        """Cell ids of each dimension by boundary, in table order: under
+        ``(dim, src, tgt)``, ``(dim, src, None)`` and ``(dim, None, tgt)``."""
+        out: dict[tuple[int, str | None, str | None], list[str]] = {}
+        for dim, cells in ((1, self.one_cells), (2, self.two_cells)):
+            for i, s, t in cells:
+                for key in ((dim, s, t), (dim, s, None), (dim, None, t)):
+                    out.setdefault(key, []).append(i)
         return {k: tuple(v) for k, v in out.items()}
 
-    @cached_property
-    def _hom2(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        out: dict[tuple[str, str], list[str]] = {}
-        for i, s, t in self.two_cells:
-            out.setdefault((s, t), []).append(i)
-        return {k: tuple(v) for k, v in out.items()}
+    def hom1(self, a: str | None, b: str | None) -> tuple[str, ...]:
+        """All 1-cells from object ``a`` to object ``b``, in table order;
+        ``None`` leaves that end free."""
+        return self._bounds.get((1, a, b), ())
 
-    def hom1(self, a: str, b: str) -> tuple[str, ...]:
-        """All 1-cells from object ``a`` to object ``b``, in table order."""
-        return self._hom1.get((a, b), ())
-
-    def hom2(self, f: str, g: str) -> tuple[str, ...]:
-        """All 2-cells from 1-cell ``f`` to 1-cell ``g``, in table order."""
-        return self._hom2.get((f, g), ())
+    def hom2(self, f: str | None, g: str | None) -> tuple[str, ...]:
+        """All 2-cells from 1-cell ``f`` to 1-cell ``g``, in table order;
+        ``None`` leaves that end free."""
+        return self._bounds.get((2, f, g), ())
 
     # -- operations --------------------------------------------------------
 
@@ -289,7 +287,8 @@ class TwoCategory:
     def parallel_pairs(self) -> Iterator[tuple[str, str]]:
         """Ordered pairs of parallel 1-cells (same source and target objects),
         in table order."""
-        for fs in self._hom1.values():
+        for fs in dict.fromkeys(self.hom1(self.src1[f], self.tgt1[f])
+                                for f in self.one_ids):
             for f in fs:
                 for g in fs:
                     yield f, g
@@ -339,8 +338,7 @@ def check_shape(t: TwoCategory) -> None:
         if a not in twos:
             raise InputError(f"id2[{f}] = {a} is not a 2-cell")
 
-    comp_keys = {(g, f) for g, f in itertools.product(t.one_ids, t.one_ids)
-                 if t.src1[g] == t.tgt1[f]}
+    comp_keys = {(g, f) for f in t.one_ids for g in t.hom1(t.tgt1[f], None)}
     if set(t.comp1) != comp_keys:
         missing = comp_keys - set(t.comp1)
         extra = set(t.comp1) - comp_keys
@@ -352,11 +350,7 @@ def check_shape(t: TwoCategory) -> None:
         if v not in ones:
             raise InputError(f"comp1[{k}] = {v} is not a 1-cell")
 
-    vkeys = set()
-    for b, sb, tb in t.two_cells:
-        for a, sa, ta in t.two_cells:
-            if sb == ta:
-                vkeys.add((b, a))
+    vkeys = {(b, a) for a, _, ta in t.two_cells for b in t.hom2(ta, None)}
     if set(t.vcomp) != vkeys:
         missing = vkeys - set(t.vcomp)
         extra = set(t.vcomp) - vkeys
@@ -367,16 +361,16 @@ def check_shape(t: TwoCategory) -> None:
         if v not in twos:
             raise InputError(f"vcomp[{k}] = {v} is not a 2-cell")
 
-    lkeys = {(h, a) for h in t.one_ids for a in t.two_ids
-             if t.src1[h] == t.tgt1[t.src2[a]]}
+    lkeys = {(h, a) for a in t.two_ids
+             for h in t.hom1(t.tgt1[t.src2[a]], None)}
     if set(t.lwhisker) != lkeys:
         raise InputError("lwhisker keys do not match the composable (1-cell, 2-cell) pairs")
     for k, v in t.lwhisker.items():
         if v not in twos:
             raise InputError(f"lwhisker[{k}] = {v} is not a 2-cell")
 
-    rkeys = {(a, e) for a in t.two_ids for e in t.one_ids
-             if t.tgt1[e] == t.src1[t.src2[a]]}
+    rkeys = {(a, e) for a in t.two_ids
+             for e in t.hom1(None, t.src1[t.src2[a]])}
     if set(t.rwhisker) != rkeys:
         raise InputError("rwhisker keys do not match the composable (2-cell, 1-cell) pairs")
     for k, v in t.rwhisker.items():
@@ -420,13 +414,9 @@ def _violations(t: TwoCategory) -> Iterator[tuple[str, dict[str, str]]]:
 
     # associativity of 1-cell composition
     for h in t.one_ids:
-        for g in t.one_ids:
-            if t.src1[h] != t.tgt1[g]:
-                continue
+        for g in t.hom1(None, t.src1[h]):
             hg = t.comp1[(h, g)]
-            for f in t.one_ids:
-                if t.src1[g] != t.tgt1[f]:
-                    continue
+            for f in t.hom1(None, t.src1[g]):
                 if t.comp1[(hg, f)] != t.comp1[(h, t.comp1[(g, f)])]:
                     yield "comp1-assoc", {"h": h, "g": g, "f": f}
 
@@ -453,13 +443,10 @@ def _violations(t: TwoCategory) -> Iterator[tuple[str, dict[str, str]]]:
         return
 
     # associativity of vertical composition (within each hom-category)
-    by_tgt: dict[str, list[str]] = {}
-    for a, _, ta in t.two_cells:
-        by_tgt.setdefault(ta, []).append(a)
     for c in t.two_ids:
-        for b in by_tgt.get(t.src2[c], ()):
+        for b in t.hom2(None, t.src2[c]):
             cb = t.vcomp[(c, b)]
-            for a in by_tgt.get(t.src2[b], ()):
+            for a in t.hom2(None, t.src2[b]):
                 if t.vcomp[(cb, a)] != t.vcomp[(c, t.vcomp[(b, a)])]:
                     yield "vcomp-assoc", {"c": c, "b": b, "a": a}
 
@@ -487,16 +474,10 @@ def _violations(t: TwoCategory) -> Iterator[tuple[str, dict[str, str]]]:
         if a == t.id2[t.src2[a]] and t.rwhisker[(a, e)] != t.id2[t.comp1[(t.src2[a], e)]]:
             yield "rwhisker-id2", {"a": a, "e": e}
     for (b, a), ba in t.vcomp.items():
-        tb_tgt = t.tgt1[t.src2[a]]
-        for h in t.one_ids:
-            if t.src1[h] != tb_tgt:
-                continue
+        for h in t.hom1(t.tgt1[t.src2[a]], None):
             if t.lwhisker[(h, ba)] != t.vcomp[(t.lwhisker[(h, b)], t.lwhisker[(h, a)])]:
                 yield "lwhisker-vcomp", {"h": h, "b": b, "a": a}
-        sb_src = t.src1[t.src2[a]]
-        for e in t.one_ids:
-            if t.tgt1[e] != sb_src:
-                continue
+        for e in t.hom1(None, t.src1[t.src2[a]]):
             if t.rwhisker[(ba, e)] != t.vcomp[(t.rwhisker[(b, e)], t.rwhisker[(a, e)])]:
                 yield "rwhisker-vcomp", {"b": b, "a": a, "e": e}
 
@@ -508,15 +489,11 @@ def _violations(t: TwoCategory) -> Iterator[tuple[str, dict[str, str]]]:
         if t.rwhisker[(a, t.id1[t.src1[fa]])] != a:
             yield "rwhisker-id1", {"a": a}
     for (h, a) in t.lwhisker:
-        for h2 in t.one_ids:
-            if t.src1[h2] != t.tgt1[h]:
-                continue
+        for h2 in t.hom1(t.tgt1[h], None):
             if t.lwhisker[(t.comp1[(h2, h)], a)] != t.lwhisker[(h2, t.lwhisker[(h, a)])]:
                 yield "lwhisker-comp1", {"h2": h2, "h": h, "a": a}
     for (a, e) in t.rwhisker:
-        for e2 in t.one_ids:
-            if t.tgt1[e2] != t.src1[e]:
-                continue
+        for e2 in t.hom1(None, t.src1[e]):
             if t.rwhisker[(a, t.comp1[(e, e2)])] != t.rwhisker[(t.rwhisker[(a, e)], e2)]:
                 yield "rwhisker-comp1", {"a": a, "e": e, "e2": e2}
 

@@ -148,8 +148,8 @@ def _null_iso_adjustments(t: TwoCategory, n: TwoIdeal,
                           start: str) -> list[str]:
     """All invertible null 2-cells out of the null 1-cell ``start`` —
     the allowed adjustments between two structure cells."""
-    return [z for z in t.two_ids
-            if t.src2[z] == start and z in n.null2 and t.is_invertible2(z)]
+    return [z for z in t.hom2(start, None)
+            if z in n.null2 and t.is_invertible2(z)]
 
 
 def _kernel_of_its_cokernel(
@@ -569,13 +569,9 @@ def ideal_from_fs(t: TwoCategory, fs: FactorizationSystem,
     for nl in null1:
         x, y = t.src1[nl], t.tgt1[nl]
         nbar = factors[nl][0]
-        for a in t.one_ids:
-            if t.tgt1[a] != x:
-                continue
+        for a in t.hom1(None, x):
             na = t.cmp1(nbar, a)
-            for b in t.one_ids:
-                if t.src1[b] != y:
-                    continue
+            for b in t.hom1(y, None):
                 sq = ArrowTwoCategory.square_id(
                     t.id1[y], t.id1[t.tgt1[b]], b, b, t.id2[b])
                 w_hat, _, psi = m_arrow.square(k.one[sq])

@@ -510,9 +510,7 @@ def _check_cod_fibration_body(t: TwoCategory, fs: FactorizationSystem,
     liftings: dict[str, list[str]] = {}
 
     for m in right:
-        for f in t.one_ids:
-            if t.src1[f] != t.tgt1[m]:
-                continue
+        for f in t.hom1(t.tgt1[m], None):
             fm = t.cmp1(f, m)
             l, r, theta = fs.factorization[fm]
             if r not in right_set:

@@ -54,7 +54,8 @@ from .factor import FactorizationSystem, arrow_subcat
 from .ideal import TwoIdeal
 from .onecat import FiniteCategory, OneIdeal
 from .pseudo import (PseudoFunctor, PseudoNatural, check_pseudofunctor_shape,
-                     compose_pseudofunctors, identity_pseudofunctor)
+                     check_pseudonatural_shape, compose_pseudofunctors,
+                     identity_pseudofunctor)
 
 KINDS = ("two_category", "two_ideal", "factorization_system",
          "pseudofunctor", "pseudonatural", "witness-bundle",
@@ -661,6 +662,8 @@ def document_to_witness_bundle(doc: Document) -> tuple[
         component=dict(body["epsilon"]["component"]),
         structure=dict(body["epsilon"]["structure"]),
         claims_equivalences=body["epsilon"]["claims_equivalences"])
+    check_pseudonatural_shape(eta)
+    check_pseudonatural_shape(epsilon)
     return t, fs, k, c, eta, epsilon
 
 

@@ -77,8 +77,8 @@ def check_ideal_shape(t: TwoCategory, n: TwoIdeal) -> None:
     keys = {
         (a, x, b)
         for x in n.null_one_cells
-        for a in t.one_ids if t.tgt1[a] == t.src1[x]
-        for b in t.one_ids if t.src1[b] == t.tgt1[x]
+        for a in t.hom1(None, t.src1[x])
+        for b in t.hom1(t.tgt1[x], None)
     }
     if set(n.replacement) != keys:
         missing = keys - set(n.replacement)
@@ -144,18 +144,12 @@ def _violations(t: TwoCategory, n: TwoIdeal) -> Iterator[tuple[str, dict[str, st
         if tilde != x or nu != t.id2[x]:
             yield "ax1", {"n": x, "tilde": tilde, "nu": nu}
 
-    into: dict[str, list[str]] = {o: [] for o in t.objects}
-    outof: dict[str, list[str]] = {o: [] for o in t.objects}
-    for f in t.one_ids:
-        into[t.tgt1[f]].append(f)
-        outof[t.src1[f]].append(f)
-
     # ax2: conjugating a null 2-cell by the comparisons stays null
     for mu in n.null_two_cells:
         x, x2 = t.src2[mu], t.tgt2[mu]
-        for a in into[t.src1[x]]:
+        for a in t.hom1(None, t.src1[x]):
             mu_a = t.rwhisker[(mu, a)]
-            for b in outof[t.tgt1[x]]:
+            for b in t.hom1(t.tgt1[x], None):
                 _, nu1 = n.replacement[(a, x, b)]
                 _, nu2 = n.replacement[(a, x2, b)]
                 cell = t.vcomp[(nu2, t.vcomp[
@@ -186,13 +180,12 @@ def _violations(t: TwoCategory, n: TwoIdeal) -> Iterator[tuple[str, dict[str, st
     vcomp, lwhisker, rwhisker, comp1 = (t.vcomp, t.lwhisker, t.rwhisker,
                                         t.comp1)
     repl, null2s, inv2 = n.replacement, n.null2, t.inverse2
-    post = {b: [(b2, comp1[(b2, b)]) for b2 in outof[t.tgt1[b]]]
+    post = {b: [(b2, comp1[(b2, b)]) for b2 in t.hom1(t.tgt1[b], None)]
             for b in t.one_ids}
     for (a, x, b), (m, nu1) in repl.items():
         inv_nu1 = inv2[nu1]
-        pre = into[t.src1[a]]
         row = post[b]
-        for a2 in pre:
+        for a2 in t.hom1(None, t.src1[a]):
             aa = comp1[(a, a2)]
             inner_a = rwhisker[(inv_nu1, a2)]
             for b2, bb in row:
@@ -241,8 +234,8 @@ def maximal_two_ideal(t: TwoCategory) -> TwoIdeal:
     repl = {
         (a, x, b): (t.cmp1(b, t.cmp1(x, a)), t.id2[t.cmp1(b, t.cmp1(x, a))])
         for x in t.one_ids
-        for a in t.one_ids if t.tgt1[a] == t.src1[x]
-        for b in t.one_ids if t.src1[b] == t.tgt1[x]
+        for a in t.hom1(None, t.src1[x])
+        for b in t.hom1(t.tgt1[x], None)
     }
     return TwoIdeal(t.one_ids, t.two_ids, repl)
 
@@ -352,12 +345,8 @@ def canonical_zero_ideal(t: TwoCategory, zero: str | None = None) -> TwoIdeal:
     nullset = set(nulls)
     repl = {}
     for x in nulls:
-        for a in t.one_ids:
-            if t.tgt1[a] != t.src1[x]:
-                continue
-            for b in t.one_ids:
-                if t.src1[b] != t.tgt1[x]:
-                    continue
+        for a in t.hom1(None, t.src1[x]):
+            for b in t.hom1(t.tgt1[x], None):
                 comp = t.cmp1(b, t.cmp1(x, a))
                 if comp not in nullset:
                     raise InputError(
@@ -370,12 +359,6 @@ def canonical_zero_ideal(t: TwoCategory, zero: str | None = None) -> TwoIdeal:
 def null_objects(t: TwoCategory, n: TwoIdeal) -> tuple[tuple[str, str, str], ...]:
     """Triples ``(Z, ξ̂, ξ)``: an object whose identity is invertibly null,
     witnessed by a null endo-1-cell ``ξ̂`` and an invertible ``ξ: id_Z ⇒ ξ̂``."""
-    out = []
-    for z in t.objects:
-        idz = t.id1[z]
-        for xhat in t.one_ids:
-            if xhat not in n.null1 or t.src1[xhat] != z or t.tgt1[xhat] != z:
-                continue
-            for xi in t.iso2(idz, xhat):
-                out.append((z, xhat, xi))
-    return tuple(out)
+    return tuple((z, xhat, xi) for z in t.objects
+                 for xhat in t.hom1(z, z) if xhat in n.null1
+                 for xi in t.iso2(t.id1[z], xhat))

@@ -65,84 +65,50 @@ def _conjugate(t: TwoCategory, mapping: dict[str, tuple[str, str]],
 
 
 def witness_violation(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
-                      w: IdealEquivalenceWitness,
-                      properties: tuple[str, ...] = ("1", "2", "3", "4"),
-                      ) -> tuple[str, dict] | None:
-    """First violated property among the requested ones, as
-    ``(clause, cells)``; ``None`` when all hold.
-
-    Knows properties "1", "1'", "2", "1+2", "3", "4", "4'".
-    """
-    for prop in properties:
-        if prop == "1":
-            for alpha in n.null2:
-                m, nn = t.src2[alpha], t.tgt2[alpha]
-                if _conjugate(t, w.counterpart, alpha, m, nn) not in n_prime.null2:
-                    return "property-1", {"two_cell": alpha}
-        elif prop == "1'":
-            for beta in n_prime.null2:
-                np_, sp = t.src2[beta], t.tgt2[beta]
-                if _conjugate(t, w.counterpart_back, beta, np_, sp) not in n.null2:
-                    return "property-1prime", {"two_cell": beta}
-        elif prop == "2":
-            for beta in n_prime.null2:
-                mp, np_ = t.src2[beta], t.tgt2[beta]
-                for m in n.null1:
-                    if w.counterpart[m][0] != mp:
-                        continue
-                    for nn in n.null1:
-                        if w.counterpart[nn][0] != np_:
-                            continue
-                        _, xi_m = w.counterpart[m]
-                        _, xi_n = w.counterpart[nn]
-                        back = t.vc_chain(xi_n, beta, t.inv(xi_m))
-                        if back not in n.null2:
-                            return "property-2", {
-                                "two_cell": beta, "null_src": m, "null_tgt": nn}
-        elif prop == "1+2":
-            for alpha, m, nn in t.two_cells:
-                if m not in n.null1 or nn not in n.null1:
+                      w: IdealEquivalenceWitness) -> tuple[str, dict] | None:
+    """First violated property among (1)–(4), as ``(clause, cells)``;
+    ``None`` when all hold."""
+    for alpha in n.null2:
+        m, nn = t.src2[alpha], t.tgt2[alpha]
+        if _conjugate(t, w.counterpart, alpha, m, nn) not in n_prime.null2:
+            return "property-1", {"two_cell": alpha}
+    for beta in n_prime.null2:
+        mp, np_ = t.src2[beta], t.tgt2[beta]
+        for m in n.null1:
+            if w.counterpart[m][0] != mp:
+                continue
+            for nn in n.null1:
+                if w.counterpart[nn][0] != np_:
                     continue
-                conj_null = (
-                    _conjugate(t, w.counterpart, alpha, m, nn) in n_prime.null2)
-                if conj_null != (alpha in n.null2):
-                    return "property-1plus2", {"two_cell": alpha}
-        elif prop == "3":
-            for (a, x, b), (rep, nu) in n.replacement.items():
-                np_cell, xi = w.counterpart[x]
-                rep_p, nu_p = n_prime.repl(a, np_cell, b)
-                hat_p, xi_hat = w.counterpart[rep]
-                chi = t.vc_chain(
-                    t.inv(xi_hat), nu, t.lw(b, t.rw(xi, a)), t.inv(nu_p))
-                if not n_prime.is_invertible_null2(t, chi):
-                    return "property-3", {"pre": a, "null": x, "post": b}
-        elif prop == "4":
-            for np_cell in n_prime.null1:
-                m, xi_back = w.counterpart_back[np_cell]
                 _, xi_m = w.counterpart[m]
-                chi = t.vc(t.inv(xi_m), t.inv(xi_back))
-                if not n_prime.is_invertible_null2(t, chi):
-                    return "property-4", {"null": np_cell}
-        elif prop == "4'":
-            for m in n.null1:
-                mp, xi_m = w.counterpart[m]
-                _, xi_back = w.counterpart_back[mp]
-                chi = t.vc(t.inv(xi_back), t.inv(xi_m))
-                if not n.is_invertible_null2(t, chi):
-                    return "property-4prime", {"null": m}
-        else:
-            raise InputError(f"unknown property {prop!r}")
+                _, xi_n = w.counterpart[nn]
+                back = t.vc_chain(xi_n, beta, t.inv(xi_m))
+                if back not in n.null2:
+                    return "property-2", {
+                        "two_cell": beta, "null_src": m, "null_tgt": nn}
+    for (a, x, b), (rep, nu) in n.replacement.items():
+        np_cell, xi = w.counterpart[x]
+        _, nu_p = n_prime.repl(a, np_cell, b)
+        _, xi_hat = w.counterpart[rep]
+        chi = t.vc_chain(
+            t.inv(xi_hat), nu, t.lw(b, t.rw(xi, a)), t.inv(nu_p))
+        if not n_prime.is_invertible_null2(t, chi):
+            return "property-3", {"pre": a, "null": x, "post": b}
+    for np_cell in n_prime.null1:
+        m, xi_back = w.counterpart_back[np_cell]
+        _, xi_m = w.counterpart[m]
+        chi = t.vc(t.inv(xi_m), t.inv(xi_back))
+        if not n_prime.is_invertible_null2(t, chi):
+            return "property-4", {"null": np_cell}
     return None
 
 
 def check_witness(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
-                  w: IdealEquivalenceWitness,
-                  properties: tuple[str, ...] = ("1", "2", "3", "4"),
-                  ) -> Certificate:
+                  w: IdealEquivalenceWitness) -> Certificate:
     """Certificate form of :func:`witness_violation` (shape-checked)."""
     name = "check_witness"
     check_witness_shape(t, n, n_prime, w)
-    violation = witness_violation(t, n, n_prime, w, properties)
+    violation = witness_violation(t, n, n_prime, w)
     if violation is None:
         return Certificate(name, "pass", witness=_witness_dict(w))
     clause, cells = violation

@@ -116,13 +116,10 @@ def validate_pseudofunctor(func: PseudoFunctor) -> Certificate:
             return _fail(name, "compositor-naturality-right", b=b, f=f)
 
     # associativity coherence, over composable triples in table order
-    into: dict[str, list[str]] = {}
-    for f in s.one_ids:
-        into.setdefault(s.tgt1[f], []).append(f)
     for h in s.one_ids:
-        for g in into.get(s.src1[h], ()):
+        for g in s.hom1(None, s.src1[h]):
             hg = s.comp1[(h, g)]
-            for f in into.get(s.src1[g], ()):
+            for f in s.hom1(None, s.src1[g]):
                 gf = s.comp1[(g, f)]
                 lhs = t.vc(func.compositor[(h, gf)],
                            t.lw(func.one[h], func.compositor[(g, f)]))

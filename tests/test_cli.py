@@ -335,20 +335,55 @@ def _drop_compositor_row(body):
     del body["k"]["compositor"][0]
 
 
-@pytest.mark.parametrize("edit", [_drop_ob, _drop_one, _bogus_one,
-                                  _drop_compositor_row],
-                         ids=["drop-ob", "drop-one", "bogus-one",
-                              "drop-compositor-row"])
+#: Edits that leave the `eta` or `epsilon` table malformed; `ideal-from-fs`,
+#: which does not read them, used to exit 0 on each.
+def _drop_eta_component(body):
+    del body["eta"]["component"][next(iter(body["eta"]["component"]))]
+
+
+def _bogus_eta_component(body):
+    body["eta"]["component"][next(iter(body["eta"]["component"]))] = "bogus"
+
+
+def _drop_eta_structure(body):
+    del body["eta"]["structure"][next(iter(body["eta"]["structure"]))]
+
+
+def _bogus_epsilon_structure(body):
+    structure = body["epsilon"]["structure"]
+    structure[next(iter(structure))] = "bogus"
+
+
+_PB1_1CELL = "m0_0to0_e|m0_0to0_e|m0_0to0_e|m0_0to0_e|id_m0_0to0_e"
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_drop_ob, "object map is not indexed by exactly the source objects"),
+    (_drop_one, "1-cell map is not indexed by exactly the source 1-cells"),
+    (_bogus_one, f"1-cell map sends {_PB1_1CELL} to unknown 1-cell bogus"),
+    (_drop_compositor_row, "compositor table is not indexed by exactly the "
+                           "composable pairs of the source"),
+    (_drop_eta_component,
+     "components are not indexed by exactly the source objects"),
+    (_bogus_eta_component,
+     "component at m0_0to0_e names unknown 1-cell bogus"),
+    (_drop_eta_structure,
+     "structure cells are not indexed by exactly the source 1-cells"),
+    (_bogus_epsilon_structure,
+     f"structure cell at {_PB1_1CELL} names unknown 2-cell bogus"),
+], ids=["drop-ob", "drop-one", "bogus-one", "drop-compositor-row",
+        "drop-eta-component", "bogus-eta-component", "drop-eta-structure",
+        "bogus-epsilon-structure"])
 @pytest.mark.parametrize("command", ["validate", "check-fs", "ideal-from-fs"])
-def test_malformed_bundle_functor_is_an_input_error(tmp_path, command, edit):
+def test_malformed_bundle_functor_is_an_input_error(tmp_path, command, edit,
+                                                    error):
     body = json.loads((FIXTURE_DIR / "pb1.bundle.json").read_text())
     edit(body)
     broken = tmp_path / "broken.bundle.json"
     broken.write_text(json.dumps(body))
     proc = run(command, str(broken))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (2, "", f"error: {error}\n")
 
 
 #: The input-selection and budget options each subcommand accepts: --ideal

@@ -175,6 +175,37 @@ def test_chaotic_enrichment_makes_every_parallel_pair_isomorphic():
         assert iso_two_cells(t, f, g)
 
 
+def _grouped(cells):
+    """Cell ids by ``(src, tgt)``, keys in order of first appearance."""
+    out = {}
+    for i, s, tt in cells:
+        out.setdefault((s, tt), []).append(i)
+    return {k: tuple(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["t", "t.dual"])
+@pytest.mark.parametrize("name", CORE_NAMES)
+def test_boundary_index_matches_table_order_scans(name, dual):
+    t = CORE[name].dual if dual else CORE[name]
+    for a in t.objects:
+        assert t.hom1(a, None) == tuple(i for i, s, _ in t.one_cells if s == a)
+        assert t.hom1(None, a) == tuple(
+            i for i, _, tt in t.one_cells if tt == a)
+    for f in t.one_ids:
+        assert t.hom2(f, None) == tuple(i for i, s, _ in t.two_cells if s == f)
+        assert t.hom2(None, f) == tuple(
+            i for i, _, tt in t.two_cells if tt == f)
+    homs1, homs2 = _grouped(t.one_cells), _grouped(t.two_cells)
+    for a in t.objects:
+        for b in t.objects:
+            assert t.hom1(a, b) == homs1.get((a, b), ())
+    for f in t.one_ids:
+        for g in t.one_ids:
+            assert t.hom2(f, g) == homs2.get((f, g), ())
+    assert list(t.parallel_pairs()) == [
+        (f, g) for fs in homs1.values() for f in fs for g in fs]
+
+
 def test_faithful_and_cofaithful_identities():
     t = LD_PB2
     for o in t.objects:

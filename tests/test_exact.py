@@ -1,5 +1,6 @@
 """End-to-end exactness: reports, the equivalence of presentations, pieces."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ from twoexact import (
     zero_ideal_1cat,
 )
 from twoexact import limits
+from twoexact.cli import main
 from twoexact.exact import _cod_projection, _dom_projection
 from twoexact.formats import (
     document_to_two_category,
@@ -275,3 +277,60 @@ def test_grandis_i_stops_at_the_first_inconclusive_subcheck(monkeypatch):
     assert cert.status == "inconclusive"
     assert cert.detail["clause"] == "factorization-system"
     assert called == ["validate_fs"]
+
+
+#: `check-exact` in each mode on shipped fixtures: the exit code and the
+#: sha256 of the stdout lines after the header (which names the input path).
+#: These pin each report's first failing or chosen cells.
+CHECK_EXACT_SHA256 = {
+    ("pb1", "puppe"):
+        (0, "1e1da21f395a11f4c1544c83eabf3d598ab70dae7531b36ac3b1b5b40e5b74dc"),
+    ("pb1", "weak-puppe"):
+        (0, "05d6b7b0de31f50e438240b75a4cae5da0679308db08920572ffba2ffb9fa6c2"),
+    ("pb1", "grandis"):
+        (0, "6aa335d4213d94ac4bdd8a4c4498f710b6713072e8e044d6f7e032b6a71121e5"),
+    ("pb1", "weak-grandis"):
+        (0, "ca89b82723285d4bbd76cfd02ef746ca3c47f4316102c1ae32dd4783adc450ca"),
+    ("pb2", "puppe"):
+        (0, "a7c63d66458b707d8253331436ed4aaef3ac787db6ad1afb56b4cf543713e7c2"),
+    ("pb2", "weak-puppe"):
+        (0, "e49f795c6e5927aa499902082e20bca592e6838fa0c54780d8d2f0b9797e4a25"),
+    ("pb2", "grandis"):
+        (0, "401f9c517de2b41f4ebacf6f9f64f3ae623c1da7aa0ed7e674c03743b45acae9"),
+    ("pb2", "weak-grandis"):
+        (0, "a03c5f6ca741e878f117ed2f858dad8e18954ab464ad67df41940544b6234b47"),
+    ("ct22", "puppe"):
+        (0, "8a3754bba0743d507d753b412dd5e09deebad4a792fbd2c5ece7356dfa3ccb1d"),
+    ("ct22", "weak-puppe"):
+        (0, "28704a54f20dfac382440b3b8c1311536436a8ba796beb520e397ad8382ebc4a"),
+    ("ct22", "grandis"):
+        (0, "d1eb6830d9572829840d7f17f99cf4d271fb96d9450758ad5cbef2cf4f3cdfb9"),
+    ("ct22", "weak-grandis"):
+        (0, "4090268d8a9411b5ce2e40cf0931cfafe5ed458c055dfe114c61a8ebc097b407"),
+    ("ps2", "puppe"):
+        (1, "96e9e24c198d2d2b2305b52d4e44180bdba4109304237a34ba002e5791bc04e0"),
+    ("ps2", "weak-puppe"):
+        (1, "bea26b99799d354a28c454499478e391a6a0d3849cc6e909bd277bcf24358db8"),
+    ("ps2", "grandis"):
+        (1, "7fbd8aa06c0fbf8c1fac06bc2963bb98009dbcbc7050f376ad6b70c0740b4351"),
+    ("ps2", "weak-grandis"):
+        (1, "94bbb1f7f81d96eb23210e4591552c1eec442a174d8a3aa290de122357bc8119"),
+    ("ch_pb1", "puppe"):
+        (0, "3efa019888c3d429c123128a853ba5a2988c925210466f706a2d6e977f28f685"),
+    ("ch_pb1", "weak-puppe"):
+        (0, "3b29f01decbda026ea7f0d3bd574aff9d9eb0ffc951ca53751556aa144b79948"),
+    ("ch_pb1", "grandis"):
+        (0, "94234dcdc4b12ace78d150a402db85a174b1e105e399f25d87e00d28f7381f0f"),
+    ("ch_pb1", "weak-grandis"):
+        (0, "059c230571c7019e38c5f4a7509265b334dcfc8fa7d6fba7fba60b8582ab7354"),
+}
+
+
+@pytest.mark.parametrize("fixture, mode", CHECK_EXACT_SHA256,
+                         ids=[" ".join(k) for k in CHECK_EXACT_SHA256])
+def test_check_exact_output_is_pinned(capsys, fixture, mode):
+    code = main(["check-exact", "--mode", mode,
+                 str(FIXTURE_DIR / f"{fixture}.2cat.json")])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest()) \
+        == CHECK_EXACT_SHA256[(fixture, mode)]

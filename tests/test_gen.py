@@ -203,6 +203,46 @@ def test_mutate_output_bytes_are_pinned(capsys, operator, fixture):
     assert digest.hexdigest() == MUTATE_SHA256[(operator, fixture)]
 
 
+#: `validate` on each mutant of `MUTATE_SHA256` at seeds 0-9: the exit codes
+#: in seed order, and the sha256 of the stdout lines after the header (which
+#: names the input path), concatenated in seed order.  These pin the first
+#: violation each validator cites.
+VALIDATE_MUTANT_SHA256 = {
+    ("retarget-vcomp", "pb2.2cat"):
+        "e658455c396120b8b1ac292edb190012131ddca1b83b3dfe6862029a689457ac",
+    ("retarget-vcomp", "ch_pb1.2cat"):
+        "bf4fa3689192868edf164173b12f4b8c4d5f968c12f353fd02dd78641cde18a3",
+    ("drop-null-2cell", "pb2.ideal"):
+        "8b68cbeff3f52110e32deb5f4981bf9e19a08c2b5185e3a0f85766207a9c22b6",
+    ("break-compositor", "pb1.pf"):
+        "3fbe0214b75212377c44b52870bf32e5f83c791b4ef0de8dadb2d874362ed339",
+    ("drop-M-translate", "ct22.fs"):
+        "3b2ce73068062c5d58d4acd28f7b8417dfe0f518bf6768acf4097ddd0628e2e4",
+    ("swap-structure-cell", "pb1.pn"):
+        "37d074bae05bfa8cbcefa8a7fc99cba4863b6c7601658680b5549eab1259b84b",
+    ("remove-eta-inverse", "pb1.pn"):
+        "899cd105472c3cb57756c25cdf2eec15f4daf75f2783d32eb6831cec1ef23259",
+}
+
+
+@pytest.mark.parametrize("operator, fixture", VALIDATE_MUTANT_SHA256,
+                         ids=[" ".join(k) for k in VALIDATE_MUTANT_SHA256])
+def test_validate_output_on_mutants_is_pinned(capsys, tmp_path, operator,
+                                              fixture):
+    digest = hashlib.sha256()
+    codes = []
+    mutant = tmp_path / "mutant.json"
+    for seed in range(10):
+        mutant.write_text(_cli(capsys, "mutate",
+                               str(FIXTURE_DIR / f"{fixture}.json"), operator,
+                               "--seed", str(seed)), encoding="utf-8")
+        codes.append(main(["validate", str(mutant)]))
+        out = capsys.readouterr().out
+        digest.update(out.split("\n", 1)[1].encode())
+    assert codes == [1] * 10
+    assert digest.hexdigest() == VALIDATE_MUTANT_SHA256[(operator, fixture)]
+
+
 def _siteless():
     """Per operator, an entity of the right shape where no single fault
     defeats the target validator (the terminal 2-category has one cell in
