@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 from .closure import is_closed_ideal
 from .core import (CapExceeded, Certificate, InputError, TwoCategory,
-                   validate_two_category)
+                   check_shape, validate_two_category)
 from .exact import (check_grandis_i, check_grandis_ii, check_puppe,
                     fs_from_ideal, ideal_from_fs, three_pieces)
 from .factor import (FactorizationSystem, check_weak_two_fibration,
@@ -88,11 +88,15 @@ def _write_product(doc: Document, out: str | None) -> None:
 def _base_and_ideal(args) -> tuple[TwoCategory, TwoIdeal]:
     """The working 2-category and ideal: from the main file when it is a
     two_ideal document, from --ideal when given (its base tables must match
-    the main file's), and the canonical bizero ideal otherwise."""
+    the main file's), and the canonical bizero ideal otherwise.  The base
+    tables are shape-checked before anything else reads them."""
     doc = _load(args.file)
     if doc.kind == "two_ideal" and args.ideal is None:
-        return document_to_two_ideal(doc)
+        t, n = document_to_two_ideal(doc)
+        check_shape(t)
+        return t, n
     t = document_to_two_category(doc)
+    check_shape(t)
     if args.ideal is not None:
         t2, n = document_to_two_ideal(_load(args.ideal))
         if t2 != t:

@@ -176,24 +176,44 @@ def _violations(t: TwoCategory, n: TwoIdeal) -> Iterator[tuple[str, dict[str, st
                     yield "ax3", {"n": x, "alpha": alpha, "beta": beta,
                                   "conjugate": cell}
 
-    # ax4: iterated replacement agrees with direct replacement
-    vcomp, lwhisker, rwhisker, comp1 = (t.vcomp, t.lwhisker, t.rwhisker,
-                                        t.comp1)
-    repl, null2s, inv2 = n.replacement, n.null2, t.inverse2
-    post = {b: [(b2, comp1[(b2, b)]) for b2 in t.hom1(t.tgt1[b], None)]
-            for b in t.one_ids}
+    # ax4: iterated replacement agrees with direct replacement.  The
+    # comparison is ν_{a∘a2, n, b2∘b} · (b2 ⋆ (ν1⁻¹ ⋆ a2)) · ν_{a2, m, b2}⁻¹.
+    # Over b2 in post(b) its direct factor depends only on (a∘a2, n, b), and
+    # its iterated factor only on (ν1, a2): ν1 fixes m and the target of b
+    # once the replacement boundaries hold.  Each row of factors is built
+    # once and numbered by content; each pair of row numbers is checked
+    # once, keeping the positions in post(b) where the comparison fails.
+    vcomp, comp1, repl, inv2 = t.vcomp, t.comp1, n.replacement, t.inverse2
+    good = n.null2.intersection(inv2)
+    numbers: dict[tuple[str, ...], int] = {}
+    direct, iterated, failing = {}, {}, {}
+
+    def numbered(row):
+        return numbers.setdefault(row, len(numbers)), row
+
     for (a, x, b), (m, nu1) in repl.items():
-        inv_nu1 = inv2[nu1]
-        row = post[b]
+        post = t.hom1(t.tgt1[b], None)
         for a2 in t.hom1(None, t.src1[a]):
             aa = comp1[(a, a2)]
-            inner_a = rwhisker[(inv_nu1, a2)]
-            for b2, bb in row:
-                cell = vcomp[(repl[(aa, x, bb)][1], vcomp[
-                    (lwhisker[(b2, inner_a)], inv2[repl[(a2, m, b2)][1]])])]
-                if cell not in null2s or cell not in inv2:
-                    yield "ax4", {"a": a, "n": x, "b": b, "a2": a2, "b2": b2,
-                                  "comparison": cell}
+            d = direct.get((aa, x, b))
+            if d is None:
+                d = direct[(aa, x, b)] = numbered(tuple(
+                    repl[(aa, x, comp1[(b2, b)])][1] for b2 in post))
+            i = iterated.get((nu1, a2))
+            if i is None:
+                inner = t.rwhisker[(inv2[nu1], a2)]
+                i = iterated[(nu1, a2)] = numbered(tuple(
+                    vcomp[(t.lwhisker[(b2, inner)],
+                           inv2[repl[(a2, m, b2)][1]])] for b2 in post))
+            bad = failing.get((d[0], i[0]))
+            if bad is None:
+                bad = failing[(d[0], i[0])] = [
+                    (j, cell) for j, cell in enumerate(
+                        map(vcomp.__getitem__, zip(d[1], i[1])))
+                    if cell not in good]
+            for j, cell in bad:
+                yield "ax4", {"a": a, "n": x, "b": b, "a2": a2, "b2": post[j],
+                              "comparison": cell}
 
 
 def validate_two_ideal(t: TwoCategory, n: TwoIdeal) -> Certificate:

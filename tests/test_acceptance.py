@@ -1,4 +1,5 @@
-"""Acceptance suite: the ten headline guarantees, each with a runtime bound.
+"""Acceptance suite: the ten headline guarantees and the timing guards, each
+with a runtime bound.
 
 Every test prints exactly one `ACCEPTANCE nn <label>: PASS/FAIL` line on the
 live terminal (bypassing capture) and fails if its wall-clock budget is
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from clirun import run_cli
-from family import CORE, CORE_NAMES, CT22, PB2, PS2, ZERO_IDEALS, epi_mono_fs
+from family import (CORE, CORE_NAMES, CT22, LD_PB3, PB2, PS2, ZERO_IDEALS,
+                    epi_mono_fs)
 from twoexact import (
     bizero_objects,
     biisoinserter,
@@ -265,3 +267,11 @@ def test_criterion_10_format_laws_and_cli_determinism(criterion):
     gen_b = run("gen", "locally-discrete", "partial-bijections", "2")
     assert gen_a == gen_b
     assert gen_a[1] == Path(target).read_text(encoding="utf-8")
+
+
+def test_guard_11_ideal_axioms_on_pb3(criterion):
+    # the ax4 sweep walks 11.5M instances on pb3 and checks each distinct
+    # pair of comparison rows once
+    n = canonical_zero_ideal(LD_PB3)
+    criterion(11, "ideal axioms on the canonical ideal of pb3", 5.0)
+    assert validate_two_ideal(LD_PB3, n).ok

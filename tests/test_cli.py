@@ -386,6 +386,21 @@ def test_malformed_bundle_functor_is_an_input_error(tmp_path, command, edit,
         == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("table", ["vcomp", "lwhisker", "comp1"])
+def test_malformed_ideal_base_is_an_input_error(tmp_path, table):
+    # check-ideal shape-checks the base as validate does, before its header
+    body = json.loads((FIXTURE_DIR / "pb2.ideal.json").read_text())
+    del body[table][-1]
+    broken = tmp_path / "broken.ideal.json"
+    broken.write_text(json.dumps(body))
+    validate = run("validate", str(broken))
+    assert validate.returncode == 2 and validate.stdout == ""
+    assert validate.stderr.startswith(f"error: {table} keys do not match")
+    check = run("check-ideal", str(broken))
+    assert (check.returncode, check.stdout, check.stderr) \
+        == (2, "", validate.stderr)
+
+
 #: The input-selection and budget options each subcommand accepts: --ideal
 #: where it reads an ideal document, --fs where it reads a factorization
 #: system, --cap where it runs a capped search or prints a header.

@@ -1,6 +1,9 @@
 """Null-cell classes with replacement: validity, duals, canonical forms."""
 
 import dataclasses
+import hashlib
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,12 +13,16 @@ from family import (
     CH_PB1,
     CORE,
     CORE_NAMES,
+    CT22,
     LD_PB2,
     NO_ZERO,
     NO_ZERO_IDEAL,
+    PB2,
+    PS2,
     ZERO_IDEALS,
 )
 from twoexact import (
+    Certificate,
     InputError,
     bizero_objects,
     canonical_zero_ideal,
@@ -28,6 +35,10 @@ from twoexact import (
     replay_two_ideal_counterexample,
     validate_two_ideal,
 )
+from twoexact.cli import main
+from twoexact.ideal import _violations
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.mark.parametrize("name", CORE_NAMES)
@@ -164,3 +175,177 @@ def test_ideal_validation_rejects_unknown_cells():
         n, null_one_cells=n.null_one_cells + ("m99_missing",))
     with pytest.raises(InputError):
         validate_two_ideal(t, broken)
+
+
+# ---------------------------------------------------------------------------
+# ax3 and ax4 against a naive reference
+# ---------------------------------------------------------------------------
+
+def _retargeted_maximal_ideal(t, seed):
+    """The maximal ideal of a chaotic 2-category with every replacement but
+    the identity ones ``(id, n, id)`` moved to a seeded parallel 1-cell,
+    through the one (invertible) 2-cell between the two."""
+    rng = random.Random(seed)
+    n = maximal_two_ideal(t)
+    repl = {}
+    for (a, x, b), (c, nu) in n.replacement.items():
+        if (a, b) != (t.id1[t.src1[x]], t.id1[t.tgt1[x]]):
+            c2 = rng.choice(t.hom1(t.src1[c], t.tgt1[c]))
+            nu = t.hom2(c, c2)[0]
+            c = c2
+        repl[(a, x, b)] = (c, nu)
+    return dataclasses.replace(n, replacement=repl)
+
+
+def _dropped(t, n, share, seed):
+    """``n`` without a seeded ``share`` of its non-identity null 2-cells."""
+    rng = random.Random(seed)
+    ids = set(t.id2.values())
+    return dataclasses.replace(n, null_two_cells=tuple(
+        c for c in n.null_two_cells if c in ids or rng.random() >= share))
+
+
+def _naive_ax3(t, n):
+    for x in n.null_one_cells:
+        for alpha in t.two_ids:
+            a, a2 = t.src2[alpha], t.tgt2[alpha]
+            if t.tgt1[a] != t.src1[x]:
+                continue
+            for beta in t.two_ids:
+                b, b2 = t.src2[beta], t.tgt2[beta]
+                if t.src1[b] != t.tgt1[x]:
+                    continue
+                mid = t.hc(beta, t.hc(t.id2_of(x), alpha))
+                cell = t.vc_chain(n.repl(a2, x, b2)[1], mid,
+                                  t.inv(n.repl(a, x, b)[1]))
+                if cell not in n.null2:
+                    yield "ax3", {"n": x, "alpha": alpha, "beta": beta,
+                                  "conjugate": cell}
+
+
+def _naive_ax4(t, n):
+    for (a, x, b), (m, nu1) in n.replacement.items():
+        for a2 in t.one_ids:
+            if t.tgt1[a2] != t.src1[a]:
+                continue
+            for b2 in t.one_ids:
+                if t.src1[b2] != t.tgt1[b]:
+                    continue
+                direct = n.repl(t.cmp1(a, a2), x, t.cmp1(b2, b))[1]
+                iterated = t.vc(t.lw(b2, t.rw(t.inv(nu1), a2)),
+                                t.inv(n.repl(a2, m, b2)[1]))
+                cell = t.vc(direct, iterated)
+                if not n.is_invertible_null2(t, cell):
+                    yield "ax4", {"a": a, "n": x, "b": b, "a2": a2, "b2": b2,
+                                  "comparison": cell}
+
+
+def _reference(t, n):
+    """The sweep's items before ax3, then ax3 and ax4 recomputed naively:
+    one instance at a time, each factor composed afresh."""
+    head = [v for v in _violations(t, n) if v[0] not in ("ax3", "ax4")]
+    return head + list(_naive_ax3(t, n)) + list(_naive_ax4(t, n))
+
+
+_CHAOTIC = {"ch_pb2": chaotic_enrichment(PB2),
+            "ch_ps2": chaotic_enrichment(PS2),
+            "ch_ct22": chaotic_enrichment(CT22)}
+_DIFFERENTIAL = {
+    **{name: (CORE[name], ZERO_IDEALS[name]) for name in CORE_NAMES},
+    **{f"{name} drop {share}": (t, _dropped(
+        t, _retargeted_maximal_ideal(t, 1), share, 1))
+       for name, t in _CHAOTIC.items() for share in (0.0, 0.05, 0.3)},
+}
+
+
+@pytest.mark.parametrize("name", _DIFFERENTIAL)
+def test_violations_match_the_naive_ax3_ax4_reference(name):
+    t, n = _DIFFERENTIAL[name]
+    sweep = list(_violations(t, n))
+    assert sweep == _reference(t, n)
+    if name.endswith("drop 0.3"):
+        assert {"closure-vcomp", "ax2", "ax3", "ax4"} \
+            <= {clause for clause, _ in sweep}
+
+
+def _next(cells, cell):
+    return cells[(cells.index(cell) + 1) % len(cells)]
+
+
+@pytest.mark.parametrize("clause", ["ax3", "ax4"])
+def test_ax3_and_ax4_items_replay_until_tampered(clause):
+    t, n = _DIFFERENTIAL["ch_pb2 drop 0.3"]
+
+    def hom_of(cell):
+        f = t.src2[cell]
+        return t.hom1(t.src1[f], t.tgt1[f])
+
+    # an ax3 item whose whiskering 2-cells can be moved to another target
+    cells = next(c for k, c in _violations(t, n) if k == clause and (
+        clause == "ax4" or min(len(hom_of(c["alpha"])),
+                               len(hom_of(c["beta"]))) > 1))
+
+    def replays(cited):
+        return replay_two_ideal_counterexample(t, n, Certificate(
+            "validate_two_ideal", "fail",
+            counterexample={"clause": clause, "cells": cited}))
+
+    assert replays(cells)
+    if clause == "ax3":
+        # a2 and b2 are the targets of the whiskering 2-cells alpha, beta
+        # (a chaotic hom has one 2-cell between any two of its 1-cells)
+        def retargeted(cell):
+            return t.hom2(t.src2[cell], _next(hom_of(cell), t.tgt2[cell]))[0]
+
+        tampered = [
+            {**cells, "alpha": retargeted(cells["alpha"])},
+            {**cells, "beta": retargeted(cells["beta"])},
+            {**cells, "conjugate": t.id2[t.src2[cells["conjugate"]]]}]
+    else:
+        a, b = cells["a"], cells["b"]
+        tampered = [
+            {**cells, "a2": _next(t.hom1(None, t.src1[a]), cells["a2"])},
+            {**cells, "b2": _next(t.hom1(t.tgt1[b], None), cells["b2"])},
+            {**cells, "comparison": t.id2[t.src2[cells["comparison"]]]}]
+    for cited in tampered:
+        assert cited != cells
+        assert not replays(cited)
+
+
+# ---------------------------------------------------------------------------
+# check-ideal output
+# ---------------------------------------------------------------------------
+
+#: `check-ideal` on shipped fixtures and on `drop-null-2cell` mutants of
+#: `pb2.ideal` (by seed): the exit code and the sha256 of the stdout lines
+#: after the header (which names the input path).
+CHECK_IDEAL_SHA256 = {
+    "pb3.2cat":
+        (0, "79372507e35a63de9ad4962026688058717355730c55bc565a12fdd990afb427"),
+    "pb2.2cat":
+        (0, "07f3a4998a76f6efe40075426a71b131cff4e43d3f1ca84300ec4b956fe2d248"),
+    "pb2.ideal":
+        (0, "07f3a4998a76f6efe40075426a71b131cff4e43d3f1ca84300ec4b956fe2d248"),
+    "ct22.2cat":
+        (0, "23ebebed531649a33f780d90a9f3e6232f0d8ac92370c784a6b5f7fe8d51cf56"),
+    "ps2.2cat":
+        (0, "8beeb2780a35556efc77067f2626d12c5327d7b33a43399fe270924311345e94"),
+    "drop-null-2cell 0":
+        (1, "1a8babc9725fe998e4c1b0df056f8ef2d891b59c080d38060d283b78f1a8ec05"),
+    "drop-null-2cell 1":
+        (1, "082870df74c56267b331f29b9f349057ae619bf5d14ff90fa6abf5334744e2be"),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_IDEAL_SHA256)
+def test_check_ideal_output_is_pinned(capsys, tmp_path, name):
+    path = FIXTURE_DIR / f"{name}.json"
+    if name.startswith("drop-null-2cell"):
+        path = tmp_path / "mutant.json"
+        assert main(["mutate", str(FIXTURE_DIR / "pb2.ideal.json"),
+                     "drop-null-2cell", "--seed", name.split()[1],
+                     "--out", str(path)]) == 0
+    code = main(["check-ideal", str(path)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest()) \
+        == CHECK_IDEAL_SHA256[name]
