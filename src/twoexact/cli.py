@@ -134,13 +134,17 @@ def _cmd_validate(args) -> int:
     if doc.kind == "two_category":
         certs.append(validate_two_category(document_to_two_category(doc)))
     elif doc.kind == "two_ideal":
+        # the ideal and factorization checks compose cells that only a
+        # lawful base makes composable, so they run on a passing base only
         t, n = document_to_two_ideal(doc)
         certs.append(validate_two_category(t))
-        certs.append(validate_two_ideal(t, n))
+        if certs[-1].ok:
+            certs.append(validate_two_ideal(t, n))
     elif doc.kind == "factorization_system":
         t, fs = document_to_fs(doc)
         certs.append(validate_two_category(t))
-        certs.append(validate_fs(t, fs, args.cap))
+        if certs[-1].ok:
+            certs.append(validate_fs(t, fs, args.cap))
     elif doc.kind == "pseudofunctor":
         certs.append(validate_pseudofunctor(document_to_pseudofunctor(doc)))
     elif doc.kind == "pseudonatural":

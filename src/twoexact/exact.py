@@ -6,7 +6,8 @@ cokernels everywhere, closedness, each kernel being a kernel of its
 cokernel and dually, cokernel-then-kernel factorization) and
 ``check_grandis_i`` the factorization-system side (validity, properness,
 both weak 2-(op)fibration directions, and the kernel/cokernel functors
-forming a biequivalence over the base).  ``fs_from_ideal`` and
+forming a biequivalence over the base, read off the squares of the two
+pseudo-arrow 2-categories).  ``fs_from_ideal`` and
 ``ideal_from_fs`` realize the two directions constructively, and
 ``three_pieces`` computes the cokernel--middle--kernel factorization of a
 single 1-cell together with its dual route and the connecting 2-cell.
@@ -30,8 +31,7 @@ from .limits import (CokernelPresentation, KernelPresentation,
                      is_two_kernel, kernel_factor,
                      kernel_presentations_by_arrow, two_cokernels, two_kernels)
 from .pseudo import (PseudoFunctor, PseudoNatural, compose_pseudofunctors,
-                     identity_pseudofunctor, is_biequivalence_over_base,
-                     strict_two_functor)
+                     identity_pseudofunctor, is_biequivalence_over_base)
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +204,6 @@ def check_puppe(t: TwoCategory, weak: bool = False,
 # the factorization-system side
 # ---------------------------------------------------------------------------
 
-def _dom_projection(arrow: ArrowTwoCategory) -> PseudoFunctor:
-    base, cat = arrow.base, arrow.cat
-    return strict_two_functor(
-        cat, base,
-        ob={e: base.src1[e] for e in arrow.members},
-        one={sid: arrow.square(sid)[0] for sid in cat.one_ids},
-        two={tid: arrow.pair(tid)[0] for tid in cat.two_ids})
-
-
-def _cod_projection(arrow: ArrowTwoCategory) -> PseudoFunctor:
-    base, cat = arrow.base, arrow.cat
-    return strict_two_functor(
-        cat, base,
-        ob={e: base.tgt1[e] for e in arrow.members},
-        one={sid: arrow.square(sid)[1] for sid in cat.one_ids},
-        two={tid: arrow.pair(tid)[1] for tid in cat.two_ids})
-
-
 def check_grandis_i(t: TwoCategory, fs: FactorizationSystem,
                     k: PseudoFunctor, c: PseudoFunctor,
                     eta: PseudoNatural, epsilon: PseudoNatural,
@@ -239,8 +221,7 @@ def check_grandis_i(t: TwoCategory, fs: FactorizationSystem,
         ("fibration-cod", lambda: check_weak_two_fibration(t, fs, "cod", cap)),
         ("fibration-dom", lambda: check_weak_two_fibration(t, fs, "dom", cap)),
         ("biequivalence", lambda: is_biequivalence_over_base(
-            _dom_projection(arrow_subcat(t, fs.left_class)),
-            _cod_projection(arrow_subcat(t, fs.right_class)),
+            arrow_subcat(t, fs.left_class), arrow_subcat(t, fs.right_class),
             k, c, eta, epsilon)),
     )
     for tag, run in subchecks:
@@ -617,23 +598,14 @@ class ThreePieces:
 
 
 def three_pieces(t: TwoCategory, n: TwoIdeal, f: str,
-                 closedness: str = "closed",
                  cap: int | None = None) -> ThreePieces:
     """Factor ``f`` as (cokernel of its kernel) then a middle piece then
     (kernel of its cokernel).
 
     The middle piece exists because the cokernel of the kernel coreflects
     null morphisms — full closedness of the ideal.  Weak coreflection is
-    not enough for this construction, so ``closedness="weak"`` refuses
-    explicitly rather than attempt it.
+    not enough for this construction, so there is no weak variant.
     """
-    if closedness == "weak":
-        raise InputError(
-            "the middle piece needs the cokernel of the kernel to coreflect "
-            "null morphisms; weak coreflection does not suffice, so the "
-            "construction refuses closedness='weak'")
-    if closedness != "closed":
-        raise InputError(f"unknown closedness grade {closedness!r}")
     if f not in t.src1:
         raise InputError(f"unknown 1-cell {f}")
     budget = Budget(cap, "three_pieces")

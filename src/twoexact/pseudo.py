@@ -3,9 +3,9 @@ transformations, and biequivalences over a common base.
 
 All structure maps are explicit tables; validation checks totality, cell
 boundaries, normalization on identities, compositor invertibility and
-naturality, and the associativity coherence.  A pseudofunctor with identity
-compositors is a strict 2-functor; the projection functors used elsewhere in
-the package are built that way.
+naturality, and the associativity coherence.  A biequivalence over the
+base is checked between two pseudo-arrow 2-categories: the ``dom`` and
+``cod`` projections are read off their squares, never built as functors.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from typing import Mapping
 from .core import (
     Certificate, InputError, TwoCategory, _fail, is_equivalence,
 )
+from .factor import ArrowTwoCategory
 
 
 @dataclass(frozen=True)
@@ -143,18 +144,6 @@ def identity_pseudofunctor(t: TwoCategory) -> PseudoFunctor:
     )
 
 
-def strict_two_functor(source: TwoCategory, target: TwoCategory,
-                       ob: Mapping[str, str], one: Mapping[str, str],
-                       two: Mapping[str, str]) -> PseudoFunctor:
-    """A pseudofunctor with identity compositors; caller supplies maps that
-    preserve composition on the nose."""
-    return PseudoFunctor(
-        source=source, target=target, ob=dict(ob), one=dict(one), two=dict(two),
-        compositor={(g, f): target.id2[target.cmp1(one[g], one[f])]
-                    for (g, f) in source.comp1},
-    )
-
-
 def compose_pseudofunctors(outer: PseudoFunctor, inner: PseudoFunctor) -> PseudoFunctor:
     """``outer ∘ inner`` with the pasted compositors
     ``outer(φ^inner_{g,f}) · φ^outer_{inner g, inner f}``."""
@@ -280,46 +269,71 @@ def validate_pseudonatural(nat: PseudoNatural,
 # biequivalence over a base
 # ---------------------------------------------------------------------------
 
-def is_biequivalence_over_base(p: PseudoFunctor, q: PseudoFunctor,
+def _over_base_failure(name: str, func: PseudoFunctor,
+                       src: ArrowTwoCategory, tgt: ArrowTwoCategory,
+                       side: int, composite: str,
+                       projection: str) -> Certificate | None:
+    """The first way ``func`` fails to lie over the base, or None.  Part
+    ``1 - side`` (0 is dom, 1 is cod) of each image must equal part ``side``
+    of its argument, and part ``1 - side`` of each compositor must be an
+    identity; a failure names the comparison as ``composite`` against
+    ``projection``, as in ``Q∘K≠P``."""
+    base = src.base
+    ends = (base.src1, base.tgt1)
+    image = {s: tgt.square(v)[1 - side] for s, v in func.one.items()}
+    if not (all(ends[1 - side][v] == ends[side][x]
+                for x, v in func.ob.items())
+            and all(v == src.square(s)[side] for s, v in image.items())
+            and all(tgt.pair(v)[1 - side] == src.pair(a)[side]
+                    for a, v in func.two.items())):
+        return _fail(name, "not-over-base", which=f"{composite}≠{projection}")
+    for (g, f), phi in func.compositor.items():
+        projected = base.vc(tgt.pair(phi)[1 - side],
+                            base.id2[base.cmp1(image[g], image[f])])
+        if projected != base.id2[base.cmp1(src.square(g)[side],
+                                           src.square(f)[side])]:
+            return _fail(name, "not-over-base",
+                         which=f"{composite}-compositor", at=[g, f])
+    return None
+
+
+def is_biequivalence_over_base(e_arrow: ArrowTwoCategory,
+                               m_arrow: ArrowTwoCategory,
                                k: PseudoFunctor, c: PseudoFunctor,
                                eta: PseudoNatural, epsilon: PseudoNatural) -> Certificate:
-    """Whether ``K`` and ``C`` form a biequivalence between the sources of
-    ``P`` and ``Q``, strictly over the common base, with unit
-    ``η: Id ⇒ C∘K`` and counit ``ε: K∘C ⇒ Id`` whose projections are
-    identities.
+    """Whether ``K`` and ``C`` form a biequivalence between the pseudo-arrow
+    2-categories of the left class E and the right class M, strictly over
+    the common base, with unit ``η: Id ⇒ C∘K`` and counit ``ε: K∘C ⇒ Id``
+    whose projections are identities.
+
+    "Over the base" is read off the squares: ``P`` is ``dom`` on E's
+    2-category and ``Q`` is ``cod`` on M's, so ``Q∘K = P`` says the cod part
+    of ``K(x)`` is the dom part of ``x``, and ``P∘C = Q`` the converse.  The
+    projections are strict 2-functors by construction and are never built.
 
     Over-ness failures and equivalence failures are reported under distinct
     clauses.
     """
     name = "is_biequivalence_over_base"
-    top, bottom = p.source, p.target
-    if q.target != bottom:
+    top, bottom, right = e_arrow.cat, e_arrow.base, m_arrow.cat
+    if m_arrow.base != bottom:
         raise InputError("projections do not share their base")
-    if k.source != top or k.target != q.source:
+    if k.source != top or k.target != right:
         raise InputError("K does not run between the projections' sources")
-    if c.source != q.source or c.target != top:
+    if c.source != right or c.target != top:
         raise InputError("C does not run opposite K")
 
-    for func, tag in ((p, "P"), (q, "Q"), (k, "K"), (c, "C")):
+    for func, tag in ((k, "K"), (c, "C")):
         cert = validate_pseudofunctor(func)
         if not cert.ok:
             return _fail(name, "functor-invalid", which=tag,
                          inner=cert.counterexample)
 
-    qk = compose_pseudofunctors(q, k)
-    if not (dict(qk.ob) == dict(p.ob) and dict(qk.one) == dict(p.one)
-            and dict(qk.two) == dict(p.two)):
-        return _fail(name, "not-over-base", which="Q∘K≠P")
-    for key, phi in qk.compositor.items():
-        if phi != p.compositor[key]:
-            return _fail(name, "not-over-base", which="Q∘K-compositor", at=list(key))
-    pc = compose_pseudofunctors(p, c)
-    if not (dict(pc.ob) == dict(q.ob) and dict(pc.one) == dict(q.one)
-            and dict(pc.two) == dict(q.two)):
-        return _fail(name, "not-over-base", which="P∘C≠Q")
-    for key, phi in pc.compositor.items():
-        if phi != q.compositor[key]:
-            return _fail(name, "not-over-base", which="P∘C-compositor", at=list(key))
+    for args in ((k, e_arrow, m_arrow, 0, "Q∘K", "P"),
+                 (c, m_arrow, e_arrow, 1, "P∘C", "Q")):
+        failure = _over_base_failure(name, *args)
+        if failure is not None:
+            return failure
 
     ck = compose_pseudofunctors(c, k)
     ident_top = identity_pseudofunctor(top)
@@ -327,7 +341,7 @@ def is_biequivalence_over_base(p: PseudoFunctor, q: PseudoFunctor,
             and pseudofunctors_equal(eta.target_functor, ck)):
         return _fail(name, "unit-endpoints")
     kc = compose_pseudofunctors(k, c)
-    ident_s = identity_pseudofunctor(q.source)
+    ident_s = identity_pseudofunctor(right)
     if not (pseudofunctors_equal(epsilon.source_functor, kc)
             and pseudofunctors_equal(epsilon.target_functor, ident_s)):
         return _fail(name, "counit-endpoints")
@@ -343,20 +357,19 @@ def is_biequivalence_over_base(p: PseudoFunctor, q: PseudoFunctor,
                 return _fail(name, f"{tag}-component-not-equivalence",
                              object=x, component=comp)
 
-    # over-ness of the unit and counit: projected components are identity
-    # 1-cells, projected structure cells are identity 2-cells
-    for x, comp in eta.component.items():
-        if p.one[comp] != bottom.id1[p.ob[x]]:
-            return _fail(name, "unit-not-over-base", object=x, component=comp)
-    for h, cell in eta.structure.items():
-        if p.two[cell] != bottom.id2[p.one[h]]:
-            return _fail(name, "unit-structure-not-over-base", one_cell=h)
-    for x, comp in epsilon.component.items():
-        if q.one[comp] != bottom.id1[q.ob[x]]:
-            return _fail(name, "counit-not-over-base", object=x, component=comp)
-    for h, cell in epsilon.structure.items():
-        if q.two[cell] != bottom.id2[q.one[h]]:
-            return _fail(name, "counit-structure-not-over-base", one_cell=h)
+    # over-ness of the unit and counit: η's components and structure cells
+    # have identity dom parts, ε's identity cod parts
+    for nat, arrow, side, tag in ((eta, e_arrow, 0, "unit"),
+                                  (epsilon, m_arrow, 1, "counit")):
+        end = (bottom.src1, bottom.tgt1)[side]
+        for x, comp in nat.component.items():
+            if arrow.square(comp)[side] != bottom.id1[end[x]]:
+                return _fail(name, f"{tag}-not-over-base", object=x,
+                             component=comp)
+        for h, cell in nat.structure.items():
+            if arrow.pair(cell)[side] != bottom.id2[arrow.square(h)[side]]:
+                return _fail(name, f"{tag}-structure-not-over-base",
+                             one_cell=h)
 
     return Certificate(name, "pass", witness={
         "unit_components": len(eta.component),

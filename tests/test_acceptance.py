@@ -50,7 +50,6 @@ from twoexact import (
     validate_two_ideal,
     zero_ideal_1cat,
 )
-from twoexact.exact import _cod_projection, _dom_projection
 from twoexact.factor import arrow_subcat
 from twoexact.formats import canonicalize, parse, serialize
 
@@ -236,8 +235,8 @@ def test_criterion_09_quotients_match_subobjects(criterion):
                              tuple(sorted(right))).ok, name
         fs, k, c, eta, epsilon = fs_from_ideal(t, n)
         cert = is_biequivalence_over_base(
-            _dom_projection(arrow_subcat(t, fs.left_class)),
-            _cod_projection(arrow_subcat(t, fs.right_class)),
+            arrow_subcat(t, fs.left_class),
+            arrow_subcat(t, fs.right_class),
             k, c, eta, epsilon)
         assert cert.ok, (name, cert.counterexample)
 

@@ -9,6 +9,7 @@ import pytest
 
 from clirun import run_cli as run
 from family import LD_PB2, ZERO_IDEALS
+from twoexact import chaotic_enrichment, maximal_two_ideal, partial_bijections
 from twoexact.cli import _build_parser
 from twoexact.formats import parse, serialize, two_ideal_to_document
 
@@ -399,6 +400,40 @@ def test_malformed_ideal_base_is_an_input_error(tmp_path, table):
     check = run("check-ideal", str(broken))
     assert (check.returncode, check.stdout, check.stderr) \
         == (2, "", validate.stderr)
+
+
+def _chaotic_pb2_maximal_ideal():
+    t = chaotic_enrichment(partial_bijections(2))
+    return json.loads(serialize(two_ideal_to_document(
+        t, maximal_two_ideal(t))))
+
+
+@pytest.mark.parametrize("load, find, moved_to", [
+    (_chaotic_pb2_maximal_ideal,
+     lambda body: next(r for r in body["lwhisker"]
+                       if (r["h"], r["a"]) == ("m01_0to1_e", "c09x09")),
+     "c00x00"),
+    (lambda: json.loads((FIXTURE_DIR / "ct22.fs.json").read_text()),
+     lambda body: body["lwhisker"][5],
+     "id_m00_0to0x0"),
+], ids=["two-ideal", "factorization-system"])
+def test_validate_stops_at_a_lawless_base(tmp_path, load, find, moved_to):
+    # one lwhisker value moved to another hom: validate reports the base's
+    # failure and runs no check that composes the base's cells
+    body = load()
+    row = find(body)
+    row["ha"] = moved_to
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(body))
+    proc = run("validate", str(broken))
+    assert proc.returncode == 1 and proc.stderr == ""
+    header, cert = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert header["command"] == "validate"
+    assert cert == {"check": "validate_two_category", "status": "fail",
+                    "counterexample": {
+                        "clause": "lwhisker-boundary",
+                        "cells": {"h": row["h"], "a": row["a"],
+                                  "result": moved_to}}}
 
 
 #: The input-selection and budget options each subcommand accepts: --ideal

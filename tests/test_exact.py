@@ -13,7 +13,6 @@ from family import (
     CORE_NAMES,
     LD_CT22,
     LD_PB1,
-    LD_PB2,
     LD_PS2,
     NO_ZERO,
     NO_ZERO_IDEAL,
@@ -42,7 +41,6 @@ from twoexact import (
 )
 from twoexact import limits
 from twoexact.cli import main
-from twoexact.exact import _cod_projection, _dom_projection
 from twoexact.formats import (
     document_to_two_category,
     document_to_two_ideal,
@@ -194,7 +192,7 @@ def test_biequivalence_over_the_base(name):
     e_arrow = arrow_subcat(t, fs.left_class)
     m_arrow = arrow_subcat(t, fs.right_class)
     cert = is_biequivalence_over_base(
-        _dom_projection(e_arrow), _cod_projection(m_arrow),
+        e_arrow, m_arrow,
         k, c, eta, epsilon)
     assert cert.ok, cert.counterexample
 
@@ -248,12 +246,6 @@ def test_three_pieces_constituents_cohere():
     assert t.tgt1[pieces.middle] == t.src1[pieces.last.leg]
     assert t.is_invertible2(pieces.composite_iso)
     assert t.is_invertible2(pieces.connecting)
-
-
-def test_three_pieces_refuses_weak_closedness():
-    t, n = LD_PB2, ZERO_IDEALS["ld_pb2"]
-    with pytest.raises(InputError):
-        three_pieces(t, n, "m05_1to1_11", closedness="weak")
 
 
 def test_grandis_i_stops_at_the_first_inconclusive_subcheck(monkeypatch):

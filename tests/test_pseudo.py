@@ -12,11 +12,9 @@ from twoexact import (
     is_biequivalence_over_base,
     mutate,
     pseudofunctors_equal,
-    strict_two_functor,
     validate_pseudofunctor,
     validate_pseudonatural,
 )
-from twoexact.exact import _cod_projection, _dom_projection
 
 _T = LD_PB2
 _N = ZERO_IDEALS["ld_pb2"]
@@ -29,12 +27,6 @@ _M_ARROW = arrow_subcat(_T, _FS.right_class)
                          ids=["ld_pb1", "ld_pb2", "ch_pb1"])
 def test_identity_pseudofunctor_validates(t):
     assert validate_pseudofunctor(identity_pseudofunctor(t)).ok
-
-
-def test_projections_of_arrow_categories_validate():
-    for arrow in (_E_ARROW, _M_ARROW):
-        assert validate_pseudofunctor(_dom_projection(arrow)).ok
-        assert validate_pseudofunctor(_cod_projection(arrow)).ok
 
 
 def test_kernel_and_cokernel_functors_validate():
@@ -63,16 +55,16 @@ def test_composition_with_identity_is_neutral():
 
 def test_biequivalence_over_base_positive():
     cert = is_biequivalence_over_base(
-        _dom_projection(_E_ARROW), _cod_projection(_M_ARROW),
+        _E_ARROW, _M_ARROW,
         _K, _C, _ETA, _EPS)
     assert cert.ok, cert.counterexample
 
 
 def test_biequivalence_rejects_mismatched_bases():
-    other = identity_pseudofunctor(LD_PB1)
+    other = arrow_subcat(LD_PB1, LD_PB1.one_ids)
     with pytest.raises(InputError):
         is_biequivalence_over_base(
-            other, _cod_projection(_M_ARROW), _K, _C, _ETA, _EPS)
+            other, _M_ARROW, _K, _C, _ETA, _EPS)
 
 
 def test_broken_compositor_fails_with_cited_site():
@@ -92,14 +84,3 @@ def test_removed_unit_inverse_fails():
     mut = mutate(_ETA, "remove-eta-inverse", 0)
     cert = validate_pseudonatural(mut)
     assert cert.status == "fail"
-
-
-def test_strict_two_functor_identity_tables():
-    t = LD_PB1
-    f = strict_two_functor(
-        t, t,
-        ob={o: o for o in t.objects},
-        one={c: c for c in t.one_ids},
-        two={a: a for a in t.two_ids})
-    assert f == identity_pseudofunctor(t)
-    assert validate_pseudofunctor(f).ok
