@@ -252,7 +252,14 @@ def _cmd_biisoinserter(args) -> int:
 def _cmd_check_ideal(args) -> int:
     t, n = _base_and_ideal(args)
     _header("check-ideal", args.cap, [args.file])
-    cert = validate_two_ideal(t, n)
+    try:
+        cert = validate_two_ideal(t, n)
+    except InputError:
+        # the ideal sweep composes cells that only a lawful base makes
+        # composable: report the base's broken law when there is one
+        cert = validate_two_category(t)
+        if cert.ok:
+            raise
     _emit(cert.to_json_dict())
     return _status_exit(cert.status)
 

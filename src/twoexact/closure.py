@@ -56,19 +56,12 @@ def reflects_null_morphisms(t: TwoCategory, n: TwoIdeal, k: str,
     if k not in t.src1:
         raise InputError(f"unknown 1-cell {k}")
     budget = _budget if _budget is not None else Budget(cap, name)
-    k_src, k_tgt = t.src1[k], t.tgt1[k]
     try:
-        for d_obj in t.objects:
-            for s in t.hom1(d_obj, k_src):
-                ks = t.cmp1(k, s)
-                for nc in t.hom1(d_obj, k_tgt):
-                    if nc not in n.null1:
-                        continue
-                    for delta in t.iso2(ks, nc):
-                        budget.tick()
-                        if _reflection_conclusion(t, n, k, s, delta) is None:
-                            return _fail(name, "reflect-1cell",
-                                         leg=k, cone=s, null=nc, delta=delta)
+        for s, nc, delta in t.null_cones(n.null1, k):
+            budget.tick()
+            if _reflection_conclusion(t, n, k, s, delta) is None:
+                return _fail(name, "reflect-1cell",
+                             leg=k, cone=s, null=nc, delta=delta)
     except CapExceeded as exc:
         if _budget is not None:
             raise
@@ -137,22 +130,15 @@ def weakly_reflects(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
         raise InputError("presentation is not a verified kernel")
     budget = _budget if _budget is not None else Budget(cap, name)
     k = pres.leg
-    k_src, k_tgt = t.src1[k], t.tgt1[k]
     try:
-        for d_obj in t.objects:
-            for s in t.hom1(d_obj, k_src):
-                ks = t.cmp1(k, s)
-                for nc in t.hom1(d_obj, k_tgt):
-                    if nc not in n.null1:
-                        continue
-                    for delta in t.iso2(ks, nc):
-                        budget.tick()
-                        hyp = _weak_hypothesis(t, n, pres, s, nc, delta)
-                        if not n.is_invertible_null2(t, hyp):
-                            continue
-                        if _reflection_conclusion(t, n, k, s, delta) is None:
-                            return _fail(name, "weak-reflect-1cell",
-                                         leg=k, cone=s, null=nc, delta=delta)
+        for s, nc, delta in t.null_cones(n.null1, k):
+            budget.tick()
+            hyp = _weak_hypothesis(t, n, pres, s, nc, delta)
+            if not n.is_invertible_null2(t, hyp):
+                continue
+            if _reflection_conclusion(t, n, k, s, delta) is None:
+                return _fail(name, "weak-reflect-1cell",
+                             leg=k, cone=s, null=nc, delta=delta)
     except CapExceeded as exc:
         if _budget is not None:
             raise

@@ -249,9 +249,66 @@ class TwoCategory:
         except KeyError:
             raise InputError(f"2-cell {a} is not invertible") from None
 
-    def iso2(self, f: str, g: str) -> tuple[str, ...]:
-        """All invertible 2-cells from ``f`` to ``g``, in table order."""
-        return tuple(a for a in self.hom2(f, g) if a in self.inverse2)
+    @cached_property
+    def _isos(self) -> dict[tuple[str, str | None], tuple[str, ...]]:
+        """Invertible 2-cell ids by boundary, in table order: under
+        ``(src, tgt)`` and ``(src, None)``."""
+        out: dict[tuple[str, str | None], list[str]] = {}
+        inverse2 = self.inverse2
+        for a, f, g in self.two_cells:
+            if a in inverse2:
+                out.setdefault((f, g), []).append(a)
+                out.setdefault((f, None), []).append(a)
+        return {k: tuple(v) for k, v in out.items()}
+
+    def iso2(self, f: str, g: str | None = None) -> tuple[str, ...]:
+        """All invertible 2-cells from ``f`` to ``g``, in table order;
+        ``None`` leaves the target free."""
+        return self._isos.get((f, g), ())
+
+    # -- search indexes -----------------------------------------------------
+
+    @cached_property
+    def _null_cones(self) -> dict[tuple[frozenset[str], str],
+                                  tuple[tuple[str, str, str], ...]]:
+        """Filled by :meth:`null_cones`."""
+        return {}
+
+    def null_cones(self, null1: frozenset[str],
+                   f: str) -> tuple[tuple[str, str, str], ...]:
+        """The triples ``(z, nz, β)``: ``z`` into the source of ``f``,
+        ``nz`` in ``null1`` parallel to ``f∘z`` and ``β: f∘z ⇒ nz``
+        invertible; by the source object of ``z`` in object order, then in
+        table order.  Built once per ``(null1, f)``."""
+        key = (null1, f)
+        cones = self._null_cones.get(key)
+        if cones is None:
+            a, b = self.src1[f], self.tgt1[f]
+            cones = self._null_cones[key] = tuple(
+                (z, nz, beta)
+                for obj in self.objects
+                for z in self.hom1(obj, a)
+                for nz in self.hom1(obj, b) if nz in null1
+                for beta in self.iso2(self.cmp1(f, z), nz))
+        return cones
+
+    @cached_property
+    def _leg_fibres(self) -> dict[tuple[str, str], dict[str, tuple[int, ...]]]:
+        """Filled by :meth:`leg_fibres`."""
+        return {}
+
+    def leg_fibres(self, k: str, s: str) -> dict[str, tuple[int, ...]]:
+        """For the 1-cell ``k`` and the object ``s``: each composite ``w``
+        to the positions in ``hom1(s, src k)`` of the ``u`` with
+        ``k∘u = w``, ascending.  Built once per ``(k, s)``."""
+        fibres = self._leg_fibres.get((k, s))
+        if fibres is None:
+            out: dict[str, list[int]] = {}
+            for i, u in enumerate(self.hom1(s, self.src1[k])):
+                out.setdefault(self.cmp1(k, u), []).append(i)
+            fibres = self._leg_fibres[(k, s)] = {
+                w: tuple(v) for w, v in out.items()}
+        return fibres
 
     # -- duality ------------------------------------------------------------
 

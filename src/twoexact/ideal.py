@@ -118,9 +118,10 @@ def _violations(t: TwoCategory, n: TwoIdeal) -> Iterator[tuple[str, dict[str, st
         for prev in n.null_two_cells:
             if t.tgt2[prev] != src:
                 continue
-            if t.vcomp[(mu, prev)] not in n.null2:
+            composite = t.vc(mu, prev)
+            if composite not in n.null2:
                 yield "closure-vcomp", {"after": mu, "before": prev,
-                                        "composite": t.vcomp[(mu, prev)]}
+                                        "composite": composite}
 
     for (a, x, b), (tilde, nu) in n.replacement.items():
         if tilde not in n.null1:
@@ -148,12 +149,11 @@ def _violations(t: TwoCategory, n: TwoIdeal) -> Iterator[tuple[str, dict[str, st
     for mu in n.null_two_cells:
         x, x2 = t.src2[mu], t.tgt2[mu]
         for a in t.hom1(None, t.src1[x]):
-            mu_a = t.rwhisker[(mu, a)]
+            mu_a = t.rw(mu, a)
             for b in t.hom1(t.tgt1[x], None):
                 _, nu1 = n.replacement[(a, x, b)]
                 _, nu2 = n.replacement[(a, x2, b)]
-                cell = t.vcomp[(nu2, t.vcomp[
-                    (t.lwhisker[(b, mu_a)], t.inv(nu1))])]
+                cell = t.vc_chain(nu2, t.lw(b, mu_a), t.inv(nu1))
                 if cell not in n.null2:
                     yield "ax2", {"mu": mu, "a": a, "b": b, "conjugate": cell}
 
@@ -183,7 +183,7 @@ def _violations(t: TwoCategory, n: TwoIdeal) -> Iterator[tuple[str, dict[str, st
     # once the replacement boundaries hold.  Each row of factors is built
     # once and numbered by content; each pair of row numbers is checked
     # once, keeping the positions in post(b) where the comparison fails.
-    vcomp, comp1, repl, inv2 = t.vcomp, t.comp1, n.replacement, t.inverse2
+    vc, comp1, repl, inv2 = t.vc, t.comp1, n.replacement, t.inverse2
     good = n.null2.intersection(inv2)
     numbers: dict[tuple[str, ...], int] = {}
     direct, iterated, failing = {}, {}, {}
@@ -201,15 +201,14 @@ def _violations(t: TwoCategory, n: TwoIdeal) -> Iterator[tuple[str, dict[str, st
                     repl[(aa, x, comp1[(b2, b)])][1] for b2 in post))
             i = iterated.get((nu1, a2))
             if i is None:
-                inner = t.rwhisker[(inv2[nu1], a2)]
+                inner = t.rw(inv2[nu1], a2)
                 i = iterated[(nu1, a2)] = numbered(tuple(
-                    vcomp[(t.lwhisker[(b2, inner)],
-                           inv2[repl[(a2, m, b2)][1]])] for b2 in post))
+                    vc(t.lw(b2, inner), inv2[repl[(a2, m, b2)][1]])
+                    for b2 in post))
             bad = failing.get((d[0], i[0]))
             if bad is None:
                 bad = failing[(d[0], i[0])] = [
-                    (j, cell) for j, cell in enumerate(
-                        map(vcomp.__getitem__, zip(d[1], i[1])))
+                    (j, cell) for j, cell in enumerate(map(vc, d[1], i[1]))
                     if cell not in good]
             for j, cell in bad:
                 yield "ax4", {"a": a, "n": x, "b": b, "a2": a2, "b2": post[j],

@@ -18,7 +18,9 @@ an inconclusive certificate from certificate-returning checkers.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .core import (
     Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
@@ -122,27 +124,17 @@ def is_two_kernel(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
     _check_kernel_candidate(t, n, pres)
     budget = _budget if _budget is not None else Budget(cap, name)
     f, k = pres.arrow, pres.leg
-    a = t.src1[f]
     try:
+        for z, nz, beta in t.null_cones(n.null1, f):
+            budget.tick()
+            if _cone_factor(t, n, pres, z, beta) is None:
+                return _fail(name, "cone-factorization",
+                             arrow=f, leg=k, cone=z, cone_null=nz, beta=beta)
         for z_obj in t.objects:
-            for z in t.hom1(z_obj, a):
-                fz = t.cmp1(f, z)
-                for nz in t.hom1(z_obj, t.tgt1[f]):
-                    if nz not in n.null1:
-                        continue
-                    for beta in t.iso2(fz, nz):
-                        budget.tick()
-                        if _cone_factor(t, n, pres, z, beta) is None:
-                            return _fail(
-                                name, "cone-factorization",
-                                arrow=f, leg=k, cone=z, cone_null=nz, beta=beta)
-        for z_obj in t.objects:
-            us = t.hom1(z_obj, pres.apex)
-            for u in us:
+            for u in t.hom1(z_obj, pres.apex):
                 ku = t.cmp1(k, u)
-                for v in us:
-                    kv = t.cmp1(k, v)
-                    for lam in t.hom2(ku, kv):
+                for v in _through_leg(t, k, z_obj, t.hom2(ku, None)):
+                    for lam in t.hom2(ku, t.cmp1(k, v)):
                         budget.tick()
                         if _descent_comparison(t, n, pres, u, v, lam) not in n.null2:
                             continue
@@ -163,14 +155,26 @@ def is_two_kernel(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
         "null_cell": pres.null_cell, "structure": pres.structure})
 
 
+def _through_leg(t: TwoCategory, k: str, s: str,
+                 cells: tuple[str, ...]) -> Iterator[str]:
+    """The ``u: s → src k`` with ``k∘u`` the target of one of the 2-cells
+    ``cells``, in table order: the leg fibres of those targets merged back
+    by position."""
+    us = t.hom1(s, t.src1[k])
+    fibres = t.leg_fibres(k, s)
+    hits = [fibres[w] for w in dict.fromkeys(map(t.tgt2.__getitem__, cells))
+            if w in fibres]
+    positions = hits[0] if len(hits) == 1 else heapq.merge(*hits)
+    return map(us.__getitem__, positions)
+
+
 def _cone_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
                  z: str, beta: str) -> tuple[str, str] | None:
     """The first ``(u, γ: z ⇒ leg∘u)`` whose clause-(1) comparison for the
     cone ``(z, β)`` is an invertible null 2-cell, or ``None``."""
     k = pres.leg
-    for u in t.hom1(t.src1[z], pres.apex):
-        ku = t.cmp1(k, u)
-        for gamma in t.iso2(z, ku):
+    for u in _through_leg(t, k, t.src1[z], t.iso2(z)):
+        for gamma in t.iso2(z, t.cmp1(k, u)):
             chi = _cone_comparison(t, n, pres, u, gamma, beta)
             if chi in n.null2 and t.is_invertible2(chi):
                 return u, gamma
@@ -196,19 +200,12 @@ def two_kernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
     if f not in t.src1:
         raise InputError(f"unknown 1-cell {f}")
     budget = _budget if _budget is not None else Budget(cap, "two_kernels")
-    a, b = t.src1[f], t.tgt1[f]
     out = []
-    for apex in t.objects:
-        for k in t.hom1(apex, a):
-            fk = t.cmp1(f, k)
-            for nc in t.hom1(apex, b):
-                if nc not in n.null1:
-                    continue
-                for alpha in t.iso2(fk, nc):
-                    budget.tick()
-                    pres = KernelPresentation(f, apex, k, nc, alpha)
-                    if is_two_kernel(t, n, pres, _budget=budget).ok:
-                        out.append(pres)
+    for k, nc, alpha in t.null_cones(n.null1, f):
+        budget.tick()
+        pres = KernelPresentation(f, t.src1[k], k, nc, alpha)
+        if is_two_kernel(t, n, pres, _budget=budget).ok:
+            out.append(pres)
     return tuple(out)
 
 

@@ -21,6 +21,7 @@ from twoexact import (
     canonical_zero_ideal,
     check_grandis_i,
     check_grandis_ii,
+    check_puppe,
     check_weak_two_fibration,
     find_equivalence_witness,
     fs_from_ideal,
@@ -36,6 +37,7 @@ from twoexact import (
     locally_discrete,
     mutate,
     partial_bijections,
+    pointed_sets,
     replay_two_category_counterexample,
     replay_two_ideal_counterexample,
     three_pieces,
@@ -274,3 +276,16 @@ def test_guard_11_ideal_axioms_on_pb3(criterion):
     n = canonical_zero_ideal(LD_PB3)
     criterion(11, "ideal axioms on the canonical ideal of pb3", 5.0)
     assert validate_two_ideal(LD_PB3, n).ok
+
+
+def test_guard_12_puppe_refutation_on_ps3(criterion):
+    # the kernel search reads cached null cones and leg fibres: 0.6-0.9 s
+    # on a 2-vCPU host, against 2.0-2.5 s for the plain loops
+    t = locally_discrete(pointed_sets(3))
+    criterion(12, "puppe exactness refuted on generated ps3", 4.0)
+    report = check_puppe(t)
+    assert report.status == "fail"
+    name, cert = report.checks[-1]
+    assert (name, cert.counterexample) == ("factorization", {
+        "clause": "no-cokernel-kernel-factorization",
+        "cells": {"one_cell": "m018_2to1_11"}})

@@ -436,6 +436,26 @@ def test_validate_stops_at_a_lawless_base(tmp_path, load, find, moved_to):
                                   "result": moved_to}}}
 
 
+def test_check_ideal_reports_a_lawless_base(tmp_path):
+    # the ideal sweep cannot compose the moved cell; check-ideal then cites
+    # the base's broken law instead of crashing
+    body = _chaotic_pb2_maximal_ideal()
+    row = next(r for r in body["lwhisker"]
+               if (r["h"], r["a"]) == ("m01_0to1_e", "c09x09"))
+    row["ha"] = "c00x00"
+    broken = tmp_path / "broken.ideal.json"
+    broken.write_text(json.dumps(body))
+    proc = run("check-ideal", str(broken))
+    assert proc.returncode == 1 and proc.stderr == ""
+    header, cert = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert header["command"] == "check-ideal"
+    assert cert == {"check": "validate_two_category", "status": "fail",
+                    "counterexample": {
+                        "clause": "lwhisker-boundary",
+                        "cells": {"h": "m01_0to1_e", "a": "c09x09",
+                                  "result": "c00x00"}}}
+
+
 #: The input-selection and budget options each subcommand accepts: --ideal
 #: where it reads an ideal document, --fs where it reads a factorization
 #: system, --cap where it runs a capped search or prints a header.

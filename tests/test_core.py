@@ -206,6 +206,27 @@ def test_boundary_index_matches_table_order_scans(name, dual):
         (f, g) for fs in homs1.values() for f in fs for g in fs]
 
 
+@pytest.mark.parametrize("dual", [False, True], ids=["t", "t.dual"])
+@pytest.mark.parametrize("name", CORE_NAMES)
+def test_search_indexes_match_table_order_scans(name, dual):
+    t = CORE[name].dual if dual else CORE[name]
+    for f in t.one_ids:
+        assert t.iso2(f) == t.iso2(f, None) == tuple(
+            a for a in t.hom2(f, None) if a in t.inverse2)
+        for g in t.one_ids:
+            assert t.iso2(f, g) == tuple(
+                a for a in t.hom2(f, g) if a in t.inverse2)
+    for k in t.one_ids:
+        for s in t.objects:
+            us = t.hom1(s, t.src1[k])
+            fibres = t.leg_fibres(k, s)
+            assert sorted(i for fibre in fibres.values() for i in fibre) \
+                == list(range(len(us)))
+            for w, fibre in fibres.items():
+                assert list(fibre) == sorted(fibre)
+                assert all(t.cmp1(k, us[i]) == w for i in fibre)
+
+
 def test_faithful_and_cofaithful_identities():
     t = LD_PB2
     for o in t.objects:
