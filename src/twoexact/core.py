@@ -336,6 +336,12 @@ class TwoCategory:
         return d
 
     @cached_property
+    def _cone_candidates(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """Clause-1 factor candidates of kernel legs, by leg and then by
+        cone 1-cell; filled by :func:`twoexact.limits._cone_candidates`."""
+        return {}
+
+    @cached_property
     def _arrow_subcats(self) -> dict[tuple[str, ...], Any]:
         """The pseudo-arrow 2-categories on this base, by member tuple;
         filled by :func:`twoexact.factor.arrow_subcat`."""

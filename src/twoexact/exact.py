@@ -272,7 +272,7 @@ def _kernel_functor(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
         _, nu = n.repl(t.id1[t.src1[pres.null_cell]], pres.null_cell, b)
         beta = t.vc_chain(nu, t.lw(b, pres.structure), t.rw(phi, k_e))
         w_hat, gamma = kernel_factor(t, n, pres2, z, beta)
-        one[sid] = ArrowTwoCategory.square_id(
+        one[sid] = m_arrow.intern_square(
             ob[e], ob[e2], w_hat, a, t.inv(gamma))
 
     two: dict[str, str] = {}
@@ -286,7 +286,7 @@ def _kernel_functor(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
         k_e = chosen[cat.src1[sid]].leg
         needed = t.vc_chain(t.inv(psi2), t.rw(sigma, k_e), psi)
         mu = solve_lwhisker(t, leg2, w_hat, w_hat2, needed)
-        two[tid] = ArrowTwoCategory.pair_id(img, img2, mu, sigma)
+        two[tid] = m_arrow.intern_pair(img, img2, mu, sigma)
 
     compositor: dict[tuple[str, str], str] = {}
     for (sid2, sid1), sid12 in cat.comp1.items():
@@ -297,7 +297,7 @@ def _kernel_functor(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
         leg2 = chosen[cat.tgt1[sid2]].leg
         kappa = solve_lwhisker(t, leg2, u_comp, u_tgt,
                                t.vc(t.inv(psi_tgt), psi_comp))
-        compositor[(sid2, sid1)] = ArrowTwoCategory.pair_id(
+        compositor[(sid2, sid1)] = m_arrow.intern_pair(
             img_comp, img_tgt, kappa, t.id2[v_comp])
 
     return PseudoFunctor(source=cat, target=m_arrow.cat,
@@ -327,7 +327,7 @@ def _cokernel_functor(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
         beta = t.vc_chain(nu, t.rw(pres2.structure, u),
                           t.lw(c_m2, t.inv(psi)))
         b_hat, gamma = cokernel_factor(t, n, pres, z, beta)
-        one[sid] = ArrowTwoCategory.square_id(
+        one[sid] = e_arrow.intern_square(
             ob[m], ob[m2], v, b_hat, gamma)
 
     two: dict[str, str] = {}
@@ -341,7 +341,7 @@ def _cokernel_functor(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
         c_m2 = chosen[cat.tgt1[sid]].leg
         needed = t.vc_chain(chi2, t.lw(c_m2, mu_v), t.inv(chi))
         kappa = solve_rwhisker(t, c_m, b_hat, b_hat2, needed)
-        two[tid] = ArrowTwoCategory.pair_id(img, img2, mu_v, kappa)
+        two[tid] = e_arrow.intern_pair(img, img2, mu_v, kappa)
 
     compositor: dict[tuple[str, str], str] = {}
     for (sid2, sid1), sid12 in cat.comp1.items():
@@ -352,7 +352,7 @@ def _cokernel_functor(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
         c_m = chosen[cat.src1[sid1]].leg
         kappa = solve_rwhisker(t, c_m, b_comp, b_tgt,
                                t.vc(chi_tgt, t.inv(chi_comp)))
-        compositor[(sid2, sid1)] = ArrowTwoCategory.pair_id(
+        compositor[(sid2, sid1)] = e_arrow.intern_pair(
             img_comp, img_tgt, t.id2[v_comp], kappa)
 
     return PseudoFunctor(source=cat, target=e_arrow.cat,
@@ -431,7 +431,7 @@ def _unit(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
         target_pres = chosen_cokernel[k_e]
         u_prime, gamma = cokernel_factor(t, n, own, target_pres.leg,
                                          target_pres.structure)
-        component[e] = ArrowTwoCategory.square_id(
+        component[e] = e_arrow.intern_square(
             e, target_pres.leg, t.id1[t.src1[e]], u_prime, gamma)
         assert ck.ob[e] == target_pres.leg
 
@@ -447,7 +447,7 @@ def _unit(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
         a_l, b_l, phi_l = e_arrow.square(lhs)
         _, b_r, phi_r = e_arrow.square(rhs)
         tau = solve_rwhisker(t, e, b_l, b_r, t.vc(phi_r, t.inv(phi_l)))
-        structure[sid] = ArrowTwoCategory.pair_id(lhs, rhs, t.id2[a_l], tau)
+        structure[sid] = e_arrow.intern_pair(lhs, rhs, t.id2[a_l], tau)
 
     return PseudoNatural(source_functor=identity_pseudofunctor(cat),
                          target_functor=ck, component=component,
@@ -474,7 +474,7 @@ def _counit(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
         source_pres = chosen_kernel[c_m]
         u_hat, gamma = kernel_factor(t, n, own, source_pres.leg,
                                      source_pres.structure)
-        component[m] = ArrowTwoCategory.square_id(
+        component[m] = m_arrow.intern_square(
             source_pres.leg, m, u_hat, t.id1[t.tgt1[m]], t.inv(gamma))
         assert kc.ob[m] == source_pres.leg
 
@@ -490,8 +490,7 @@ def _counit(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
         u_l, v_l, phi_l = m_arrow.square(lhs)
         u_r, _, phi_r = m_arrow.square(rhs)
         sigma = solve_lwhisker(t, m2, u_l, u_r, t.vc(t.inv(phi_r), phi_l))
-        structure[sid] = ArrowTwoCategory.pair_id(lhs, rhs, sigma,
-                                                  t.id2[v_l])
+        structure[sid] = m_arrow.intern_pair(lhs, rhs, sigma, t.id2[v_l])
 
     return PseudoNatural(source_functor=kc,
                          target_functor=identity_pseudofunctor(cat),
@@ -553,7 +552,7 @@ def ideal_from_fs(t: TwoCategory, fs: FactorizationSystem,
         for a in t.hom1(None, x):
             na = t.cmp1(nbar, a)
             for b in t.hom1(y, None):
-                sq = ArrowTwoCategory.square_id(
+                sq = e_arrow.intern_square(
                     t.id1[y], t.id1[t.tgt1[b]], b, b, t.id2[b])
                 w_hat, _, psi = m_arrow.square(k.one[sq])
                 kb2 = k_id[t.tgt1[b]]

@@ -13,7 +13,7 @@ against squares compatible with a 2-ideal's null structure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
@@ -303,11 +303,23 @@ class ArrowTwoCategory:
     invertible ``φ: g∘a ⇒ b∘f``, encoded as ``"f|g|a|b|φ"``.  A 2-cell is a
     coherent pair ``(σ, τ)`` between parallel squares, encoded as
     ``"<src square>|<tgt square>|σ|τ"``.  Base ids must not contain ``"|"``.
+
+    ``squares`` and ``pairs`` decode the declared ids; ``square_ids`` and
+    ``pair_ids`` map ``(f, g, a, b, φ)`` and ``(src, tgt, σ, τ)`` back to
+    them, so an id built from components is the declared string object.
     """
 
     cat: TwoCategory
     base: TwoCategory
     members: tuple[str, ...]
+    squares: Mapping[str, tuple[str, str, str]] = field(
+        default_factory=dict, repr=False, compare=False)
+    pairs: Mapping[str, tuple[str, str]] = field(
+        default_factory=dict, repr=False, compare=False)
+    square_ids: Mapping[tuple[str, ...], str] = field(
+        default_factory=dict, repr=False, compare=False)
+    pair_ids: Mapping[tuple[str, ...], str] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def square_id(f: str, g: str, a: str, b: str, phi: str) -> str:
@@ -317,8 +329,24 @@ class ArrowTwoCategory:
     def pair_id(src_sq: str, tgt_sq: str, sigma: str, tau: str) -> str:
         return f"{src_sq}|{tgt_sq}|{sigma}|{tau}"
 
+    def intern_square(self, f: str, g: str, a: str, b: str, phi: str) -> str:
+        """The id of the square ``(a, b, φ): f → g``: the declared one if
+        there is one, else a fresh encoding."""
+        return (self.square_ids.get((f, g, a, b, phi))
+                or self.square_id(f, g, a, b, phi))
+
+    def intern_pair(self, src_sq: str, tgt_sq: str, sigma: str,
+                    tau: str) -> str:
+        """The id of the pair ``(σ, τ)`` between two squares: the declared
+        one if there is one, else a fresh encoding."""
+        return (self.pair_ids.get((src_sq, tgt_sq, sigma, tau))
+                or self.pair_id(src_sq, tgt_sq, sigma, tau))
+
     def square(self, one_id: str) -> tuple[str, str, str]:
         """Decode a 1-cell id into its square ``(a, b, φ)``."""
+        found = self.squares.get(one_id)
+        if found is not None:
+            return found
         parts = one_id.split("|")
         if len(parts) != 5:
             raise InputError(f"not a square id: {one_id}")
@@ -326,6 +354,9 @@ class ArrowTwoCategory:
 
     def pair(self, two_id: str) -> tuple[str, str]:
         """Decode a 2-cell id into its component pair ``(σ, τ)``."""
+        found = self.pairs.get(two_id)
+        if found is not None:
+            return found
         parts = two_id.split("|")
         if len(parts) != 12:
             raise InputError(f"not a square 2-cell id: {two_id}")
@@ -337,8 +368,12 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
 
     Composition of squares pastes the fillers, ``(a', b', φ')∘(a, b, φ) =
     (a'∘a, b'∘b, (b'⋆φ)·(φ'⋆a))``; 2-cells compose and whisker
-    componentwise.  Built once per base and member list and kept on the
-    base, like :attr:`TwoCategory.dual`, so every caller shares one object.
+    componentwise.  Every composite, identity and whisker is looked up by
+    its components among the declared squares and pairs, so the tables
+    share the declared id strings; only a lawless base yields an undeclared
+    one, which gets a fresh encoding.  Built once per base and member list
+    and kept on the base, like :attr:`TwoCategory.dual`, so every caller
+    shares one object.
     """
     mem = _ordered_unique(members)
     built = t._arrow_subcats
@@ -352,8 +387,10 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
             raise InputError(
                 f"cell id {i!r} contains '|'; square encoding needs ids "
                 f"without it")
+    square_id, pair_id = ArrowTwoCategory.square_id, ArrowTwoCategory.pair_id
 
     sq_of: dict[str, tuple[str, str, str]] = {}
+    square_ids: dict[tuple[str, ...], str] = {}
     ends: dict[str, tuple[str, str]] = {}
     one_cells: list[tuple[str, str, str]] = []
     by_pair: dict[tuple[str, str], list[str]] = {}
@@ -364,8 +401,9 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
         for g in mem:
             here = []
             for a, b, phi in squares_between(t, f, g):
-                sid = ArrowTwoCategory.square_id(f, g, a, b, phi)
+                sid = square_id(f, g, a, b, phi)
                 sq_of[sid] = (a, b, phi)
+                square_ids[(f, g, a, b, phi)] = sid
                 ends[sid] = (f, g)
                 one_cells.append((sid, f, g))
                 here.append(sid)
@@ -375,8 +413,8 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
 
     id1 = {}
     for f in mem:
-        id1[f] = ArrowTwoCategory.square_id(
-            f, f, t.id1[t.src1[f]], t.id1[t.tgt1[f]], t.id2[f])
+        key = (f, f, t.id1[t.src1[f]], t.id1[t.tgt1[f]], t.id2[f])
+        id1[f] = square_ids.get(key) or square_id(*key)
 
     comp1 = {}
     for sid2, (a2, b2, phi2) in sq_of.items():
@@ -384,19 +422,21 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
         for sid1 in into[g]:
             a1, b1, phi1 = sq_of[sid1]
             psi = t.vc(t.lw(b2, phi1), t.rw(phi2, a1))
-            comp1[(sid2, sid1)] = ArrowTwoCategory.square_id(
-                ends[sid1][0], h, t.cmp1(a2, a1), t.cmp1(b2, b1), psi)
+            key = (ends[sid1][0], h, t.cmp1(a2, a1), t.cmp1(b2, b1), psi)
+            comp1[(sid2, sid1)] = square_ids.get(key) or square_id(*key)
 
     two_cells: list[tuple[str, str, str]] = []
     pair_of: dict[str, tuple[str, str]] = {}
+    pair_ids: dict[tuple[str, ...], str] = {}
     into2: dict[str, list[str]] = {sid: [] for sid in sq_of}
     for (f, g), sids in by_pair.items():
         for sid, sid2 in itertools.product(sids, repeat=2):
             for sigma, tau in square_two_cells(t, f, g, sq_of[sid],
                                                sq_of[sid2]):
-                tid = ArrowTwoCategory.pair_id(sid, sid2, sigma, tau)
+                tid = pair_id(sid, sid2, sigma, tau)
                 two_cells.append((tid, sid, sid2))
                 pair_of[tid] = (sigma, tau)
+                pair_ids[(sid, sid2, sigma, tau)] = tid
                 into2[sid2].append(tid)
 
     src2 = {i: s for i, s, _ in two_cells}
@@ -404,14 +444,15 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
 
     id2 = {}
     for sid, (a, b, _) in sq_of.items():
-        id2[sid] = ArrowTwoCategory.pair_id(sid, sid, t.id2[a], t.id2[b])
+        key = (sid, sid, t.id2[a], t.id2[b])
+        id2[sid] = pair_ids.get(key) or pair_id(*key)
 
     vcomp = {}
     for tid2, (s2, t2_) in pair_of.items():
         for tid1 in into2[src2[tid2]]:
             s1, t1_ = pair_of[tid1]
-            vcomp[(tid2, tid1)] = ArrowTwoCategory.pair_id(
-                src2[tid1], tgt2[tid2], t.vc(s2, s1), t.vc(t2_, t1_))
+            key = (src2[tid1], tgt2[tid2], t.vc(s2, s1), t.vc(t2_, t1_))
+            vcomp[(tid2, tid1)] = pair_ids.get(key) or pair_id(*key)
 
     lwhisker = {}
     rwhisker = {}
@@ -420,14 +461,14 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
         f, g = ends[lo]
         for sid in out_of[g]:  # whisker a square g → · on the left
             a2, b2, _ = sq_of[sid]
-            lwhisker[(sid, tid)] = ArrowTwoCategory.pair_id(
-                comp1[(sid, lo)], comp1[(sid, hi)],
-                t.lw(a2, sigma), t.lw(b2, tau))
+            key = (comp1[(sid, lo)], comp1[(sid, hi)],
+                   t.lw(a2, sigma), t.lw(b2, tau))
+            lwhisker[(sid, tid)] = pair_ids.get(key) or pair_id(*key)
         for sid in into[f]:  # whisker a square · → f on the right
             a2, b2, _ = sq_of[sid]
-            rwhisker[(tid, sid)] = ArrowTwoCategory.pair_id(
-                comp1[(lo, sid)], comp1[(hi, sid)],
-                t.rw(sigma, a2), t.rw(tau, b2))
+            key = (comp1[(lo, sid)], comp1[(hi, sid)],
+                   t.rw(sigma, a2), t.rw(tau, b2))
+            rwhisker[(tid, sid)] = pair_ids.get(key) or pair_id(*key)
 
     cat = TwoCategory(
         objects=mem,
@@ -440,7 +481,9 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
         lwhisker=lwhisker,
         rwhisker=rwhisker,
     )
-    built[mem] = ArrowTwoCategory(cat=cat, base=t, members=mem)
+    built[mem] = ArrowTwoCategory(
+        cat=cat, base=t, members=mem, squares=sq_of, pairs=pair_of,
+        square_ids=square_ids, pair_ids=pair_ids)
     return built[mem]
 
 

@@ -47,6 +47,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from .core import InputError, TwoCategory, natural_key
@@ -379,46 +382,139 @@ def parse(text: str) -> Document:
     return Document(1, kind, body)
 
 
-class _NaturalKeys(dict):
-    """Natural keys of identifiers, each computed on first lookup only, so
-    equal identifiers share one key object and compare by identity."""
+def _sorted_ids(fields: dict[str, tuple], body: Mapping[str, Any],
+                out: set[str]) -> set[str]:
+    """Add to ``out`` every identifier a document is sorted by: those of
+    its identifier lists and of its rows' sort columns."""
+    for name, spec in fields.items():
+        shape, value = spec[0], body[name]
+        if shape == "list-str":
+            out.update(value)
+        elif shape == "rows":
+            for col in tuple(spec[1])[:spec[2]]:
+                out.update(row[col] for row in value)
+        elif shape == "nested":
+            _sorted_ids(_SCHEMAS[spec[1]], value, out)
+        elif shape == "table":
+            _sorted_ids(spec[1], value, out)
+    return out
 
-    def __missing__(self, s: str) -> tuple:
-        key = self[s] = natural_key(s)
-        return key
+
+def _ranks(ids: set[str]) -> dict[str, int]:
+    """One dense rank per identifier, in natural-key order; identifiers
+    with equal natural keys (``f2``, ``f02``) share a rank, so a stable
+    sort keeps them in input order."""
+    keyed = sorted(((natural_key(s), s) for s in ids), key=itemgetter(0))
+    rank: dict[str, int] = {}
+    prev, r = None, -1
+    for k, s in keyed:
+        if k != prev:
+            prev, r = k, r + 1
+        rank[s] = r
+    return rank
 
 
 def _normalize(fields: dict[str, tuple], body: Mapping[str, Any],
-               key: Callable[[str], tuple]) -> dict:
+               rank: dict[str, int]) -> dict:
     out: dict[str, Any] = {}
     for name, spec in fields.items():
         value = body[name]
         shape = spec[0]
         if shape == "list-str":
-            out[name] = sorted(value, key=key)
+            out[name] = sorted(value, key=rank.__getitem__)
         elif shape == "rows":
             cols = tuple(spec[1])[:spec[2]]
-            out[name] = sorted(value,
-                               key=lambda row: [key(row[c]) for c in cols])
+            if len(cols) == 1:
+                col = cols[0]
+                out[name] = sorted(value, key=lambda row: rank[row[col]])
+            else:
+                get = itemgetter(*cols)
+                out[name] = sorted(value, key=lambda row: tuple(
+                    map(rank.__getitem__, get(row))))
         elif shape == "nested":
-            out[name] = _normalize(_SCHEMAS[spec[1]], value, key)
+            out[name] = _normalize(_SCHEMAS[spec[1]], value, rank)
         elif shape == "table":
-            out[name] = _normalize(spec[1], value, key)
-        else:  # maps and booleans: json.dumps sorts object keys itself
+            out[name] = _normalize(spec[1], value, rank)
+        else:  # maps and booleans: the writer sorts map keys itself
             out[name] = value
     return out
 
 
+class _Encoded(dict):
+    """JSON string literals of identifiers, each encoded on first lookup
+    only, by the C encoder the ``json`` module uses for non-ASCII output."""
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = encode_basestring(s)
+        return text
+
+
+def _joined(brackets: str, items: list[str], inner: str, close: str) -> str:
+    """A JSON array or object of already written items, one per line at
+    the ``inner`` indent; empty, just its two brackets."""
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + close \
+        + brackets[1]
+
+
+@lru_cache(maxsize=None)
+def _row_template(cols: tuple[str, ...], depth: int) -> str:
+    """A ``%``-template for one row of a rows table at nesting ``depth``,
+    with one ``%s`` per column in sorted order."""
+    pad = "\n" + "  " * depth
+    return ("{" + ",".join(f"{pad}  {encode_basestring(c)}: %s"
+                           for c in cols) + pad + "}")
+
+
+def _write(fields: dict[str, tuple], body: Mapping[str, Any],
+           enc: Callable[[str], str], depth: int,
+           members: list[tuple[str, str]]) -> str:
+    """The JSON text of a normalized document object ``depth`` levels deep,
+    with sorted keys and two-space indentation, and with ``members``
+    (name, text) written among its fields."""
+    close = "\n" + "  " * depth
+    at = close + "  "
+    inner = at + "  "
+    for name, spec in fields.items():
+        shape, value = spec[0], body[name]
+        if shape == "list-str":
+            text = _joined("[]", list(map(enc, value)), inner, at)
+        elif shape == "rows":
+            cols = tuple(sorted(spec[1]))
+            row, get = _row_template(cols, depth + 2), itemgetter(*cols)
+            text = _joined("[]", [row % tuple(map(enc, get(r)))
+                                  for r in value], inner, at)
+        elif shape == "map":
+            text = _joined("{}", [f"{enc(k)}: {enc(v)}"
+                                  for k, v in sorted(value.items())],
+                           inner, at)
+        elif shape == "bool":
+            text = "true" if value else "false"
+        elif shape == "nested":
+            text = _write(_SCHEMAS[spec[1]], value, enc, depth + 1, [])
+        else:  # table
+            text = _write(spec[1], value, enc, depth + 1, [])
+        members.append((name, text))
+    members.sort(key=itemgetter(0))
+    return _joined("{}", [f"{enc(name)}: {text}" for name, text in members],
+                   at, close)
+
+
 def serialize(doc: Document) -> str:
     """Emit the document's normal form: sorted keys, natural-sorted
-    identifier lists and rows, two-space indentation, trailing newline."""
+    identifier lists and rows, two-space indentation, trailing newline.
+    Written from the schema, with each distinct identifier encoded once;
+    the bytes are those the ``json`` module writes for the payload with
+    sorted keys, ``indent=2`` and ``ensure_ascii=False``, plus a newline."""
     if doc.kind not in KINDS:
         raise InputError(f"unknown kind {doc.kind!r}")
-    key = _NaturalKeys().__getitem__
-    payload = {"version": 1, "kind": doc.kind,
-               **_normalize(_SCHEMAS[doc.kind], doc.body, key)}
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+    fields = _SCHEMAS[doc.kind]
+    body = _normalize(fields, doc.body, _ranks(_sorted_ids(
+        fields, doc.body, set())))
+    enc = _Encoded().__getitem__
+    return _write(fields, body, enc, 0, [("kind", enc(doc.kind)),
+                                         ("version", "1")]) + "\n"
 
 
 def canonicalize(doc: Document) -> Document:
@@ -626,14 +722,20 @@ def witness_bundle_to_document(t: TwoCategory, fs: FactorizationSystem,
     })
 
 
-def document_to_witness_bundle(doc: Document) -> tuple[
-        TwoCategory, FactorizationSystem, PseudoFunctor, PseudoFunctor,
-        PseudoNatural, PseudoNatural]:
+def witness_bundle_base(doc: Document) -> TwoCategory:
+    """The base 2-category of a witness bundle alone, without the
+    pseudo-arrow 2-categories, whose construction needs a lawful base."""
     if doc.kind != "witness-bundle":
         raise InputError(f"expected a witness-bundle document, got "
                          f"{doc.kind}")
+    return _body_twocat(doc.body["base"])
+
+
+def document_to_witness_bundle(doc: Document) -> tuple[
+        TwoCategory, FactorizationSystem, PseudoFunctor, PseudoFunctor,
+        PseudoNatural, PseudoNatural]:
+    t = witness_bundle_base(doc)
     body = doc.body
-    t = _body_twocat(body["base"])
     fs = _body_fs(body)
     e_arrow = arrow_subcat(t, fs.left_class)
     m_arrow = arrow_subcat(t, fs.right_class)

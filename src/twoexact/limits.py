@@ -168,12 +168,24 @@ def _through_leg(t: TwoCategory, k: str, s: str,
     return map(us.__getitem__, positions)
 
 
+def _cone_candidates(t: TwoCategory, k: str, z: str) -> tuple[str, ...]:
+    """The ``u`` with an invertible 2-cell ``z ⇒ k∘u``, in table order.
+    Built once per ``(k, z)`` and kept on ``t``."""
+    by_cone = t._cone_candidates.get(k)
+    if by_cone is None:
+        by_cone = t._cone_candidates[k] = {}
+    found = by_cone.get(z)
+    if found is None:
+        found = by_cone[z] = tuple(_through_leg(t, k, t.src1[z], t.iso2(z)))
+    return found
+
+
 def _cone_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
                  z: str, beta: str) -> tuple[str, str] | None:
     """The first ``(u, γ: z ⇒ leg∘u)`` whose clause-(1) comparison for the
     cone ``(z, β)`` is an invertible null 2-cell, or ``None``."""
     k = pres.leg
-    for u in _through_leg(t, k, t.src1[z], t.iso2(z)):
+    for u in _cone_candidates(t, k, z):
         for gamma in t.iso2(z, t.cmp1(k, u)):
             chi = _cone_comparison(t, n, pres, u, gamma, beta)
             if chi in n.null2 and t.is_invertible2(chi):

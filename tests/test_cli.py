@@ -318,6 +318,59 @@ def test_pb2_round_trip_bytes_are_pinned(tmp_path):
         == PB2_RECOVERED_SHA256
 
 
+#: sha256 of the fs-from-ideal bundle and of the ideal-from-fs output for
+#: two more fixtures: a tower with non-identity composites and a chaotic
+#: base with many 2-cells per hom.
+ROUND_TRIP_SHA256 = {
+    "ct22": ("06f939f42249815e5e101a99ee3d324ceab166452c52141a8c1069d4dcc7e60b",
+             "426ad7bafd3782dafe7508d5dd9d764ba8908eb472c275c065dc006ac53c1613"),
+    "ch_pb1": ("107eb405d3b0bd0ff46aaf78776b61d4fdb985cfe158e24af8985e611e59d6f1",
+               "bd1b338ec9dbec3f32dd8c741da636c31ec5e02c0436d9c1d184eeddd038f6bd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_SHA256))
+def test_round_trip_bytes_are_pinned(tmp_path, name):
+    bundle = tmp_path / f"{name}.bundle.json"
+    proc = run("fs-from-ideal", str(FIXTURE_DIR / f"{name}.2cat.json"),
+               "--out", str(bundle))
+    assert proc.returncode == 0, proc.stderr
+    proc = run("ideal-from-fs", str(bundle))
+    assert proc.returncode == 0, proc.stderr
+    assert (hashlib.sha256(bundle.read_bytes()).hexdigest(),
+            hashlib.sha256(proc.stdout.encode()).hexdigest()) \
+        == ROUND_TRIP_SHA256[name]
+
+
+@pytest.mark.parametrize("table, row, column, value, clause, cells", [
+    # the first used to stop bundle parsing with exit 2, the second with a
+    # KeyError traceback
+    ("lwhisker", {"h": "m1_0to1_e", "a": "id_m2_1to0_e"}, "ha",
+     "id_m0_0to0_e", "lwhisker-boundary",
+     {"h": "m1_0to1_e", "a": "id_m2_1to0_e", "result": "id_m0_0to0_e"}),
+    ("comp1", {"g": "m3_1to1_e", "f": "m3_1to1_e"}, "gf", "m1_0to1_e",
+     "comp1-boundary",
+     {"g": "m3_1to1_e", "f": "m3_1to1_e", "composite": "m1_0to1_e"}),
+], ids=["lwhisker", "comp1"])
+def test_validate_reports_a_lawless_bundle_base(tmp_path, table, row, column,
+                                                value, clause, cells):
+    # the pseudo-arrow 2-categories cannot be rebuilt on such a base, so the
+    # base's fail certificate is the whole report
+    body = json.loads((FIXTURE_DIR / "pb1.bundle.json").read_text())
+    [edited] = [r for r in body["base"][table]
+                if all(r[k] == v for k, v in row.items())]
+    edited[column] = value
+    bundle = tmp_path / "lawless.bundle.json"
+    bundle.write_text(json.dumps(body), encoding="utf-8")
+    proc = run("validate", str(bundle))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    header, cert = map(json.loads, proc.stdout.splitlines())
+    assert header == {"command": "validate", "cap": None,
+                      "inputs": [str(bundle)]}
+    assert cert == {"check": "validate_two_category", "status": "fail",
+                    "counterexample": {"clause": clause, "cells": cells}}
+
+
 #: Edits that leave a witness bundle's `k` table malformed; each used to
 #: crash the bundle reader while it composed `c∘k` and `k∘c`.
 def _drop_ob(body):

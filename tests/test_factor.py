@@ -93,6 +93,48 @@ def test_square_ids_decode_to_their_parts():
             src_member, tgt_member, a, b, phi)
 
 
+def test_square_and_pair_decode_undeclared_ids_by_splitting():
+    arrow = arrow_subcat(_T, _FS.right_class)
+    assert arrow.square("x|y|a|b|p") == ("a", "b", "p")
+    assert arrow.pair("x|y|a|b|p|x|y|c|d|q|s|t") == ("s", "t")
+    with pytest.raises(InputError) as err:
+        arrow.square("q")
+    assert str(err.value) == "not a square id: q"
+    with pytest.raises(InputError) as err:
+        arrow.pair("x|y")
+    assert str(err.value) == "not a square 2-cell id: x|y"
+
+
+def _assert_declared(cells, ids):
+    declared = {i: i for i in cells}
+    for i in ids:
+        assert i is declared[i], i
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_arrow_tables_share_the_declared_ids(side):
+    arrow = arrow_subcat(_T, getattr(_FS, f"{side}_class"))
+    cat = arrow.cat
+    _assert_declared(cat.one_ids, [*cat.comp1.values(), *cat.id1.values()])
+    _assert_declared(cat.two_ids, [*cat.vcomp.values(), *cat.id2.values(),
+                                   *cat.lwhisker.values(),
+                                   *cat.rwhisker.values()])
+    assert all(arrow.square(sid) is arrow.squares[sid] for sid in cat.one_ids)
+    assert all(arrow.pair(tid) is arrow.pairs[tid] for tid in cat.two_ids)
+
+
+def test_constructed_functors_share_the_declared_ids():
+    for func in (_K, _C):
+        target = func.target
+        _assert_declared(target.one_ids, func.one.values())
+        _assert_declared(target.two_ids, [*func.two.values(),
+                                          *func.compositor.values()])
+    for nat in (_ETA, _EPS):
+        cat = nat.source_functor.source
+        _assert_declared(cat.one_ids, nat.component.values())
+        _assert_declared(cat.two_ids, nat.structure.values())
+
+
 def test_arrow_subcat_is_built_once_per_base_and_members():
     assert arrow_subcat(_T, _FS.right_class) is arrow_subcat(
         _T, _FS.right_class)

@@ -1,5 +1,7 @@
 """Wire format: round trips, canonical form, and strict parse errors."""
 
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -7,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from family import CH_PB1, LD_PB1, PB1, ZERO_IDEALS
@@ -16,6 +18,7 @@ from twoexact import (InputError, canonical_zero_ideal, fs_from_ideal,
 from twoexact import formats as formats_module
 from twoexact.formats import (
     KINDS,
+    Document,
     canonicalize,
     document_to_finite_category,
     document_to_fs,
@@ -190,6 +193,126 @@ def test_serialize_keys_each_distinct_identifier_once(monkeypatch):
     monkeypatch.setattr(formats_module, "natural_key", counted)
     serialize(witness_bundle_to_document(T, FS, K, C, ETA, EPS))
     assert calls and max(calls.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the schema-driven writer against the json module's encoder
+# ---------------------------------------------------------------------------
+
+def _reference_text(doc):
+    """The serializer as first written, kept as the reference: identifier
+    lists and rows sorted by natural key, then the json module's
+    pure-Python indenting encoder."""
+    def normal(fields, body):
+        out = {}
+        for name, spec in fields.items():
+            value = body[name]
+            if spec[0] == "list-str":
+                out[name] = sorted(value, key=natural_key)
+            elif spec[0] == "rows":
+                cols = tuple(spec[1])[:spec[2]]
+                out[name] = sorted(value, key=lambda row: [
+                    natural_key(row[c]) for c in cols])
+            elif spec[0] in ("nested", "table"):
+                sub = (formats_module._SCHEMAS[spec[1]]
+                       if spec[0] == "nested" else spec[1])
+                out[name] = normal(sub, value)
+            else:
+                out[name] = value
+        return out
+
+    payload = {"version": 1, "kind": doc.kind,
+               **normal(formats_module._SCHEMAS[doc.kind], doc.body)}
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+@functools.cache
+def _round_trip_bundle(name):
+    """The fs-from-ideal bundle of a fixture 2-category and its ideal."""
+    t = document_to_two_category(parse(
+        (FIXTURE_DIR / f"{name}.2cat.json").read_text()))
+    return (t, *fs_from_ideal(t, canonical_zero_ideal(t)))
+
+
+_BRIDGES = {
+    "2cat": lambda: two_category_to_document(T),
+    "ideal": lambda: two_ideal_to_document(T, N),
+    "fs": lambda: fs_to_document(T, FS),
+    "pseudofunctor": lambda: pseudofunctor_to_document(K),
+    "pseudonatural": lambda: pseudonatural_to_document(ETA),
+    "pseudonatural-false": lambda: pseudonatural_to_document(
+        dataclasses.replace(EPS, claims_equivalences=False)),
+    "bundle": lambda: witness_bundle_to_document(T, FS, K, C, ETA, EPS),
+    "1cat": lambda: finite_category_to_document(PB1),
+    "1ideal": lambda: one_ideal_to_document(PB1, zero_ideal_1cat(PB1)),
+    **{f"{name}-bundle": (lambda name=name: witness_bundle_to_document(
+        *_round_trip_bundle(name))) for name in ("pb2", "ct22", "ch_pb1")},
+}
+
+
+def test_the_pinned_bridges_cover_every_kind():
+    bridges = {name[:-len("_to_document")] for name in dir(formats_module)
+               if name.endswith("_to_document")}
+    kinds = {_BRIDGES[name]().kind for name in _BRIDGES}
+    assert len(bridges) == len(KINDS) and kinds == set(KINDS)
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    p.name for p in FIXTURE_DIR.glob("*.json")))
+def test_fixture_bytes_are_pinned_to_the_reference_encoder(fixture):
+    doc = parse((FIXTURE_DIR / fixture).read_text())
+    assert serialize(doc) == _reference_text(doc)
+
+
+@pytest.mark.parametrize("bridge", sorted(_BRIDGES))
+def test_bridge_bytes_are_pinned_to_the_reference_encoder(bridge):
+    doc = _BRIDGES[bridge]()
+    assert serialize(doc) == _reference_text(doc)
+
+
+#: Identifiers the encoder must escape or pass through: quotes, backslashes,
+#: control characters, non-ASCII, a non-BMP character, U+2028, the empty
+#: string, and digit runs with equal natural keys.
+_HOSTILE_IDS = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f\x7f", "\n\t\r\b\f", "m²", "\U0001d7d8x",
+     "\u2028", "", "f2", "f02", "f10", "a|b", "%s"]) | st.text(max_size=4)
+
+
+def _bodies(fields):
+    """Schema-shaped bodies of the given fields, with any identifiers."""
+    def value(spec):
+        shape = spec[0]
+        if shape == "list-str":
+            return st.lists(_HOSTILE_IDS, max_size=3)
+        if shape == "rows":
+            return st.lists(st.fixed_dictionaries(
+                {col: _HOSTILE_IDS for col in spec[1]}), max_size=3)
+        if shape == "map":
+            return st.dictionaries(_HOSTILE_IDS, _HOSTILE_IDS, max_size=3)
+        if shape == "bool":
+            return st.booleans()
+        return _bodies(formats_module._SCHEMAS[spec[1]]
+                       if shape == "nested" else spec[1])
+    return st.fixed_dictionaries(
+        {name: value(spec) for name, spec in fields.items()})
+
+
+_EMPTY_2CAT = {"objects": [], "one_cells": [], "comp1": [], "id1": {},
+               "two_cells": [], "vcomp": [], "id2": {}, "lwhisker": [],
+               "rwhisker": []}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KINDS).flatmap(lambda kind: _bodies(
+    formats_module._SCHEMAS[kind]).map(lambda body: Document(1, kind, body))))
+@example(Document(1, "two_category", _EMPTY_2CAT))
+@example(Document(1, "two_category", {
+    # equal natural keys, in opposite input orders: each list keeps its own
+    **_EMPTY_2CAT, "objects": ["f02", "f2"],
+    "one_cells": [{"id": i, "src": "x", "tgt": "x"} for i in ("f2", "f02")]}))
+def test_hostile_document_bytes_are_pinned_to_the_reference_encoder(doc):
+    assert serialize(doc) == _reference_text(doc)
 
 
 def _mangle(mutator):
