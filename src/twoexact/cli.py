@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .closure import is_closed_ideal
 from .core import (CapExceeded, Certificate, InputError, TwoCategory,
@@ -120,6 +120,19 @@ def _fs_of(args, t: TwoCategory) -> FactorizationSystem:
     return fs
 
 
+def _unless_lawless(run: Callable[[], Any],
+                    base: Callable[[], TwoCategory]) -> Any:
+    """``run()``, or else the fail certificate of a lawless ``base()``: the
+    run composes cells that only a lawful base makes composable."""
+    try:
+        return run()
+    except InputError:
+        cert = validate_two_category(base())
+        if cert.ok:
+            raise
+        return cert
+
+
 def _presentation_dict(pres) -> dict[str, str]:
     return dataclasses.asdict(pres)
 
@@ -156,11 +169,9 @@ def _cmd_validate(args) -> int:
         certs.append(validate_two_category(witness_bundle_base(doc)))
         if certs[-1].ok:
             t, fs, k, c, eta, epsilon = document_to_witness_bundle(doc)
-            certs.append(validate_fs(t, fs, args.cap))
-            certs.append(validate_pseudofunctor(k))
-            certs.append(validate_pseudofunctor(c))
-            certs.append(validate_pseudonatural(eta))
-            certs.append(validate_pseudonatural(epsilon))
+            certs += [validate_fs(t, fs, args.cap), validate_pseudofunctor(k),
+                      validate_pseudofunctor(c), validate_pseudonatural(eta),
+                      validate_pseudonatural(epsilon)]
     elif doc.kind == "finite_category":
         certs.append(validate_category(document_to_finite_category(doc)))
     elif doc.kind == "one_ideal":
@@ -224,21 +235,14 @@ def _cmd_gen(args) -> int:
     return PASS
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_presentations(args) -> int:
+    """``kernel`` and ``cokernel``: every verified presentation."""
     t, n = _base_and_ideal(args)
-    _header("kernel", args.cap, [args.file])
-    presentations = two_kernels(t, n, args.arrow, cap=args.cap)
-    _emit({"arrow": args.arrow,
-           "kernels": [_presentation_dict(p) for p in presentations]})
-    return PASS if presentations else FAIL
-
-
-def _cmd_cokernel(args) -> int:
-    t, n = _base_and_ideal(args)
-    _header("cokernel", args.cap, [args.file])
-    presentations = two_cokernels(t, n, args.arrow, cap=args.cap)
-    _emit({"arrow": args.arrow,
-           "cokernels": [_presentation_dict(p) for p in presentations]})
+    _header(args.command, args.cap, [args.file])
+    search = two_kernels if args.command == "kernel" else two_cokernels
+    presentations = search(t, n, args.arrow, cap=args.cap)
+    _emit({"arrow": args.arrow, f"{args.command}s":
+           [_presentation_dict(p) for p in presentations]})
     return PASS if presentations else FAIL
 
 
@@ -255,14 +259,7 @@ def _cmd_biisoinserter(args) -> int:
 def _cmd_check_ideal(args) -> int:
     t, n = _base_and_ideal(args)
     _header("check-ideal", args.cap, [args.file])
-    try:
-        cert = validate_two_ideal(t, n)
-    except InputError:
-        # the ideal sweep composes cells that only a lawful base makes
-        # composable: report the base's broken law when there is one
-        cert = validate_two_category(t)
-        if cert.ok:
-            raise
+    cert = _unless_lawless(lambda: validate_two_ideal(t, n), lambda: t)
     _emit(cert.to_json_dict())
     return _status_exit(cert.status)
 
@@ -290,9 +287,11 @@ def _cmd_equiv_ideals(args) -> int:
 def _cmd_check_fs(args) -> int:
     doc = _load(args.file)
     if doc.kind == "witness-bundle":
-        t, fs, k, c, eta, epsilon = document_to_witness_bundle(doc)
+        bundle = _unless_lawless(lambda: document_to_witness_bundle(doc),
+                                 lambda: witness_bundle_base(doc))
         _header("check-fs", args.cap, [args.file])
-        cert = check_grandis_i(t, fs, k, c, eta, epsilon, cap=args.cap)
+        cert = bundle if isinstance(bundle, Certificate) else \
+            check_grandis_i(*bundle, cap=args.cap)
         _emit(cert.to_json_dict())
         return _status_exit(cert.status)
     if doc.kind == "factorization_system" and args.fs is None:
@@ -353,7 +352,13 @@ def _cmd_fs_from_ideal(args) -> int:
 
 
 def _cmd_ideal_from_fs(args) -> int:
-    t, fs, k, _, _, _ = document_to_witness_bundle(_load(args.file))
+    doc = _load(args.file)
+    bundle = _unless_lawless(lambda: document_to_witness_bundle(doc),
+                             lambda: witness_bundle_base(doc))
+    if isinstance(bundle, Certificate):
+        raise InputError(f"the bundle's base is not a 2-category: "
+                         f"{bundle.counterexample['clause']}")
+    t, fs, k, _, _, _ = bundle
     n = ideal_from_fs(t, fs, k)
     _write_product(two_ideal_to_document(t, n), args.out)
     return PASS
@@ -473,8 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("validate", _cmd_validate)
     add("gen", _cmd_gen, file=False, recipe=True, cap=False, out=True)
-    add("kernel", _cmd_kernel, arrow=True, ideal=True)
-    add("cokernel", _cmd_cokernel, arrow=True, ideal=True)
+    add("kernel", _cmd_presentations, arrow=True, ideal=True)
+    add("cokernel", _cmd_presentations, arrow=True, ideal=True)
     add("biisoinserter", _cmd_biisoinserter, pair=True)
     add("check-ideal", _cmd_check_ideal, ideal=True)
     add("check-closed", _cmd_check_closed, ideal=True)

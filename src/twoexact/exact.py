@@ -16,7 +16,7 @@ single 1-cell together with its dual route and the connecting 2-cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 from .closure import _closedness, _leg_order, _reflection_conclusion, _sweeps
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
@@ -27,9 +27,8 @@ from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
 from .ideal import (TwoIdeal, bizero_objects, canonical_zero_ideal,
                     check_ideal_shape)
 from .limits import (CokernelPresentation, KernelPresentation,
-                     cokernel_factor, cokernel_presentations_by_arrow,
-                     is_two_kernel, kernel_factor,
-                     kernel_presentations_by_arrow, two_cokernels, two_kernels)
+                     cokernel_factor, is_two_kernel, kernel_factor,
+                     two_cokernels, two_kernels)
 from .pseudo import (PseudoFunctor, PseudoNatural, compose_pseudofunctors,
                      identity_pseudofunctor, is_biequivalence_over_base)
 
@@ -242,120 +241,96 @@ def check_grandis_i(t: TwoCategory, fs: FactorizationSystem,
 # construction: from a closed ideal to a factorization system
 # ---------------------------------------------------------------------------
 
-def _first_with_leg(presentations, leg: str):
-    for p in presentations:
-        if p.leg == leg:
-            return p
-    return None
+@dataclass(frozen=True)
+class _Side:
+    """A pseudo-arrow 2-category read as it is, or in the 1-cell dual: there
+    the square ``(a, b, φ): f → g`` reads as ``(b, a, φ⁻¹): g → f``, the
+    pair ``(σ, τ)`` as ``(τ, σ)``, and composition reverses.  The oriented
+    tables are built once, so every read is one lookup.  ``cat`` is the
+    category as it is; the builders compose in it, in its own order."""
+
+    cat: TwoCategory
+    dual: bool
+    src1: Mapping[str, str]
+    tgt1: Mapping[str, str]
+    squares: Mapping[str, tuple[str, str, str]]
+    pairs: Mapping[str, tuple[str, str]]
+    square_ids: Mapping[tuple[str, ...], str]
+    pair_ids: Mapping[tuple[str, ...], str]
 
 
-def _kernel_functor(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
-                    m_arrow: ArrowTwoCategory,
+def _sides(arrow: ArrowTwoCategory) -> tuple[_Side, _Side]:
+    """``arrow`` read as it is and in the 1-cell dual."""
+    cat, inv = arrow.cat, arrow.base.inverse2
+    squares = {sid: (b, a, inv[phi])
+               for sid, (a, b, phi) in arrow.squares.items()}
+    return (
+        _Side(cat, False, cat.src1, cat.tgt1, arrow.squares, arrow.pairs,
+              arrow.square_ids, arrow.pair_ids),
+        _Side(cat, True, cat.tgt1, cat.src1, squares,
+              {tid: (tau, sigma)
+               for tid, (sigma, tau) in arrow.pairs.items()},
+              {(cat.tgt1[sid], cat.src1[sid], *sq): sid
+               for sid, sq in squares.items()},
+              {(lo, hi, tau, sigma): tid
+               for (lo, hi, sigma, tau), tid in arrow.pair_ids.items()}))
+
+
+def _kernel_functor(t: TwoCategory, n: TwoIdeal, source: _Side,
+                    target: _Side,
                     chosen: dict[str, KernelPresentation]) -> PseudoFunctor:
     """The kernel functor from the left pseudo-arrow 2-category to the right
     one: objects go to chosen kernel legs, squares to the induced comparison
     squares, 2-cells and compositors to the unique cells solving the
-    faithfulness equations."""
-    cat = e_arrow.cat
-    ob = {e: chosen[e].leg for e in e_arrow.members}
+    faithfulness equations.  On the dual sides, with the dual base and
+    ideal and the cokernels as kernels there, it is the cokernel functor."""
+    cat, src1, tgt1 = source.cat, source.src1, source.tgt1
+    squares, images = source.squares, target.squares
+    square_ids, pair_ids = target.square_ids, target.pair_ids
+    ob = {e: chosen[e].leg for e in cat.objects}
     identity_squares = set(cat.id1.values())
     one: dict[str, str] = {}
     for sid in cat.one_ids:
-        e, e2 = cat.src1[sid], cat.tgt1[sid]
+        e, e2 = src1[sid], tgt1[sid]
         if sid in identity_squares:
-            one[sid] = m_arrow.cat.id1[ob[e]]
+            one[sid] = target.cat.id1[ob[e]]
             continue
-        a, b, phi = e_arrow.square(sid)
+        a, b, phi = squares[sid]
         pres, pres2 = chosen[e], chosen[e2]
         k_e = pres.leg
         z = t.cmp1(a, k_e)
         _, nu = n.repl(t.id1[t.src1[pres.null_cell]], pres.null_cell, b)
         beta = t.vc_chain(nu, t.lw(b, pres.structure), t.rw(phi, k_e))
         w_hat, gamma = kernel_factor(t, n, pres2, z, beta)
-        one[sid] = m_arrow.intern_square(
-            ob[e], ob[e2], w_hat, a, t.inv(gamma))
+        one[sid] = square_ids[(ob[e], ob[e2], w_hat, a, t.inv(gamma))]
 
     two: dict[str, str] = {}
     for tid in cat.two_ids:
         sid, sid2 = cat.src2[tid], cat.tgt2[tid]
-        sigma, _ = e_arrow.pair(tid)
+        sigma = source.pairs[tid][0]
         img, img2 = one[sid], one[sid2]
-        w_hat, _, psi = m_arrow.square(img)
-        w_hat2, _, psi2 = m_arrow.square(img2)
-        leg2 = chosen[cat.tgt1[sid]].leg
-        k_e = chosen[cat.src1[sid]].leg
+        w_hat, _, psi = images[img]
+        w_hat2, _, psi2 = images[img2]
+        leg2 = chosen[tgt1[sid]].leg
+        k_e = chosen[src1[sid]].leg
         needed = t.vc_chain(t.inv(psi2), t.rw(sigma, k_e), psi)
         mu = solve_lwhisker(t, leg2, w_hat, w_hat2, needed)
-        two[tid] = m_arrow.intern_pair(img, img2, mu, sigma)
+        two[tid] = pair_ids[(img, img2, mu, sigma)]
 
     compositor: dict[tuple[str, str], str] = {}
-    for (sid2, sid1), sid12 in cat.comp1.items():
-        img_comp = m_arrow.cat.comp1[(one[sid2], one[sid1])]
+    for key, sid12 in cat.comp1.items():
+        g, f = key
+        img_comp = target.cat.comp1[(one[g], one[f])]
         img_tgt = one[sid12]
-        u_comp, v_comp, psi_comp = m_arrow.square(img_comp)
-        u_tgt, _, psi_tgt = m_arrow.square(img_tgt)
-        leg2 = chosen[cat.tgt1[sid2]].leg
+        u_comp, v_comp, psi_comp = images[img_comp]
+        u_tgt, _, psi_tgt = images[img_tgt]
+        leg2 = chosen[tgt1[sid12]].leg
         kappa = solve_lwhisker(t, leg2, u_comp, u_tgt,
                                t.vc(t.inv(psi_tgt), psi_comp))
-        compositor[(sid2, sid1)] = m_arrow.intern_pair(
-            img_comp, img_tgt, kappa, t.id2[v_comp])
+        compositor[key] = pair_ids[
+            (img_comp, img_tgt, kappa, t.id2[v_comp])]
 
-    return PseudoFunctor(source=cat, target=m_arrow.cat,
-                         ob=ob, one=one, two=two, compositor=compositor)
-
-
-def _cokernel_functor(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
-                      e_arrow: ArrowTwoCategory,
-                      chosen: dict[str, CokernelPresentation]
-                      ) -> PseudoFunctor:
-    """Mirror of :func:`_kernel_functor`: objects go to chosen cokernel legs,
-    with the unique cells solved along cofaithful legs."""
-    cat = m_arrow.cat
-    ob = {m: chosen[m].leg for m in m_arrow.members}
-    identity_squares = set(cat.id1.values())
-    one: dict[str, str] = {}
-    for sid in cat.one_ids:
-        m, m2 = cat.src1[sid], cat.tgt1[sid]
-        if sid in identity_squares:
-            one[sid] = e_arrow.cat.id1[ob[m]]
-            continue
-        u, v, psi = m_arrow.square(sid)
-        pres, pres2 = chosen[m], chosen[m2]
-        c_m2 = pres2.leg
-        z = t.cmp1(c_m2, v)
-        _, nu = n.repl(u, pres2.null_cell, t.id1[t.tgt1[pres2.null_cell]])
-        beta = t.vc_chain(nu, t.rw(pres2.structure, u),
-                          t.lw(c_m2, t.inv(psi)))
-        b_hat, gamma = cokernel_factor(t, n, pres, z, beta)
-        one[sid] = e_arrow.intern_square(
-            ob[m], ob[m2], v, b_hat, gamma)
-
-    two: dict[str, str] = {}
-    for tid in cat.two_ids:
-        sid, sid2 = cat.src2[tid], cat.tgt2[tid]
-        _, mu_v = m_arrow.pair(tid)
-        img, img2 = one[sid], one[sid2]
-        _, b_hat, chi = e_arrow.square(img)
-        _, b_hat2, chi2 = e_arrow.square(img2)
-        c_m = chosen[cat.src1[sid]].leg
-        c_m2 = chosen[cat.tgt1[sid]].leg
-        needed = t.vc_chain(chi2, t.lw(c_m2, mu_v), t.inv(chi))
-        kappa = solve_rwhisker(t, c_m, b_hat, b_hat2, needed)
-        two[tid] = e_arrow.intern_pair(img, img2, mu_v, kappa)
-
-    compositor: dict[tuple[str, str], str] = {}
-    for (sid2, sid1), sid12 in cat.comp1.items():
-        img_comp = e_arrow.cat.comp1[(one[sid2], one[sid1])]
-        img_tgt = one[sid12]
-        v_comp, b_comp, chi_comp = e_arrow.square(img_comp)
-        _, b_tgt, chi_tgt = e_arrow.square(img_tgt)
-        c_m = chosen[cat.src1[sid1]].leg
-        kappa = solve_rwhisker(t, c_m, b_comp, b_tgt,
-                               t.vc(chi_tgt, t.inv(chi_comp)))
-        compositor[(sid2, sid1)] = e_arrow.intern_pair(
-            img_comp, img_tgt, t.id2[v_comp], kappa)
-
-    return PseudoFunctor(source=cat, target=e_arrow.cat,
+    return PseudoFunctor(source=cat, target=target.cat,
                          ob=ob, one=one, two=two, compositor=compositor)
 
 
@@ -366,28 +341,25 @@ def fs_from_ideal(t: TwoCategory, n: TwoIdeal, cap: int | None = None
     data: left class all verified cokernel legs, right class all verified
     kernel legs, chosen factorizations by first search hit, the kernel and
     cokernel functors between the two pseudo-arrow 2-categories, and the
-    unit and counit exhibiting them as a biequivalence over the base.
+    unit and counit exhibiting them as a biequivalence over the base.  A
+    cokernel is a kernel in the dual, so the cokernel functor and the unit
+    are the kernel functor and the counit on the dual sides.
 
     Requires the ideal-side conditions to hold; a missing kernel, cokernel
     or factorization raises :class:`InputError` naming the gap.
     """
     check_ideal_shape(t, n)
-    budget = Budget(cap, "fs_from_ideal")
-    kernels = kernel_presentations_by_arrow(t, n, _budget=budget)
-    cokernels = cokernel_presentations_by_arrow(t, n, _budget=budget)
+    sides = tuple(_sweeps(t, n, Budget(cap, "fs_from_ideal")))
     for f in t.one_ids:
-        if not kernels[f]:
-            raise InputError(f"precondition failure: no verified kernel "
-                             f"for {f}")
-        if not cokernels[f]:
-            raise InputError(f"precondition failure: no verified cokernel "
-                             f"for {f}")
+        for side, _, _, by_arrow in sides:
+            if not by_arrow[f]:
+                raise InputError(f"precondition failure: no verified {side} "
+                                 f"for {f}")
+    (_, _, _, kernels), (_, _, _, cokernels) = sides
     chosen_kernel = {f: kernels[f][0] for f in t.one_ids}
     chosen_cokernel = {f: cokernels[f][0] for f in t.one_ids}
-    kernel_legs = tuple(sorted(
-        {p.leg for f in t.one_ids for p in kernels[f]}, key=natural_key))
-    cokernel_legs = tuple(sorted(
-        {p.leg for f in t.one_ids for p in cokernels[f]}, key=natural_key))
+    kernel_legs = tuple(sorted(_leg_order(kernels), key=natural_key))
+    cokernel_legs = tuple(sorted(_leg_order(cokernels), key=natural_key))
 
     factorization: dict[str, tuple[str, str, str]] = {}
     for f in t.one_ids:
@@ -400,100 +372,72 @@ def fs_from_ideal(t: TwoCategory, n: TwoIdeal, cap: int | None = None
                              right_class=kernel_legs,
                              factorization=factorization)
 
-    e_arrow = arrow_subcat(t, cokernel_legs)
-    m_arrow = arrow_subcat(t, kernel_legs)
-    k = _kernel_functor(t, n, e_arrow, m_arrow, chosen_kernel)
-    c = _cokernel_functor(t, n, m_arrow, e_arrow, chosen_cokernel)
-    eta = _unit(t, n, e_arrow, k, c, chosen_kernel, chosen_cokernel,
-                cokernels)
-    epsilon = _counit(t, n, m_arrow, k, c, chosen_kernel, chosen_cokernel,
-                      kernels)
+    e_side, e_dual = _sides(arrow_subcat(t, cokernel_legs))
+    m_side, m_dual = _sides(arrow_subcat(t, kernel_legs))
+    try:
+        k = _kernel_functor(t, n, e_side, m_side, chosen_kernel)
+        c = _kernel_functor(t.dual, n.dual, m_dual, e_dual, chosen_cokernel)
+        eta = _counit(t.dual, n.dual, e_dual, c, k, chosen_cokernel,
+                      chosen_kernel, cokernels)
+        epsilon = _counit(t, n, m_side, k, c, chosen_kernel, chosen_cokernel,
+                          kernels)
+    except KeyError as exc:
+        raise InputError(f"the ideal-side data yield the cell {exc.args[0]}, "
+                         f"which is not a declared square or pair") from None
     return fs, k, c, eta, epsilon
 
 
-def _unit(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
-          k: PseudoFunctor, c: PseudoFunctor,
-          chosen_kernel: dict[str, KernelPresentation],
-          chosen_cokernel: dict[str, CokernelPresentation],
-          cokernels) -> PseudoNatural:
-    """The unit: at each left-class member ``e``, the comparison square from
-    ``e`` to the chosen cokernel of its chosen kernel, induced by ``e``'s
-    own presentation as a cokernel of its kernel."""
-    cat = e_arrow.cat
-    ck = compose_pseudofunctors(c, k)
-    component: dict[str, str] = {}
-    for e in e_arrow.members:
-        k_e = chosen_kernel[e].leg
-        own = _first_with_leg(cokernels[k_e], e)
-        if own is None:
-            raise InputError(f"precondition failure: {e} is not exhibited "
-                             f"as a cokernel of its kernel {k_e}")
-        target_pres = chosen_cokernel[k_e]
-        u_prime, gamma = cokernel_factor(t, n, own, target_pres.leg,
-                                         target_pres.structure)
-        component[e] = e_arrow.intern_square(
-            e, target_pres.leg, t.id1[t.src1[e]], u_prime, gamma)
-        assert ck.ob[e] == target_pres.leg
-
-    structure: dict[str, str] = {}
-    identity_squares = set(cat.id1.values())
-    for sid in cat.one_ids:
-        e, e2 = cat.src1[sid], cat.tgt1[sid]
-        if sid in identity_squares:
-            structure[sid] = cat.id2[component[e]]
-            continue
-        lhs = cat.comp1[(ck.one[sid], component[e])]
-        rhs = cat.comp1[(component[e2], sid)]
-        a_l, b_l, phi_l = e_arrow.square(lhs)
-        _, b_r, phi_r = e_arrow.square(rhs)
-        tau = solve_rwhisker(t, e, b_l, b_r, t.vc(phi_r, t.inv(phi_l)))
-        structure[sid] = e_arrow.intern_pair(lhs, rhs, t.id2[a_l], tau)
-
-    return PseudoNatural(source_functor=identity_pseudofunctor(cat),
-                         target_functor=ck, component=component,
-                         structure=structure, claims_equivalences=True)
-
-
-def _counit(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
+def _counit(t: TwoCategory, n: TwoIdeal, side: _Side,
             k: PseudoFunctor, c: PseudoFunctor,
             chosen_kernel: dict[str, KernelPresentation],
-            chosen_cokernel: dict[str, CokernelPresentation],
+            chosen_cokernel: dict[str, KernelPresentation],
             kernels) -> PseudoNatural:
-    """The counit: at each right-class member ``m``, the comparison square
-    from the chosen kernel of its chosen cokernel down to ``m``, induced by
-    ``m``'s own presentation as a kernel of its cokernel."""
-    cat = m_arrow.cat
+    """The counit ``ε: K∘C ⇒ Id``: at each right-class member ``m``, the
+    comparison square from the chosen kernel of its chosen cokernel down to
+    ``m``, induced by ``m``'s own presentation as a kernel of its cokernel.
+    On the dual side, with the dual base and ideal and the roles of kernels
+    and cokernels (and of ``K`` and ``C``) swapped, it is the unit ``η: Id
+    ⇒ C∘K``: a transformation dualizes with its direction reversed and its
+    structure cells inverted, so the ends ``F ⇒ G`` swap and each cell
+    ``G(f)∘σ_X ⇒ σ_Y∘F(f)`` is taken as ``cat`` composes."""
+    cat, tgt1 = side.cat, side.tgt1
+    squares, pair_ids = side.squares, side.pair_ids
     kc = compose_pseudofunctors(k, c)
+    ends = (kc, identity_pseudofunctor(cat))
+    source_functor, target_functor = ends[::-1] if side.dual else ends
     component: dict[str, str] = {}
-    for m in m_arrow.members:
+    for m in cat.objects:
         c_m = chosen_cokernel[m].leg
-        own = _first_with_leg(kernels[c_m], m)
+        own = next((p for p in kernels[c_m] if p.leg == m), None)
         if own is None:
+            kinds = ("kernel", "cokernel")
+            kind, cokind = kinds[::-1] if side.dual else kinds
             raise InputError(f"precondition failure: {m} is not exhibited "
-                             f"as a kernel of its cokernel {c_m}")
+                             f"as a {kind} of its {cokind} {c_m}")
         source_pres = chosen_kernel[c_m]
         u_hat, gamma = kernel_factor(t, n, own, source_pres.leg,
                                      source_pres.structure)
-        component[m] = m_arrow.intern_square(
-            source_pres.leg, m, u_hat, t.id1[t.tgt1[m]], t.inv(gamma))
+        component[m] = side.square_ids[
+            (source_pres.leg, m, u_hat, t.id1[t.tgt1[m]], t.inv(gamma))]
         assert kc.ob[m] == source_pres.leg
 
     structure: dict[str, str] = {}
     identity_squares = set(cat.id1.values())
     for sid in cat.one_ids:
-        m, m2 = cat.src1[sid], cat.tgt1[sid]
+        x, y = cat.src1[sid], cat.tgt1[sid]
         if sid in identity_squares:
-            structure[sid] = cat.id2[component[m]]
+            structure[sid] = cat.id2[component[x]]
             continue
-        lhs = cat.comp1[(sid, component[m])]
-        rhs = cat.comp1[(component[m2], kc.one[sid])]
-        u_l, v_l, phi_l = m_arrow.square(lhs)
-        u_r, _, phi_r = m_arrow.square(rhs)
-        sigma = solve_lwhisker(t, m2, u_l, u_r, t.vc(t.inv(phi_r), phi_l))
-        structure[sid] = m_arrow.intern_pair(lhs, rhs, sigma, t.id2[v_l])
+        lhs = cat.comp1[(target_functor.one[sid], component[x])]
+        rhs = cat.comp1[(component[y], source_functor.one[sid])]
+        u_l, v_l, phi_l = squares[lhs]
+        u_r, _, phi_r = squares[rhs]
+        sigma = solve_lwhisker(t, tgt1[sid], u_l, u_r,
+                               t.vc(t.inv(phi_r), phi_l))
+        structure[sid] = pair_ids[(lhs, rhs, sigma, t.id2[v_l])]
 
-    return PseudoNatural(source_functor=kc,
-                         target_functor=identity_pseudofunctor(cat),
+    return PseudoNatural(source_functor=source_functor,
+                         target_functor=target_functor,
                          component=component, structure=structure,
                          claims_equivalences=True)
 

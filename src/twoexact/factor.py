@@ -300,26 +300,25 @@ class ArrowTwoCategory:
 
     Objects are the designated 1-cells of the base (object ids reuse the
     1-cell ids).  A 1-cell ``f → g`` is a square ``(a, b, φ)`` with
-    invertible ``φ: g∘a ⇒ b∘f``, encoded as ``"f|g|a|b|φ"``.  A 2-cell is a
-    coherent pair ``(σ, τ)`` between parallel squares, encoded as
+    invertible ``φ: g∘a ⇒ b∘f``, declared as ``"f|g|a|b|φ"``.  A 2-cell is a
+    coherent pair ``(σ, τ)`` between parallel squares, declared as
     ``"<src square>|<tgt square>|σ|τ"``.  Base ids must not contain ``"|"``.
 
     ``squares`` and ``pairs`` decode the declared ids; ``square_ids`` and
     ``pair_ids`` map ``(f, g, a, b, φ)`` and ``(src, tgt, σ, τ)`` back to
-    them, so an id built from components is the declared string object.
+    them.  No other id is ever made.
     """
 
     cat: TwoCategory
     base: TwoCategory
     members: tuple[str, ...]
     squares: Mapping[str, tuple[str, str, str]] = field(
-        default_factory=dict, repr=False, compare=False)
-    pairs: Mapping[str, tuple[str, str]] = field(
-        default_factory=dict, repr=False, compare=False)
+        repr=False, compare=False)
+    pairs: Mapping[str, tuple[str, str]] = field(repr=False, compare=False)
     square_ids: Mapping[tuple[str, ...], str] = field(
-        default_factory=dict, repr=False, compare=False)
+        repr=False, compare=False)
     pair_ids: Mapping[tuple[str, ...], str] = field(
-        default_factory=dict, repr=False, compare=False)
+        repr=False, compare=False)
 
     @staticmethod
     def square_id(f: str, g: str, a: str, b: str, phi: str) -> str:
@@ -330,37 +329,35 @@ class ArrowTwoCategory:
         return f"{src_sq}|{tgt_sq}|{sigma}|{tau}"
 
     def intern_square(self, f: str, g: str, a: str, b: str, phi: str) -> str:
-        """The id of the square ``(a, b, φ): f → g``: the declared one if
-        there is one, else a fresh encoding."""
-        return (self.square_ids.get((f, g, a, b, phi))
-                or self.square_id(f, g, a, b, phi))
+        """The declared id of the square ``(a, b, φ): f → g``."""
+        try:
+            return self.square_ids[(f, g, a, b, phi)]
+        except KeyError:
+            raise InputError(f"not a declared square: ({a}, {b}, {phi}): "
+                             f"{f} → {g}") from None
 
     def intern_pair(self, src_sq: str, tgt_sq: str, sigma: str,
                     tau: str) -> str:
-        """The id of the pair ``(σ, τ)`` between two squares: the declared
-        one if there is one, else a fresh encoding."""
-        return (self.pair_ids.get((src_sq, tgt_sq, sigma, tau))
-                or self.pair_id(src_sq, tgt_sq, sigma, tau))
+        """The declared id of the pair ``(σ, τ)`` between two squares."""
+        try:
+            return self.pair_ids[(src_sq, tgt_sq, sigma, tau)]
+        except KeyError:
+            raise InputError(f"not a declared square 2-cell: ({sigma}, "
+                             f"{tau}): {src_sq} ⇒ {tgt_sq}") from None
 
     def square(self, one_id: str) -> tuple[str, str, str]:
-        """Decode a 1-cell id into its square ``(a, b, φ)``."""
-        found = self.squares.get(one_id)
-        if found is not None:
-            return found
-        parts = one_id.split("|")
-        if len(parts) != 5:
-            raise InputError(f"not a square id: {one_id}")
-        return parts[2], parts[3], parts[4]
+        """Decode a declared 1-cell id into its square ``(a, b, φ)``."""
+        try:
+            return self.squares[one_id]
+        except KeyError:
+            raise InputError(f"not a square id: {one_id}") from None
 
     def pair(self, two_id: str) -> tuple[str, str]:
-        """Decode a 2-cell id into its component pair ``(σ, τ)``."""
-        found = self.pairs.get(two_id)
-        if found is not None:
-            return found
-        parts = two_id.split("|")
-        if len(parts) != 12:
-            raise InputError(f"not a square 2-cell id: {two_id}")
-        return parts[10], parts[11]
+        """Decode a declared 2-cell id into its component pair ``(σ, τ)``."""
+        try:
+            return self.pairs[two_id]
+        except KeyError:
+            raise InputError(f"not a square 2-cell id: {two_id}") from None
 
 
 def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
@@ -368,10 +365,10 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
 
     Composition of squares pastes the fillers, ``(a', b', φ')∘(a, b, φ) =
     (a'∘a, b'∘b, (b'⋆φ)·(φ'⋆a))``; 2-cells compose and whisker
-    componentwise.  Every composite, identity and whisker is looked up by
-    its components among the declared squares and pairs, so the tables
-    share the declared id strings; only a lawless base yields an undeclared
-    one, which gets a fresh encoding.  Built once per base and member list
+    componentwise.  On a lawful base every composite, identity and whisker
+    of declared squares and pairs is itself declared, so each is looked up
+    by its components; an undeclared one shows a broken law of the base
+    and raises :class:`InputError`.  Built once per base and member list
     and kept on the base, like :attr:`TwoCategory.dual`, so every caller
     shares one object.
     """
@@ -387,6 +384,16 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
             raise InputError(
                 f"cell id {i!r} contains '|'; square encoding needs ids "
                 f"without it")
+    try:
+        built[mem] = _arrow_subcat(t, mem)
+    except KeyError as exc:
+        raise InputError(f"the base breaks a 2-category law: the cell "
+                         f"{exc.args[0]} of the pseudo-arrow 2-category is "
+                         f"not a declared square or pair") from None
+    return built[mem]
+
+
+def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
     square_id, pair_id = ArrowTwoCategory.square_id, ArrowTwoCategory.pair_id
 
     sq_of: dict[str, tuple[str, str, str]] = {}
@@ -411,10 +418,9 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
                 into[g].append(sid)
             by_pair[(f, g)] = here
 
-    id1 = {}
-    for f in mem:
-        key = (f, f, t.id1[t.src1[f]], t.id1[t.tgt1[f]], t.id2[f])
-        id1[f] = square_ids.get(key) or square_id(*key)
+    id1 = {f: square_ids[(f, f, t.id1[t.src1[f]], t.id1[t.tgt1[f]],
+                          t.id2[f])]
+           for f in mem}
 
     comp1 = {}
     for sid2, (a2, b2, phi2) in sq_of.items():
@@ -422,8 +428,8 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
         for sid1 in into[g]:
             a1, b1, phi1 = sq_of[sid1]
             psi = t.vc(t.lw(b2, phi1), t.rw(phi2, a1))
-            key = (ends[sid1][0], h, t.cmp1(a2, a1), t.cmp1(b2, b1), psi)
-            comp1[(sid2, sid1)] = square_ids.get(key) or square_id(*key)
+            comp1[(sid2, sid1)] = square_ids[
+                (ends[sid1][0], h, t.cmp1(a2, a1), t.cmp1(b2, b1), psi)]
 
     two_cells: list[tuple[str, str, str]] = []
     pair_of: dict[str, tuple[str, str]] = {}
@@ -442,17 +448,15 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
     src2 = {i: s for i, s, _ in two_cells}
     tgt2 = {i: s for i, _, s in two_cells}
 
-    id2 = {}
-    for sid, (a, b, _) in sq_of.items():
-        key = (sid, sid, t.id2[a], t.id2[b])
-        id2[sid] = pair_ids.get(key) or pair_id(*key)
+    id2 = {sid: pair_ids[(sid, sid, t.id2[a], t.id2[b])]
+           for sid, (a, b, _) in sq_of.items()}
 
     vcomp = {}
     for tid2, (s2, t2_) in pair_of.items():
         for tid1 in into2[src2[tid2]]:
             s1, t1_ = pair_of[tid1]
-            key = (src2[tid1], tgt2[tid2], t.vc(s2, s1), t.vc(t2_, t1_))
-            vcomp[(tid2, tid1)] = pair_ids.get(key) or pair_id(*key)
+            vcomp[(tid2, tid1)] = pair_ids[
+                (src2[tid1], tgt2[tid2], t.vc(s2, s1), t.vc(t2_, t1_))]
 
     lwhisker = {}
     rwhisker = {}
@@ -461,14 +465,14 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
         f, g = ends[lo]
         for sid in out_of[g]:  # whisker a square g → · on the left
             a2, b2, _ = sq_of[sid]
-            key = (comp1[(sid, lo)], comp1[(sid, hi)],
-                   t.lw(a2, sigma), t.lw(b2, tau))
-            lwhisker[(sid, tid)] = pair_ids.get(key) or pair_id(*key)
+            lwhisker[(sid, tid)] = pair_ids[
+                (comp1[(sid, lo)], comp1[(sid, hi)],
+                 t.lw(a2, sigma), t.lw(b2, tau))]
         for sid in into[f]:  # whisker a square · → f on the right
             a2, b2, _ = sq_of[sid]
-            key = (comp1[(lo, sid)], comp1[(hi, sid)],
-                   t.rw(sigma, a2), t.rw(tau, b2))
-            rwhisker[(tid, sid)] = pair_ids.get(key) or pair_id(*key)
+            rwhisker[(tid, sid)] = pair_ids[
+                (comp1[(lo, sid)], comp1[(hi, sid)],
+                 t.rw(sigma, a2), t.rw(tau, b2))]
 
     cat = TwoCategory(
         objects=mem,
@@ -481,10 +485,9 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
         lwhisker=lwhisker,
         rwhisker=rwhisker,
     )
-    built[mem] = ArrowTwoCategory(
+    return ArrowTwoCategory(
         cat=cat, base=t, members=mem, squares=sq_of, pairs=pair_of,
         square_ids=square_ids, pair_ids=pair_ids)
-    return built[mem]
 
 
 # ---------------------------------------------------------------------------

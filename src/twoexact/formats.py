@@ -45,6 +45,7 @@ a cell of its ref's pool, else as an object of the ref's scope, else as a
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -659,16 +660,31 @@ def document_to_pseudofunctor(doc: Document) -> PseudoFunctor:
     return _body_pseudofunctor(doc.body)
 
 
+def _interned(table: Mapping[str, str], keys: Mapping[str, str],
+              values: Mapping[str, str]) -> dict[str, str]:
+    """``table`` with each key and value declared in ``keys`` / ``values``
+    as the declared string object; the shape checks reject any other."""
+    key, value = keys.get, values.get
+    return {key(x, x): value(v, v) for x, v in table.items()}
+
+
 def _body_pseudofunctor(body: Mapping[str, Any]) -> PseudoFunctor:
+    return _tables_functor(body, _body_twocat(body["source"]),
+                           _body_twocat(body["target"]), {}, {})
+
+
+def _tables_functor(tables: Mapping[str, Any], source: TwoCategory,
+                    target: TwoCategory, keys: Mapping[str, str],
+                    values: Mapping[str, str]) -> PseudoFunctor:
+    """A pseudofunctor read off its tables, with the ids declared in
+    ``keys`` (source) and ``values`` (target) as the declared objects."""
+    key, value = keys.get, values.get
     return PseudoFunctor(
-        source=_body_twocat(body["source"]),
-        target=_body_twocat(body["target"]),
-        ob=dict(body["ob"]),
-        one=dict(body["one"]),
-        two=dict(body["two"]),
-        compositor={(r["g"], r["f"]): r["cell"]
-                    for r in body["compositor"]},
-    )
+        source, target,
+        *(_interned(tables[name], keys, values)
+          for name in ("ob", "one", "two")),
+        {(key(r["g"], r["g"]), key(r["f"], r["f"])):
+         value(r["cell"], r["cell"]) for r in tables["compositor"]})
 
 
 def pseudonatural_to_document(nat: PseudoNatural) -> Document:
@@ -677,9 +693,7 @@ def pseudonatural_to_document(nat: PseudoNatural) -> Document:
             nat.source_functor).body,
         "target_functor": pseudofunctor_to_document(
             nat.target_functor).body,
-        "component": dict(nat.component),
-        "structure": dict(nat.structure),
-        "claims_equivalences": nat.claims_equivalences,
+        **_natural_tables(nat),
     })
 
 
@@ -687,13 +701,17 @@ def document_to_pseudonatural(doc: Document) -> PseudoNatural:
     if doc.kind != "pseudonatural":
         raise InputError(f"expected a pseudonatural document, got "
                          f"{doc.kind}")
-    return PseudoNatural(
-        source_functor=_body_pseudofunctor(doc.body["source_functor"]),
-        target_functor=_body_pseudofunctor(doc.body["target_functor"]),
-        component=dict(doc.body["component"]),
-        structure=dict(doc.body["structure"]),
-        claims_equivalences=doc.body["claims_equivalences"],
-    )
+    return _tables_natural(doc.body, {},
+                           _body_pseudofunctor(doc.body["source_functor"]),
+                           _body_pseudofunctor(doc.body["target_functor"]))
+
+
+def _tables_natural(tables: Mapping[str, Any], ids: Mapping[str, str],
+                    *functors: PseudoFunctor) -> PseudoNatural:
+    """A transformation read off its tables, as :func:`_tables_functor`."""
+    return PseudoNatural(*functors, _interned(tables["component"], ids, ids),
+                         _interned(tables["structure"], ids, ids),
+                         tables["claims_equivalences"])
 
 
 def _natural_tables(nat: PseudoNatural) -> dict[str, Any]:
@@ -737,33 +755,21 @@ def document_to_witness_bundle(doc: Document) -> tuple[
     t = witness_bundle_base(doc)
     body = doc.body
     fs = _body_fs(body)
-    e_arrow = arrow_subcat(t, fs.left_class)
-    m_arrow = arrow_subcat(t, fs.right_class)
-
-    def functor(tables: Mapping[str, Any], source, target) -> PseudoFunctor:
-        return PseudoFunctor(
-            source=source, target=target,
-            ob=dict(tables["ob"]), one=dict(tables["one"]),
-            two=dict(tables["two"]),
-            compositor={(r["g"], r["f"]): r["cell"]
-                        for r in tables["compositor"]})
-
-    k = functor(body["k"], e_arrow.cat, m_arrow.cat)
-    c = functor(body["c"], m_arrow.cat, e_arrow.cat)
+    e_cat = arrow_subcat(t, fs.left_class).cat
+    m_cat = arrow_subcat(t, fs.right_class).cat
+    # each cell id to itself: the tables then hold the declared string
+    # objects, not second copies of them
+    e_ids, m_ids = ({i: i for i in itertools.chain(
+        cat.objects, cat.one_ids, cat.two_ids)} for cat in (e_cat, m_cat))
+    k = _tables_functor(body["k"], e_cat, m_cat, e_ids, m_ids)
+    c = _tables_functor(body["c"], m_cat, e_cat, m_ids, e_ids)
     check_pseudofunctor_shape(k)
     check_pseudofunctor_shape(c)
-    eta = PseudoNatural(
-        source_functor=identity_pseudofunctor(e_arrow.cat),
-        target_functor=compose_pseudofunctors(c, k),
-        component=dict(body["eta"]["component"]),
-        structure=dict(body["eta"]["structure"]),
-        claims_equivalences=body["eta"]["claims_equivalences"])
-    epsilon = PseudoNatural(
-        source_functor=compose_pseudofunctors(k, c),
-        target_functor=identity_pseudofunctor(m_arrow.cat),
-        component=dict(body["epsilon"]["component"]),
-        structure=dict(body["epsilon"]["structure"]),
-        claims_equivalences=body["epsilon"]["claims_equivalences"])
+    eta = _tables_natural(body["eta"], e_ids, identity_pseudofunctor(e_cat),
+                          compose_pseudofunctors(c, k))
+    epsilon = _tables_natural(body["epsilon"], m_ids,
+                              compose_pseudofunctors(k, c),
+                              identity_pseudofunctor(m_cat))
     check_pseudonatural_shape(eta)
     check_pseudonatural_shape(epsilon)
     return t, fs, k, c, eta, epsilon

@@ -11,8 +11,9 @@ other ideal by pasting the comparison's inverse onto its structure cell.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
+from typing import TypeVar
 
 from .core import (
     Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
@@ -21,6 +22,8 @@ from .core import (
 from .ideal import TwoIdeal
 from .limits import CokernelPresentation, KernelPresentation
 
+_Presentation = TypeVar("_Presentation", KernelPresentation,
+                        CokernelPresentation)
 
 @dataclass(frozen=True)
 class IdealEquivalenceWitness:
@@ -196,15 +199,15 @@ def ideals_equivalent(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
 
 
 def transfer_kernel(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
-                    w: IdealEquivalenceWitness,
-                    pres: KernelPresentation) -> KernelPresentation:
+                    w: IdealEquivalenceWitness, pres: _Presentation
+                    ) -> _Presentation:
     """Move a kernel presentation to an equivalent ideal: replace the null
     cell by its counterpart and paste the comparison's inverse onto the
     structure cell."""
     check_witness_shape(t, n, n_prime, w)
     new_null, xi = w.counterpart[pres.null_cell]
-    return KernelPresentation(pres.arrow, pres.apex, pres.leg, new_null,
-                              t.vc(t.inv(xi), pres.structure))
+    return replace(pres, null_cell=new_null,
+                   structure=t.vc(t.inv(xi), pres.structure))
 
 
 def transfer_cokernel(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
@@ -212,7 +215,4 @@ def transfer_cokernel(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
                       pres: CokernelPresentation) -> CokernelPresentation:
     """Dual of :func:`transfer_kernel`; vertical pasting is unchanged by
     1-cell dualization, so the formula is the same."""
-    check_witness_shape(t, n, n_prime, w)
-    new_null, xi = w.counterpart[pres.null_cell]
-    return CokernelPresentation(pres.arrow, pres.coapex, pres.leg, new_null,
-                                t.vc(t.inv(xi), pres.structure))
+    return transfer_kernel(t, n, n_prime, w, pres)

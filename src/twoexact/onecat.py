@@ -48,12 +48,6 @@ class FiniteCategory:
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return self._hom.get((a, b), ())
 
-    def cmp(self, g: str, f: str) -> str:
-        try:
-            return self.comp[(g, f)]
-        except KeyError:
-            raise InputError(f"morphisms not composable: ({g}, {f})") from None
-
 
 def check_category_shape(c: FiniteCategory) -> None:
     """Referential integrity and totality; raises :class:`InputError`."""

@@ -30,12 +30,6 @@ class PseudoFunctor:
     two: Mapping[str, str]
     compositor: Mapping[tuple[str, str], str]
 
-    def comp_at(self, g: str, f: str) -> str:
-        try:
-            return self.compositor[(g, f)]
-        except KeyError:
-            raise InputError(f"no compositor entry for ({g}, {f})") from None
-
 
 def check_pseudofunctor_shape(func: PseudoFunctor) -> None:
     s, t = func.source, func.target

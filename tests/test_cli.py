@@ -343,8 +343,8 @@ def test_round_trip_bytes_are_pinned(tmp_path, name):
 
 
 @pytest.mark.parametrize("table, row, column, value, clause, cells", [
-    # the first used to stop bundle parsing with exit 2, the second with a
-    # KeyError traceback
+    # under each command, the first used to stop bundle parsing with exit
+    # 2, the second with a KeyError traceback
     ("lwhisker", {"h": "m1_0to1_e", "a": "id_m2_1to0_e"}, "ha",
      "id_m0_0to0_e", "lwhisker-boundary",
      {"h": "m1_0to1_e", "a": "id_m2_1to0_e", "result": "id_m0_0to0_e"}),
@@ -355,20 +355,26 @@ def test_round_trip_bytes_are_pinned(tmp_path, name):
 def test_validate_reports_a_lawless_bundle_base(tmp_path, table, row, column,
                                                 value, clause, cells):
     # the pseudo-arrow 2-categories cannot be rebuilt on such a base, so the
-    # base's fail certificate is the whole report
+    # base's fail certificate is the whole report; check-fs prints it too,
+    # and ideal-from-fs, which writes no certificate, names its clause
     body = json.loads((FIXTURE_DIR / "pb1.bundle.json").read_text())
     [edited] = [r for r in body["base"][table]
                 if all(r[k] == v for k, v in row.items())]
     edited[column] = value
     bundle = tmp_path / "lawless.bundle.json"
     bundle.write_text(json.dumps(body), encoding="utf-8")
-    proc = run("validate", str(bundle))
-    assert (proc.returncode, proc.stderr) == (1, "")
-    header, cert = map(json.loads, proc.stdout.splitlines())
-    assert header == {"command": "validate", "cap": None,
-                      "inputs": [str(bundle)]}
-    assert cert == {"check": "validate_two_category", "status": "fail",
-                    "counterexample": {"clause": clause, "cells": cells}}
+    for command in ("validate", "check-fs"):
+        proc = run(command, str(bundle))
+        assert (proc.returncode, proc.stderr) == (1, ""), command
+        header, cert = map(json.loads, proc.stdout.splitlines())
+        assert header == {"command": command, "cap": None,
+                          "inputs": [str(bundle)]}
+        assert cert == {"check": "validate_two_category", "status": "fail",
+                        "counterexample": {"clause": clause, "cells": cells}}
+    proc = run("ideal-from-fs", str(bundle))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: the bundle's base is not a 2-category: "
+                           f"{clause}\n")
 
 
 #: Edits that leave a witness bundle's `k` table malformed; each used to

@@ -26,7 +26,8 @@ from twoexact import (
     validate_two_category,
 )
 from twoexact import cli, factor
-from twoexact.formats import serialize, witness_bundle_to_document
+from twoexact.formats import (document_to_witness_bundle, parse, serialize,
+                              witness_bundle_to_document)
 
 _T = LD_PB2
 _N = ZERO_IDEALS["ld_pb2"]
@@ -93,16 +94,22 @@ def test_square_ids_decode_to_their_parts():
             src_member, tgt_member, a, b, phi)
 
 
-def test_square_and_pair_decode_undeclared_ids_by_splitting():
+def test_square_and_pair_reject_undeclared_ids():
+    # only declared ids are read; a well-formed but undeclared encoding is
+    # not split apart
     arrow = arrow_subcat(_T, _FS.right_class)
-    assert arrow.square("x|y|a|b|p") == ("a", "b", "p")
-    assert arrow.pair("x|y|a|b|p|x|y|c|d|q|s|t") == ("s", "t")
-    with pytest.raises(InputError) as err:
-        arrow.square("q")
-    assert str(err.value) == "not a square id: q"
-    with pytest.raises(InputError) as err:
-        arrow.pair("x|y")
-    assert str(err.value) == "not a square 2-cell id: x|y"
+    for one_id in ("x|y|a|b|p", "q"):
+        with pytest.raises(InputError) as err:
+            arrow.square(one_id)
+        assert str(err.value) == f"not a square id: {one_id}"
+    for two_id in ("x|y|a|b|p|x|y|c|d|q|s|t", "x|y"):
+        with pytest.raises(InputError) as err:
+            arrow.pair(two_id)
+        assert str(err.value) == f"not a square 2-cell id: {two_id}"
+    with pytest.raises(InputError):
+        arrow.intern_square("x", "y", "a", "b", "p")
+    with pytest.raises(InputError):
+        arrow.intern_pair("x|y|a|b|p", "x|y|c|d|q", "s", "t")
 
 
 def _assert_declared(cells, ids):
@@ -132,6 +139,28 @@ def test_constructed_functors_share_the_declared_ids():
     for nat in (_ETA, _EPS):
         cat = nat.source_functor.source
         _assert_declared(cat.one_ids, nat.component.values())
+        _assert_declared(cat.two_ids, nat.structure.values())
+
+
+def test_parsed_bundle_shares_the_declared_ids():
+    # every parsed id that the rebuilt pseudo-arrow 2-categories declare is
+    # the declared string object, in the keys and values of all four tables
+    _, fs, k, c, eta, eps = document_to_witness_bundle(parse(serialize(
+        witness_bundle_to_document(_T, _FS, _K, _C, _ETA, _EPS))))
+    for func in (k, c):
+        _assert_declared(func.source.objects, [*func.ob])
+        _assert_declared(func.source.one_ids, [
+            *func.one, *(x for pair in func.compositor for x in pair)])
+        _assert_declared(func.source.two_ids, func.two)
+        _assert_declared(func.target.objects, func.ob.values())
+        _assert_declared(func.target.one_ids, func.one.values())
+        _assert_declared(func.target.two_ids, [*func.two.values(),
+                                               *func.compositor.values()])
+    for nat in (eta, eps):
+        cat = nat.source_functor.source
+        _assert_declared(cat.objects, nat.component)
+        _assert_declared(cat.one_ids, [*nat.component.values(),
+                                       *nat.structure])
         _assert_declared(cat.two_ids, nat.structure.values())
 
 
