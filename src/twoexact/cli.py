@@ -106,7 +106,9 @@ def _base_and_ideal(args) -> tuple[TwoCategory, TwoIdeal]:
     return t, canonical_zero_ideal(t)
 
 
-def _fs_of(args, t: TwoCategory) -> FactorizationSystem:
+def _fs_file(args, t: TwoCategory) -> FactorizationSystem:
+    """The factorization system of the --fs document, a
+    factorization_system document or a witness bundle over ``t``."""
     if args.fs is None:
         raise InputError("this subcommand needs --fs")
     doc = _load(args.fs)
@@ -120,13 +122,25 @@ def _fs_of(args, t: TwoCategory) -> FactorizationSystem:
     return fs
 
 
+def _fs_of(args, doc: Document) -> tuple[TwoCategory, FactorizationSystem]:
+    """The base and factorization system: the main document's own when it
+    is a factorization_system document and no --fs is given, else its base
+    with the --fs document's system."""
+    if doc.kind == "factorization_system" and args.fs is None:
+        return document_to_fs(doc)
+    t = document_to_two_category(doc)
+    return t, _fs_file(args, t)
+
+
 def _unless_lawless(run: Callable[[], Any],
                     base: Callable[[], TwoCategory]) -> Any:
     """``run()``, or else the fail certificate of a lawless ``base()``: the
-    run composes cells that only a lawful base makes composable."""
+    run composes cells that only a lawful base makes composable, and on
+    another base it may find no such cell (an :class:`InputError`) or look
+    up a composite that is not in a table (a ``KeyError``)."""
     try:
         return run()
-    except InputError:
+    except (InputError, KeyError):
         cert = validate_two_category(base())
         if cert.ok:
             raise
@@ -294,11 +308,7 @@ def _cmd_check_fs(args) -> int:
             check_grandis_i(*bundle, cap=args.cap)
         _emit(cert.to_json_dict())
         return _status_exit(cert.status)
-    if doc.kind == "factorization_system" and args.fs is None:
-        t, fs = document_to_fs(doc)
-    else:
-        t = document_to_two_category(doc)
-        fs = _fs_of(args, t)
+    t, fs = _fs_of(args, doc)
     _header("check-fs", args.cap, [args.file])
     cert = validate_fs(t, fs, args.cap)
     _emit(cert.to_json_dict())
@@ -306,12 +316,7 @@ def _cmd_check_fs(args) -> int:
 
 
 def _cmd_check_fibration(args) -> int:
-    doc = _load(args.file)
-    if doc.kind == "factorization_system" and args.fs is None:
-        t, fs = document_to_fs(doc)
-    else:
-        t = document_to_two_category(doc)
-        fs = _fs_of(args, t)
+    t, fs = _fs_of(args, _load(args.file))
     _header("check-fibration", args.cap, [args.file])
     cert = check_weak_two_fibration(t, fs, args.direction, args.cap)
     _emit(cert.to_json_dict())
@@ -320,7 +325,7 @@ def _cmd_check_fibration(args) -> int:
 
 def _cmd_check_rofs(args) -> int:
     t, n = _base_and_ideal(args)
-    fs = _fs_of(args, t)
+    fs = _fs_file(args, t)
     _header("check-rofs", args.cap, [args.file])
     cert = validate_rofs(t, n, fs.left_class, fs.right_class, args.cap)
     _emit(cert.to_json_dict())
@@ -387,35 +392,29 @@ def _cmd_oracle_1cat(args) -> int:
     return _status_exit(cert.status)
 
 
+#: document kind -> (reader, writer of the mutant of the entity it read)
+_MUTABLE: dict[str, tuple[Callable, Callable]] = {
+    "two_category": (document_to_two_category,
+                     lambda _, m: two_category_to_document(m)),
+    "two_ideal": (document_to_two_ideal,
+                  lambda e, m: two_ideal_to_document(e[0], m)),
+    "factorization_system": (document_to_fs,
+                             lambda e, m: fs_to_document(e[0], m)),
+    "pseudofunctor": (document_to_pseudofunctor,
+                      lambda _, m: pseudofunctor_to_document(m)),
+    "pseudonatural": (document_to_pseudonatural,
+                      lambda _, m: pseudonatural_to_document(m)),
+}
+
+
 def _cmd_mutate(args) -> int:
     doc = _load(args.file)
-    base: TwoCategory | None = None
-    if doc.kind == "two_category":
-        entity: Any = document_to_two_category(doc)
-    elif doc.kind == "two_ideal":
-        base, n = document_to_two_ideal(doc)
-        entity = (base, n)
-    elif doc.kind == "factorization_system":
-        base, fs = document_to_fs(doc)
-        entity = (base, fs)
-    elif doc.kind == "pseudofunctor":
-        entity = document_to_pseudofunctor(doc)
-    elif doc.kind == "pseudonatural":
-        entity = document_to_pseudonatural(doc)
-    else:
+    if doc.kind not in _MUTABLE:
         raise InputError(f"cannot mutate documents of kind {doc.kind}")
-    mutated = mutate(entity, args.operator, args.seed)
-    if doc.kind == "two_category":
-        out = two_category_to_document(mutated)
-    elif doc.kind == "two_ideal":
-        out = two_ideal_to_document(base, mutated)
-    elif doc.kind == "factorization_system":
-        out = fs_to_document(base, mutated)
-    elif doc.kind == "pseudofunctor":
-        out = pseudofunctor_to_document(mutated)
-    else:
-        out = pseudonatural_to_document(mutated)
-    _write_product(out, args.out)
+    read, write = _MUTABLE[doc.kind]
+    entity = read(doc)
+    _write_product(write(entity, mutate(entity, args.operator, args.seed)),
+                   args.out)
     return PASS
 
 

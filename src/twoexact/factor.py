@@ -12,6 +12,7 @@ against squares compatible with a 2-ideal's null structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -19,10 +20,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
                    _fail, _inconclusive, equivalences, is_cofaithful,
                    is_equivalence, is_faithful)
+from .closure import _sweeps
 from .ideal import TwoIdeal
-from .limits import (CokernelPresentation, KernelPresentation,
-                     cokernel_presentations_by_arrow,
-                     kernel_presentations_by_arrow)
+from .limits import KernelPresentation
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,79 @@ def factorizations(t: TwoCategory, f: str, left: Sequence[str],
                     yield e, m, theta
 
 
+def _capped(check: str, cap: int | None, body, *args) -> Certificate:
+    """``body(*args, budget)`` on a fresh budget for ``check``; inconclusive
+    when the cap runs out."""
+    try:
+        return body(*args, Budget(cap, check))
+    except CapExceeded as exc:
+        return _inconclusive(check, exc)
+
+
+def _equivalence_escapes(t: TwoCategory, sides) -> Iterator[tuple[str, ...]]:
+    """Every ``(side, member, equivalence, composite, position)`` where a
+    member composed with an equivalence before it (``"pre"``) or after it
+    (``"post"``) leaves its class; ``sides`` holds ``(side, class,
+    positions)``."""
+    eqs = equivalences(t)
+    for side, cls, positions in sides:
+        members = set(cls)
+        for c in cls:
+            for i in eqs:
+                for position in positions:
+                    g, f = (c, i) if position == "pre" else (i, c)
+                    if t.src1[g] == t.tgt1[f] and t.cmp1(g, f) not in members:
+                        yield side, c, i, t.cmp1(g, f), position
+
+
+def _iso_escapes(t: TwoCategory, sides) -> Iterator[tuple[str, ...]]:
+    """Every ``(side, member, other, iso)``: a parallel 1-cell outside the
+    class with an invertible 2-cell from a member; ``sides`` holds ``(side,
+    class)`` pairs."""
+    for side, cls in sides:
+        members = set(cls)
+        for c in cls:
+            for g in t.hom1(t.src1[c], t.tgt1[c]):
+                if g not in members and t.iso2(c, g):
+                    yield side, c, g, t.iso2(c, g)[0]
+
+
+def _lifting_failure(t: TwoCategory, e: str, m: str, budget: Budget,
+                     needs_fill) -> tuple[str, dict] | None:
+    """The first failure of 1- and 2-dimensional diagonal lifting of ``e``
+    against ``m`` as ``(clause, cells)``, or ``None``: a square ``(u, v, φ)``
+    that ``needs_fill`` but has no fill-in (``fill-in``), or two fill-ins
+    joined by no connector or by several (``two-dim-existence`` /
+    ``-uniqueness``, citing two ``connectors``)."""
+    instances = []
+    for u, v, phi in squares_between(t, e, m):
+        budget.tick()
+        fills = fill_ins(t, e, m, u, v, phi)
+        if needs_fill((u, v, phi)) and not fills:
+            return "fill-in", dict(left=e, right=m, u=u, v=v, phi=phi)
+        if fills:
+            instances.append(((u, v, phi), fills))
+    for (sq, fills), (sq2, fills2) in itertools.product(instances, repeat=2):
+        for sigma_c, tau_c in square_two_cells(t, e, m, sq, sq2):
+            for (d, sigma, rho), (d2, sigma2, rho2) in \
+                    itertools.product(fills, fills2):
+                budget.tick()
+                sols = [lam for lam in t.hom2(d, d2)
+                        if t.vc(t.rw(lam, e), sigma) == t.vc(sigma2, sigma_c)
+                        and t.vc(rho2, t.lw(m, lam)) == t.vc(tau_c, rho)]
+                if len(sols) == 1:
+                    continue
+                cells = {"left": e, "right": m, "square": list(sq),
+                         "square2": list(sq2), "sigma": sigma_c,
+                         "tau": tau_c, "fill_in": [d, sigma, rho],
+                         "fill_in2": [d2, sigma2, rho2]}
+                if not sols:
+                    return "two-dim-existence", cells
+                return "two-dim-uniqueness", {**cells,
+                                              "connectors": sols[:2]}
+    return None
+
+
 def validate_fs(t: TwoCategory, fs: FactorizationSystem,
                 cap: int | None = None) -> Certificate:
     """Check every law of a factorization system with chosen factorizations.
@@ -152,11 +225,7 @@ def validate_fs(t: TwoCategory, fs: FactorizationSystem,
     1-cell are linked by an equivalence diagonal).
     """
     check_fs_shape(t, fs)
-    budget = Budget(cap, "validate_fs")
-    try:
-        return _validate_fs(t, fs, budget)
-    except CapExceeded as exc:
-        return _inconclusive("validate_fs", exc)
+    return _capped("validate_fs", cap, _validate_fs, t, fs)
 
 
 def _validate_fs(t: TwoCategory, fs: FactorizationSystem,
@@ -184,71 +253,33 @@ def _validate_fs(t: TwoCategory, fs: FactorizationSystem,
             return _fail("validate_fs", "factorization-invertible",
                          one_cell=f, theta=theta)
 
-    # closure of both classes under composition with equivalences (both sides)
-    eqs = equivalences(t)
-    for side, cls, cls_set in (("left", left, left_set),
-                               ("right", right, right_set)):
-        for c in cls:
-            for i in eqs:
-                if t.tgt1[i] == t.src1[c] and t.cmp1(c, i) not in cls_set:
-                    return _fail("validate_fs", "class-equivalence-closure",
-                                 side=side, member=c, equivalence=i,
-                                 composite=t.cmp1(c, i), position="pre")
-                if t.src1[i] == t.tgt1[c] and t.cmp1(i, c) not in cls_set:
-                    return _fail("validate_fs", "class-equivalence-closure",
-                                 side=side, member=c, equivalence=i,
-                                 composite=t.cmp1(i, c), position="post")
+    # closure of both classes under composition with equivalences (both
+    # sides), then stability under invertible 2-cells; the first escape fails
+    both = ("pre", "post")
+    for side, c, i, composite, position in _equivalence_escapes(
+            t, (("left", left, both), ("right", right, both))):
+        return _fail("validate_fs", "class-equivalence-closure", side=side,
+                     member=c, equivalence=i, composite=composite,
+                     position=position)
+    for side, c, g, iso in _iso_escapes(t, (("left", left),
+                                            ("right", right))):
+        return _fail("validate_fs", "class-iso-stability", side=side,
+                     member=c, other=g, iso=iso)
 
-    # stability of both classes under invertible 2-cells
-    for side, cls, cls_set in (("left", left, left_set),
-                               ("right", right, right_set)):
-        for c in cls:
-            for g in t.hom1(t.src1[c], t.tgt1[c]):
-                if g not in cls_set and t.iso2(c, g):
-                    return _fail("validate_fs", "class-iso-stability",
-                                 side=side, member=c, other=g,
-                                 iso=t.iso2(c, g)[0])
-
-    # 1- and 2-dimensional diagonal lifting
+    # 1- and 2-dimensional diagonal lifting; every square needs a fill-in
     squares_checked = 0
+
+    def needs_fill(_sq) -> bool:
+        nonlocal squares_checked
+        squares_checked += 1
+        return True
+
     for e in left:
         for m in right:
-            instances: list[tuple[tuple[str, str, str],
-                                  list[tuple[str, str, str]]]] = []
-            for u, v, phi in squares_between(t, e, m):
-                budget.tick()
-                squares_checked += 1
-                fills = fill_ins(t, e, m, u, v, phi)
-                if not fills:
-                    return _fail("validate_fs", "orthogonality-fill-in",
-                                 left=e, right=m, u=u, v=v, phi=phi)
-                instances.append(((u, v, phi), fills))
-            for (sq, fills), (sq2, fills2) in itertools.product(instances,
-                                                                repeat=2):
-                for sigma_c, tau_c in square_two_cells(t, e, m, sq, sq2):
-                    for (d, sigma, rho), (d2, sigma2, rho2) in \
-                            itertools.product(fills, fills2):
-                        budget.tick()
-                        sols = [
-                            lam for lam in t.hom2(d, d2)
-                            if t.vc(t.rw(lam, e), sigma) ==
-                            t.vc(sigma2, sigma_c)
-                            and t.vc(rho2, t.lw(m, lam)) == t.vc(tau_c, rho)]
-                        if not sols:
-                            return _fail(
-                                "validate_fs", "orthogonality-two-dim-existence",
-                                left=e, right=m, square=list(sq),
-                                square2=list(sq2), sigma=sigma_c, tau=tau_c,
-                                fill_in=[d, sigma, rho],
-                                fill_in2=[d2, sigma2, rho2])
-                        if len(sols) > 1:
-                            return _fail(
-                                "validate_fs", "orthogonality-two-dim-uniqueness",
-                                left=e, right=m, square=list(sq),
-                                square2=list(sq2), sigma=sigma_c, tau=tau_c,
-                                fill_in=[d, sigma, rho],
-                                fill_in2=[d2, sigma2, rho2],
-                                connectors=sols[:2])
+            failure = _lifting_failure(t, e, m, budget, needs_fill)
+            if failure is not None:
+                return _fail("validate_fs", "orthogonality-" + failure[0],
+                             **failure[1])
 
     # any two factorizations of the same 1-cell are linked by an
     # equivalence diagonal
@@ -275,16 +306,14 @@ def is_proper_11(t: TwoCategory, fs: FactorizationSystem) -> Certificate:
     """Properness in the (1,1) sense: every member of the left class is
     cofaithful and every member of the right class is faithful."""
     check_fs_shape(t, fs)
-    for e in _ordered_unique(fs.left_class):
-        cert = is_cofaithful(t, e)
-        if not cert.ok:
-            return _fail("is_proper_11", "left-not-cofaithful", member=e,
-                         inner=cert.counterexample["cells"])
-    for m in _ordered_unique(fs.right_class):
-        cert = is_faithful(t, m)
-        if not cert.ok:
-            return _fail("is_proper_11", "right-not-faithful", member=m,
-                         inner=cert.counterexample["cells"])
+    for cls, check, clause in (
+            (fs.left_class, is_cofaithful, "left-not-cofaithful"),
+            (fs.right_class, is_faithful, "right-not-faithful")):
+        for c in _ordered_unique(cls):
+            cert = check(t, c)
+            if not cert.ok:
+                return _fail("is_proper_11", clause, member=c,
+                             inner=cert.counterexample["cells"])
     return Certificate("is_proper_11", "pass",
                        {"left-class": len(set(fs.left_class)),
                         "right-class": len(set(fs.right_class))})
@@ -513,44 +542,24 @@ def check_weak_two_fibration(t: TwoCategory, fs: FactorizationSystem,
     if direction not in ("dom", "cod"):
         raise InputError(f"direction must be 'dom' or 'cod', got {direction!r}")
     check_fs_shape(t, fs)
+    if direction == "dom":
+        t, fs = t.dual, FactorizationSystem(
+            fs.right_class, fs.left_class,
+            {f: (r, l, th) for f, (l, r, th) in fs.factorization.items()})
+    cert = _capped("check_weak_two_fibration", cap, _cod_fibration, t, fs,
+                   direction)
     if direction == "cod":
-        return _check_cod_fibration(t, fs, cap)
-    flipped = FactorizationSystem(
-        left_class=fs.right_class,
-        right_class=fs.left_class,
-        factorization={f: (r, l, th)
-                       for f, (l, r, th) in fs.factorization.items()})
-    cert = _check_cod_fibration(t.dual, flipped, cap)
-    detail = cert.detail
-    if isinstance(detail, dict):
-        detail = {**detail, "direction": "dom"}
-    else:
-        detail = (detail + "; " if detail else "") + (
-            "checked on the formal dual; cited cells read in the dual "
-            "orientation")
-    witness = cert.witness
-    if witness is not None:
-        witness = {**witness, "direction": "dom"}
-    counterexample = cert.counterexample
-    if counterexample is not None:
-        counterexample = {**counterexample,
-                          "cells": {**counterexample["cells"],
-                                    "direction": "dom"}}
-    return replace(cert, witness=witness, counterexample=counterexample,
-                   detail=detail)
+        return cert
+    detail = ({**cert.detail, "direction": "dom"} if cert.detail else
+              "checked on the formal dual; cited cells read in the dual "
+              "orientation")
+    return replace(cert, detail=detail)
 
 
-def _check_cod_fibration(t: TwoCategory, fs: FactorizationSystem,
-                         cap: int | None) -> Certificate:
-    budget = Budget(cap, "check_weak_two_fibration")
-    try:
-        return _check_cod_fibration_body(t, fs, budget)
-    except CapExceeded as exc:
-        return _inconclusive("check_weak_two_fibration", exc)
-
-
-def _check_cod_fibration_body(t: TwoCategory, fs: FactorizationSystem,
-                              budget: Budget) -> Certificate:
+def _cod_fibration(t: TwoCategory, fs: FactorizationSystem, direction: str,
+                   budget: Budget) -> Certificate:
+    """The codomain-projection check of :func:`check_weak_two_fibration`,
+    citing ``direction`` in its cells and witness."""
     right = _ordered_unique(fs.right_class)
     right_set = set(right)
     liftings: dict[str, list[str]] = {}
@@ -563,22 +572,20 @@ def _check_cod_fibration_body(t: TwoCategory, fs: FactorizationSystem,
                 raise InputError(
                     f"factorization of {fm} has right part {r} outside the "
                     f"designated class; cannot build the canonical lifting")
-            liftings[f"{m}:{f}"] = [l, f, t.inv(theta)]
             inv_theta = t.inv(theta)
+            liftings[f"{m}:{f}"] = [l, f, inv_theta]
 
             for n2 in right:
                 instances = []
                 for z, h, phi1 in squares_between(t, m, n2):
                     for g in t.hom1(t.tgt1[f], t.tgt1[n2]):
-                        gf = t.cmp1(g, f)
-                        for xi in t.iso2(h, gf):
+                        for xi in t.iso2(h, t.cmp1(g, f)):
                             budget.tick()
                             rhs = t.vc(t.rw(xi, m), phi1)
                             fills = []
                             for d in t.hom1(t.tgt1[l], t.src1[n2]):
-                                n2d = t.cmp1(n2, d)
-                                gr = t.cmp1(g, r)
-                                for beta in t.iso2(n2d, gr):
+                                for beta in t.iso2(t.cmp1(n2, d),
+                                                   t.cmp1(g, r)):
                                     part = t.vc(t.lw(g, inv_theta),
                                                 t.rw(beta, l))
                                     for alpha in t.iso2(z, t.cmp1(d, l)):
@@ -588,13 +595,13 @@ def _check_cod_fibration_body(t: TwoCategory, fs: FactorizationSystem,
                                 return _fail(
                                     "check_weak_two_fibration",
                                     "cocartesian-one-dim",
-                                    direction="cod", member=m, extension=f,
+                                    direction=direction, member=m, extension=f,
                                     target=n2, z=z, h=h, phi=phi1, g=g, xi=xi)
                             instances.append((z, h, phi1, g, xi, fills))
 
-                for inst, inst2 in itertools.product(instances, repeat=2):
-                    z, h, phi1, g, xi, fills = inst
-                    z2, h2, phi12, g2, xi2, fills2 = inst2
+                for (z, h, phi1, g, xi, fills), \
+                        (z2, h2, phi12, g2, xi2, fills2) in \
+                        itertools.product(instances, repeat=2):
                     for sigma_c, tau_c in square_two_cells(
                             t, m, n2, (z, h, phi1), (z2, h2, phi12)):
                         for rho_c in t.hom2(g, g2):
@@ -610,12 +617,11 @@ def _check_cod_fibration_body(t: TwoCategory, fs: FactorizationSystem,
                                     and t.vc(t.rw(lam, l), alpha) ==
                                     t.vc(alpha2, sigma_c)]
                                 if len(sols) != 1:
-                                    clause = ("cocartesian-two-dim-existence"
-                                              if not sols else
-                                              "cocartesian-two-dim-uniqueness")
+                                    clause = "cocartesian-two-dim-" + (
+                                        "uniqueness" if sols else "existence")
                                     return _fail(
                                         "check_weak_two_fibration", clause,
-                                        direction="cod", member=m,
+                                        direction=direction, member=m,
                                         extension=f, target=n2,
                                         square=[z, h, phi1],
                                         square2=[z2, h2, phi12],
@@ -639,36 +645,37 @@ def _check_cod_fibration_body(t: TwoCategory, fs: FactorizationSystem,
                                 for alpha in t.iso2(a, a2)):
                             return _fail(
                                 "check_weak_two_fibration",
-                                "local-isofibration", direction="cod",
+                                "local-isofibration", direction=direction,
                                 member=m, target=m2, a=a, b=b, phi=phi,
                                 b2=b2, beta=beta)
 
     return Certificate("check_weak_two_fibration", "pass",
-                       {"direction": "cod", "liftings": liftings})
+                       {"direction": direction, "liftings": liftings})
 
 
 # ---------------------------------------------------------------------------
 # relatively orthogonal cokernel-kernel factorization systems
 # ---------------------------------------------------------------------------
 
-def _rofs_compatibility(t: TwoCategory, n: TwoIdeal,
-                        p_m: KernelPresentation, p_e: CokernelPresentation,
-                        s: str, t_: str, phi: str) -> str:
-    """The compatibility pasting of a square ``(s, t, φ): e → m`` against a
-    kernel presentation with leg ``m`` and a cokernel presentation with leg
-    ``e``; lifting is only required when some such pasting is an invertible
-    null 2-cell."""
-    f = p_m.arrow
-    g = p_e.arrow
-    ft = t.cmp1(f, t_)
-    sg = t.cmp1(s, g)
-    _, nu1 = n.repl(t.id1[t.src1[g]], p_e.null_cell, ft)
-    _, nu2 = n.repl(sg, p_m.null_cell, t.id1[t.tgt1[f]])
-    return t.vc_chain(nu1,
-                      t.lw(ft, p_e.structure),
-                      t.lw(f, t.rw(phi, g)),
-                      t.rw(t.inv(p_m.structure), sg),
-                      t.inv(nu2))
+def _needs_rofs_fill(t: TwoCategory, n: TwoIdeal,
+                     kernels: list[KernelPresentation],
+                     cokernels: list[KernelPresentation],
+                     sq: tuple[str, str, str]) -> bool:
+    """Whether the square ``(s, t, φ): e → m`` needs a fill-in: some
+    compatibility pasting of it against a kernel presentation with leg
+    ``m`` and a cokernel presentation with leg ``e`` (a kernel presentation
+    of the duals) is an invertible null 2-cell."""
+    s, t_, phi = sq
+    for p_m, p_e in itertools.product(kernels, cokernels):
+        f, g = p_m.arrow, p_e.arrow
+        ft, sg = t.cmp1(f, t_), t.cmp1(s, g)
+        _, nu1 = n.repl(t.id1[t.src1[g]], p_e.null_cell, ft)
+        _, nu2 = n.repl(sg, p_m.null_cell, t.id1[t.tgt1[f]])
+        if n.is_invertible_null2(t, t.vc_chain(
+                nu1, t.lw(ft, p_e.structure), t.lw(f, t.rw(phi, g)),
+                t.rw(t.inv(p_m.structure), sg), t.inv(nu2))):
+            return True
+    return False
 
 
 def validate_rofs(t: TwoCategory, n: TwoIdeal,
@@ -691,98 +698,49 @@ def validate_rofs(t: TwoCategory, n: TwoIdeal,
     for c in itertools.chain(left, right):
         if c not in t.src1:
             raise InputError(f"unknown 1-cell {c}")
-    budget = Budget(cap, "validate_rofs")
-    try:
-        return _validate_rofs(t, n, left, right, budget)
-    except CapExceeded as exc:
-        return _inconclusive("validate_rofs", exc)
+    return _capped("validate_rofs", cap, _validate_rofs, t, n, left, right)
 
 
 def _validate_rofs(t: TwoCategory, n: TwoIdeal, left: tuple[str, ...],
                    right: tuple[str, ...], budget: Budget) -> Certificate:
-    left_set, right_set = set(left), set(right)
-    kernels = kernel_presentations_by_arrow(t, n, _budget=budget)
-    cokernels = cokernel_presentations_by_arrow(t, n, _budget=budget)
-    kernel_by_leg: dict[str, list[KernelPresentation]] = {}
-    for ps in kernels.values():
-        for p in ps:
-            kernel_by_leg.setdefault(p.leg, []).append(p)
-    cokernel_by_leg: dict[str, list[CokernelPresentation]] = {}
-    for ps in cokernels.values():
-        for p in ps:
-            cokernel_by_leg.setdefault(p.leg, []).append(p)
-
-    for m in right:
-        if m not in kernel_by_leg:
-            return _fail("validate_rofs", "right-class-not-kernel-leg",
-                         member=m)
-    for e in left:
-        if e not in cokernel_by_leg:
-            return _fail("validate_rofs", "left-class-not-cokernel-leg",
-                         member=e)
+    # verified presentations by side and leg; the cokernel side holds the
+    # kernel presentations of the duals
+    by_leg: dict[str, dict[str, list[KernelPresentation]]] = {}
+    for kind, _, _, by_arrow in _sweeps(t, n, budget):
+        legs = by_leg[kind] = {}
+        for p in itertools.chain.from_iterable(by_arrow.values()):
+            legs.setdefault(p.leg, []).append(p)
+    for side, cls, kind in (("right", right, "kernel"),
+                            ("left", left, "cokernel")):
+        for c in cls:
+            if c not in by_leg[kind]:
+                return _fail("validate_rofs", f"{side}-class-not-{kind}-leg",
+                             member=c)
 
     for f in t.one_ids:
         if next(factorizations(t, f, left, right), None) is None:
             return _fail("validate_rofs", "factorization", one_cell=f)
 
-    eqs = equivalences(t)
-    for m in right:
-        for i in eqs:
-            if t.tgt1[i] == t.src1[m] and t.cmp1(m, i) not in right_set:
-                return _fail("validate_rofs",
-                             "right-precomposition-equivalence", member=m,
-                             equivalence=i, composite=t.cmp1(m, i))
-    for e in left:
-        for i in eqs:
-            if t.src1[i] == t.tgt1[e] and t.cmp1(i, e) not in left_set:
-                return _fail("validate_rofs",
-                             "left-postcomposition-equivalence", member=e,
-                             equivalence=i, composite=t.cmp1(i, e))
-
-    for side, cls, cls_set in (("left", left, left_set),
-                               ("right", right, right_set)):
-        for c in cls:
-            for g in t.hom1(t.src1[c], t.tgt1[c]):
-                if g not in cls_set and t.iso2(c, g):
-                    return _fail("validate_rofs", f"{side}-iso-stability",
-                                 member=c, other=g, iso=t.iso2(c, g)[0])
+    for side, c, i, composite, position in _equivalence_escapes(
+            t, (("right", right, ("pre",)), ("left", left, ("post",)))):
+        return _fail("validate_rofs",
+                     f"{side}-{position}composition-equivalence", member=c,
+                     equivalence=i, composite=composite)
+    for side, c, g, iso in _iso_escapes(t, (("left", left),
+                                            ("right", right))):
+        return _fail("validate_rofs", f"{side}-iso-stability", member=c,
+                     other=g, iso=iso)
 
     for e in left:
         for m in right:
-            instances = []
-            for s, t_, phi in squares_between(t, e, m):
-                budget.tick()
-                fills = fill_ins(t, e, m, s, t_, phi)
-                eligible = any(
-                    n.is_invertible_null2(
-                        t, _rofs_compatibility(t, n, p_m, p_e, s, t_, phi))
-                    for p_m in kernel_by_leg[m]
-                    for p_e in cokernel_by_leg[e])
-                if eligible and not fills:
-                    return _fail("validate_rofs", "fill-in", left=e, right=m,
-                                 u=s, v=t_, phi=phi)
-                if fills:
-                    instances.append(((s, t_, phi), fills))
-            for (sq, fills), (sq2, fills2) in itertools.product(instances,
-                                                                repeat=2):
-                for lam_c, mu_c in square_two_cells(t, e, m, sq, sq2):
-                    for (d, sigma, rho), (d2, sigma2, rho2) in \
-                            itertools.product(fills, fills2):
-                        budget.tick()
-                        sols = [
-                            iota for iota in t.hom2(d, d2)
-                            if t.vc(rho2, t.lw(m, iota)) == t.vc(mu_c, rho)
-                            and t.vc(t.rw(iota, e), sigma) ==
-                            t.vc(sigma2, lam_c)]
-                        if len(sols) != 1:
-                            clause = ("two-dim-existence" if not sols
-                                      else "two-dim-uniqueness")
-                            return _fail(
-                                "validate_rofs", clause, left=e, right=m,
-                                square=list(sq), square2=list(sq2),
-                                sigma=lam_c, tau=mu_c,
-                                fill_in=[d, sigma, rho],
-                                fill_in2=[d2, sigma2, rho2])
+            needs_fill = functools.partial(_needs_rofs_fill, t, n,
+                                           by_leg["kernel"][m],
+                                           by_leg["cokernel"][e])
+            failure = _lifting_failure(t, e, m, budget, needs_fill)
+            if failure is not None:
+                clause, cells = failure
+                cells.pop("connectors", None)
+                return _fail("validate_rofs", clause, **cells)
 
     return Certificate("validate_rofs", "pass",
                        {"left-class": len(left), "right-class": len(right)})

@@ -138,3 +138,47 @@ def epi_mono_fs():
             if f in fact:
                 break
     return t, FactorizationSystem(epis, monos, fact)
+
+
+def one_object_base(**entries: str) -> TwoCategory:
+    """One object ``o``; 1-cells ``i`` (the identity) and ``z`` with ``z∘z =
+    z``; 2-cells ``ii``, ``iz`` (the identities) and ``t: z ⇒ z``.
+
+    ``entries`` overrides the vertical composites of ``z``'s 2-cells
+    (``v_iziz``, ``v_izt``, ``v_tiz``, ``v_tt``) and the whiskers by ``z``
+    (``lw_ii``, ``lw_iz``, ``lw_t`` for ``z⋆a``; ``rw_ii``, ``rw_iz``,
+    ``rw_t`` for ``a⋆z``), each ``"iz"`` or ``"t"``.  Every table lookup
+    is defined whatever they are, though most choices break a law.  The
+    defaults give a lawful base in which ``t`` is invertible and
+    self-inverse."""
+    e = dict(v_iziz="iz", v_izt="t", v_tiz="t", v_tt="iz", lw_ii="iz",
+             lw_iz="iz", lw_t="t", rw_ii="iz", rw_iz="iz", rw_t="t")
+    unknown = set(entries) - set(e)
+    if unknown:
+        raise TypeError(f"unknown table entries {sorted(unknown)}")
+    e.update(entries)
+    return TwoCategory(
+        objects=("o",),
+        one_cells=(("i", "o", "o"), ("z", "o", "o")),
+        comp1={("i", "i"): "i", ("i", "z"): "z", ("z", "i"): "z",
+               ("z", "z"): "z"},
+        id1={"o": "i"},
+        two_cells=(("ii", "i", "i"), ("iz", "z", "z"), ("t", "z", "z")),
+        vcomp={("ii", "ii"): "ii", ("iz", "iz"): e["v_iziz"],
+               ("iz", "t"): e["v_izt"], ("t", "iz"): e["v_tiz"],
+               ("t", "t"): e["v_tt"]},
+        id2={"i": "ii", "z": "iz"},
+        lwhisker={("i", "ii"): "ii", ("i", "iz"): "iz", ("i", "t"): "t",
+                  ("z", "ii"): e["lw_ii"], ("z", "iz"): e["lw_iz"],
+                  ("z", "t"): e["lw_t"]},
+        rwhisker={("ii", "i"): "ii", ("iz", "i"): "iz", ("t", "i"): "t",
+                  ("ii", "z"): e["rw_ii"], ("iz", "z"): e["rw_iz"],
+                  ("t", "z"): e["rw_t"]},
+    )
+
+
+def null_z_ideal(null2: tuple[str, ...], nu: dict[str, str]) -> TwoIdeal:
+    """An ideal on a one-object base: ``z`` the only null 1-cell, the null
+    2-cells ``null2``, and ``b∘z∘a`` replaced by ``(z, nu[a + b])``."""
+    return TwoIdeal(("z",), null2, {(a, "z", b): ("z", nu[a + b])
+                                    for a in "iz" for b in "iz"})

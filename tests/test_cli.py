@@ -342,6 +342,82 @@ def test_round_trip_bytes_are_pinned(tmp_path, name):
         == ROUND_TRIP_SHA256[name]
 
 
+@pytest.fixture(scope="module")
+def pb2_bundle(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("pb2") / "pb2.bundle.json"
+    proc = run("fs-from-ideal", str(FIXTURE_DIR / "pb2.2cat.json"),
+               "--out", str(bundle))
+    assert proc.returncode == 0, proc.stderr
+    return bundle
+
+
+_CT22_FS = str(FIXTURE_DIR / "ct22.fs.json")
+_PB2 = str(FIXTURE_DIR / "pb2.2cat.json")
+
+#: sha256 of stdout after the header line, and the exit code, of the
+#: factorization-system checks, uncapped and at --cap 1, 50 and 1000.
+#: ``{bundle}`` is the pb2 bundle that fs-from-ideal writes.
+FS_CHECK_PINS = {
+    "check-fs-ct22": (["check-fs", _CT22_FS], {
+        None: (0, "11e8269f4f758b2d00942dc40ec227f52b349c47c42e9f93698448c22f604d50"),
+        1: (3, "21c762fa73b7897f9e2f15ecb2691959dc821c0fee8ff3f357c5edb99caf36ed"),
+        50: (3, "700ca5696a89f984b2f5c22454036ce6b9bd3728e8ef6c64ae6a606bdc7ab4b7"),
+        1000: (0, "11e8269f4f758b2d00942dc40ec227f52b349c47c42e9f93698448c22f604d50"),
+    }),
+    "check-fs-pb1-bundle": (["check-fs", str(FIXTURE_DIR / "pb1.bundle.json")], {
+        None: (0, "b10cc6369d8d76f2d50b4c6582fc0118f1f87bac7d205f326707bf0219814e15"),
+        1: (3, "75ef4275a69fbee57058c96757ee340d38ba88a5992e9143baf6a44461c9c65d"),
+        50: (3, "2da28e99f0c947457910ff7aeeb723e892d4fc5a4d4033808cb1fc8318b0d856"),
+        1000: (0, "b10cc6369d8d76f2d50b4c6582fc0118f1f87bac7d205f326707bf0219814e15"),
+    }),
+    "fibration-cod-ct22": (
+        ["check-fibration", _CT22_FS, "--direction", "cod"], {
+            None: (0, "c48cef5f1284645dc745fa28134896047e27059b3a766a7254c90b3269218774"),
+            1: (3, "ced1a5606a0c9794bf157c28c0738ea038e5d98eb7d874f47660f47ac5bbe404"),
+            50: (3, "aaf0918bd6274aef782bbf901fe24daff9be233d470c0bb9da65e5320c1af5ec"),
+            1000: (3, "d968c2ec252e50ed37ef9d21c03fe34029f1524babfc9869ce425522570abd1e"),
+        }),
+    "fibration-dom-ct22": (
+        ["check-fibration", _CT22_FS, "--direction", "dom"], {
+            None: (0, "6ee41ab4beb411535e5cf8638b93c8da2ff5cdf78abad6bd99729f4c7b85b90f"),
+            1: (3, "9143e01095d3a2a51eac34dc0ac2cb3c7f32599a2d98480a02559a3f363626fc"),
+            50: (3, "a994374897c3d03f43d367c5fb0f96d0ff0b897a2fd791abbdcb8ffc495bef8f"),
+            1000: (3, "ef912e6c2b53a4f19e05f197a9b488b8c1915b5da273e6b02253046617fe65ab"),
+        }),
+    "fibration-cod-pb2": (
+        ["check-fibration", _PB2, "--fs", "{bundle}", "--direction", "cod"], {
+            None: (0, "b0d9f25dda7d80e0908b5f822580139c15b69c7b3ec8ae6bcca1b54bce834de9"),
+            1: (3, "ced1a5606a0c9794bf157c28c0738ea038e5d98eb7d874f47660f47ac5bbe404"),
+            50: (3, "aaf0918bd6274aef782bbf901fe24daff9be233d470c0bb9da65e5320c1af5ec"),
+            1000: (3, "d968c2ec252e50ed37ef9d21c03fe34029f1524babfc9869ce425522570abd1e"),
+        }),
+    "fibration-dom-pb2": (
+        ["check-fibration", _PB2, "--fs", "{bundle}", "--direction", "dom"], {
+            None: (0, "dd801ed1a58df0e6adc9f324f600c64dfdf0b22455dd45559ced3ca3eef57f69"),
+            1: (3, "9143e01095d3a2a51eac34dc0ac2cb3c7f32599a2d98480a02559a3f363626fc"),
+            50: (3, "a994374897c3d03f43d367c5fb0f96d0ff0b897a2fd791abbdcb8ffc495bef8f"),
+            1000: (3, "ef912e6c2b53a4f19e05f197a9b488b8c1915b5da273e6b02253046617fe65ab"),
+        }),
+    "check-rofs-pb2": (["check-rofs", _PB2, "--fs", "{bundle}"], {
+        None: (0, "5087fd11704f461ec7f2c29c46d32c1c780c79303cb3f14aa34f7b74439b5168"),
+        1: (3, "960df7da273df848d734a952896dc8d92bfde84dff650ea7d971d281dc7dc6ee"),
+        50: (3, "b18ddafb43dd5c5f68b6602554d64acb9a0bf7541f0c2b9b60c7084de9489844"),
+        1000: (3, "453bd1b37f7fa632ba74f863942064360c6b5cad06011e407a1e14bb2c36628e"),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", FS_CHECK_PINS)
+def test_factorization_system_check_bytes_are_pinned(pb2_bundle, name):
+    argv, pins = FS_CHECK_PINS[name]
+    argv = [a.format(bundle=pb2_bundle) for a in argv]
+    for cap, (code, digest) in pins.items():
+        proc = run(*argv, *([] if cap is None else ["--cap", str(cap)]))
+        assert proc.returncode == code, (cap, proc.stderr)
+        body = proc.stdout.split("\n", 1)[1]
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, cap
+
+
 @pytest.mark.parametrize("table, row, column, value, clause, cells", [
     # under each command, the first used to stop bundle parsing with exit
     # 2, the second with a KeyError traceback
@@ -513,6 +589,28 @@ def test_check_ideal_reports_a_lawless_base(tmp_path):
                         "clause": "lwhisker-boundary",
                         "cells": {"h": "m01_0to1_e", "a": "c09x09",
                                   "result": "c00x00"}}}
+
+
+def test_check_ideal_reports_a_composite_missing_from_a_lawless_base(
+        tmp_path):
+    # a comp1 value off its boundary: the ideal sweep then looks up a
+    # composite that is not in the table, which used to end in a KeyError
+    # traceback; check-ideal cites the base's broken law instead
+    body = json.loads((FIXTURE_DIR / "ct22.fs.json").read_text())
+    row = next(r for r in body["comp1"]
+               if (r["g"], r["f"]) == ("m13_2to2x2", "m07_1to2x2"))
+    row["gf"] = "m13_2to2x2"
+    broken = tmp_path / "broken.fs.json"
+    broken.write_text(json.dumps(body))
+    proc = run("check-ideal", str(broken))
+    assert proc.returncode == 1 and proc.stderr == ""
+    header, cert = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert header["command"] == "check-ideal"
+    assert cert == {"check": "validate_two_category", "status": "fail",
+                    "counterexample": {
+                        "clause": "comp1-boundary",
+                        "cells": {"g": "m13_2to2x2", "f": "m07_1to2x2",
+                                  "composite": "m13_2to2x2"}}}
 
 
 #: The input-selection and budget options each subcommand accepts: --ideal

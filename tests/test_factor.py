@@ -5,7 +5,8 @@ import weakref
 
 import pytest
 
-from family import CT22, LD_CT22, LD_PB1, LD_PB2, ZERO_IDEALS, epi_mono_fs
+from family import (CH_PB1, CT22, LD_CT22, LD_PB1, LD_PB2, ZERO_IDEALS,
+                    epi_mono_fs, null_z_ideal, one_object_base)
 from twoexact import (
     ArrowTwoCategory,
     FactorizationSystem,
@@ -237,3 +238,244 @@ def test_factorization_system_requires_known_cells():
 def test_fibration_direction_is_checked():
     with pytest.raises(InputError):
         check_weak_two_fibration(_T, _FS, "sideways")
+
+
+# ---------------------------------------------------------------------------
+# one pinned certificate per failure clause
+# ---------------------------------------------------------------------------
+
+def _one_object_fs(left, right, z):
+    """Classes drawn from ``i`` and ``z`` on a one-object base, with ``i``
+    factored through itself and ``z`` as ``z = (left, right, θ)``."""
+    return FactorizationSystem(left, right, {"i": ("i", "i", "ii"), "z": z})
+
+
+def _edited(t, name, sides, drop=None, add=None):
+    """The system ``fs_from_ideal`` builds on a CORE fixture, with one
+    member dropped from or added to the classes named in ``sides``."""
+    fs = fs_from_ideal(t, ZERO_IDEALS[name])[0]
+    classes = {"left": fs.left_class, "right": fs.right_class}
+    for side in sides:
+        classes[side] = tuple(c for c in classes[side] if c != drop) + \
+            ((add,) if add else ())
+    return FactorizationSystem(classes["left"], classes["right"],
+                               fs.factorization)
+
+
+def _edited_rofs(t, name, sides, drop=None, add=None):
+    fs = _edited(t, name, sides, drop, add)
+    return validate_rofs(t, ZERO_IDEALS[name], fs.left_class, fs.right_class)
+
+
+#: The one-object base and ideal on which validate_rofs reaches its
+#: lifting clauses; the classes are verified legs there.
+_ROFS_BASE = dict(v_izt="iz", lw_ii="t", rw_ii="t")
+
+
+def _dom(cert_dict):
+    return {**cert_dict, "detail": "checked on the formal dual; cited "
+            "cells read in the dual orientation"}
+
+
+def _fibration_fail(direction, clause, member, **cells):
+    return {"check": "check_weak_two_fibration", "status": "fail",
+            "counterexample": {"clause": clause, "cells": {
+                "direction": direction, "member": member, **cells}}}
+
+
+_COCARTESIAN_TWO_DIM = {
+    "existence": dict(
+        extension="i", target="z", square=["i", "i", "iz"],
+        square2=["i", "i", "iz"], sigma="ii", tau="ii", rho="ii",
+        fill_in=["i", "t", "ii"], fill_in2=["i", "t", "ii"]),
+    "uniqueness": dict(
+        extension="i", target="i", square=["z", "z", "iz"],
+        square2=["z", "z", "iz"], sigma="iz", tau="iz", rho="iz",
+        fill_in=["z", "iz", "iz"], fill_in2=["z", "t", "iz"]),
+}
+_ONE_DIM = dict(extension="i", target="z", z="i", h="i", phi="iz", g="i",
+                xi="ii")
+_ISOFIBRATION = dict(target="z", a="z", b="i", phi="t", b2="i", beta="ii")
+
+
+def _failed(check, clause, **cells):
+    return {"check": check, "status": "fail",
+            "counterexample": {"clause": clause, "cells": cells}}
+
+
+#: check:clause -> (the check run on a small input, its certificate)
+CLAUSE_PINS = {
+    "validate_fs:factorization-left-class": (
+        lambda: validate_fs(one_object_base(), _one_object_fs(
+            (), (), ("i", "i", "iz"))),
+        _failed("validate_fs", "factorization-left-class", one_cell="i",
+                left="i")),
+    "validate_fs:factorization-right-class": (
+        lambda: validate_fs(one_object_base(), _one_object_fs(
+            ("i",), (), ("i", "i", "iz"))),
+        _failed("validate_fs", "factorization-right-class", one_cell="i",
+                right="i")),
+    "validate_fs:factorization-boundary": (
+        lambda: validate_fs(one_object_base(), _one_object_fs(
+            ("i",), ("i",), ("i", "i", "iz"))),
+        _failed("validate_fs", "factorization-boundary", one_cell="z",
+                left="i", right="i", theta="iz")),
+    "validate_fs:factorization-invertible": (
+        lambda: validate_fs(one_object_base(v_tt="t"), _one_object_fs(
+            ("i",), ("i", "z"), ("i", "z", "t"))),
+        _failed("validate_fs", "factorization-invertible", one_cell="z",
+                theta="t")),
+    "validate_fs:class-equivalence-closure": (
+        lambda: validate_fs(CH_PB1, _edited(CH_PB1, "ch_pb1", ("left",),
+                                            drop="m1_0to1_e")),
+        _failed("validate_fs", "class-equivalence-closure", side="left",
+                member="m0_0to0_e", equivalence="m1_0to1_e",
+                composite="m1_0to1_e", position="post")),
+    "validate_fs:class-iso-stability": (
+        # the left class is swept first
+        lambda: validate_fs(CH_PB1, _edited(CH_PB1, "ch_pb1",
+                                            ("left", "right"),
+                                            drop="m4_1to1_11")),
+        _failed("validate_fs", "class-iso-stability", side="left",
+                member="m3_1to1_e", other="m4_1to1_11", iso="c3x4")),
+    "validate_fs:orthogonality-fill-in": (
+        lambda: validate_fs(one_object_base(), _one_object_fs(
+            ("i", "z"), ("i", "z"), ("i", "z", "iz"))),
+        _failed("validate_fs", "orthogonality-fill-in", left="z", right="z",
+                u="i", v="i", phi="iz")),
+    "validate_fs:orthogonality-two-dim-existence": (
+        lambda: validate_fs(
+            one_object_base(v_iziz="t", v_izt="iz", v_tiz="iz"),
+            _one_object_fs(("i",), ("i", "z"), ("i", "z", "iz"))),
+        _failed("validate_fs", "orthogonality-two-dim-existence", left="i",
+                right="i", square=["z", "z", "iz"], square2=["z", "z", "iz"],
+                sigma="iz", tau="iz", fill_in=["z", "t", "iz"],
+                fill_in2=["z", "iz", "t"])),
+    "validate_fs:orthogonality-two-dim-uniqueness": (
+        lambda: validate_fs(one_object_base(v_izt="iz"), _one_object_fs(
+            ("i",), ("i", "z"), ("i", "z", "iz"))),
+        _failed("validate_fs", "orthogonality-two-dim-uniqueness", left="i",
+                right="i", square=["z", "z", "iz"], square2=["z", "z", "iz"],
+                sigma="iz", tau="iz", fill_in=["z", "t", "iz"],
+                fill_in2=["z", "iz", "iz"], connectors=["iz", "t"])),
+    "validate_rofs:right-class-not-kernel-leg": (
+        lambda: _edited_rofs(LD_PB1, "ld_pb1", ("right",), add="m2_1to0_e"),
+        _failed("validate_rofs", "right-class-not-kernel-leg",
+                member="m2_1to0_e")),
+    "validate_rofs:left-class-not-cokernel-leg": (
+        lambda: _edited_rofs(LD_PB1, "ld_pb1", ("left",), add="m1_0to1_e"),
+        _failed("validate_rofs", "left-class-not-cokernel-leg",
+                member="m1_0to1_e")),
+    "validate_rofs:factorization": (
+        lambda: _edited_rofs(LD_PB1, "ld_pb1", ("left",), drop="m0_0to0_e"),
+        _failed("validate_rofs", "factorization", one_cell="m0_0to0_e")),
+    "validate_rofs:right-precomposition-equivalence": (
+        lambda: _edited_rofs(CH_PB1, "ch_pb1", ("right",), drop="m0_0to0_e"),
+        _failed("validate_rofs", "right-precomposition-equivalence",
+                member="m2_1to0_e", equivalence="m1_0to1_e",
+                composite="m0_0to0_e")),
+    "validate_rofs:left-postcomposition-equivalence": (
+        lambda: _edited_rofs(CH_PB1, "ch_pb1", ("left",), drop="m0_0to0_e"),
+        _failed("validate_rofs", "left-postcomposition-equivalence",
+                member="m1_0to1_e", equivalence="m2_1to0_e",
+                composite="m0_0to0_e")),
+    "validate_rofs:left-iso-stability": (
+        # the left class is swept first
+        lambda: _edited_rofs(CH_PB1, "ch_pb1", ("left", "right"),
+                             drop="m4_1to1_11"),
+        _failed("validate_rofs", "left-iso-stability", member="m3_1to1_e",
+                other="m4_1to1_11", iso="c3x4")),
+    "validate_rofs:right-iso-stability": (
+        lambda: _edited_rofs(CH_PB1, "ch_pb1", ("right",), drop="m4_1to1_11"),
+        _failed("validate_rofs", "right-iso-stability", member="m3_1to1_e",
+                other="m4_1to1_11", iso="c3x4")),
+    "validate_rofs:fill-in": (
+        lambda: validate_rofs(
+            one_object_base(**_ROFS_BASE),
+            null_z_ideal(("iz",), {"ii": "t", "iz": "iz", "zi": "t",
+                                   "zz": "iz"}),
+            ("i",), ("z", "i")),
+        _failed("validate_rofs", "fill-in", left="i", right="z", u="i",
+                v="z", phi="t")),
+    "validate_rofs:two-dim-existence": (
+        lambda: validate_rofs(
+            one_object_base(**_ROFS_BASE),
+            null_z_ideal(("iz",), {"ii": "t", "iz": "t", "zi": "iz",
+                                   "zz": "iz"}),
+            ("z", "i"), ("i",)),
+        _failed("validate_rofs", "two-dim-existence", left="z", right="i",
+                square=["z", "i", "t"], square2=["z", "i", "iz"], sigma="t",
+                tau="ii", fill_in=["i", "iz", "ii"],
+                fill_in2=["i", "t", "ii"])),
+    "validate_rofs:two-dim-uniqueness": (
+        lambda: validate_rofs(
+            one_object_base(**_ROFS_BASE),
+            null_z_ideal(("iz",), {"ii": "t", "iz": "t", "zi": "t",
+                                   "zz": "iz"}),
+            ("i",), ("z", "i")),
+        _failed("validate_rofs", "two-dim-uniqueness", left="i", right="z",
+                square=["z", "z", "iz"], square2=["z", "z", "iz"],
+                sigma="iz", tau="iz", fill_in=["z", "t", "iz"],
+                fill_in2=["z", "iz", "iz"])),
+    "cod:cocartesian-one-dim": (
+        lambda: check_weak_two_fibration(one_object_base(), _one_object_fs(
+            (), ("z",), ("z", "z", "iz")), "cod"),
+        _fibration_fail("cod", "cocartesian-one-dim", "z", **_ONE_DIM)),
+    "dom:cocartesian-one-dim": (
+        lambda: check_weak_two_fibration(one_object_base(), _one_object_fs(
+            ("z",), (), ("z", "z", "iz")), "dom"),
+        _dom(_fibration_fail("dom", "cocartesian-one-dim", "z", **_ONE_DIM))),
+    "cod:cocartesian-two-dim-existence": (
+        lambda: check_weak_two_fibration(
+            one_object_base(v_izt="iz"),
+            _one_object_fs((), ("z",), ("i", "z", "t")), "cod"),
+        _fibration_fail("cod", "cocartesian-two-dim-existence", "z",
+                        **_COCARTESIAN_TWO_DIM["existence"])),
+    "dom:cocartesian-two-dim-existence": (
+        lambda: check_weak_two_fibration(
+            one_object_base(v_izt="iz"),
+            _one_object_fs(("z",), (), ("z", "i", "t")), "dom"),
+        _dom(_fibration_fail("dom", "cocartesian-two-dim-existence", "z",
+                             **_COCARTESIAN_TWO_DIM["existence"]))),
+    "cod:cocartesian-two-dim-uniqueness": (
+        lambda: check_weak_two_fibration(
+            one_object_base(v_tiz="iz"),
+            _one_object_fs((), ("i",), ("i", "i", "iz")), "cod"),
+        _fibration_fail("cod", "cocartesian-two-dim-uniqueness", "i",
+                        **_COCARTESIAN_TWO_DIM["uniqueness"])),
+    "dom:cocartesian-two-dim-uniqueness": (
+        lambda: check_weak_two_fibration(
+            one_object_base(v_tiz="iz"),
+            _one_object_fs(("i",), (), ("i", "i", "iz")), "dom"),
+        _dom(_fibration_fail("dom", "cocartesian-two-dim-uniqueness", "i",
+                             **_COCARTESIAN_TWO_DIM["uniqueness"]))),
+    "cod:local-isofibration": (
+        lambda: check_weak_two_fibration(
+            one_object_base(v_iziz="t", rw_t="iz"),
+            _one_object_fs((), ("z",), ("i", "z", "t")), "cod"),
+        _fibration_fail("cod", "local-isofibration", "z", **_ISOFIBRATION)),
+    "dom:local-isofibration": (
+        lambda: check_weak_two_fibration(
+            one_object_base(v_iziz="t", lw_t="iz"),
+            _one_object_fs(("z",), (), ("z", "i", "t")), "dom"),
+        _dom(_fibration_fail("dom", "local-isofibration", "z",
+                             **_ISOFIBRATION))),
+    "is_proper_11:left-not-cofaithful": (
+        lambda: is_proper_11(one_object_base(rw_t="iz"), _one_object_fs(
+            ("z",), (), ("i", "i", "iz"))),
+        _failed("is_proper_11", "left-not-cofaithful", member="z", inner={
+            "one_cell": "z", "first": "iz", "second": "t",
+            "whiskered": "iz"})),
+    "is_proper_11:right-not-faithful": (
+        lambda: is_proper_11(one_object_base(lw_t="iz"), _one_object_fs(
+            (), ("z",), ("i", "i", "iz"))),
+        _failed("is_proper_11", "right-not-faithful", member="z", inner={
+            "one_cell": "z", "first": "iz", "second": "t",
+            "whiskered": "iz"})),
+}
+
+
+@pytest.mark.parametrize("clause", CLAUSE_PINS)
+def test_failure_clause_certificates_are_pinned(clause):
+    run, expected = CLAUSE_PINS[clause]
+    assert run().to_json_dict() == expected
