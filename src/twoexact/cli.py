@@ -23,7 +23,7 @@ from .exact import (check_grandis_i, check_grandis_ii, check_puppe,
                     fs_from_ideal, ideal_from_fs, three_pieces)
 from .factor import (FactorizationSystem, check_weak_two_fibration,
                      validate_fs, validate_rofs)
-from .formats import (Document, document_to_finite_category,
+from .formats import (Document, _body_fs, document_to_finite_category,
                       document_to_fs, document_to_one_ideal,
                       document_to_pseudofunctor, document_to_pseudonatural,
                       document_to_two_category, document_to_two_ideal,
@@ -32,9 +32,9 @@ from .formats import (Document, document_to_finite_category,
                       pseudonatural_to_document, serialize,
                       two_category_to_document, two_ideal_to_document,
                       witness_bundle_base, witness_bundle_to_document)
-from .gen import (MUTATION_OPERATORS, chaotic_enrichment, cyclic_tower,
-                  locally_discrete, mutate, partial_bijections, pointed_sets,
-                  terminal_category)
+from .gen import (MUTATION_OPERATORS, banded, chaotic_enrichment,
+                  cyclic_tower, locally_discrete, mutate, partial_bijections,
+                  pointed_sets, terminal_category)
 from .ideal import TwoIdeal, canonical_zero_ideal, validate_two_ideal
 from .idealeq import ideals_equivalent
 from .limits import biisoinserter, two_cokernels, two_kernels
@@ -108,12 +108,13 @@ def _base_and_ideal(args) -> tuple[TwoCategory, TwoIdeal]:
 
 def _fs_file(args, t: TwoCategory) -> FactorizationSystem:
     """The factorization system of the --fs document, a
-    factorization_system document or a witness bundle over ``t``."""
+    factorization_system document or a witness bundle over ``t``; of a
+    bundle only the base and the system are read."""
     if args.fs is None:
         raise InputError("this subcommand needs --fs")
     doc = _load(args.fs)
     if doc.kind == "witness-bundle":
-        t2, fs = document_to_witness_bundle(doc)[:2]
+        t2, fs = witness_bundle_base(doc), _body_fs(doc.body)
     else:
         t2, fs = document_to_fs(doc)
     if t2 != t:
@@ -205,25 +206,16 @@ _GENERATORS = {
     "pointed-sets": (1, pointed_sets),
 }
 
+#: Enrichments of a 1-category generator, with their integer arguments
+#: read before the wrapped recipe (``banded K <recipe>``).
 _WRAPPERS = {
-    "locally-discrete": locally_discrete,
-    "chaotic": chaotic_enrichment,
+    "locally-discrete": (0, locally_discrete),
+    "chaotic": (0, chaotic_enrichment),
+    "banded": (1, banded),
 }
 
 
-def _gen_entity(tokens: list[str]):
-    if not tokens:
-        raise InputError("empty generator recipe")
-    head = tokens.pop(0)
-    if head in _WRAPPERS:
-        inner = _gen_entity(tokens)
-        if not isinstance(inner, FiniteCategory):
-            raise InputError(f"{head} wraps a 1-category generator")
-        return _WRAPPERS[head](inner)
-    if head not in _GENERATORS:
-        known = ", ".join(sorted(_GENERATORS) + sorted(_WRAPPERS))
-        raise InputError(f"unknown generator {head!r} (known: {known})")
-    arity, fn = _GENERATORS[head]
+def _integers(head: str, arity: int, tokens: list[str]) -> list[int]:
     if len(tokens) < arity:
         raise InputError(f"{head} needs {arity} integer argument(s)")
     nums = []
@@ -233,7 +225,25 @@ def _gen_entity(tokens: list[str]):
             nums.append(int(tok))
         except ValueError:
             raise InputError(f"{head}: not an integer: {tok!r}") from None
-    return fn(*nums)
+    return nums
+
+
+def _gen_entity(tokens: list[str]):
+    if not tokens:
+        raise InputError("empty generator recipe")
+    head = tokens.pop(0)
+    if head in _WRAPPERS:
+        arity, fn = _WRAPPERS[head]
+        nums = _integers(head, arity, tokens)
+        inner = _gen_entity(tokens)
+        if not isinstance(inner, FiniteCategory):
+            raise InputError(f"{head} wraps a 1-category generator")
+        return fn(inner, *nums)
+    if head not in _GENERATORS:
+        known = ", ".join(sorted(_GENERATORS) + sorted(_WRAPPERS))
+        raise InputError(f"unknown generator {head!r} (known: {known})")
+    arity, fn = _GENERATORS[head]
+    return fn(*_integers(head, arity, tokens))
 
 
 def _cmd_gen(args) -> int:

@@ -537,7 +537,9 @@ def check_weak_two_fibration(t: TwoCategory, fs: FactorizationSystem,
     under the projection must lift with prescribed domain (the projection is
     locally an isofibration).  ``direction="dom"`` checks the domain
     projection on the left class, which is the same property in the formal
-    dual with the two classes swapped.
+    dual with the two classes swapped.  A chosen factorization of ``f∘m``
+    whose right part lies outside the class fails the check under
+    ``factorization-right-class``, as it fails :func:`validate_fs`.
     """
     if direction not in ("dom", "cod"):
         raise InputError(f"direction must be 'dom' or 'cod', got {direction!r}")
@@ -569,9 +571,9 @@ def _cod_fibration(t: TwoCategory, fs: FactorizationSystem, direction: str,
             fm = t.cmp1(f, m)
             l, r, theta = fs.factorization[fm]
             if r not in right_set:
-                raise InputError(
-                    f"factorization of {fm} has right part {r} outside the "
-                    f"designated class; cannot build the canonical lifting")
+                return _fail("check_weak_two_fibration",
+                             "factorization-right-class", direction=direction,
+                             member=m, extension=f, one_cell=fm, right=r)
             inv_theta = t.inv(theta)
             liftings[f"{m}:{f}"] = [l, f, inv_theta]
 

@@ -190,6 +190,38 @@ def chaotic_enrichment(c: FiniteCategory) -> TwoCategory:
     )
 
 
+def banded(c: FiniteCategory, k: int) -> TwoCategory:
+    """The 2-category whose 2-cells ``f ⇒ f`` on each 1-cell ``f`` are
+    labelled by ``ℤ/k``: vertical composition adds labels, whiskering keeps
+    them, and there are no 2-cells between distinct 1-cells.
+
+    Every 2-cell is invertible and interchange holds because ``ℤ/k`` is
+    abelian; for ``k ≥ 2`` the result is not locally thin.  Label 0 is the
+    identity 2-cell.
+    """
+    if k < 1:
+        raise InputError("need at least one label")
+    w, wk = _width(len(c.mor_ids)), _width(k)
+    cell = {(f, i): f"b{n:0{w}d}n{i:0{wk}d}"
+            for n, f in enumerate(c.mor_ids) for i in range(k)}
+    return TwoCategory(
+        objects=c.objects,
+        one_cells=c.morphisms,
+        comp1=dict(c.comp),
+        id1=dict(c.ident),
+        two_cells=tuple((a, f, f) for (f, _), a in cell.items()),
+        vcomp={(cell[(f, j)], a): cell[(f, (i + j) % k)]
+               for (f, i), a in cell.items() for j in range(k)},
+        id2={f: cell[(f, 0)] for f in c.mor_ids},
+        lwhisker={(h, a): cell[(c.comp[(h, f)], i)]
+                  for (f, i), a in cell.items() for h in c.mor_ids
+                  if c.src[h] == c.tgt[f]},
+        rwhisker={(a, e): cell[(c.comp[(f, e)], i)]
+                  for (f, i), a in cell.items() for e in c.mor_ids
+                  if c.tgt[e] == c.src[f]},
+    )
+
+
 # ---------------------------------------------------------------------------
 # mutation operators
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from twoexact import (
     FiniteCategory,
     TwoCategory,
     TwoIdeal,
+    banded,
     canonical_zero_ideal,
     chaotic_enrichment,
     cyclic_tower,
@@ -62,6 +63,15 @@ UNDERLYING: dict[str, FiniteCategory] = {
 
 ZERO_IDEALS: dict[str, TwoIdeal] = {
     name: canonical_zero_ideal(t) for name, t in CORE.items()
+}
+
+#: The banded family: 2-cells ``f ⇒ f`` labelled by ``ℤ/k``, not locally
+#: thin, so the full 2-cell law code keeps real inputs.
+BANDED: dict[str, TwoCategory] = {
+    f"bd{k}_{name}": banded(c, k)
+    for name, c in (("term", TERM), ("pb1", PB1), ("pb2", PB2),
+                    ("ct22", CT22), ("ps2", PS2))
+    for k in (2, 3)
 }
 
 

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from clirun import run_cli as run
-from family import LD_PB2, ZERO_IDEALS
-from twoexact import chaotic_enrichment, maximal_two_ideal, partial_bijections
+from family import LD_PB2, ZERO_IDEALS, one_object_base
+from twoexact import (FactorizationSystem, banded, chaotic_enrichment,
+                      cyclic_tower, maximal_two_ideal, partial_bijections)
 from twoexact.cli import _build_parser
-from twoexact.formats import parse, serialize, two_ideal_to_document
+from twoexact.formats import (document_to_two_category, fs_to_document, parse,
+                              serialize, two_ideal_to_document)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -236,6 +238,37 @@ def test_fibration_and_rofs_checks(files):
     assert proc.returncode == 0, proc.stdout
 
 
+@pytest.mark.parametrize("direction, left, right, z", [
+    ("cod", ["i", "z"], ["i"], ["i", "z", "iz"]),
+    ("dom", ["i"], ["i", "z"], ["z", "i", "iz"]),
+])
+def test_fibration_with_a_right_part_outside_the_class_fails(
+        tmp_path, direction, left, right, z):
+    # exit 1 with a certificate; this was an input error (exit 2)
+    doc = fs_to_document(one_object_base(), FactorizationSystem(
+        tuple(left), tuple(right), {"i": ("i", "i", "ii"), "z": tuple(z)}))
+    path = tmp_path / "fs.json"
+    path.write_text(serialize(doc), encoding="utf-8")
+    proc = run("check-fibration", str(path), "--direction", direction)
+    assert proc.returncode == 1, proc.stderr
+    assert last_json(proc)["counterexample"]["clause"] == \
+        "factorization-right-class"
+
+
+def test_banded_generator_token(tmp_path):
+    path = tmp_path / "bd.json"
+    proc = run("gen", "banded", "3", "cyclic-tower", "2", "1",
+               "--out", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert document_to_two_category(parse(path.read_text("utf-8"))) == \
+        banded(cyclic_tower(2, 1), 3)
+    proc = run("validate", str(path))
+    assert proc.returncode == 0, proc.stdout
+    for argv in (["banded"], ["banded", "x", "terminal"], ["banded", "2"],
+                 ["banded", "2", "chaotic", "terminal"]):
+        assert run("gen", *argv).returncode == 2, argv
+
+
 def test_small_cap_is_reported_as_inconclusive(files):
     proc = run("kernel", str(files["pb2"]), "m05_1to1_11", "--cap", "2")
     assert proc.returncode == 3
@@ -353,6 +386,8 @@ def pb2_bundle(tmp_path_factory):
 
 _CT22_FS = str(FIXTURE_DIR / "ct22.fs.json")
 _PB2 = str(FIXTURE_DIR / "pb2.2cat.json")
+_PB1 = str(FIXTURE_DIR / "pb1.2cat.json")
+_PB1_BUNDLE = str(FIXTURE_DIR / "pb1.bundle.json")
 
 #: sha256 of stdout after the header line, and the exit code, of the
 #: factorization-system checks, uncapped and at --cap 1, 50 and 1000.
@@ -398,6 +433,27 @@ FS_CHECK_PINS = {
             50: (3, "a994374897c3d03f43d367c5fb0f96d0ff0b897a2fd791abbdcb8ffc495bef8f"),
             1000: (3, "ef912e6c2b53a4f19e05f197a9b488b8c1915b5da273e6b02253046617fe65ab"),
         }),
+    # a shipped bundle as --fs: only its base and system are read
+    "fibration-cod-pb1-bundle": (
+        ["check-fibration", _PB1, "--fs", _PB1_BUNDLE, "--direction", "cod"], {
+            None: (0, "15fea099481bece865790c9ffecb7da268451b4a2e366ba6d224f576ba6c48a5"),
+            1: (3, "ced1a5606a0c9794bf157c28c0738ea038e5d98eb7d874f47660f47ac5bbe404"),
+            50: (3, "aaf0918bd6274aef782bbf901fe24daff9be233d470c0bb9da65e5320c1af5ec"),
+            1000: (0, "15fea099481bece865790c9ffecb7da268451b4a2e366ba6d224f576ba6c48a5"),
+        }),
+    "fibration-dom-pb1-bundle": (
+        ["check-fibration", _PB1, "--fs", _PB1_BUNDLE, "--direction", "dom"], {
+            None: (0, "a309b654015a9c204a187561a0fdd530ce0fb0372ea93ca0bbd63ec7b4658210"),
+            1: (3, "9143e01095d3a2a51eac34dc0ac2cb3c7f32599a2d98480a02559a3f363626fc"),
+            50: (3, "a994374897c3d03f43d367c5fb0f96d0ff0b897a2fd791abbdcb8ffc495bef8f"),
+            1000: (0, "a309b654015a9c204a187561a0fdd530ce0fb0372ea93ca0bbd63ec7b4658210"),
+        }),
+    "check-rofs-pb1-bundle": (["check-rofs", _PB1, "--fs", _PB1_BUNDLE], {
+        None: (0, "df4e884497ab3ffde9fb70f2b754a3c9e8d4106423e4174925a32f1467273cb8"),
+        1: (3, "960df7da273df848d734a952896dc8d92bfde84dff650ea7d971d281dc7dc6ee"),
+        50: (3, "b18ddafb43dd5c5f68b6602554d64acb9a0bf7541f0c2b9b60c7084de9489844"),
+        1000: (0, "df4e884497ab3ffde9fb70f2b754a3c9e8d4106423e4174925a32f1467273cb8"),
+    }),
     "check-rofs-pb2": (["check-rofs", _PB2, "--fs", "{bundle}"], {
         None: (0, "5087fd11704f461ec7f2c29c46d32c1c780c79303cb3f14aa34f7b74439b5168"),
         1: (3, "960df7da273df848d734a952896dc8d92bfde84dff650ea7d971d281dc7dc6ee"),

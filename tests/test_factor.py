@@ -449,6 +449,20 @@ CLAUSE_PINS = {
             _one_object_fs(("i",), (), ("i", "i", "iz")), "dom"),
         _dom(_fibration_fail("dom", "cocartesian-two-dim-uniqueness", "i",
                              **_COCARTESIAN_TWO_DIM["uniqueness"]))),
+    # the chosen factorization of z∘i = z has its right part outside the
+    # class: exit 1 with this certificate, no longer an input error (exit 2)
+    "cod:factorization-right-class": (
+        lambda: check_weak_two_fibration(
+            one_object_base(), _one_object_fs(("i", "z"), ("i",),
+                                              ("i", "z", "iz")), "cod"),
+        _fibration_fail("cod", "factorization-right-class", "i",
+                        extension="z", one_cell="z", right="z")),
+    "dom:factorization-right-class": (
+        lambda: check_weak_two_fibration(
+            one_object_base(), _one_object_fs(("i",), ("i", "z"),
+                                              ("z", "i", "iz")), "dom"),
+        _dom(_fibration_fail("dom", "factorization-right-class", "i",
+                             extension="z", one_cell="z", right="z"))),
     "cod:local-isofibration": (
         lambda: check_weak_two_fibration(
             one_object_base(v_iziz="t", rw_t="iz"),

@@ -6,7 +6,10 @@ equivalence-closure sweep and one iso-stability sweep; ``validate_rofs``
 reads its cokernels as the kernels of the duals; and the dom fibration
 check runs the cod body on the duals.  The functions below are the earlier
 ones, kept verbatim as the reference: on every input they give the same
-certificate (or raise the same error) uncapped and at every cap.
+certificate (or raise the same error) uncapped and at every cap.  The one
+edit is in the fibration check: a chosen factorization whose right part
+leaves the class now fails ``factorization-right-class`` instead of raising
+``InputError``.
 """
 
 import functools
@@ -269,9 +272,11 @@ def _check_cod_fibration_body(t: TwoCategory, fs: FactorizationSystem,
             fm = t.cmp1(f, m)
             l, r, theta = fs.factorization[fm]
             if r not in right_set:
-                raise InputError(
-                    f"factorization of {fm} has right part {r} outside the "
-                    f"designated class; cannot build the canonical lifting")
+                # the one deliberate change: a fail certificate, where the
+                # earlier check raised an input error
+                return _fail("check_weak_two_fibration",
+                             "factorization-right-class", direction="cod",
+                             member=m, extension=f, one_cell=fm, right=r)
             liftings[f"{m}:{f}"] = [l, f, t.inv(theta)]
             inv_theta = t.inv(theta)
 

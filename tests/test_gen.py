@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from family import (CH_PB1, CORE, CORE_NAMES, LD_PB2, LD_PB3, LD_TERM,
-                    ZERO_IDEALS)
+from family import (BANDED, CH_PB1, CORE, CORE_NAMES, LD_PB2, LD_PB3,
+                    LD_TERM, PB1, ZERO_IDEALS)
 from twoexact import (
     MUTATION_OPERATORS,
     InputError,
+    banded,
     canonical_zero_ideal,
     fs_from_ideal,
     identity_pseudofunctor,
@@ -111,6 +112,30 @@ def test_chaotic_enrichment_is_thin():
     t = CH_PB1
     for f, g in t.parallel_pairs():
         assert len(t.hom2(f, g)) == 1
+
+
+@pytest.mark.parametrize("name", BANDED)
+def test_banded_members_are_lawful_groupoid_enriched(name):
+    t = BANDED[name]
+    k = int(name[2])
+    assert validate_two_category(t).ok
+    assert not t.locally_thin
+    for f, g in t.parallel_pairs():
+        assert len(t.hom2(f, g)) == (k if f == g else 0)
+    assert all(t.is_invertible2(a) for a in t.two_ids)
+
+
+def test_banded_labels_add_and_whiskers_keep_them():
+    t = banded(PB1, 3)
+    f = "m4_1to1_11"
+    a, b, c = t.hom2(f, f)
+    assert a == t.id2[f]
+    assert t.vc(c, c) == b and t.vc(b, c) == a
+    h = "m2_1to0_e"
+    assert [t.lw(h, x) for x in (a, b, c)] == list(t.hom2(t.cmp1(h, f),
+                                                          t.cmp1(h, f)))
+    with pytest.raises(InputError):
+        banded(PB1, 0)
 
 
 # ---------------------------------------------------------------------------
