@@ -373,6 +373,15 @@ class TwoCategory:
                     yield f, g
 
 
+def _reduced_sweep_passes(t: TwoCategory) -> bool:
+    """The cached reduced-sweep verdict of ``t``; False when its tables are
+    not well shaped."""
+    try:
+        return t._passes_reduced_sweep
+    except InputError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # structural shape checking (raises InputError; not a certificate concern)
 # ---------------------------------------------------------------------------

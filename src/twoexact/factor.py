@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, _inconclusive, equivalences, is_cofaithful,
-                   is_equivalence, is_faithful)
+                   _fail, _inconclusive, _reduced_sweep_passes, equivalences,
+                   is_cofaithful, is_equivalence, is_faithful)
 from .closure import _sweeps
 from .ideal import TwoIdeal
 from .limits import KernelPresentation
@@ -400,6 +400,13 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
     and raises :class:`InputError`.  Built once per base and member list
     and kept on the base, like :attr:`TwoCategory.dual`, so every caller
     shares one object.
+
+    The ``vcomp``, ``lwhisker`` and ``rwhisker`` tables are built on first
+    read when the base is locally thin and passes its reduced law sweep.
+    Those two facts make the base lawful (see
+    :func:`twoexact.core._violations`), so every lookup of a deferred build
+    is declared and the build cannot fail later.  On any other base they
+    are built here, so a broken law raises before this returns.
     """
     mem = _ordered_unique(members)
     built = t._arrow_subcats
@@ -413,13 +420,57 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
             raise InputError(
                 f"cell id {i!r} contains '|'; square encoding needs ids "
                 f"without it")
+    lawful = t.locally_thin and _reduced_sweep_passes(t)
     try:
-        built[mem] = _arrow_subcat(t, mem)
+        arrow = _arrow_subcat(t, mem)
+        if not lawful:  # build every table now, so a broken law raises here
+            for table in (arrow.cat.vcomp, arrow.cat.lwhisker,
+                          arrow.cat.rwhisker):
+                table.table
     except KeyError as exc:
         raise InputError(f"the base breaks a 2-category law: the cell "
                          f"{exc.args[0]} of the pseudo-arrow 2-category is "
                          f"not a declared square or pair") from None
-    return built[mem]
+    built[mem] = arrow
+    return arrow
+
+
+class _Deferred(Mapping):
+    """A read-only table that ``build()`` makes on first read; the builder
+    is dropped once it has run."""
+
+    def __init__(self, build: Callable[[], dict]):
+        self._build = build
+
+    @functools.cached_property
+    def table(self) -> dict:
+        table = self._build()
+        del self._build
+        return table
+
+    def __getitem__(self, key: Any) -> Any:
+        return self.table[key]
+
+    def __iter__(self) -> Iterator:
+        return iter(self.table)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self.table
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        return self.table.get(key, default)
+
+    def items(self):
+        return self.table.items()
+
+    def keys(self):
+        return self.table.keys()
+
+    def values(self):
+        return self.table.values()
 
 
 def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
@@ -480,39 +531,51 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
     id2 = {sid: pair_ids[(sid, sid, t.id2[a], t.id2[b])]
            for sid, (a, b, _) in sq_of.items()}
 
-    vcomp = {}
-    for tid2, (s2, t2_) in pair_of.items():
-        for tid1 in into2[src2[tid2]]:
-            s1, t1_ = pair_of[tid1]
-            vcomp[(tid2, tid1)] = pair_ids[
-                (src2[tid1], tgt2[tid2], t.vc(s2, s1), t.vc(t2_, t1_))]
+    def build_vcomp() -> dict[tuple[str, str], str]:
+        vcomp = {}
+        for tid2, (s2, t2_) in pair_of.items():
+            for tid1 in into2[src2[tid2]]:
+                s1, t1_ = pair_of[tid1]
+                vcomp[(tid2, tid1)] = pair_ids[
+                    (src2[tid1], tgt2[tid2], t.vc(s2, s1), t.vc(t2_, t1_))]
+        return vcomp
 
-    lwhisker = {}
-    rwhisker = {}
-    for tid, (sigma, tau) in pair_of.items():
-        lo, hi = src2[tid], tgt2[tid]
-        f, g = ends[lo]
-        for sid in out_of[g]:  # whisker a square g → · on the left
-            a2, b2, _ = sq_of[sid]
-            lwhisker[(sid, tid)] = pair_ids[
-                (comp1[(sid, lo)], comp1[(sid, hi)],
-                 t.lw(a2, sigma), t.lw(b2, tau))]
-        for sid in into[f]:  # whisker a square · → f on the right
-            a2, b2, _ = sq_of[sid]
-            rwhisker[(tid, sid)] = pair_ids[
-                (comp1[(lo, sid)], comp1[(hi, sid)],
-                 t.rw(sigma, a2), t.rw(tau, b2))]
+    rwhisker: dict[tuple[str, str], str] = {}
 
+    def build_whiskers() -> dict[tuple[str, str], str]:
+        """Both whisker tables in one loop: returns ``lwhisker`` and fills
+        ``rwhisker``."""
+        lwhisker = {}
+        for tid, (sigma, tau) in pair_of.items():
+            lo, hi = src2[tid], tgt2[tid]
+            f, g = ends[lo]
+            for sid in out_of[g]:  # whisker a square g → · on the left
+                a2, b2, _ = sq_of[sid]
+                lwhisker[(sid, tid)] = pair_ids[
+                    (comp1[(sid, lo)], comp1[(sid, hi)],
+                     t.lw(a2, sigma), t.lw(b2, tau))]
+            for sid in into[f]:  # whisker a square · → f on the right
+                a2, b2, _ = sq_of[sid]
+                rwhisker[(tid, sid)] = pair_ids[
+                    (comp1[(lo, sid)], comp1[(hi, sid)],
+                     t.rw(sigma, a2), t.rw(tau, b2))]
+        return lwhisker
+
+    def read_rwhisker() -> dict[tuple[str, str], str]:
+        lwhisker.table
+        return rwhisker
+
+    lwhisker = _Deferred(build_whiskers)
     cat = TwoCategory(
         objects=mem,
         one_cells=tuple(one_cells),
         comp1=comp1,
         id1=id1,
         two_cells=tuple(two_cells),
-        vcomp=vcomp,
+        vcomp=_Deferred(build_vcomp),
         id2=id2,
         lwhisker=lwhisker,
-        rwhisker=rwhisker,
+        rwhisker=_Deferred(read_rwhisker),
     )
     return ArrowTwoCategory(
         cat=cat, base=t, members=mem, squares=sq_of, pairs=pair_of,
@@ -539,7 +602,9 @@ def check_weak_two_fibration(t: TwoCategory, fs: FactorizationSystem,
     projection on the left class, which is the same property in the formal
     dual with the two classes swapped.  A chosen factorization of ``f∘m``
     whose right part lies outside the class fails the check under
-    ``factorization-right-class``, as it fails :func:`validate_fs`.
+    ``factorization-right-class``, and one whose cell ``theta`` is not
+    invertible under ``factorization-invertible``, as they fail
+    :func:`validate_fs`.
     """
     if direction not in ("dom", "cod"):
         raise InputError(f"direction must be 'dom' or 'cod', got {direction!r}")
@@ -574,7 +639,11 @@ def _cod_fibration(t: TwoCategory, fs: FactorizationSystem, direction: str,
                 return _fail("check_weak_two_fibration",
                              "factorization-right-class", direction=direction,
                              member=m, extension=f, one_cell=fm, right=r)
-            inv_theta = t.inv(theta)
+            inv_theta = t.inverse2.get(theta)
+            if inv_theta is None:
+                return _fail("check_weak_two_fibration",
+                             "factorization-invertible", direction=direction,
+                             member=m, extension=f, one_cell=fm, theta=theta)
             liftings[f"{m}:{f}"] = [l, f, inv_theta]
 
             for n2 in right:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .core import (
-    Certificate, InputError, TwoCategory, _fail, is_equivalence,
+    Certificate, InputError, TwoCategory, _fail, _reduced_sweep_passes,
+    is_equivalence,
 )
 from .factor import ArrowTwoCategory
 
@@ -133,15 +134,6 @@ def _functor_violations(func: PseudoFunctor, reduced: bool = False
                            t.rw(func.compositor[(h, g)], func.one[f]))
                 if lhs != rhs:
                     yield "compositor-assoc", dict(h=h, g=g, f=f)
-
-
-def _reduced_sweep_passes(t: TwoCategory) -> bool:
-    """The cached reduced-sweep verdict of ``t``; False when its tables are
-    not well shaped."""
-    try:
-        return t._passes_reduced_sweep
-    except InputError:
-        return False
 
 
 def validate_pseudofunctor(func: PseudoFunctor) -> Certificate:

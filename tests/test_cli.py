@@ -255,6 +255,26 @@ def test_fibration_with_a_right_part_outside_the_class_fails(
         "factorization-right-class"
 
 
+@pytest.mark.parametrize("direction, left, right, z", [
+    ("cod", ["i"], ["i", "z"], ["i", "z", "t"]),
+    ("dom", ["i", "z"], ["i"], ["z", "i", "t"]),
+])
+def test_fibration_with_a_non_invertible_chosen_cell_fails(
+        tmp_path, direction, left, right, z):
+    # θ = t with t·t = t: exit 1 with a certificate; this was an input
+    # error (exit 2), "2-cell t is not invertible"
+    doc = fs_to_document(one_object_base(v_tt="t"), FactorizationSystem(
+        tuple(left), tuple(right), {"i": ("i", "i", "ii"), "z": tuple(z)}))
+    path = tmp_path / "fs.json"
+    path.write_text(serialize(doc), encoding="utf-8")
+    proc = run("check-fibration", str(path), "--direction", direction)
+    assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+    assert last_json(proc)["counterexample"] == {
+        "clause": "factorization-invertible", "cells": {
+            "direction": direction, "member": "i", "extension": "z",
+            "one_cell": "z", "theta": "t"}}
+
+
 def test_banded_generator_token(tmp_path):
     path = tmp_path / "bd.json"
     proc = run("gen", "banded", "3", "cyclic-tower", "2", "1",

@@ -463,6 +463,20 @@ CLAUSE_PINS = {
                                               ("z", "i", "iz")), "dom"),
         _dom(_fibration_fail("dom", "factorization-right-class", "i",
                              extension="z", one_cell="z", right="z"))),
+    # the chosen factorization of z∘i = z has a cell θ = t that is not
+    # invertible (t·t = t): likewise a certificate, no longer an input error
+    "cod:factorization-invertible": (
+        lambda: check_weak_two_fibration(
+            one_object_base(v_tt="t"), _one_object_fs(("i",), ("i", "z"),
+                                                      ("i", "z", "t")), "cod"),
+        _fibration_fail("cod", "factorization-invertible", "i",
+                        extension="z", one_cell="z", theta="t")),
+    "dom:factorization-invertible": (
+        lambda: check_weak_two_fibration(
+            one_object_base(v_tt="t"), _one_object_fs(("i", "z"), ("i",),
+                                                      ("z", "i", "t")), "dom"),
+        _dom(_fibration_fail("dom", "factorization-invertible", "i",
+                             extension="z", one_cell="z", theta="t"))),
     "cod:local-isofibration": (
         lambda: check_weak_two_fibration(
             one_object_base(v_iziz="t", rw_t="iz"),

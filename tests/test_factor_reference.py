@@ -6,10 +6,11 @@ equivalence-closure sweep and one iso-stability sweep; ``validate_rofs``
 reads its cokernels as the kernels of the duals; and the dom fibration
 check runs the cod body on the duals.  The functions below are the earlier
 ones, kept verbatim as the reference: on every input they give the same
-certificate (or raise the same error) uncapped and at every cap.  The one
-edit is in the fibration check: a chosen factorization whose right part
-leaves the class now fails ``factorization-right-class`` instead of raising
-``InputError``.
+certificate (or raise the same error) uncapped and at every cap.  The
+edits are in the fibration check: a chosen factorization whose right part
+leaves the class now fails ``factorization-right-class``, and one whose
+cell ``theta`` is not invertible fails ``factorization-invertible``, where
+each used to raise ``InputError``.
 """
 
 import functools
@@ -277,6 +278,12 @@ def _check_cod_fibration_body(t: TwoCategory, fs: FactorizationSystem,
                 return _fail("check_weak_two_fibration",
                              "factorization-right-class", direction="cod",
                              member=m, extension=f, one_cell=fm, right=r)
+            if not t.is_invertible2(theta):
+                # and the same change for a cell theta that is not
+                # invertible
+                return _fail("check_weak_two_fibration",
+                             "factorization-invertible", direction="cod",
+                             member=m, extension=f, one_cell=fm, theta=theta)
             liftings[f"{m}:{f}"] = [l, f, t.inv(theta)]
             inv_theta = t.inv(theta)
 
