@@ -179,8 +179,7 @@ def _cmd_validate(args) -> int:
         certs.append(
             validate_pseudonatural(document_to_pseudonatural(doc)))
     elif doc.kind == "witness-bundle":
-        # rebuilding the pseudo-arrow 2-categories composes base cells too,
-        # so the bundle is rebuilt on a passing base only
+        # the rebuild refuses a lawless base, whose certificate is the report
         certs.append(validate_two_category(witness_bundle_base(doc)))
         if certs[-1].ok:
             t, fs, k, c, eta, epsilon = document_to_witness_bundle(doc)

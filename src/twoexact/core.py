@@ -512,8 +512,8 @@ def _violations(t: TwoCategory,
     - Once the reduced clauses hold, every other clause compares two
       parallel 2-cells: both sides of each unit, associativity, whisker and
       interchange law run between the same composite 1-cells, by the
-      boundary clauses, the unit laws and (for ``lwhisker-comp1`` and
-      ``rwhisker-comp1``) associativity of 1-cells.  Parallel 2-cells of a
+      boundary clauses, the unit laws and (for ``*-comp1`` and
+      ``lwhisker-rwhisker``) associativity of 1-cells.  Parallel 2-cells of a
       locally thin input are equal.
     - ``S = {g : (h∘g)∘f = h∘(g∘f) for all h, f}`` holds the identities by
       the unit laws, and is closed under composition: for ``a, b`` in ``S``,
@@ -644,6 +644,12 @@ def _violations(t: TwoCategory,
             rhs = t.vcomp[(t.lwhisker[(g2, a)], t.rwhisker[(b, fa)])]
             if lhs != rhs:
                 yield "interchange", {"b": b, "a": a}
+
+    # whiskering on both sides associates: h⋆(a⋆e) = (h⋆a)⋆e
+    for (a, e), ae in t.rwhisker.items():
+        for h in t.hom1(t.tgt1[t.src2[a]], None):
+            if t.lwhisker[(h, ae)] != t.rwhisker[(t.lwhisker[(h, a)], e)]:
+                yield "lwhisker-rwhisker", {"h": h, "a": a, "e": e}
 
 
 def validate_two_category(t: TwoCategory) -> Certificate:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, _inconclusive, _reduced_sweep_passes, equivalences,
-                   is_cofaithful, is_equivalence, is_faithful)
+                   _fail, _inconclusive, equivalences, is_cofaithful,
+                   is_equivalence, is_faithful, validate_two_category)
 from .closure import _sweeps
 from .ideal import TwoIdeal
 from .limits import KernelPresentation
@@ -394,19 +394,18 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
 
     Composition of squares pastes the fillers, ``(a', b', φ')∘(a, b, φ) =
     (a'∘a, b'∘b, (b'⋆φ)·(φ'⋆a))``; 2-cells compose and whisker
-    componentwise.  On a lawful base every composite, identity and whisker
-    of declared squares and pairs is itself declared, so each is looked up
-    by its components; an undeclared one shows a broken law of the base
-    and raises :class:`InputError`.  Built once per base and member list
-    and kept on the base, like :attr:`TwoCategory.dual`, so every caller
-    shares one object.
+    componentwise.  The base must pass :func:`validate_two_category` (on a
+    thin base, a read of its cached reduced verdict); a lawless one raises
+    :class:`InputError` naming the first broken clause.  So every composite,
+    identity and whisker of declared squares and pairs is declared and
+    looked up by its components, and ``vcomp``, ``lwhisker`` and
+    ``rwhisker`` are built on first read.  Built once per base and member
+    list and kept on the base, like :attr:`TwoCategory.dual`.
 
-    The ``vcomp``, ``lwhisker`` and ``rwhisker`` tables are built on first
-    read when the base is locally thin and passes its reduced law sweep.
-    Those two facts make the base lawful (see
-    :func:`twoexact.core._violations`), so every lookup of a deferred build
-    is declared and the build cannot fail later.  On any other base they
-    are built here, so a broken law raises before this returns.
+    The result is lawful and records so in its cached reduced verdict: its
+    2-cell laws are base laws read componentwise, and its 1-cell laws equate
+    fillers that the base's whisker laws paste equal (associativity needs
+    ``lwhisker-rwhisker``: ``b₃⋆(φ₂⋆a₁) = (b₃⋆φ₂)⋆a₁``).
     """
     mem = _ordered_unique(members)
     built = t._arrow_subcats
@@ -420,18 +419,11 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
             raise InputError(
                 f"cell id {i!r} contains '|'; square encoding needs ids "
                 f"without it")
-    lawful = t.locally_thin and _reduced_sweep_passes(t)
-    try:
-        arrow = _arrow_subcat(t, mem)
-        if not lawful:  # build every table now, so a broken law raises here
-            for table in (arrow.cat.vcomp, arrow.cat.lwhisker,
-                          arrow.cat.rwhisker):
-                table.table
-    except KeyError as exc:
-        raise InputError(f"the base breaks a 2-category law: the cell "
-                         f"{exc.args[0]} of the pseudo-arrow 2-category is "
-                         f"not a declared square or pair") from None
-    built[mem] = arrow
+    broken = validate_two_category(t).counterexample
+    if broken:
+        raise InputError(f"the base breaks a 2-category law: {broken['clause']}")
+    arrow = built[mem] = _arrow_subcat(t, mem)
+    arrow.cat.__dict__["_passes_reduced_sweep"] = True
     return arrow
 
 
@@ -465,12 +457,6 @@ class _Deferred(Mapping):
 
     def items(self):
         return self.table.items()
-
-    def keys(self):
-        return self.table.keys()
-
-    def values(self):
-        return self.table.values()
 
 
 def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:

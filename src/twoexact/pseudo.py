@@ -175,8 +175,9 @@ def compose_pseudofunctors(outer: PseudoFunctor, inner: PseudoFunctor) -> Pseudo
     t = outer.target
     compositor = {}
     for (g, f), phi_in in inner.compositor.items():
-        phi_out = outer.compositor[(inner.one[g], inner.one[f])]
-        compositor[(g, f)] = t.vc(outer.two[phi_in], phi_out)
+        pair = (inner.one[g], inner.one[f])
+        outer.source.cmp1(*pair)  # an InputError if the pair does not compose
+        compositor[(g, f)] = t.vc(outer.two[phi_in], outer.compositor[pair])
     return PseudoFunctor(
         source=inner.source, target=outer.target,
         ob={x: outer.ob[v] for x, v in inner.ob.items()},

@@ -187,6 +187,40 @@ def one_object_base(**entries: str) -> TwoCategory:
     )
 
 
+def twisted_whisker_base() -> TwoCategory:
+    """One object ``o``; 1-cells ``i`` (the identity) and ``z`` with ``z∘z =
+    z``; over each 1-cell ``f`` the 2-cells ``f ⇒ f`` labelled by ``(ℤ/2)²``
+    (``f00`` the identity), composing by adding labels.  Whiskering by ``z``
+    applies ``P(x, y) = (x, 0)`` on the left and ``Q(x, y) = (x + y, 0)``
+    on the right.  Every clause but ``lwhisker-rwhisker`` holds: ``P`` and
+    ``Q`` are idempotent and additive, and interchange holds as the labels
+    commute, but ``PQ ≠ QP``, so ``z⋆(a⋆z) ≠ (z⋆a)⋆z``."""
+    act = {"i": (lambda v: v, lambda v: v),
+           "z": (lambda v: (v[0], 0), lambda v: ((v[0] + v[1]) % 2, 0))}
+    comp = {("i", "i"): "i", ("i", "z"): "z", ("z", "i"): "z",
+            ("z", "z"): "z"}
+    labels = [(x, y) for x in (0, 1) for y in (0, 1)]
+
+    def cell(f, v):
+        return f"{f}{v[0]}{v[1]}"
+
+    return TwoCategory(
+        objects=("o",),
+        one_cells=(("i", "o", "o"), ("z", "o", "o")),
+        comp1=comp,
+        id1={"o": "i"},
+        two_cells=tuple((cell(f, v), f, f) for f in "iz" for v in labels),
+        vcomp={(cell(f, v), cell(f, w)):
+               cell(f, ((v[0] + w[0]) % 2, (v[1] + w[1]) % 2))
+               for f in "iz" for v in labels for w in labels},
+        id2={f: cell(f, (0, 0)) for f in "iz"},
+        lwhisker={(h, cell(f, v)): cell(comp[(h, f)], act[h][0](v))
+                  for h in "iz" for f in "iz" for v in labels},
+        rwhisker={(cell(f, v), e): cell(comp[(f, e)], act[e][1](v))
+                  for e in "iz" for f in "iz" for v in labels},
+    )
+
+
 def null_z_ideal(null2: tuple[str, ...], nu: dict[str, str]) -> TwoIdeal:
     """An ideal on a one-object base: ``z`` the only null 1-cell, the null
     2-cells ``null2``, and ``b∘z∘a`` replaced by ``(z, nu[a + b])``."""

@@ -1,12 +1,11 @@
 """The pseudo-arrow 2-category builder against the one it replaced, and
 the bytes it must keep.
 
-``factor.arrow_subcat`` builds the ``vcomp``, ``lwhisker`` and
-``rwhisker`` tables on first read when the base is locally thin and passes
-its reduced law sweep, and inside ``arrow_subcat`` on every other base.
-The two functions below are the earlier builder, kept verbatim as the
-reference: after a forced read, all nine tables hold the same entries in
-the same order, and a lawless base raises the same error.
+``factor.arrow_subcat`` refuses a base that breaks a 2-category law, and
+on a lawful base builds the ``vcomp``, ``lwhisker`` and ``rwhisker`` tables
+on first read.  The two functions below are the earlier builder, kept
+verbatim as the reference: after a forced read, all nine tables hold the
+same entries in the same order.
 """
 
 import dataclasses
@@ -21,11 +20,14 @@ from typing import Iterable, Mapping
 import pytest
 
 from clirun import run_cli as run
-from family import BANDED, CH_PB1, CORE, LD_PB1, LD_PB2, one_object_base
+from family import (BANDED, CH_PB1, CORE, LD_PB1, LD_PB2, one_object_base,
+                    twisted_whisker_base)
 from twoexact import (InputError, TwoCategory, canonical_zero_ideal,
                       cyclic_tower, fs_from_ideal, ideal_from_fs,
-                      locally_discrete, validate_two_category)
+                      locally_discrete, validate_pseudofunctor,
+                      validate_two_category)
 from twoexact import factor
+from twoexact.core import _violations, check_shape
 from twoexact.cli import main
 from twoexact.factor import (ArrowTwoCategory, _ordered_unique,
                              square_two_cells, squares_between)
@@ -180,13 +182,16 @@ TABLES = tuple(f.name for f in dataclasses.fields(TwoCategory))
 
 CT23 = locally_discrete(cyclic_tower(2, 3))
 
-#: Thin lawful bases: the deferred path.
+#: Thin lawful bases.
 THIN = {**CORE, "ct23": CT23}
 
 #: The table entries a one-object base varies, and their values.
 _ENTRIES = ("v_iziz", "v_izt", "v_tiz", "v_tt", "lw_ii", "lw_iz", "lw_t",
             "rw_ii", "rw_iz", "rw_t")
 _Z_CELLS = ("iz", "t")
+
+#: The member lists built on a one-object base.
+_ONE_OBJECT_MEMBERS = (("i", "z"), ("z",), ("i",))
 
 #: The tables a tampered base has one entry of moved.
 _TAMPERED = ("comp1", "vcomp", "lwhisker", "rwhisker")
@@ -224,6 +229,26 @@ def _tampered(t: TwoCategory, table: str, seed: int) -> TwoCategory:
     return dataclasses.replace(t, **{table: rows})
 
 
+def _one_object_bases():
+    """The 1,024 one-object variants (``iz`` and ``t`` are both ``z ⇒ z``,
+    so none is thin), as ``(variant, lawful)``."""
+    for values in itertools.product(_Z_CELLS, repeat=len(_ENTRIES)):
+        t = one_object_base(**dict(zip(_ENTRIES, values)))
+        yield t, validate_two_category(t).ok
+
+
+def _lawless_bases():
+    """Every lawless base of the differential tests: the lawless one-object
+    variants and the tampered thin bases."""
+    for t, lawful in _one_object_bases():
+        if not lawful:
+            yield t, _ONE_OBJECT_MEMBERS
+    for t, table, seed in itertools.product((LD_PB1, LD_PB2, CH_PB1),
+                                            _TAMPERED, range(6)):
+        t = _tampered(t, table, seed)
+        yield t, (t.one_ids[:6],)
+
+
 def _tables(arrow: ArrowTwoCategory) -> list:
     """Every table of ``arrow`` with its key order, reading each in full."""
     cat = arrow.cat
@@ -240,37 +265,28 @@ def _built(cat: TwoCategory) -> set[str]:
             if "table" in vars(getattr(cat, name))}
 
 
-def _lawful(t: TwoCategory) -> bool:
-    try:
-        return validate_two_category(_fresh(t)).ok
-    except InputError:
-        return False
-
-
-def _outcome(build, t: TwoCategory, mem: Iterable[str]):
-    try:
-        return _tables(build(t, mem))
-    except InputError as exc:
-        return str(exc)
-
-
-def _assert_same(t: TwoCategory, mem: Iterable[str]) -> str:
-    """Build on fresh copies of ``t`` with both builders and compare; the
-    tables are deferred exactly on a thin lawful base.  Returns which way
-    the build went: ``"deferred"``, ``"eager"`` or ``"error"``."""
-    expected = _outcome(arrow_subcat, _fresh(t), mem)
+def _assert_same(t: TwoCategory, mem: Iterable[str]) -> None:
+    """Build on fresh copies of the lawful ``t`` with both builders: the
+    deferred tables are unbuilt until read, and then every table matches
+    the reference."""
+    expected = _tables(arrow_subcat(_fresh(t), mem))
     base = _fresh(t)
-    try:
-        arrow = factor.arrow_subcat(base, mem)
-    except InputError as exc:
-        assert str(exc) == expected
-        return "error"
-    deferred = t.locally_thin and _lawful(t)
-    assert _built(arrow.cat) == (set() if deferred else set(DEFERRED))
+    arrow = factor.arrow_subcat(base, mem)
+    assert _built(arrow.cat) == set()
     assert _tables(arrow) == expected
     assert _built(arrow.cat) == set(DEFERRED)
     assert factor.arrow_subcat(base, mem) is arrow
-    return "deferred" if deferred else "eager"
+
+
+def _assert_refused(t: TwoCategory, mem: Iterable[str]) -> None:
+    """``factor.arrow_subcat`` refuses the lawless ``t``, naming the first
+    clause that :func:`validate_two_category` finds."""
+    base = _fresh(t)
+    clause = validate_two_category(_fresh(t)).counterexample["clause"]
+    with pytest.raises(InputError) as exc:
+        factor.arrow_subcat(base, mem)
+    assert str(exc.value) == f"the base breaks a 2-category law: {clause}"
+    assert base._arrow_subcats == {}
 
 
 # ---------------------------------------------------------------------------
@@ -279,64 +295,91 @@ def _assert_same(t: TwoCategory, mem: Iterable[str]) -> str:
 
 @pytest.mark.parametrize("name", THIN)
 def test_thin_lawful_bases_match_the_reference(name):
-    assert {_assert_same(THIN[name], mem) for mem in _member_lists(name)} \
-        == {"deferred"}
+    for mem in _member_lists(name):
+        _assert_same(THIN[name], mem)
 
 
 @pytest.mark.parametrize("name", BANDED)
 def test_banded_bases_match_the_reference(name):
-    # not locally thin: every table is built inside arrow_subcat
-    assert {_assert_same(BANDED[name], mem) for mem in _member_lists(name)} \
-        == {"eager"}
+    # not locally thin, but lawful: the tables are built on read here too
+    assert validate_two_category(BANDED[name]).ok
+    for mem in _member_lists(name):
+        _assert_same(BANDED[name], mem)
 
 
 def test_one_object_bases_match_the_reference():
-    # iz and t are both z ⇒ z, so no variant is thin; 1,024 variants, of
-    # which some are lawful and most are not
-    ways = set()
-    for values in itertools.product(_Z_CELLS, repeat=len(_ENTRIES)):
-        t = one_object_base(**dict(zip(_ENTRIES, values)))
-        for mem in (("i", "z"), ("z",), ("i",)):
-            ways.add(_assert_same(t, mem))
-    assert ways == {"eager", "error"}
+    # the lawful variants build as the reference does; the lawless ones are
+    # refused, where the reference built some and raised on others
+    lawful = 0
+    for t, ok in _one_object_bases():
+        for mem in _ONE_OBJECT_MEMBERS:
+            (_assert_same if ok else _assert_refused)(t, mem)
+        lawful += ok
+    assert 0 < lawful < 1024
 
 
 @pytest.mark.parametrize("table", _TAMPERED)
 def test_tampered_thin_bases_match_the_reference(table):
-    # one entry moved: thin but lawless, so the tables are built inside
-    # arrow_subcat, and a broken law raises there as before
-    ways = set()
+    # one entry moved: thin but lawless, so every build is refused with the
+    # base's first broken clause, including those the reference completed
     for t in (LD_PB1, LD_PB2, CH_PB1):
         for seed in range(6):
-            ways.add(_assert_same(_tampered(t, table, seed), t.one_ids[:6]))
-    assert "deferred" not in ways
+            tampered = _tampered(t, table, seed)
+            assert not validate_two_category(tampered).ok
+            _assert_refused(tampered, t.one_ids[:6])
 
 
-def test_a_broken_law_met_by_a_deferred_loop_raises_in_arrow_subcat():
-    # tampered bases whose squares, pairs and comp1 build, but whose vcomp
-    # or whisker loop meets an undeclared cell: arrow_subcat raises the
-    # reference's error, and does not return a category that raises later
-    met = set()
-    for t, table, seed in itertools.product((LD_PB1, CH_PB1), _TAMPERED,
-                                            range(8)):
-        t = _tampered(t, table, seed)
-        mem = t.one_ids[:3]
-        try:
-            arrow = factor._arrow_subcat(_fresh(t), mem)
-        except (KeyError, InputError):
-            continue
-        for name in DEFERRED:
+def test_no_lawless_base_returns_a_category():
+    # the reference completes some of these builds; the builder raises on
+    # every one, before it keeps anything on the base
+    completed = 0
+    for t, member_lists in _lawless_bases():
+        for mem in member_lists:
             try:
-                getattr(arrow.cat, name).table
-            except KeyError:
-                met.add(name)
-                with pytest.raises(InputError) as exc:
-                    factor.arrow_subcat(_fresh(t), mem)
-                assert str(exc.value) == \
-                    _outcome(arrow_subcat, _fresh(t), mem)
-                break
-    # one loop builds both whisker tables, so it meets the error as lwhisker
-    assert met == {"vcomp", "lwhisker"}
+                arrow_subcat(_fresh(t), mem)
+                completed += 1
+            except InputError:
+                pass
+            with pytest.raises(InputError):
+                factor.arrow_subcat(_fresh(t), mem)
+    assert completed
+
+
+def test_a_base_whose_whiskers_do_not_associate_is_refused():
+    # every clause but lwhisker-rwhisker holds on this base; the reference
+    # builds an arrow 2-category over it that breaks comp1-assoc
+    t = twisted_whisker_base()
+    cat = arrow_subcat(_fresh(t), ("i",)).cat
+    check_shape(cat)
+    assert next(_violations(cat))[0] == "comp1-assoc"
+    for mem in _ONE_OBJECT_MEMBERS:
+        _assert_refused(t, mem)
+
+
+def _lawful_arrows():
+    """The arrow 2-categories whose laws the full sweep checks: on every
+    lawful base of the differential tests, its first four 1-cells, where
+    the sweep of each stays within seconds; the two classes on each
+    ``CORE`` base; and every member list on the lawful one-object
+    variants."""
+    for name, t in {**THIN, **BANDED}.items():
+        lists = [t.one_ids[:4]]
+        if name in CORE:
+            lists += _member_lists(name)[1:]
+        for mem in lists:
+            yield factor.arrow_subcat(_fresh(t), mem)
+    for t, ok in _one_object_bases():
+        if ok:
+            for mem in _ONE_OBJECT_MEMBERS:
+                yield factor.arrow_subcat(_fresh(t), mem)
+
+
+def test_arrow_categories_of_lawful_bases_pass_the_full_sweep():
+    # the verdict each arrow 2-category inherits from its base
+    for arrow in _lawful_arrows():
+        assert arrow.cat._passes_reduced_sweep
+        check_shape(arrow.cat)
+        assert next(_violations(arrow.cat), None) is None, arrow.members
 
 
 def test_the_round_trip_builds_no_whisker_table():
@@ -348,8 +391,11 @@ def test_the_round_trip_builds_no_whisker_table():
     for cls in (fs.left_class, fs.right_class):
         assert _built(factor.arrow_subcat(t, cls).cat) == {"vcomp"}
     doc = parse(serialize(witness_bundle_to_document(t, *built)))
-    t2, fs2, k2, _, _, _ = document_to_witness_bundle(doc)
+    t2, fs2, k2, c2, _, _ = document_to_witness_bundle(doc)
     ideal_from_fs(t2, fs2, k2)
+    # nor do the pseudofunctor checks: the arrow 2-categories carry their
+    # base's verdict, so they are not swept
+    assert validate_pseudofunctor(k2).ok and validate_pseudofunctor(c2).ok
     for cls in (fs2.left_class, fs2.right_class):
         assert _built(factor.arrow_subcat(t2, cls).cat) == {"vcomp"}
 

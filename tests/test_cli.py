@@ -419,10 +419,18 @@ FS_CHECK_PINS = {
         50: (3, "700ca5696a89f984b2f5c22454036ce6b9bd3728e8ef6c64ae6a606bdc7ab4b7"),
         1000: (0, "11e8269f4f758b2d00942dc40ec227f52b349c47c42e9f93698448c22f604d50"),
     }),
+    # both fibration sub-checks are read off the factorization system's
+    # pass, so a cap that covers validate_fs covers the whole check
     "check-fs-pb1-bundle": (["check-fs", str(FIXTURE_DIR / "pb1.bundle.json")], {
         None: (0, "b10cc6369d8d76f2d50b4c6582fc0118f1f87bac7d205f326707bf0219814e15"),
         1: (3, "75ef4275a69fbee57058c96757ee340d38ba88a5992e9143baf6a44461c9c65d"),
-        50: (3, "2da28e99f0c947457910ff7aeeb723e892d4fc5a4d4033808cb1fc8318b0d856"),
+        50: (0, "b10cc6369d8d76f2d50b4c6582fc0118f1f87bac7d205f326707bf0219814e15"),
+        1000: (0, "b10cc6369d8d76f2d50b4c6582fc0118f1f87bac7d205f326707bf0219814e15"),
+    }),
+    "check-fs-pb2-bundle": (["check-fs", "{bundle}"], {
+        None: (0, "b10cc6369d8d76f2d50b4c6582fc0118f1f87bac7d205f326707bf0219814e15"),
+        1: (3, "75ef4275a69fbee57058c96757ee340d38ba88a5992e9143baf6a44461c9c65d"),
+        50: (3, "dad5c232fea0d17ecb3db57e7f352af145548ff5f733f691b3fe6b7109b45f5b"),
         1000: (0, "b10cc6369d8d76f2d50b4c6582fc0118f1f87bac7d205f326707bf0219814e15"),
     }),
     "fibration-cod-ct22": (
@@ -547,6 +555,16 @@ def _drop_compositor_row(body):
     del body["k"]["compositor"][0]
 
 
+#: A square whose image under `k` has the wrong ends, so `k` sends a
+#: composable pair to one that does not compose; the compositor lookup of
+#: `c∘k` used to end in a `KeyError` traceback.
+_PB1_OFF_BOUNDARY = "m0_0to0_e|m4_1to1_11|m1_0to1_e|m1_0to1_e|id_m1_0to1_e"
+
+
+def _off_boundary_one(body):
+    body["k"]["one"][_PB1_1CELL] = _PB1_OFF_BOUNDARY
+
+
 #: Edits that leave the `eta` or `epsilon` table malformed; `ideal-from-fs`,
 #: which does not read them, used to exit 0 on each.
 def _drop_eta_component(body):
@@ -575,6 +593,8 @@ _PB1_1CELL = "m0_0to0_e|m0_0to0_e|m0_0to0_e|m0_0to0_e|id_m0_0to0_e"
     (_bogus_one, f"1-cell map sends {_PB1_1CELL} to unknown 1-cell bogus"),
     (_drop_compositor_row, "compositor table is not indexed by exactly the "
                            "composable pairs of the source"),
+    (_off_boundary_one, f"1-cells not composable: ({_PB1_OFF_BOUNDARY}, "
+                        f"{_PB1_OFF_BOUNDARY})"),
     (_drop_eta_component,
      "components are not indexed by exactly the source objects"),
     (_bogus_eta_component,
@@ -584,7 +604,7 @@ _PB1_1CELL = "m0_0to0_e|m0_0to0_e|m0_0to0_e|m0_0to0_e|id_m0_0to0_e"
     (_bogus_epsilon_structure,
      f"structure cell at {_PB1_1CELL} names unknown 2-cell bogus"),
 ], ids=["drop-ob", "drop-one", "bogus-one", "drop-compositor-row",
-        "drop-eta-component", "bogus-eta-component", "drop-eta-structure",
+        "off-boundary-one", "drop-eta-component", "bogus-eta-component", "drop-eta-structure",
         "bogus-epsilon-structure"])
 @pytest.mark.parametrize("command", ["validate", "check-fs", "ideal-from-fs"])
 def test_malformed_bundle_functor_is_an_input_error(tmp_path, command, edit,

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from family import CH_PB1, CORE, CORE_NAMES, LD_CT22, LD_PB2
+from family import (CH_PB1, CORE, CORE_NAMES, LD_CT22, LD_PB2,
+                    twisted_whisker_base)
 from twoexact import (
     Budget,
     CapExceeded,
@@ -25,7 +26,8 @@ from twoexact import (
     solve_rwhisker,
     validate_two_category,
 )
-from twoexact.core import Gen, Id2, Inverse, LWhisker, RWhisker, VComp, paste
+from twoexact.core import (Gen, Id2, Inverse, LWhisker, RWhisker, VComp,
+                           _violations, paste)
 from twoexact.gen import mutate
 
 
@@ -308,6 +310,17 @@ def test_validation_cites_the_broken_clause():
     cert = validate_two_category(mut)
     assert cert.counterexample["clause"]
     assert cert.counterexample["cells"]
+
+
+def test_whiskers_that_do_not_associate_break_a_law():
+    # every other clause holds, so only lwhisker-rwhisker refuses this base
+    t = twisted_whisker_base()
+    cert = validate_two_category(t)
+    assert cert.counterexample == {"clause": "lwhisker-rwhisker", "cells": {
+        "h": "z", "a": "i01", "e": "z"}}
+    assert [clause for clause, _ in _violations(t)] == \
+        ["lwhisker-rwhisker"] * 4
+    assert replay_two_category_counterexample(t, cert)
 
 
 def test_every_export_resolves_and_is_listed_once():

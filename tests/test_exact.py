@@ -262,13 +262,33 @@ def test_grandis_i_stops_at_the_first_inconclusive_subcheck(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("validate_fs", "is_proper_11", "check_weak_two_fibration",
+    for name in ("validate_fs", "is_proper_11",
                  "is_biequivalence_over_base"):
         monkeypatch.setattr(exact, name, recording(name))
     cert = exact.check_grandis_i(*bundle, cap=1)
     assert cert.status == "inconclusive"
     assert cert.detail["clause"] == "factorization-system"
     assert called == ["validate_fs"]
+
+
+def test_grandis_i_reads_both_fibrations_off_the_factorization_system(
+        monkeypatch):
+    # a valid system carries both fibration structures, so neither
+    # direction is searched; the pass still names all five sub-checks
+    from twoexact import factor
+
+    def searched(*args, **kwargs):
+        raise AssertionError("a fibration check ran")
+
+    monkeypatch.setattr(factor, "check_weak_two_fibration", searched)
+    monkeypatch.setattr(factor, "_cod_fibration", searched)
+    bundle = document_to_witness_bundle(
+        parse((FIXTURE_DIR / "pb1.bundle.json").read_text()))
+    cert = check_grandis_i(*bundle)
+    assert cert.witness == {"checks": {
+        "factorization-system": "pass", "properness": "pass",
+        "fibration-cod": "pass", "fibration-dom": "pass",
+        "biequivalence": "pass"}}
 
 
 #: `check-exact` in each mode on shipped fixtures: the exit code and the

@@ -47,6 +47,7 @@ from twoexact import (
     squares_between,
     two_cokernels,
     two_kernels,
+    validate_two_category,
 )
 from twoexact import factor
 from twoexact.core import _fail, _inconclusive
@@ -670,3 +671,43 @@ def test_clause_bases_match_the_reference(name):
     _same_on_one_object(t, [maximal_two_ideal(t)] + [
         null_z_ideal(("iz",), dict(zip(("ii", "iz", "zi", "zz"), nu)))
         for nu in itertools.product(Z_CELLS, repeat=4)], True)
+
+
+# ---------------------------------------------------------------------------
+# the theorem check_grandis_i relies on
+# ---------------------------------------------------------------------------
+
+def _valid_systems_on_lawful_bases():
+    """``(kind, base, system)`` for every system that passes
+    :func:`validate_fs` on a lawful base: the constructed systems, their
+    40 seeded perturbations, and the one-object systems on every lawful
+    one-object base."""
+    for name in SYSTEMS:
+        t, n, fs = constructed(name)
+        assert validate_two_category(t).ok
+        systems = [("constructed", fs)] + [
+            ("perturbed", perturbed(t, n, fs, seed)) for seed in range(40)]
+        for kind, system in systems:
+            if factor.validate_fs(t, system).ok:
+                yield kind, t, system
+    entries = ("v_iziz", "v_izt", "v_tiz", "v_tt", "lw_ii", "lw_iz", "lw_t",
+               "rw_ii", "rw_iz", "rw_t")
+    for values in itertools.product(Z_CELLS, repeat=len(entries)):
+        t = one_object_base(**dict(zip(entries, values)))
+        if validate_two_category(t).ok:
+            for fs in one_object_systems():
+                if factor.validate_fs(t, fs).ok:
+                    yield "one-object", t, fs
+
+
+def test_a_valid_system_on_a_lawful_base_is_a_weak_two_fibration_both_ways():
+    # check_grandis_i reads both fibration sub-checks off validate_fs's
+    # pass; the fibration checks themselves are the oracle here
+    kinds = []
+    for kind, t, fs in _valid_systems_on_lawful_bases():
+        for direction in ("cod", "dom"):
+            cert = factor.check_weak_two_fibration(t, fs, direction)
+            assert cert.ok, (kind, fs, direction, cert.counterexample)
+        kinds.append(kind)
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        "constructed": 6, "perturbed": 71, "one-object": 24}
