@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Any, Callable, Sequence
 
@@ -29,7 +30,7 @@ from .formats import (Document, _body_fs, document_to_finite_category,
                       document_to_two_category, document_to_two_ideal,
                       document_to_witness_bundle, finite_category_to_document,
                       fs_to_document, parse, pseudofunctor_to_document,
-                      pseudonatural_to_document, serialize,
+                      pseudonatural_to_document, serialize_pieces,
                       two_category_to_document, two_ideal_to_document,
                       witness_bundle_base, witness_bundle_to_document)
 from .gen import (MUTATION_OPERATORS, banded, chaotic_enrichment,
@@ -74,15 +75,23 @@ def _load(path: str) -> Document:
 
 
 def _write_product(doc: Document, out: str | None) -> None:
-    text = serialize(doc)
+    """Write the document's normal form to stdout, or to the file ``out``,
+    piece by piece as it is made; a write to ``out`` that fails removes the
+    partial file."""
+    pieces = serialize_pieces(doc)
     if out is None:
-        sys.stdout.write(text)
-    else:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8")
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc}") from None
+            with fh:
+                fh.writelines(pieces)
+        except BaseException:
+            os.remove(out)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def _base_and_ideal(args) -> tuple[TwoCategory, TwoIdeal]:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .core import InputError, TwoCategory, natural_key
 from .factor import FactorizationSystem, arrow_subcat
@@ -450,13 +450,24 @@ class _Encoded(dict):
         return text
 
 
-def _joined(brackets: str, items: list[str], inner: str, close: str) -> str:
-    """A JSON array or object of already written items, one per line at
-    the ``inner`` indent; empty, just its two brackets."""
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + close \
-        + brackets[1]
+#: The most items of a list, rows or map table written as one piece.
+_PIECE = 1024
+
+
+def _array(brackets: str, texts: Iterable[str], inner: str,
+           close: str) -> Iterator[str]:
+    """A JSON array or object of already written items, one per line at the
+    ``inner`` indent, in pieces of up to ``_PIECE`` items; empty, just its
+    two brackets."""
+    texts, sep = iter(texts), "," + inner
+    piece = list(itertools.islice(texts, _PIECE))
+    if not piece:
+        yield brackets
+        return
+    yield brackets[0] + inner + sep.join(piece)
+    while piece := list(itertools.islice(texts, _PIECE)):
+        yield sep + sep.join(piece)
+    yield close + brackets[1]
 
 
 @lru_cache(maxsize=None)
@@ -470,36 +481,55 @@ def _row_template(cols: tuple[str, ...], depth: int) -> str:
 
 def _write(fields: dict[str, tuple], body: Mapping[str, Any],
            enc: Callable[[str], str], depth: int,
-           members: list[tuple[str, str]]) -> str:
+           members: Mapping[str, str] = {}) -> Iterator[str]:
     """The JSON text of a normalized document object ``depth`` levels deep,
-    with sorted keys and two-space indentation, and with ``members``
-    (name, text) written among its fields."""
+    in pieces, with sorted keys and two-space indentation, and with the
+    written ``members`` (name to text) among its fields."""
     close = "\n" + "  " * depth
     at = close + "  "
     inner = at + "  "
-    for name, spec in fields.items():
+    lead = "{"
+    for name in sorted([*fields, *members]):
+        yield f"{lead}{at}{enc(name)}: "
+        lead = ","
+        if name in members:
+            yield members[name]
+            continue
+        spec = fields[name]
         shape, value = spec[0], body[name]
         if shape == "list-str":
-            text = _joined("[]", list(map(enc, value)), inner, at)
+            yield from _array("[]", map(enc, value), inner, at)
         elif shape == "rows":
             cols = tuple(sorted(spec[1]))
             row, get = _row_template(cols, depth + 2), itemgetter(*cols)
-            text = _joined("[]", [row % tuple(map(enc, get(r)))
-                                  for r in value], inner, at)
+            yield from _array("[]", (row % tuple(map(enc, get(r)))
+                                     for r in value), inner, at)
         elif shape == "map":
-            text = _joined("{}", [f"{enc(k)}: {enc(v)}"
-                                  for k, v in sorted(value.items())],
-                           inner, at)
+            yield from _array("{}", (f"{enc(k)}: {enc(v)}"
+                                     for k, v in sorted(value.items())),
+                              inner, at)
         elif shape == "bool":
-            text = "true" if value else "false"
+            yield "true" if value else "false"
         elif shape == "nested":
-            text = _write(_SCHEMAS[spec[1]], value, enc, depth + 1, [])
+            yield from _write(_SCHEMAS[spec[1]], value, enc, depth + 1)
         else:  # table
-            text = _write(spec[1], value, enc, depth + 1, [])
-        members.append((name, text))
-    members.sort(key=itemgetter(0))
-    return _joined("{}", [f"{enc(name)}: {text}" for name, text in members],
-                   at, close)
+            yield from _write(spec[1], value, enc, depth + 1)
+    yield close + "}"
+
+
+def serialize_pieces(doc: Document) -> Iterator[str]:
+    """The text of :func:`serialize` as consecutive pieces, made as they are
+    read, with each list, rows or map table in pieces of up to 1,024 items.
+    The kind is checked and the document put in normal form before this
+    returns, so reading the pieces only writes."""
+    if doc.kind not in KINDS:
+        raise InputError(f"unknown kind {doc.kind!r}")
+    fields = _SCHEMAS[doc.kind]
+    body = _normalize(fields, doc.body, _ranks(_sorted_ids(
+        fields, doc.body, set())))
+    enc = _Encoded().__getitem__
+    return itertools.chain(_write(fields, body, enc, 0, {
+        "kind": enc(doc.kind), "version": "1"}), ("\n",))
 
 
 def serialize(doc: Document) -> str:
@@ -508,14 +538,7 @@ def serialize(doc: Document) -> str:
     Written from the schema, with each distinct identifier encoded once;
     the bytes are those the ``json`` module writes for the payload with
     sorted keys, ``indent=2`` and ``ensure_ascii=False``, plus a newline."""
-    if doc.kind not in KINDS:
-        raise InputError(f"unknown kind {doc.kind!r}")
-    fields = _SCHEMAS[doc.kind]
-    body = _normalize(fields, doc.body, _ranks(_sorted_ids(
-        fields, doc.body, set())))
-    enc = _Encoded().__getitem__
-    return _write(fields, body, enc, 0, [("kind", enc(doc.kind)),
-                                         ("version", "1")]) + "\n"
+    return "".join(serialize_pieces(doc))
 
 
 def canonicalize(doc: Document) -> Document:

@@ -16,9 +16,14 @@ import twoexact
 PACKAGE_ROOT = str(Path(twoexact.__file__).resolve().parents[1])
 
 
-def run_cli(*argv, cwd=None):
+def child_env():
+    """The environment of a child process that imports this package."""
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [PACKAGE_ROOT, inherited] if inherited else [PACKAGE_ROOT]))
+
+
+def run_cli(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "twoexact", *argv],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=child_env())

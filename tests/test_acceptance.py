@@ -6,15 +6,19 @@ live terminal (bypassing capture) and fails if its wall-clock budget is
 exceeded, so a plain pytest run doubles as the acceptance report.
 """
 
+import hashlib
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from clirun import run_cli
+from clirun import child_env, run_cli
 from family import (CORE, CORE_NAMES, CT22, LD_PB3, PB2, PS2, ZERO_IDEALS,
                     epi_mono_fs)
+from test_arrow_tables import CT23_ROUND_TRIP_SHA256
 from twoexact import (
     bizero_objects,
     biisoinserter,
@@ -23,6 +27,7 @@ from twoexact import (
     check_grandis_ii,
     check_puppe,
     check_weak_two_fibration,
+    cyclic_tower,
     find_equivalence_witness,
     fs_from_ideal,
     grandis_exact_1cat,
@@ -53,7 +58,8 @@ from twoexact import (
     zero_ideal_1cat,
 )
 from twoexact.factor import arrow_subcat
-from twoexact.formats import canonicalize, parse, serialize
+from twoexact.formats import (canonicalize, parse, serialize,
+                              two_category_to_document)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -301,3 +307,36 @@ def test_guard_13_validation_of_pb4(criterion):
     cert = validate_two_category(t)
     assert cert.ok, cert.counterexample
     assert cert.witness == {"objects": 5, "one_cells": 499, "two_cells": 499}
+
+
+#: Run the command line in a child process and print the child's peak
+#: resident set size (KB on Linux).  A process's ``ru_maxrss`` keeps the
+#: peak of the image it replaced at exec, so a command started straight from
+#: the test process would report the test process's size; this small
+#: process starts it instead.
+_PEAK_RSS = """
+import resource, subprocess, sys
+code = subprocess.call([sys.executable, "-m", "twoexact", *sys.argv[1:]])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_guard_14_streamed_bundle_memory_on_ct23(criterion, tmp_path):
+    # the 31 MB bundle goes to its file in pieces: a 76 MB peak and 1.2 s
+    # on a 2-vCPU host with Python 3.11, against 210 MB and 1.6-1.7 s when
+    # the whole text was built first
+    source = tmp_path / "ct23.2cat.json"
+    bundle = tmp_path / "ct23.bundle.json"
+    source.write_text(serialize(two_category_to_document(
+        locally_discrete(cyclic_tower(2, 3)))), encoding="utf-8")
+    criterion(14, "fs-from-ideal on generated ct23 in bounded memory", 6.0)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "fs-from-ideal", str(source),
+         "--out", str(bundle)], capture_output=True, text=True,
+        env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(bundle.read_bytes()).hexdigest() \
+        == CT23_ROUND_TRIP_SHA256[0]
+    peak_mb = int(proc.stdout) / 1024
+    assert peak_mb < 120, f"peak RSS {peak_mb:.0f} MB"

@@ -25,7 +25,7 @@ from family import (BANDED, CH_PB1, CORE, LD_PB1, LD_PB2, one_object_base,
 from twoexact import (InputError, TwoCategory, canonical_zero_ideal,
                       cyclic_tower, fs_from_ideal, ideal_from_fs,
                       locally_discrete, validate_pseudofunctor,
-                      validate_two_category)
+                      validate_pseudonatural, validate_two_category)
 from twoexact import factor
 from twoexact.core import _violations, check_shape
 from twoexact.cli import main
@@ -391,11 +391,13 @@ def test_the_round_trip_builds_no_whisker_table():
     for cls in (fs.left_class, fs.right_class):
         assert _built(factor.arrow_subcat(t, cls).cat) == {"vcomp"}
     doc = parse(serialize(witness_bundle_to_document(t, *built)))
-    t2, fs2, k2, c2, _, _ = document_to_witness_bundle(doc)
+    t2, fs2, k2, c2, eta2, eps2 = document_to_witness_bundle(doc)
     ideal_from_fs(t2, fs2, k2)
-    # nor do the pseudofunctor checks: the arrow 2-categories carry their
-    # base's verdict, so they are not swept
+    # nor do the pseudofunctor and transformation checks: the arrow
+    # 2-categories carry their base's verdict, so they are not swept, and
+    # are thin, so no naturality equation is pasted
     assert validate_pseudofunctor(k2).ok and validate_pseudofunctor(c2).ok
+    assert validate_pseudonatural(eta2).ok and validate_pseudonatural(eps2).ok
     for cls in (fs2.left_class, fs2.right_class):
         assert _built(factor.arrow_subcat(t2, cls).cat) == {"vcomp"}
 

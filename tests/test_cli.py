@@ -11,6 +11,7 @@ from clirun import run_cli as run
 from family import LD_PB2, ZERO_IDEALS, one_object_base
 from twoexact import (FactorizationSystem, banded, chaotic_enrichment,
                       cyclic_tower, maximal_two_ideal, partial_bijections)
+from twoexact import cli
 from twoexact.cli import _build_parser
 from twoexact.formats import (document_to_two_category, fs_to_document, parse,
                               serialize, two_ideal_to_document)
@@ -335,6 +336,36 @@ def test_unwritable_output_is_an_input_error(command):
     assert proc.stderr.startswith("error: cannot write /nonexistent/out.json")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError(), OSError(28, "No space left on device")],
+    ids=["memory", "disk-full"])
+def test_a_failed_write_leaves_no_partial_output(monkeypatch, capsys,
+                                                  tmp_path, error):
+    out = tmp_path / "pb1.bundle.json"
+    pieces_of = cli.serialize_pieces
+
+    def failing(doc):
+        pieces = pieces_of(doc)
+
+        def written():
+            yield next(pieces)
+            assert out.exists()
+            raise error
+        return written()
+
+    monkeypatch.setattr(cli, "serialize_pieces", failing)
+    argv = ["fs-from-ideal", str(FIXTURE_DIR / "pb1.2cat.json"), "--out",
+            str(out)]
+    if isinstance(error, OSError):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: {error}\n")
+    else:
+        with pytest.raises(MemoryError):
+            cli.main(argv)
+    assert not out.exists()
 
 
 def test_identifiers_with_non_decimal_digits_are_written(tmp_path):

@@ -1,8 +1,10 @@
 """Wire format: round trips, canonical form, and strict parse errors."""
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import itertools
 import json
 from collections import Counter
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from family import CH_PB1, LD_PB1, PB1, ZERO_IDEALS
 from twoexact import (InputError, canonical_zero_ideal, fs_from_ideal,
                       identity_pseudofunctor, zero_ideal_1cat)
+from twoexact import cli
 from twoexact import formats as formats_module
 from twoexact.formats import (
     KINDS,
@@ -36,6 +39,7 @@ from twoexact.formats import (
     pseudofunctor_to_document,
     pseudonatural_to_document,
     serialize,
+    serialize_pieces,
     two_category_to_document,
     two_ideal_to_document,
     witness_bundle_to_document,
@@ -258,17 +262,25 @@ def test_the_pinned_bridges_cover_every_kind():
     assert len(bridges) == len(KINDS) and kinds == set(KINDS)
 
 
+def _streamed(doc):
+    """The text the command line's writer sends to stdout for ``doc``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_product(doc, None)
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("fixture", sorted(
     p.name for p in FIXTURE_DIR.glob("*.json")))
 def test_fixture_bytes_are_pinned_to_the_reference_encoder(fixture):
     doc = parse((FIXTURE_DIR / fixture).read_text())
-    assert serialize(doc) == _reference_text(doc)
+    assert serialize(doc) == _streamed(doc) == _reference_text(doc)
 
 
 @pytest.mark.parametrize("bridge", sorted(_BRIDGES))
 def test_bridge_bytes_are_pinned_to_the_reference_encoder(bridge):
     doc = _BRIDGES[bridge]()
-    assert serialize(doc) == _reference_text(doc)
+    assert serialize(doc) == _streamed(doc) == _reference_text(doc)
 
 
 #: Identifiers the encoder must escape or pass through: quotes, backslashes,
@@ -312,7 +324,32 @@ _EMPTY_2CAT = {"objects": [], "one_cells": [], "comp1": [], "id1": {},
     **_EMPTY_2CAT, "objects": ["f02", "f2"],
     "one_cells": [{"id": i, "src": "x", "tgt": "x"} for i in ("f2", "f02")]}))
 def test_hostile_document_bytes_are_pinned_to_the_reference_encoder(doc):
-    assert serialize(doc) == _reference_text(doc)
+    assert serialize(doc) == _streamed(doc) == _reference_text(doc)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1024, 1025, 2049])
+def test_streamed_tables_at_the_piece_edges_match_the_reference(n):
+    # a list, a rows table and a map of n entries each, written in pieces
+    # of up to 1,024 entries
+    doc = Document(1, "two_category", {
+        **_EMPTY_2CAT, "objects": [f"o{i}" for i in range(n)],
+        "one_cells": [{"id": f"f{i}", "src": f"o{i}", "tgt": f"o{i}"}
+                      for i in range(n)],
+        "id1": {f"o{i}": f"f{i}" for i in range(n)}})
+    assert serialize(doc) == _streamed(doc) == _reference_text(doc)
+    rows = [piece.count('"id": ') for piece in serialize_pieces(doc)]
+    assert sum(rows) == n and max(rows) == min(n, 1024)
+
+
+def test_fs_from_ideal_stdout_and_out_bytes_match_the_reference(
+        capsys, tmp_path):
+    source, out = FIXTURE_DIR / "ct22.2cat.json", tmp_path / "ct22.json"
+    reference = _reference_text(witness_bundle_to_document(
+        *_round_trip_bundle("ct22")))
+    assert cli.main(["fs-from-ideal", str(source)]) == 0
+    assert capsys.readouterr().out == reference
+    assert cli.main(["fs-from-ideal", str(source), "--out", str(out)]) == 0
+    assert out.read_bytes() == reference.encode("utf-8")
 
 
 def _mangle(mutator):
