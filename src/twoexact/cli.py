@@ -35,7 +35,7 @@ from .formats import (Document, _body_fs, document_to_finite_category,
                       witness_bundle_base, witness_bundle_to_document)
 from .gen import (MUTATION_OPERATORS, banded, chaotic_enrichment,
                   cyclic_tower, locally_discrete, mutate, partial_bijections,
-                  pointed_sets, terminal_category)
+                  pointed_sets, terminal_category, thicken)
 from .ideal import TwoIdeal, canonical_zero_ideal, validate_two_ideal
 from .idealeq import ideals_equivalent
 from .limits import biisoinserter, two_cokernels, two_kernels
@@ -220,6 +220,7 @@ _WRAPPERS = {
     "locally-discrete": (0, locally_discrete),
     "chaotic": (0, chaotic_enrichment),
     "banded": (1, banded),
+    "thicken": (1, thicken),
 }
 
 

@@ -158,13 +158,15 @@ def _leg_order(by_arrow: dict) -> tuple[str, ...]:
         p.leg for presentations in by_arrow.values() for p in presentations))
 
 
-def _sweeps(t: TwoCategory, n: TwoIdeal, budget: Budget) -> Iterator[_Side]:
+def _sweeps(t: TwoCategory, n: TwoIdeal, budget: Budget,
+            lawful: bool = False) -> Iterator[_Side]:
     """The kernel sweep of ``t``, then the cokernel sweep as the kernel
     sweep of the dual, both spending from ``budget``.  Lazy, so a caller
-    can stop before the second sweep."""
+    can stop before the second sweep.  ``lawful`` is the ``_lawful`` of
+    :func:`~twoexact.limits.two_kernels`, which holds on the duals too."""
     for side, tt, nn in (("kernel", t, n), ("cokernel", t.dual, n.dual)):
-        yield side, tt, nn, kernel_presentations_by_arrow(tt, nn,
-                                                          _budget=budget)
+        yield side, tt, nn, kernel_presentations_by_arrow(
+            tt, nn, _budget=budget, _lawful=lawful)
 
 
 def _cited(name: str, prefix: str, cert: Certificate) -> Certificate:

@@ -11,8 +11,10 @@ results are deterministic for a given presentation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Iterator, Mapping
 
 
@@ -113,6 +115,8 @@ class TwoCategory:
     id2: Mapping[str, str]
     lwhisker: Mapping[tuple[str, str], str]
     rwhisker: Mapping[tuple[str, str], str]
+    # on a dual built by :attr:`dual`, a weak reference to its primal
+    _primal: Any = field(default=None, init=False, repr=False, compare=False)
 
     # -- inventories -------------------------------------------------------
 
@@ -279,18 +283,33 @@ class TwoCategory:
         """The triples ``(z, nz, β)``: ``z`` into the source of ``f``,
         ``nz`` in ``null1`` parallel to ``f∘z`` and ``β: f∘z ⇒ nz``
         invertible; by the source object of ``z`` in object order, then in
-        table order.  Built once per ``(null1, f)``."""
+        table order.  Built once per ``(null1, f)``.
+
+        For each ``z`` these are the invertible 2-cells out of ``f∘z`` whose
+        targets are null 1-cells ``obj → b``, sorted by the rank of the
+        target in the 1-cell table, and in table order within one target:
+        the order of a scan of ``hom1(obj, b)``, without that scan."""
         key = (null1, f)
         cones = self._null_cones.get(key)
         if cones is None:
             a, b = self.src1[f], self.tgt1[f]
-            cones = self._null_cones[key] = tuple(
-                (z, nz, beta)
-                for obj in self.objects
-                for z in self.hom1(obj, a)
-                for nz in self.hom1(obj, b) if nz in null1
-                for beta in self.iso2(self.cmp1(f, z), nz))
+            src1, tgt1, tgt2, rank = self.src1, self.tgt1, self.tgt2, self._rank1
+            out = []
+            for obj in self.objects:
+                for z in self.hom1(obj, a):
+                    hits = [(rank[nz], z, nz, beta)
+                            for beta in self.iso2(self.cmp1(f, z))
+                            if (nz := tgt2[beta]) in null1
+                            and src1[nz] == obj and tgt1[nz] == b]
+                    hits.sort(key=itemgetter(0))
+                    out += hits
+            cones = self._null_cones[key] = tuple(hit[1:] for hit in out)
         return cones
+
+    @cached_property
+    def _rank1(self) -> dict[str, int]:
+        """The position of each 1-cell in the 1-cell table."""
+        return {f: i for i, f in enumerate(self.one_ids)}
 
     @cached_property
     def _leg_fibres(self) -> dict[tuple[str, str], dict[str, tuple[int, ...]]]:
@@ -312,7 +331,7 @@ class TwoCategory:
 
     # -- duality ------------------------------------------------------------
 
-    @cached_property
+    @property
     def dual(self) -> "TwoCategory":
         """The 1-cell dual: reverse 1-cells, keep 2-cell directions.
 
@@ -320,7 +339,15 @@ class TwoCategory:
         whiskering trade places, and null/kernel notions turn into their
         co-versions.  Built once and linked back, so ``t.dual.dual is t``:
         the involution is an identity rather than merely an isomorphism.
+        The primal holds its dual and the dual only a weak reference to the
+        primal, so the two form no reference cycle; a dual whose primal
+        has died builds a new one.
         """
+        primal = None if self._primal is None else self._primal()
+        return self._dual if primal is None else primal
+
+    @cached_property
+    def _dual(self) -> "TwoCategory":
         d = TwoCategory(
             objects=self.objects,
             one_cells=tuple((i, tt, s) for i, s, tt in self.one_cells),
@@ -332,8 +359,13 @@ class TwoCategory:
             lwhisker={(e, a): v for (a, e), v in self.rwhisker.items()},
             rwhisker={(a, h): v for (h, a), v in self.lwhisker.items()},
         )
-        d.__dict__["dual"] = self
+        object.__setattr__(d, "_primal", weakref.ref(self))
         return d
+
+    @cached_property
+    def _equivalences(self) -> frozenset[str]:
+        """The 1-cells that pass :func:`is_equivalence`."""
+        return frozenset(equivalences(self))
 
     @cached_property
     def _cone_candidates(self) -> dict[str, dict[str, tuple[str, ...]]]:

@@ -20,13 +20,14 @@ from typing import Any, Mapping
 
 from .closure import _closedness, _leg_order, _reflection_conclusion, _sweeps
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, natural_key, solve_lwhisker, solve_rwhisker)
+                   _fail, _reduced_sweep_passes, natural_key, solve_lwhisker,
+                   solve_rwhisker, validate_two_category)
 from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
                      check_fs_shape, factorizations, is_proper_11, validate_fs)
 from .ideal import (TwoIdeal, bizero_objects, canonical_zero_ideal,
                     check_ideal_shape)
 from .limits import (CokernelPresentation, KernelPresentation,
-                     cokernel_factor, is_two_kernel, kernel_factor,
+                     _check_kernel_candidate, cokernel_factor, kernel_factor,
                      two_cokernels, two_kernels)
 from .pseudo import (PseudoFunctor, PseudoNatural, compose_pseudofunctors,
                      identity_pseudofunctor, is_biequivalence_over_base)
@@ -86,20 +87,22 @@ def _inconclusive_at(name: str, exc: CapExceeded, at: str) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def check_grandis_ii(t: TwoCategory, n: TwoIdeal, weak: bool = False,
-                     cap: int | None = None) -> ExactnessReport:
+                     cap: int | None = None,
+                     _lawful: bool = False) -> ExactnessReport:
     """Check the ideal-side exactness conditions, one certificate each:
     every 1-cell has a kernel and a cokernel, the ideal is (weakly) closed,
     every kernel leg is a kernel of its own cokernel with structure cell
     agreeing up to an invertible null 2-cell, dually for cokernel legs, and
     every 1-cell factors up to invertible 2-cell as a cokernel leg followed
-    by a kernel leg."""
+    by a kernel leg.  ``_lawful`` is passed to the sweeps, as in
+    :func:`~twoexact.limits.two_kernels`."""
     check_ideal_shape(t, n)
     mode = "weak-grandis" if weak else "grandis"
     budget = Budget(cap, "check_grandis_ii")
     checks: list[tuple[str, Certificate]] = []
 
     try:
-        sides = list(_sweeps(t, n, budget))
+        sides = list(_sweeps(t, n, budget, _lawful))
     except CapExceeded as exc:
         checks.append(("all-kernels-exist",
                        _inconclusive_at("all-kernels-exist", exc, "(sweep)")))
@@ -121,9 +124,9 @@ def check_grandis_ii(t: TwoCategory, n: TwoIdeal, weak: bool = False,
     kernel_legs, cokernel_legs = _leg_order(kernels), _leg_order(cokernels)
 
     checks.append(_kernel_of_its_cokernel(
-        t, n, kernel_legs, cokernels, budget, "kernel-of-its-cokernel"))
+        t, n, kernels, cokernels, budget, "kernel-of-its-cokernel"))
     checks.append(_kernel_of_its_cokernel(
-        t.dual, n.dual, cokernel_legs, kernels, budget,
+        t.dual, n.dual, cokernels, kernels, budget,
         "cokernel-of-its-kernel"))
 
     name = "factorization"
@@ -151,15 +154,21 @@ def _null_iso_adjustments(t: TwoCategory, n: TwoIdeal,
 
 
 def _kernel_of_its_cokernel(
-        t: TwoCategory, n: TwoIdeal, kernel_legs: tuple[str, ...],
+        t: TwoCategory, n: TwoIdeal,
+        kernels: dict[str, tuple[KernelPresentation, ...]],
         cokernels: dict[str, tuple[KernelPresentation, ...]],
         budget: Budget, name: str) -> tuple[str, Certificate]:
     """Each kernel leg must be a kernel of its own cokernel, with structure
     cell obtained from the cokernel's structure cell by pasting an
-    invertible null 2-cell; ``cokernels`` holds the cokernel presentations
-    as kernel presentations of the duals.  On the duals, with the kernel
-    presentations of ``t`` in place of ``cokernels``, this checks that each
-    cokernel leg is a cokernel of its own kernel."""
+    invertible null 2-cell; ``kernels`` holds the verified kernel
+    presentations of ``t`` and ``cokernels`` the cokernel presentations as
+    kernel presentations of the duals.  On the duals, with the two swapped,
+    this checks that each cokernel leg is a cokernel of its own kernel.
+
+    A well-formed candidate is a null cone of the cokernel leg, so it is
+    verified exactly when the sweep verified it: when it is among that
+    leg's presentations in ``kernels``."""
+    kernel_legs = _leg_order(kernels)
     for m in kernel_legs:
         try:
             found = False
@@ -170,7 +179,8 @@ def _kernel_of_its_cokernel(
                         arrow=pres_c.leg, apex=t.src1[m], leg=m,
                         null_cell=t.tgt2[zeta],
                         structure=t.vc(zeta, pres_c.structure))
-                    if is_two_kernel(t, n, candidate, _budget=budget).ok:
+                    _check_kernel_candidate(t, n, candidate)
+                    if candidate in kernels[pres_c.leg]:
                         found = True
                         break
                 if found:
@@ -185,7 +195,11 @@ def _kernel_of_its_cokernel(
 def check_puppe(t: TwoCategory, weak: bool = False,
                 cap: int | None = None) -> ExactnessReport:
     """Locate a bizero object, build the canonical ideal of 1-cells
-    factoring through it, and run the ideal-side conditions against it."""
+    factoring through it, and run the ideal-side conditions against it.
+    On a lawful base that ideal is lawful with identity replacements (see
+    :func:`~twoexact.ideal.canonical_zero_ideal`), so the sweeps decide
+    later kernel candidates by equivalence (see
+    :func:`~twoexact.limits.two_kernels`)."""
     mode = "weak-puppe" if weak else "puppe"
     zeros = bizero_objects(t)
     if not zeros:
@@ -193,8 +207,9 @@ def check_puppe(t: TwoCategory, weak: bool = False,
             ("two-pointed", _fail("two-pointed", "not-2-pointed")),))
     zero = zeros[0]
     pointed = Certificate("two-pointed", "pass", {"bizero": zero})
+    lawful = _reduced_sweep_passes(t) and validate_two_category(t).ok
     inner = check_grandis_ii(t, canonical_zero_ideal(t, zero), weak=weak,
-                             cap=cap)
+                             cap=cap, _lawful=lawful)
     return ExactnessReport(mode, (("two-pointed", pointed),) + inner.checks)
 
 

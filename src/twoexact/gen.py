@@ -222,6 +222,47 @@ def banded(c: FiniteCategory, k: int) -> TwoCategory:
     )
 
 
+def thicken(c: FiniteCategory, k: int) -> TwoCategory:
+    """The 2-category with ``k`` parallel copies ``f#0, …, f#<k-1>`` of
+    each morphism ``f``: copies compose by adding indices mod ``k``
+    (``g#j ∘ f#i = (g∘f)#<i+j>``), the copies ``#0`` of the identities are
+    the identities, and between any two copies ``f#i``, ``f#j`` of one
+    morphism there is exactly one 2-cell ``f#i>j``, which is invertible.
+
+    Every law holds by uniqueness of 2-cells, and sending ``f#i`` to ``f``
+    is a biequivalence onto ``locally_discrete(c)``: each hom-category is
+    one indiscrete groupoid of ``k`` copies per morphism.  For ``k ≥ 2`` the
+    copies ``id#i`` are equivalences that are not identities, so a 1-cell
+    has kernels that are equivalent and not equal.
+    """
+    if k < 1:
+        raise InputError("need at least one copy")
+    one = {(f, i): f"{f}#{i}" for f in c.mor_ids for i in range(k)}
+    cell = {(f, i, j): f"{f}#{i}>{j}"
+            for f in c.mor_ids for i in range(k) for j in range(k)}
+    return TwoCategory(
+        objects=c.objects,
+        one_cells=tuple((x, c.src[f], c.tgt[f]) for (f, _), x in one.items()),
+        comp1={(one[(g, j)], one[(f, i)]): one[(gf, (i + j) % k)]
+               for (g, f), gf in c.comp.items()
+               for i in range(k) for j in range(k)},
+        id1={x: one[(e, 0)] for x, e in c.ident.items()},
+        two_cells=tuple((a, one[(f, i)], one[(f, j)])
+                        for (f, i, j), a in cell.items()),
+        vcomp={(cell[(f, j, m)], a): cell[(f, i, m)]
+               for (f, i, j), a in cell.items() for m in range(k)},
+        id2={x: cell[(f, i, i)] for (f, i), x in one.items()},
+        lwhisker={(one[(h, b)], a):
+                  cell[(c.comp[(h, f)], (i + b) % k, (j + b) % k)]
+                  for (f, i, j), a in cell.items() for h in c.mor_ids
+                  if c.src[h] == c.tgt[f] for b in range(k)},
+        rwhisker={(a, one[(e, b)]):
+                  cell[(c.comp[(f, e)], (i + b) % k, (j + b) % k)]
+                  for (f, i, j), a in cell.items() for e in c.mor_ids
+                  if c.tgt[e] == c.src[f] for b in range(k)},
+    )
+
+
 # ---------------------------------------------------------------------------
 # mutation operators
 # ---------------------------------------------------------------------------

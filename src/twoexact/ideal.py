@@ -10,9 +10,10 @@ null comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .core import Certificate, InputError, TwoCategory, _fail
 
@@ -26,6 +27,8 @@ class TwoIdeal:
     null_one_cells: tuple[str, ...]
     null_two_cells: tuple[str, ...]
     replacement: Mapping[tuple[str, str, str], tuple[str, str]]
+    # on a dual built by :attr:`dual`, a weak reference to its primal
+    _primal: Any = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def null1(self) -> frozenset[str]:
@@ -45,18 +48,24 @@ class TwoIdeal:
     def is_invertible_null2(self, t: TwoCategory, cell: str) -> bool:
         return cell in self.null2 and t.is_invertible2(cell)
 
-    @cached_property
+    @property
     def dual(self) -> "TwoIdeal":
         """The same ideal read in the 1-cell dual: pre- and post-composition
         trade places, so replacement keys flip ``(a, n, b) ↦ (b, n, a)``.
-        Built once and linked back, so ``n.dual.dual is n``."""
+        Built once and linked back, so ``n.dual.dual is n``; as for
+        :attr:`TwoCategory.dual`, the dual refers to its primal weakly."""
+        primal = None if self._primal is None else self._primal()
+        return self._dual if primal is None else primal
+
+    @cached_property
+    def _dual(self) -> "TwoIdeal":
         d = TwoIdeal(
             null_one_cells=self.null_one_cells,
             null_two_cells=self.null_two_cells,
             replacement={(b, x, a): v
                          for (a, x, b), v in self.replacement.items()},
         )
-        d.__dict__["dual"] = self
+        object.__setattr__(d, "_primal", weakref.ref(self))
         return d
 
 
@@ -317,6 +326,41 @@ def canonical_zero_ideal(t: TwoCategory, zero: str | None = None) -> TwoIdeal:
     2-cells between factorization legs, then closing under vertical
     composition.  Replacements are identity comparisons: ``b∘(i∘t)∘a`` factors
     through the bizero object again by strictness.
+
+    On a lawful base the result passes :func:`validate_two_ideal`, and its
+    null 2-cells are invertible and closed under inverses.  Write ``0`` for
+    the bizero object, and ``x = i∘t`` with ``t: A → 0`` and ``i: 0 → B``
+    for a null ``x``.  Between two 1-cells into or out of ``0`` there is
+    exactly one 2-cell, and it is invertible.  So the one 2-cell ``t ⇒ t``
+    is ``id_t``, the inverse of the one 2-cell ``t₁ ⇒ t₂`` is the one
+    2-cell ``t₂ ⇒ t₁``, and a whiskering of either is the one 2-cell of its
+    boundary.  The generators are the ``v∘u`` (``t.hc(v, u)``) for ``u: t₁
+    ⇒ t₂`` and ``v: i₁ ⇒ i₂``.
+
+    - Whiskering: by the whisker laws, ``(v∘u)⋆a = v∘(u⋆a)`` and
+      ``b⋆(v∘u) = (b⋆v)∘u``, which are generators.  Whiskering distributes
+      over vertical composites, so null 2-cells whisker to null 2-cells.
+    - Inverses: by interchange ``(v∘u)⁻¹ = v⁻¹∘u⁻¹``, a generator.  A
+      vertical composite of generators has the reversed composite of their
+      inverses as inverse.
+    - null2-boundary: ``v∘u: i₁∘t₁ ⇒ i₂∘t₂`` runs between 1-cells that
+      factor through ``0``, and a vertical composite keeps the outer ends.
+    - closure-id2: ``id_x = id_i∘id_t`` is a generator.  closure-vcomp
+      holds by construction.
+    - repl-null, repl-boundary and repl-invertible: ``b∘x∘a = (b∘i)∘(t∘a)``
+      factors through ``0`` (otherwise this raises), and ``ν`` is its
+      identity.  ax1: the unit laws.
+    - ax2: with identity ``ν`` the conjugate is ``b⋆μ⋆a``, a whiskering.
+    - ax3: the conjugate is ``β∘id_x∘α = (β⋆i)∘(t⋆α)``, by interchange and
+      the whisker laws.  It is a generator, as ``t⋆α`` lies in ``hom(A',
+      0)`` and ``β⋆i`` in ``hom(0, B')``.
+    - ax4: the comparison is a vertical composite of identities over one
+      1-cell, by associativity.  So it is the identity of a null 1-cell.
+
+    On the dual base the dual ideal is this construction again, up to the
+    order of the null 2-cells, so the same holds there.  These are the
+    conditions that ``_lawful`` in :func:`~twoexact.limits.two_kernels`
+    asserts.
     """
     zs = bizero_objects(t)
     if zero is None:

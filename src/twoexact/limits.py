@@ -206,9 +206,65 @@ def kernel_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
     return found
 
 def two_kernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
-                _budget: Budget | None = None) -> tuple[KernelPresentation, ...]:
+                _budget: Budget | None = None,
+                _lawful: bool = False) -> tuple[KernelPresentation, ...]:
     """All verified kernel presentations of ``f``, in candidate table order.
-    Raises :class:`CapExceeded` when the cap runs out mid-search."""
+    Raises :class:`CapExceeded` when the cap runs out mid-search.
+
+    The candidates are the null cones ``(k, m, α)`` of ``f``.  Each one up
+    to and including the first verified one, ``P = (K, k, m, α)``, gets the
+    full :func:`is_two_kernel`.  With ``_lawful`` a later candidate ``P' =
+    (K', k', m', α')`` is verified exactly when clause 1 of ``P``, applied
+    to the cone ``(k', α')``, gives a ``u₀: K' → K`` that is an equivalence;
+    it gives some ``(u₀, γ₀)``, as clause 1 of ``P`` held on every cone.
+    ``_lawful`` asserts that the base is lawful and that the ideal satisfies
+    its axioms with identity replacements, ``repl(a, x, b) = (b∘x∘a, id)``,
+    and with null 2-cells closed under inverses:
+    :func:`~twoexact.ideal.canonical_zero_ideal` over a lawful base is one,
+    and so is its dual over the dual base.
+
+    Proof.  With identity replacements the clause-1 comparison of ``(u, γ)``
+    for a cone ``(z, β)`` is ``χ_P(u, γ; β) = β·(f⋆γ⁻¹)·(α⁻¹⋆u): m∘u ⇒
+    nz``, and the clause-2 comparison of ``λ: k∘u ⇒ k∘v`` is ``D_P(λ) =
+    (α⋆v)·(f⋆λ)·(α⁻¹⋆u): m∘u ⇒ m∘v``.  The axioms give: null 2-cells
+    compose (closure-vcomp); whiskering a null 2-cell keeps it null (ax2);
+    ``x⋆σ`` is null for a null ``x`` and any 2-cell ``σ`` (ax3); identities
+    of null 1-cells are null (closure-id2); ``x∘a`` is null for a null
+    ``x`` (repl-null).  Write ``c₀ = χ_P(u₀, γ₀; α')``.  It is invertible
+    and null, so ``c₀⁻¹ = (α⋆u₀)·(f⋆γ₀)·α'⁻¹`` is null too.
+
+    If ``u₀`` is an equivalence, with ``w: K → K'`` and invertible ``η: id
+    ⇒ w∘u₀`` and ``ε: u₀∘w ⇒ id``, then ``P'`` is verified:
+
+    - Clause 1: clause 1 of ``P`` factors a cone ``(z, β)`` as ``(v, δ)``.
+      Take ``v' = w∘v`` and ``δ' = (γ₀⁻¹⋆wv)·(k⋆ε⁻¹⋆v)·δ``.  By
+      interchange, ``χ_P'(v', δ'; β) = χ_P(v, δ; β)·(m⋆ε⋆v)·(c₀⁻¹⋆wv)``,
+      which is invertible and null.
+    - Clause 2: for ``λ: k'∘u ⇒ k'∘v`` put ``λ̂ = (γ₀⋆v)·λ·(γ₀⁻¹⋆u)``.
+      Then ``D_P(λ̂) = (c₀⁻¹⋆v)·D_P'(λ)·(c₀⋆u)``, null when ``D_P'(λ)``
+      is.  By interchange, ``k'⋆μ = λ`` exactly when ``k⋆(u₀⋆μ) = λ̂``.
+      Whiskering by ``u₀`` is a bijection ``hom(u, v) → hom(u₀∘u, u₀∘v)``:
+      whiskering by an equivalence is faithful, and ``μ = (η⁻¹⋆v)·
+      (w⋆μ̂)·(η⋆u)`` has ``w⋆(u₀⋆μ) = w⋆μ̂``.  So the one ``μ̂`` that
+      clause 2 of ``P`` gives is ``u₀⋆μ`` for exactly one ``μ``.
+
+    If ``P'`` is verified, then ``u₀`` is an equivalence.  Clause 1 of
+    ``P'`` factors the cone ``(k, α)`` as ``(w, γ₁)``, with ``c₁ =
+    χ_P'(w, γ₁; α)`` invertible and null.
+
+    - ``λ = (γ₀⋆w)·γ₁: k ⇒ k∘u₀∘w`` is invertible, with ``D_P(λ) =
+      (c₀⁻¹⋆w)·c₁⁻¹`` null and ``D_P(λ⁻¹) = D_P(λ)⁻¹`` null.  Clause 2 of
+      ``P`` lifts them to ``μ: id ⇒ u₀∘w`` and ``μ': u₀∘w ⇒ id``.  The
+      composites ``μ'·μ`` and ``μ·μ'`` lift ``id_k`` and ``id_{k∘u₀∘w}``,
+      whose comparisons are the identities of the null ``m`` and ``m∘u₀∘w``.
+      So, by uniqueness, ``μ`` is invertible.
+    - In the same way ``(γ₁⋆u₀)·γ₀: k' ⇒ k'∘w∘u₀`` has ``D_P'`` equal to
+      ``(c₁⁻¹⋆u₀)·c₀⁻¹``, and clause 2 of ``P'`` gives ``id ≅ w∘u₀``.
+
+    Neither direction depends on which factorization clause 1 chose.  A
+    later candidate spends one tick; the equivalences are read from
+    ``TwoCategory._equivalences``.
+    """
     if f not in t.src1:
         raise InputError(f"unknown 1-cell {f}")
     budget = _budget if _budget is not None else Budget(cap, "two_kernels")
@@ -216,7 +272,12 @@ def two_kernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
     for k, nc, alpha in t.null_cones(n.null1, f):
         budget.tick()
         pres = KernelPresentation(f, t.src1[k], k, nc, alpha)
-        if is_two_kernel(t, n, pres, _budget=budget).ok:
+        if out and _lawful:
+            u, _ = _cone_factor(t, n, out[0], k, alpha)
+            verified = u in t._equivalences
+        else:
+            verified = is_two_kernel(t, n, pres, _budget=budget).ok
+        if verified:
             out.append(pres)
     return tuple(out)
 
@@ -244,11 +305,13 @@ def two_cokernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
 
 def kernel_presentations_by_arrow(
         t: TwoCategory, n: TwoIdeal, cap: int | None = None,
-        _budget: Budget | None = None) -> dict[str, tuple[KernelPresentation, ...]]:
+        _budget: Budget | None = None,
+        _lawful: bool = False) -> dict[str, tuple[KernelPresentation, ...]]:
     """Verified kernel presentations for every 1-cell, sharing one search
-    budget across the whole sweep."""
+    budget across the whole sweep; ``_lawful`` as in :func:`two_kernels`."""
     budget = _budget if _budget is not None else Budget(cap, "kernel_presentations_by_arrow")
-    return {f: two_kernels(t, n, f, _budget=budget) for f in t.one_ids}
+    return {f: two_kernels(t, n, f, _budget=budget, _lawful=_lawful)
+            for f in t.one_ids}
 
 
 def cokernel_presentations_by_arrow(

@@ -229,12 +229,8 @@ def check_pseudonatural_shape(nat: PseudoNatural) -> None:
 
 
 def _functor_passes_reduced(func: PseudoFunctor) -> bool:
-    """Whether ``func`` is well shaped and passes the reduced clauses of
+    """Whether the well-shaped ``func`` passes the reduced clauses of
     :func:`_functor_violations`."""
-    try:
-        check_pseudofunctor_shape(func)
-    except InputError:
-        return False
     return next(_functor_violations(func, reduced=True), None) is None
 
 
@@ -252,12 +248,14 @@ def validate_pseudonatural(nat: PseudoNatural,
     (whiskers and composites have the right boundaries, and 1-cell
     composition associates, as the two sides of ``composition`` need).  So
     on a locally thin target under those conditions the two clauses cannot
-    fail and are skipped; otherwise every clause runs, in order.  The
-    endpoint functors must also be well shaped, since the skipped clauses
-    are the ones that read every compositor."""
+    fail and are skipped; otherwise every clause runs, in order.  Both
+    endpoint functors are shape-checked first, as the ``composition``
+    clause reads every compositor."""
     check_pseudonatural_shape(nat)
     name = "validate_pseudonatural"
     f, g = nat.source_functor, nat.target_functor
+    check_pseudofunctor_shape(f)
+    check_pseudofunctor_shape(g)
     s, t = f.source, f.target
     if require_equivalences is None:
         require_equivalences = nat.claims_equivalences

@@ -20,6 +20,7 @@ from twoexact import (
     partial_bijections,
     pointed_sets,
     terminal_category,
+    thicken,
 )
 
 TERM = terminal_category()
@@ -71,6 +72,17 @@ BANDED: dict[str, TwoCategory] = {
     f"bd{k}_{name}": banded(c, k)
     for name, c in (("term", TERM), ("pb1", PB1), ("pb2", PB2),
                     ("ct22", CT22), ("ps2", PS2))
+    for k in (2, 3)
+}
+
+
+#: The thickened family: ``k`` copies of each morphism with one invertible
+#: 2-cell between any two copies of one morphism.  Locally thin and lawful,
+#: biequivalent to the locally discrete enrichment of its 1-category (kept
+#: alongside for the oracle), with kernels equivalent and not equal.
+THICK: dict[str, tuple[TwoCategory, FiniteCategory]] = {
+    f"th{k}_{name}": (thicken(c, k), c)
+    for name, c in (("pb1", PB1), ("pb2", PB2), ("ct22", CT22), ("ps2", PS2))
     for k in (2, 3)
 }
 

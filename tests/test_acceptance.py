@@ -91,14 +91,6 @@ def criterion(capsys, request):
         f"runtime {elapsed:.1f}s exceeded the {record['limit']:.0f}s budget")
 
 
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    outcome = yield
-    if call.when == "call" and call.excinfo is not None:
-        item._acceptance_failed = True
-    return outcome
-
-
 def test_criterion_01_structural_validation(criterion):
     criterion(1, "structural validation and mutant targeting", 30.0)
     generated = [locally_discrete(partial_bijections(k)) for k in range(4)]
@@ -285,8 +277,9 @@ def test_guard_11_ideal_axioms_on_pb3(criterion):
 
 
 def test_guard_12_puppe_refutation_on_ps3(criterion):
-    # the kernel search reads cached null cones and leg fibres: 0.6-0.9 s
-    # on a 2-vCPU host, against 2.0-2.5 s for the plain loops
+    # the kernel search reads cached null cones and leg fibres, and decides
+    # later candidates by equivalence: 0.2-0.3 s on a 2-vCPU host, against
+    # 0.6-0.9 s checking every candidate and 2.0-2.5 s for the plain loops
     t = locally_discrete(pointed_sets(3))
     criterion(12, "puppe exactness refuted on generated ps3", 4.0)
     report = check_puppe(t)
@@ -340,3 +333,14 @@ def test_guard_14_streamed_bundle_memory_on_ct23(criterion, tmp_path):
         == CT23_ROUND_TRIP_SHA256[0]
     peak_mb = int(proc.stdout) / 1024
     assert peak_mb < 120, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_guard_15_puppe_on_pb4(criterion):
+    # later kernel candidates are decided by one equivalence test against
+    # the first verified kernel: 2.6-3.8 s with generation on a 2-vCPU host,
+    # against 8.2-8.3 s with the full universal-property check on each
+    criterion(15, "puppe exactness of generated pb4", 6.0)
+    t = locally_discrete(partial_bijections(4))
+    report = check_puppe(t)
+    assert report.ok, [(name, cert.counterexample)
+                       for name, cert in report.checks if not cert.ok]

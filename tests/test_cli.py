@@ -649,6 +649,18 @@ def test_malformed_bundle_functor_is_an_input_error(tmp_path, command, edit,
         == (2, "", f"error: {error}\n")
 
 
+def test_malformed_pseudonatural_endpoint_is_an_input_error(tmp_path):
+    # the endpoint functors are shape-checked before any clause reads them
+    body = json.loads((FIXTURE_DIR / "pb1.pn.json").read_text())
+    del body["target_functor"]["compositor"][0]
+    broken = tmp_path / "broken.pn.json"
+    broken.write_text(json.dumps(body))
+    proc = run("validate", str(broken))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: compositor table is not indexed by exactly the "
+               "composable pairs of the source\n")
+
+
 @pytest.mark.parametrize("table", ["vcomp", "lwhisker", "comp1"])
 def test_malformed_ideal_base_is_an_input_error(tmp_path, table):
     # check-ideal shape-checks the base as validate does, before its header

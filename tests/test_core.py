@@ -8,17 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from family import (CH_PB1, CORE, CORE_NAMES, LD_CT22, LD_PB2,
+from family import (CH_PB1, CORE, CORE_NAMES, LD_CT22, LD_PB2, ZERO_IDEALS,
                     twisted_whisker_base)
 from twoexact import (
     Budget,
     CapExceeded,
     InputError,
+    canonical_zero_ideal,
+    check_puppe,
     is_cofaithful,
     is_equivalence,
     is_faithful,
     iso_two_cells,
     locally_discrete,
+    maximal_two_ideal,
     natural_key,
     partial_bijections,
     replay_two_category_counterexample,
@@ -26,6 +29,7 @@ from twoexact import (
     solve_rwhisker,
     validate_two_category,
 )
+from twoexact import exact
 from twoexact.core import (Gen, Id2, Inverse, LWhisker, RWhisker, VComp,
                            _violations, paste)
 from twoexact.gen import mutate
@@ -92,6 +96,37 @@ def test_dualized_categories_are_not_retained():
     del t
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+
+
+def test_a_finished_check_frees_its_categories_without_a_collection(
+        monkeypatch):
+    # a dual refers to its primal weakly, so no reference cycle keeps the
+    # category, its dual, the ideal or the ideal's dual alive
+    built = []
+
+    def recording(t, zero=None):
+        built.append(canonical_zero_ideal(t, zero))
+        return built[-1]
+
+    monkeypatch.setattr(exact, "canonical_zero_ideal", recording)
+    gc.disable()
+    try:
+        t = locally_discrete(partial_bijections(2))
+        assert check_puppe(t).ok
+        n = built.pop()
+        refs = [weakref.ref(x) for x in (t, t.dual, n, n.dual)]
+        del t, n
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_a_dual_outliving_its_primal_builds_a_new_one():
+    d = locally_discrete(partial_bijections(1)).dual
+    gc.collect()
+    t = d.dual
+    assert t == locally_discrete(partial_bijections(1))
+    assert t.dual is d and d.dual is t
 
 
 @given(st.sampled_from(CORE_NAMES))
@@ -227,6 +262,13 @@ def test_search_indexes_match_table_order_scans(name, dual):
             for w, fibre in fibres.items():
                 assert list(fibre) == sorted(fibre)
                 assert all(t.cmp1(k, us[i]) == w for i in fibre)
+    for n in (ZERO_IDEALS[name], maximal_two_ideal(CORE[name])):
+        for f in t.one_ids:
+            a, b = t.src1[f], t.tgt1[f]
+            assert t.null_cones(n.null1, f) == tuple(
+                (z, nz, beta) for obj in t.objects for z in t.hom1(obj, a)
+                for nz in t.hom1(obj, b) if nz in n.null1
+                for beta in t.iso2(t.cmp1(f, z), nz))
 
 
 def test_faithful_and_cofaithful_identities():

@@ -16,6 +16,7 @@ from family import (
     LD_PS2,
     NO_ZERO,
     NO_ZERO_IDEAL,
+    THICK,
     UNDERLYING,
     ZERO_IDEALS,
 )
@@ -32,6 +33,7 @@ from twoexact import (
     ideals_equivalent,
     is_biequivalence_over_base,
     is_equivalence,
+    puppe_exact_1cat,
     three_pieces,
     validate_fs,
     validate_pseudofunctor,
@@ -102,11 +104,24 @@ def test_two_dimensional_verdict_matches_the_one_dimensional_oracle(name):
     assert oracle.ok == rep.ok
 
 
+@pytest.mark.parametrize("name", THICK)
+def test_puppe_on_thickened_inputs_matches_the_oracle(name):
+    # biequivalent to the locally discrete enrichment, so the verdict is the
+    # 1-categorical one; check_puppe decides later kernel candidates by
+    # equivalence, and its report is the per-candidate one
+    t, c = THICK[name]
+    rep = check_puppe(t)
+    assert rep.ok == puppe_exact_1cat(c).ok
+    assert rep.checks[1:] \
+        == check_grandis_ii(t, canonical_zero_ideal(t)).checks
+
+
 @pytest.mark.parametrize("name", CORE_NAMES)
 def test_puppe_agrees_with_grandis_at_the_canonical_ideal(name):
     rep = check_puppe(CORE[name])
     grandis = check_grandis_ii(CORE[name], ZERO_IDEALS[name])
     assert rep.ok == grandis.ok
+    assert rep.checks[1:] == grandis.checks
 
 
 def test_puppe_weak_mode_passes_on_the_chaotic_fixture():

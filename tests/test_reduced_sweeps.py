@@ -396,9 +396,10 @@ def test_transformation_certificates_match_the_reference(name):
     _same(validate_pseudonatural, _reference_pseudonatural, nat)
 
 
-def test_a_partial_endpoint_functor_keeps_the_full_sweep():
-    # a compositor table missing an entry fails no reduced clause, but the
-    # composition clause reads the entry: the gate stays shut
+def test_a_partial_endpoint_functor_is_refused_before_any_sweep():
+    # a compositor table missing an entry fails no reduced clause, and the
+    # composition clause reads the entry: the endpoint functors' shape check
+    # refuses it first, with the thin gate open or shut
     pn = TRANSFORMATIONS["pb1.pn"]
     g = pn.target_functor
     identities = set(g.source.id1.values())
@@ -407,7 +408,6 @@ def test_a_partial_endpoint_functor_keeps_the_full_sweep():
                         if identities.isdisjoint(pair))]
     nat = dataclasses.replace(pn, target_functor=dataclasses.replace(
         g, compositor=compositor))
-    with pytest.raises(KeyError):
-        _reference_pseudonatural(nat)
-    with pytest.raises(KeyError):
-        validate_pseudonatural(nat)
+    for check in (_reference_pseudonatural, validate_pseudonatural):
+        with pytest.raises(InputError, match="compositor table"):
+            check(nat)
