@@ -116,6 +116,13 @@ def test_puppe_on_thickened_inputs_matches_the_oracle(name):
         == check_grandis_ii(t, canonical_zero_ideal(t)).checks
 
 
+def test_a_thickened_round_trip_passes_check_grandis_i():
+    # the unit and counit built here have structure cells that are not
+    # identities, so the two sides of each one are told apart
+    t, _ = THICK["th2_pb1"]
+    assert check_grandis_i(t, *fs_from_ideal(t, canonical_zero_ideal(t))).ok
+
+
 @pytest.mark.parametrize("name", CORE_NAMES)
 def test_puppe_agrees_with_grandis_at_the_canonical_ideal(name):
     rep = check_puppe(CORE[name])
