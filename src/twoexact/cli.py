@@ -100,19 +100,16 @@ def _base_and_ideal(args) -> tuple[TwoCategory, TwoIdeal]:
     the main file's), and the canonical bizero ideal otherwise.  The base
     tables are shape-checked before anything else reads them."""
     doc = _load(args.file)
-    if doc.kind == "two_ideal" and args.ideal is None:
-        t, n = document_to_two_ideal(doc)
-        check_shape(t)
-        return t, n
-    t = document_to_two_category(doc)
+    own = doc.kind == "two_ideal" and args.ideal is None
+    t, n = (document_to_two_ideal(doc) if own
+            else (document_to_two_category(doc), None))
     check_shape(t)
     if args.ideal is not None:
         t2, n = document_to_two_ideal(_load(args.ideal))
         if t2 != t:
             raise InputError("the ideal document's base tables do not "
                              "match the main input")
-        return t, n
-    return t, canonical_zero_ideal(t)
+    return t, canonical_zero_ideal(t) if n is None else n
 
 
 def _fs_file(args, t: TwoCategory) -> FactorizationSystem:
@@ -135,11 +132,13 @@ def _fs_file(args, t: TwoCategory) -> FactorizationSystem:
 def _fs_of(args, doc: Document) -> tuple[TwoCategory, FactorizationSystem]:
     """The base and factorization system: the main document's own when it
     is a factorization_system document and no --fs is given, else its base
-    with the --fs document's system."""
-    if doc.kind == "factorization_system" and args.fs is None:
-        return document_to_fs(doc)
-    t = document_to_two_category(doc)
-    return t, _fs_file(args, t)
+    with the --fs document's system.  The base is shape-checked before
+    anything else reads it."""
+    own = doc.kind == "factorization_system" and args.fs is None
+    t, fs = (document_to_fs(doc) if own
+             else (document_to_two_category(doc), None))
+    check_shape(t)
+    return t, fs if own else _fs_file(args, t)
 
 
 def _unless_lawless(run: Callable[[], Any],
@@ -282,6 +281,7 @@ def _cmd_presentations(args) -> int:
 def _cmd_biisoinserter(args) -> int:
     doc = _load(args.file)
     t = document_to_two_category(doc)
+    check_shape(t)
     _header("biisoinserter", args.cap, [args.file])
     presentations = biisoinserter(t, args.left, args.right, cap=args.cap)
     _emit({"left": args.left, "right": args.right,
@@ -307,6 +307,7 @@ def _cmd_check_closed(args) -> int:
 
 def _cmd_equiv_ideals(args) -> int:
     t, n = document_to_two_ideal(_load(args.file))
+    check_shape(t)
     t2, n2 = document_to_two_ideal(_load(args.file2))
     if t2 != t:
         raise InputError("the two ideal documents have different base "
@@ -355,6 +356,7 @@ def _cmd_check_exact(args) -> int:
     weak = args.mode.startswith("weak-")
     if args.mode.endswith("puppe"):
         t = document_to_two_category(_load(args.file))
+        check_shape(t)
         _header("check-exact", args.cap, [args.file])
         report = check_puppe(t, weak=weak, cap=args.cap)
     else:

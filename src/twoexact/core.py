@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import itemgetter
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 
 class InputError(Exception):
@@ -93,6 +93,24 @@ def _inconclusive(check: str, exc: CapExceeded) -> Certificate:
         check, "inconclusive",
         detail={"reason": "cap exceeded", "context": exc.context, "cap": exc.cap},
     )
+
+
+def _memo(build: Callable[..., Any]) -> Callable[..., Any]:
+    """Memoize ``build(t, *key)`` on the category ``t``: one table per
+    function, kept in ``t.__dict__`` under the name ``table``, so the table
+    dies with ``t``.  A hit is one lookup in it; a build that raises stores
+    nothing."""
+    name = f"_memo {build.__module__}.{build.__qualname__}"
+
+    @wraps(build)
+    def cached(t: "TwoCategory", *key: Any) -> Any:
+        try:
+            return t.__dict__[name][key]
+        except KeyError:
+            out = t.__dict__.setdefault(name, {})[key] = build(t, *key)
+            return out
+    cached.table = name
+    return cached
 
 
 @dataclass(frozen=True)
@@ -272,12 +290,7 @@ class TwoCategory:
 
     # -- search indexes -----------------------------------------------------
 
-    @cached_property
-    def _null_cones(self) -> dict[tuple[frozenset[str], str],
-                                  tuple[tuple[str, str, str], ...]]:
-        """Filled by :meth:`null_cones`."""
-        return {}
-
+    @_memo
     def null_cones(self, null1: frozenset[str],
                    f: str) -> tuple[tuple[str, str, str], ...]:
         """The triples ``(z, nz, β)``: ``z`` into the source of ``f``,
@@ -289,45 +302,33 @@ class TwoCategory:
         targets are null 1-cells ``obj → b``, sorted by the rank of the
         target in the 1-cell table, and in table order within one target:
         the order of a scan of ``hom1(obj, b)``, without that scan."""
-        key = (null1, f)
-        cones = self._null_cones.get(key)
-        if cones is None:
-            a, b = self.src1[f], self.tgt1[f]
-            src1, tgt1, tgt2, rank = self.src1, self.tgt1, self.tgt2, self._rank1
-            out = []
-            for obj in self.objects:
-                for z in self.hom1(obj, a):
-                    hits = [(rank[nz], z, nz, beta)
-                            for beta in self.iso2(self.cmp1(f, z))
-                            if (nz := tgt2[beta]) in null1
-                            and src1[nz] == obj and tgt1[nz] == b]
-                    hits.sort(key=itemgetter(0))
-                    out += hits
-            cones = self._null_cones[key] = tuple(hit[1:] for hit in out)
-        return cones
+        a, b = self.src1[f], self.tgt1[f]
+        src1, tgt1, tgt2, rank = self.src1, self.tgt1, self.tgt2, self._rank1
+        out = []
+        for obj in self.objects:
+            for z in self.hom1(obj, a):
+                hits = [(rank[nz], z, nz, beta)
+                        for beta in self.iso2(self.cmp1(f, z))
+                        if (nz := tgt2[beta]) in null1
+                        and src1[nz] == obj and tgt1[nz] == b]
+                hits.sort(key=itemgetter(0))
+                out += hits
+        return tuple(hit[1:] for hit in out)
 
     @cached_property
     def _rank1(self) -> dict[str, int]:
         """The position of each 1-cell in the 1-cell table."""
         return {f: i for i, f in enumerate(self.one_ids)}
 
-    @cached_property
-    def _leg_fibres(self) -> dict[tuple[str, str], dict[str, tuple[int, ...]]]:
-        """Filled by :meth:`leg_fibres`."""
-        return {}
-
+    @_memo
     def leg_fibres(self, k: str, s: str) -> dict[str, tuple[int, ...]]:
         """For the 1-cell ``k`` and the object ``s``: each composite ``w``
         to the positions in ``hom1(s, src k)`` of the ``u`` with
         ``k∘u = w``, ascending.  Built once per ``(k, s)``."""
-        fibres = self._leg_fibres.get((k, s))
-        if fibres is None:
-            out: dict[str, list[int]] = {}
-            for i, u in enumerate(self.hom1(s, self.src1[k])):
-                out.setdefault(self.cmp1(k, u), []).append(i)
-            fibres = self._leg_fibres[(k, s)] = {
-                w: tuple(v) for w, v in out.items()}
-        return fibres
+        out: dict[str, list[int]] = {}
+        for i, u in enumerate(self.hom1(s, self.src1[k])):
+            out.setdefault(self.cmp1(k, u), []).append(i)
+        return {w: tuple(v) for w, v in out.items()}
 
     # -- duality ------------------------------------------------------------
 
@@ -368,32 +369,12 @@ class TwoCategory:
         return frozenset(equivalences(self))
 
     @cached_property
-    def _cone_candidates(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        """Clause-1 factor candidates of kernel legs, by leg and then by
-        cone 1-cell; filled by :func:`twoexact.limits._cone_candidates`."""
-        return {}
-
-    @cached_property
-    def _arrow_subcats(self) -> dict[tuple[str, ...], Any]:
-        """The pseudo-arrow 2-categories on this base, by member tuple;
-        filled by :func:`twoexact.factor.arrow_subcat`."""
-        return {}
-
-    @property
     def locally_thin(self) -> bool:
         """Whether there is at most one 2-cell between any two parallel
         1-cells: no ``(2, src, tgt)`` entry of the boundary index lists
         two cells."""
         return all(len(cells) < 2 for (dim, f, g), cells in self._bounds.items()
                    if dim == 2 and f is not None and g is not None)
-
-    @cached_property
-    def _passes_reduced_sweep(self) -> bool:
-        """Whether the tables are well shaped (raising :class:`InputError`
-        otherwise) and ``_violations(self, reduced=True)`` finds nothing;
-        decided once per category."""
-        check_shape(self)
-        return next(_violations(self, reduced=True), None) is None
 
     def parallel_pairs(self) -> Iterator[tuple[str, str]]:
         """Ordered pairs of parallel 1-cells (same source and target objects),
@@ -405,19 +386,11 @@ class TwoCategory:
                     yield f, g
 
 
-def _reduced_sweep_passes(t: TwoCategory) -> bool:
-    """The cached reduced-sweep verdict of ``t``; False when its tables are
-    not well shaped."""
-    try:
-        return t._passes_reduced_sweep
-    except InputError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # structural shape checking (raises InputError; not a certificate concern)
 # ---------------------------------------------------------------------------
 
+@_memo
 def check_shape(t: TwoCategory) -> None:
     """Verify referential integrity and table totality, raising
     :class:`InputError` on the first defect found.
@@ -426,7 +399,8 @@ def check_shape(t: TwoCategory) -> None:
     objects/1-cells; non-parallel 2-cell boundaries; missing, extra or
     dangling entries in the composition, identity and whiskering tables.
     Boundary correctness of table *values* is a law matter left to
-    :func:`validate_two_category`.
+    :func:`validate_two_category`.  The first stage of :func:`_law_verdict`,
+    so a well-shaped category is checked once.
     """
     obs = set(t.objects)
     if len(obs) != len(t.objects):
@@ -684,6 +658,33 @@ def _violations(t: TwoCategory,
                 yield "lwhisker-rwhisker", {"h": h, "a": a, "e": e}
 
 
+@_memo
+def _law_verdict(t: TwoCategory) -> tuple[str, dict[str, str]] | None:
+    """The law verdict of ``t``: :func:`check_shape`, then the first
+    violated law as ``(clause, cells)`` in clause order, or None.  On a
+    locally thin input an empty reduced sweep decides None (see
+    :func:`_violations`); any other input gets the full sweep, once."""
+    check_shape(t)
+    if t.locally_thin and next(_violations(t, reduced=True), None) is None:
+        return None
+    return next(_violations(t), None)
+
+
+def _is_lawful(t: TwoCategory) -> bool:
+    """Whether :func:`_law_verdict` finds no violation; False when the
+    tables of ``t`` are not well shaped."""
+    try:
+        return _law_verdict(t) is None
+    except InputError:
+        return False
+
+
+def _record_lawful(t: TwoCategory) -> None:
+    """Record that ``t`` is well shaped and lawful by construction."""
+    for memo in (check_shape, _law_verdict):
+        t.__dict__[memo.table] = {(): None}
+
+
 def validate_two_category(t: TwoCategory) -> Certificate:
     """Check every strict 2-category law over the given tables.
 
@@ -691,15 +692,14 @@ def validate_two_category(t: TwoCategory) -> Certificate:
     violated clause (in a fixed deterministic clause order) with the cells
     that violate it.  Raises :class:`InputError` for shape defects.
 
-    A locally thin input whose reduced sweep finds nothing passes without
-    the full sweep (see :func:`_violations`); on any other input the full
-    sweep runs, so a failure always cites the first violation in clause
+    It reads :func:`_law_verdict`, where a thin input may pass without
+    the full sweep; a failure always cites the first violation in clause
     order (``vcomp-unit``, say, before ``vcomp-boundary``).
     """
     name = "validate_two_category"
-    if not (t._passes_reduced_sweep and t.locally_thin):
-        for clause, cells in _violations(t):
-            return _fail(name, clause, **cells)
+    broken = _law_verdict(t)
+    if broken is not None:
+        return _fail(name, broken[0], **broken[1])
     return Certificate(name, "pass", witness={
         "objects": len(t.objects), "one_cells": len(t.one_cells),
         "two_cells": len(t.two_cells)})

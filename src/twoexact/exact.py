@@ -20,8 +20,8 @@ from typing import Any, Mapping
 
 from .closure import _closedness, _leg_order, _reflection_conclusion, _sweeps
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, _reduced_sweep_passes, natural_key, solve_lwhisker,
-                   solve_rwhisker, validate_two_category)
+                   _fail, _is_lawful, natural_key, solve_lwhisker,
+                   solve_rwhisker)
 from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
                      check_fs_shape, factorizations, is_proper_11, validate_fs)
 from .ideal import (TwoIdeal, bizero_objects, canonical_zero_ideal,
@@ -207,9 +207,8 @@ def check_puppe(t: TwoCategory, weak: bool = False,
             ("two-pointed", _fail("two-pointed", "not-2-pointed")),))
     zero = zeros[0]
     pointed = Certificate("two-pointed", "pass", {"bizero": zero})
-    lawful = _reduced_sweep_passes(t) and validate_two_category(t).ok
     inner = check_grandis_ii(t, canonical_zero_ideal(t, zero), weak=weak,
-                             cap=cap, _lawful=lawful)
+                             cap=cap, _lawful=_is_lawful(t))
     return ExactnessReport(mode, (("two-pointed", pointed),) + inner.checks)
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, _inconclusive, equivalences, is_cofaithful,
-                   is_equivalence, is_faithful, validate_two_category)
+                   _fail, _inconclusive, _memo, _record_lawful, equivalences,
+                   is_cofaithful, is_equivalence, is_faithful,
+                   validate_two_category)
 from .closure import _sweeps
 from .ideal import TwoIdeal
 from .limits import KernelPresentation
@@ -394,23 +395,25 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
 
     Composition of squares pastes the fillers, ``(a', b', φ')∘(a, b, φ) =
     (a'∘a, b'∘b, (b'⋆φ)·(φ'⋆a))``; 2-cells compose and whisker
-    componentwise.  The base must pass :func:`validate_two_category` (on a
-    thin base, a read of its cached reduced verdict); a lawless one raises
-    :class:`InputError` naming the first broken clause.  So every composite,
-    identity and whisker of declared squares and pairs is declared and
-    looked up by its components, and ``vcomp``, ``lwhisker`` and
-    ``rwhisker`` are built on first read.  Built once per base and member
-    list and kept on the base, like :attr:`TwoCategory.dual`.
+    componentwise.  The base must pass :func:`validate_two_category` (a
+    read of its cached law verdict); a lawless one raises
+    :class:`InputError` naming the first broken clause, and keeps nothing.
+    So every composite, identity and whisker of declared squares and pairs
+    is declared and looked up by its components, and ``vcomp``,
+    ``lwhisker`` and ``rwhisker`` are built on first read.  Built once per
+    base and member list and kept on the base, like :attr:`TwoCategory.dual`.
 
-    The result is lawful and records so in its cached reduced verdict: its
-    2-cell laws are base laws read componentwise, and its 1-cell laws equate
-    fillers that the base's whisker laws paste equal (associativity needs
+    The result is lawful and records so as its law verdict: its 2-cell laws
+    are base laws read componentwise, and its 1-cell laws equate fillers
+    that the base's whisker laws paste equal (associativity needs
     ``lwhisker-rwhisker``: ``b₃⋆(φ₂⋆a₁) = (b₃⋆φ₂)⋆a₁``).
     """
-    mem = _ordered_unique(members)
-    built = t._arrow_subcats
-    if mem in built:
-        return built[mem]
+    return _checked_arrow_subcat(t, _ordered_unique(members))
+
+
+@_memo
+def _checked_arrow_subcat(t: TwoCategory,
+                          mem: tuple[str, ...]) -> ArrowTwoCategory:
     for f in mem:
         if f not in t.src1:
             raise InputError(f"unknown 1-cell {f}")
@@ -422,8 +425,8 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
     broken = validate_two_category(t).counterexample
     if broken:
         raise InputError(f"the base breaks a 2-category law: {broken['clause']}")
-    arrow = built[mem] = _arrow_subcat(t, mem)
-    arrow.cat.__dict__["_passes_reduced_sweep"] = True
+    arrow = _arrow_subcat(t, mem)
+    _record_lawful(arrow.cat)
     return arrow
 
 

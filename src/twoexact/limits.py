@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .core import (
     Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
-    _inconclusive,
+    _inconclusive, _memo,
 )
 from .ideal import TwoIdeal
 
@@ -168,16 +168,11 @@ def _through_leg(t: TwoCategory, k: str, s: str,
     return map(us.__getitem__, positions)
 
 
+@_memo
 def _cone_candidates(t: TwoCategory, k: str, z: str) -> tuple[str, ...]:
     """The ``u`` with an invertible 2-cell ``z ⇒ k∘u``, in table order.
     Built once per ``(k, z)`` and kept on ``t``."""
-    by_cone = t._cone_candidates.get(k)
-    if by_cone is None:
-        by_cone = t._cone_candidates[k] = {}
-    found = by_cone.get(z)
-    if found is None:
-        found = by_cone[z] = tuple(_through_leg(t, k, t.src1[z], t.iso2(z)))
-    return found
+    return tuple(_through_leg(t, k, t.src1[z], t.iso2(z)))
 
 
 def _cone_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,

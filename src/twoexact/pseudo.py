@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .core import (
-    Certificate, InputError, TwoCategory, _fail, _reduced_sweep_passes,
+    Certificate, InputError, TwoCategory, _fail, _is_lawful, check_shape,
     is_equivalence,
 )
 from .factor import ArrowTwoCategory
@@ -33,7 +33,11 @@ class PseudoFunctor:
 
 
 def check_pseudofunctor_shape(func: PseudoFunctor) -> None:
+    """Shape-check the source and target, then the four maps against them,
+    raising :class:`InputError` on the first defect found."""
     s, t = func.source, func.target
+    check_shape(s)
+    check_shape(t)
     if set(func.ob) != set(s.objects):
         raise InputError("object map is not indexed by exactly the source objects")
     if set(func.one) != set(s.one_ids):
@@ -136,20 +140,24 @@ def _functor_violations(func: PseudoFunctor, reduced: bool = False
                     yield "compositor-assoc", dict(h=h, g=g, f=f)
 
 
+def _reduced_decides(func: PseudoFunctor) -> bool:
+    """Whether the reduced clauses of :func:`_functor_violations` decide
+    "pass" for the shape-checked ``func``: its target is locally thin, its
+    source and target are lawful, and those clauses find nothing."""
+    s, t = func.source, func.target
+    return (t.locally_thin and _is_lawful(s) and _is_lawful(t)
+            and next(_functor_violations(func, reduced=True), None) is None)
+
+
 def validate_pseudofunctor(func: PseudoFunctor) -> Certificate:
     """Boundary preservation, hom-functoriality, normalization, compositor
     invertibility/naturality and the associativity coherence.
 
-    On a locally thin target, with source and target passing their reduced
-    law sweeps, the reduced clauses of :func:`_functor_violations` decide
-    "pass"; otherwise, or on any reduced violation, the full sweep names
-    the first violated clause."""
+    Where :func:`_reduced_decides` holds, the reduced clauses decide
+    "pass"; otherwise the full sweep names the first violated clause."""
     check_pseudofunctor_shape(func)
     name = "validate_pseudofunctor"
-    s, t = func.source, func.target
-    if not (t.locally_thin and _reduced_sweep_passes(s)
-            and _reduced_sweep_passes(t)
-            and next(_functor_violations(func, reduced=True), None) is None):
+    if not _reduced_decides(func):
         for clause, cells in _functor_violations(func):
             return _fail(name, clause, **cells)
     return Certificate(name, "pass", witness={
@@ -228,12 +236,6 @@ def check_pseudonatural_shape(nat: PseudoNatural) -> None:
             raise InputError(f"structure cell at {x} names unknown 2-cell {v}")
 
 
-def _functor_passes_reduced(func: PseudoFunctor) -> bool:
-    """Whether the well-shaped ``func`` passes the reduced clauses of
-    :func:`_functor_violations`."""
-    return next(_functor_violations(func, reduced=True), None) is None
-
-
 def validate_pseudonatural(nat: PseudoNatural,
                            require_equivalences: bool | None = None) -> Certificate:
     """Boundaries, invertibility, unit normalization, 2-cell naturality and
@@ -244,12 +246,12 @@ def validate_pseudonatural(nat: PseudoNatural,
     2-cells of the target.  The two are parallel once the earlier clauses
     hold, both endpoint functors pass the reduced clauses of
     :func:`_functor_violations` (images and compositors have the right
-    boundaries), and the source and target pass their reduced law sweeps
-    (whiskers and composites have the right boundaries, and 1-cell
-    composition associates, as the two sides of ``composition`` need).  So
-    on a locally thin target under those conditions the two clauses cannot
-    fail and are skipped; otherwise every clause runs, in order.  Both
-    endpoint functors are shape-checked first, as the ``composition``
+    boundaries), and the source and target are lawful (whiskers and
+    composites have the right boundaries, and 1-cell composition
+    associates, as the two sides of ``composition`` need).  So where
+    :func:`_reduced_decides` holds of both endpoints the two clauses
+    cannot fail and are skipped; otherwise every clause runs, in order.
+    Both endpoint functors are shape-checked first, as the ``composition``
     clause reads every compositor."""
     check_pseudonatural_shape(nat)
     name = "validate_pseudonatural"
@@ -279,9 +281,7 @@ def validate_pseudonatural(nat: PseudoNatural,
         if nat.structure[s.id1[x]] != t.id2[nat.component[x]]:
             return _fail(name, "unit", object=x)
 
-    thin = (t.locally_thin and _reduced_sweep_passes(s)
-            and _reduced_sweep_passes(t)
-            and _functor_passes_reduced(f) and _functor_passes_reduced(g))
+    thin = _reduced_decides(f) and _reduced_decides(g)
     for mu in () if thin else s.two_ids:
         h, h2 = s.src2[mu], s.tgt2[mu]
         x, y = s.src1[h], s.tgt1[h]

@@ -676,6 +676,46 @@ def test_malformed_ideal_base_is_an_input_error(tmp_path, table):
         == (2, "", validate.stderr)
 
 
+_NO_VCOMP_ROW = ("error: vcomp keys do not match the vertically composable "
+                 "pairs (missing 1, extra 0)\n")
+
+
+@pytest.mark.parametrize("fixture, table, argv, error", [
+    ("pb2.2cat.json", ("vcomp",), ["check-exact", "--mode", "puppe"],
+     _NO_VCOMP_ROW),
+    ("pb2.2cat.json", ("vcomp",), ["check-exact", "--mode", "weak-puppe"],
+     _NO_VCOMP_ROW),
+    ("ct22.fs.json", ("vcomp",), ["check-fs"], _NO_VCOMP_ROW),
+    ("ct22.fs.json", ("vcomp",), ["check-fibration", "--direction", "cod"],
+     _NO_VCOMP_ROW),
+    ("pb2.2cat.json", ("vcomp",),
+     ["biisoinserter", "{}", "m00_0to0_e", "m00_0to0_e"], _NO_VCOMP_ROW),
+    ("pb2.ideal.json", ("vcomp",), ["equiv-ideals", "{}", "{}"],
+     _NO_VCOMP_ROW),
+    ("pb1.pf.json", ("source", "vcomp"), ["validate"], _NO_VCOMP_ROW),
+    ("pb1.pf.json", ("source", "lwhisker"), ["validate"],
+     "error: lwhisker keys do not match the composable (1-cell, 2-cell) "
+     "pairs\n"),
+], ids=["puppe", "weak-puppe", "check-fs", "check-fibration",
+        "biisoinserter", "equiv-ideals", "pf-source-vcomp",
+        "pf-source-lwhisker"])
+def test_every_command_shape_checks_its_base_first(tmp_path, fixture, table,
+                                                   argv, error):
+    # the first row of one table is dropped: the command refuses the input
+    # with validate's error line, before its header and before any check
+    body = json.loads((FIXTURE_DIR / fixture).read_text())
+    rows = body
+    for key in table:
+        rows = rows[key]
+    del rows[0]
+    broken = tmp_path / fixture
+    broken.write_text(json.dumps(body))
+    if "{}" not in argv:
+        argv = [*argv, "{}"]
+    proc = run(*(str(broken) if a == "{}" else a for a in argv))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
 def _chaotic_pb2_maximal_ideal():
     t = chaotic_enrichment(partial_bijections(2))
     return json.loads(serialize(two_ideal_to_document(

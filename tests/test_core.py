@@ -16,6 +16,7 @@ from twoexact import (
     InputError,
     canonical_zero_ideal,
     check_puppe,
+    fs_from_ideal,
     is_cofaithful,
     is_equivalence,
     is_faithful,
@@ -29,9 +30,10 @@ from twoexact import (
     solve_rwhisker,
     validate_two_category,
 )
-from twoexact import exact
-from twoexact.core import (Gen, Id2, Inverse, LWhisker, RWhisker, VComp,
-                           _violations, paste)
+from twoexact import exact, limits
+from twoexact.core import (Gen, Id2, Inverse, LWhisker, RWhisker, TwoCategory,
+                           VComp, _law_verdict, _violations, check_shape,
+                           paste)
 from twoexact.gen import mutate
 
 
@@ -119,6 +121,32 @@ def test_a_finished_check_frees_its_categories_without_a_collection(
         assert [r() for r in refs] == [None] * 4
     finally:
         gc.enable()
+
+
+def test_the_memo_tables_live_on_their_category():
+    # every table a check fills is in the category's own dict, so nothing
+    # outside it keeps the category alive: the Puppe check frees it without
+    # a collection, and after fs_from_ideal a collection frees it and the
+    # pseudo-arrow 2-categories kept on it
+    gc.disable()
+    try:
+        t = locally_discrete(partial_bijections(2))
+        assert check_puppe(t).ok
+        memos = (check_shape, _law_verdict, TwoCategory.null_cones,
+                 TwoCategory.leg_fibres, limits._cone_candidates)
+        assert {memo.table for memo in memos} <= set(vars(t))
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+        t = locally_discrete(partial_bijections(2))
+        assert check_puppe(t).ok
+        fs_from_ideal(t, canonical_zero_ideal(t))
+        ref = weakref.ref(t)
+        del t
+    finally:
+        gc.enable()
+    gc.collect()
+    assert ref() is None
 
 
 def test_a_dual_outliving_its_primal_builds_a_new_one():

@@ -11,6 +11,8 @@ gives.
 
 import dataclasses
 import itertools
+import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -27,6 +29,7 @@ from twoexact import (
     PseudoNatural,
     banded,
     canonical_zero_ideal,
+    check_puppe,
     cyclic_tower,
     fs_from_ideal,
     identity_pseudofunctor,
@@ -161,7 +164,7 @@ def test_thin_lawful_inputs_skip_the_full_sweep(monkeypatch):
     assert modes == [True]
     modes.clear()
     assert validate_two_category(_fresh(BANDED["bd2_pb1"])).ok
-    assert modes == [True, False]
+    assert modes == [False]
     modes.clear()
     mutant = _fresh(mutate(LD_PB2, "retarget-vcomp", 0))
     modes.clear()
@@ -175,6 +178,52 @@ def test_the_reduced_verdict_is_decided_once_per_category(monkeypatch):
     monkeypatch.setattr(core, "_violations", None)
     assert validate_two_category(t).ok
     assert validate_pseudofunctor(identity_pseudofunctor(t)).ok
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """Law sweeps run, by ``(category id, reduced)``, and shape checks run,
+    by category id, while the test runs."""
+    sweeps, shapes = Counter(), Counter()
+    sweep = core._violations
+
+    def counted(t, reduced=False):
+        sweeps[(id(t), reduced)] += 1
+        return sweep(t, reduced)
+
+    shape_code = check_shape.__wrapped__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is shape_code:
+            shapes[id(frame.f_locals["t"])] += 1
+
+    monkeypatch.setattr(core, "_violations", counted)
+    sys.setprofile(profile)
+    try:
+        yield sweeps, shapes
+    finally:
+        sys.setprofile(None)
+
+
+@pytest.mark.parametrize("name, reduced", [("ld_pb2", True),
+                                           ("bd2_pb1", False)])
+def test_each_category_is_checked_and_swept_once(decisions, name, reduced):
+    # on the thin ld_pb2 the reduced sweep alone decides; the non-thin
+    # bd2_pb1 gets the full sweep alone, once, however often it is read;
+    # an arrow 2-category carries its base's verdict and is never checked
+    sweeps, shapes = decisions
+    t = _fresh({**CORE, **BANDED}[name])
+    check_shape(t)
+    check_puppe(t)
+    for _ in range(3):
+        assert validate_two_category(t).ok
+    arrow = arrow_subcat(t, t.one_ids[:4])
+    assert arrow_subcat(t, t.one_ids[:4]) is arrow
+    for c in (t, arrow.cat):
+        assert validate_pseudofunctor(identity_pseudofunctor(c)).ok
+        assert validate_pseudonatural(_identity_transformation(c)).ok
+    assert sweeps == {(id(t), reduced): 1}
+    assert shapes == {id(t): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +390,7 @@ def test_unshaped_target_outcomes_match_the_reference():
 
 def _reference_pseudonatural(nat):
     """The certificate with every clause run: the thin-target gate shut."""
-    with mock.patch.object(pseudo, "_functor_passes_reduced",
+    with mock.patch.object(pseudo, "_reduced_decides",
                            lambda func: False):
         return validate_pseudonatural(nat)
 
