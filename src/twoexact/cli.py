@@ -187,13 +187,17 @@ def _cmd_validate(args) -> int:
         certs.append(
             validate_pseudonatural(document_to_pseudonatural(doc)))
     elif doc.kind == "witness-bundle":
-        # the rebuild refuses a lawless base, whose certificate is the report
+        # the rebuild refuses a lawless base, whose certificate is the report;
+        # the unit and counit paste compositors of K and C, so they are
+        # checked only when both functors pass
         certs.append(validate_two_category(witness_bundle_base(doc)))
         if certs[-1].ok:
             t, fs, k, c, eta, epsilon = document_to_witness_bundle(doc)
             certs += [validate_fs(t, fs, args.cap), validate_pseudofunctor(k),
-                      validate_pseudofunctor(c), validate_pseudonatural(eta),
-                      validate_pseudonatural(epsilon)]
+                      validate_pseudofunctor(c)]
+            if certs[-1].ok and certs[-2].ok:
+                certs += [validate_pseudonatural(eta),
+                          validate_pseudonatural(epsilon)]
     elif doc.kind == "finite_category":
         certs.append(validate_category(document_to_finite_category(doc)))
     elif doc.kind == "one_ideal":

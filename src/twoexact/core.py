@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
 class InputError(Exception):
@@ -111,6 +111,28 @@ def _memo(build: Callable[..., Any]) -> Callable[..., Any]:
             return out
     cached.table = name
     return cached
+
+
+class _Computed(Mapping):
+    """A read-only table that stores no entry: a call of ``keys`` lists its
+    keys in table order, and ``read(key)`` computes an entry each time it
+    is read, raising ``KeyError`` exactly for a key outside the table."""
+
+    __slots__ = ("_keys", "_read")
+
+    def __init__(self, keys: Callable[[], Iterable[Any]],
+                 read: Callable[[Any], Any]):
+        self._keys = keys
+        self._read = read
+
+    def __getitem__(self, key: Any) -> Any:
+        return self._read(key)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._keys())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._keys())
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, _inconclusive, _memo, _record_lawful, equivalences,
-                   is_cofaithful, is_equivalence, is_faithful,
+                   _Computed, _fail, _inconclusive, _memo, _record_lawful,
+                   equivalences, is_cofaithful, is_equivalence, is_faithful,
                    validate_two_category)
 from .closure import _sweeps
 from .ideal import TwoIdeal
@@ -399,9 +399,10 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
     read of its cached law verdict); a lawless one raises
     :class:`InputError` naming the first broken clause, and keeps nothing.
     So every composite, identity and whisker of declared squares and pairs
-    is declared and looked up by its components, and ``vcomp``,
-    ``lwhisker`` and ``rwhisker`` are built on first read.  Built once per
-    base and member list and kept on the base, like :attr:`TwoCategory.dual`.
+    is declared and looked up by its components: ``vcomp``, ``lwhisker``
+    and ``rwhisker`` store no entry, and compute each one from the base's
+    operations when it is read.  Built once per base and member list and
+    kept on the base, like :attr:`TwoCategory.dual`.
 
     The result is lawful and records so as its law verdict: its 2-cell laws
     are base laws read componentwise, and its 1-cell laws equate fillers
@@ -428,38 +429,6 @@ def _checked_arrow_subcat(t: TwoCategory,
     arrow = _arrow_subcat(t, mem)
     _record_lawful(arrow.cat)
     return arrow
-
-
-class _Deferred(Mapping):
-    """A read-only table that ``build()`` makes on first read; the builder
-    is dropped once it has run."""
-
-    def __init__(self, build: Callable[[], dict]):
-        self._build = build
-
-    @functools.cached_property
-    def table(self) -> dict:
-        table = self._build()
-        del self._build
-        return table
-
-    def __getitem__(self, key: Any) -> Any:
-        return self.table[key]
-
-    def __iter__(self) -> Iterator:
-        return iter(self.table)
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self.table
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        return self.table.get(key, default)
-
-    def items(self):
-        return self.table.items()
 
 
 def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
@@ -520,51 +489,46 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
     id2 = {sid: pair_ids[(sid, sid, t.id2[a], t.id2[b])]
            for sid, (a, b, _) in sq_of.items()}
 
-    def build_vcomp() -> dict[tuple[str, str], str]:
-        vcomp = {}
-        for tid2, (s2, t2_) in pair_of.items():
-            for tid1 in into2[src2[tid2]]:
-                s1, t1_ = pair_of[tid1]
-                vcomp[(tid2, tid1)] = pair_ids[
-                    (src2[tid1], tgt2[tid2], t.vc(s2, s1), t.vc(t2_, t1_))]
-        return vcomp
+    # 2-cells compose and whisker componentwise.  A key outside a table
+    # fails vcomp's boundary test or a lookup (comp1 holds exactly the
+    # composable squares) with KeyError before any base operation runs
+    def vcomp(key: tuple[str, str]) -> str:
+        tid2, tid1 = key
+        if src2[tid2] != tgt2[tid1]:
+            raise KeyError(key)
+        (s2, t2_), (s1, t1_) = pair_of[tid2], pair_of[tid1]
+        return pair_ids[(src2[tid1], tgt2[tid2], t.vc(s2, s1),
+                         t.vc(t2_, t1_))]
 
-    rwhisker: dict[tuple[str, str], str] = {}
+    def lwhisker(key: tuple[str, str]) -> str:
+        sid, tid = key
+        (a2, b2, _), (sigma, tau) = sq_of[sid], pair_of[tid]
+        return pair_ids[(comp1[(sid, src2[tid])], comp1[(sid, tgt2[tid])],
+                         t.lw(a2, sigma), t.lw(b2, tau))]
 
-    def build_whiskers() -> dict[tuple[str, str], str]:
-        """Both whisker tables in one loop: returns ``lwhisker`` and fills
-        ``rwhisker``."""
-        lwhisker = {}
-        for tid, (sigma, tau) in pair_of.items():
-            lo, hi = src2[tid], tgt2[tid]
-            f, g = ends[lo]
-            for sid in out_of[g]:  # whisker a square g → · on the left
-                a2, b2, _ = sq_of[sid]
-                lwhisker[(sid, tid)] = pair_ids[
-                    (comp1[(sid, lo)], comp1[(sid, hi)],
-                     t.lw(a2, sigma), t.lw(b2, tau))]
-            for sid in into[f]:  # whisker a square · → f on the right
-                a2, b2, _ = sq_of[sid]
-                rwhisker[(tid, sid)] = pair_ids[
-                    (comp1[(lo, sid)], comp1[(hi, sid)],
-                     t.rw(sigma, a2), t.rw(tau, b2))]
-        return lwhisker
+    def rwhisker(key: tuple[str, str]) -> str:
+        tid, sid = key
+        (a2, b2, _), (sigma, tau) = sq_of[sid], pair_of[tid]
+        return pair_ids[(comp1[(src2[tid], sid)], comp1[(tgt2[tid], sid)],
+                         t.rw(sigma, a2), t.rw(tau, b2))]
 
-    def read_rwhisker() -> dict[tuple[str, str], str]:
-        lwhisker.table
-        return rwhisker
-
-    lwhisker = _Deferred(build_whiskers)
     cat = TwoCategory(
         objects=mem,
         one_cells=tuple(one_cells),
         comp1=comp1,
         id1=id1,
         two_cells=tuple(two_cells),
-        vcomp=_Deferred(build_vcomp),
+        vcomp=_Computed(lambda: ((b, a) for b in pair_of
+                                 for a in into2[src2[b]]), vcomp),
         id2=id2,
-        lwhisker=lwhisker,
-        rwhisker=_Deferred(read_rwhisker),
+        # a 2-cell between squares f → g whiskers on the left by a square
+        # out of g, and on the right by a square into f
+        lwhisker=_Computed(lambda: ((sid, tid) for tid in pair_of
+                                    for sid in out_of[ends[src2[tid]][1]]),
+                           lwhisker),
+        rwhisker=_Computed(lambda: ((tid, sid) for tid in pair_of
+                                    for sid in into[ends[src2[tid]][0]]),
+                           rwhisker),
     )
     return ArrowTwoCategory(
         cat=cat, base=t, members=mem, squares=sq_of, pairs=pair_of,

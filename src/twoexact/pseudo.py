@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .core import (
-    Certificate, InputError, TwoCategory, _fail, _is_lawful, check_shape,
-    is_equivalence,
+    Certificate, InputError, TwoCategory, _Computed, _fail, _is_lawful,
+    check_shape, is_equivalence,
 )
 from .factor import ArrowTwoCategory
 
@@ -177,21 +177,26 @@ def identity_pseudofunctor(t: TwoCategory) -> PseudoFunctor:
 
 def compose_pseudofunctors(outer: PseudoFunctor, inner: PseudoFunctor) -> PseudoFunctor:
     """``outer ∘ inner`` with the pasted compositors
-    ``outer(φ^inner_{g,f}) · φ^outer_{inner g, inner f}``."""
+    ``outer(φ^inner_{g,f}) · φ^outer_{inner g, inner f}``.
+
+    The compositor stores no entry: each is pasted when it is read, with
+    the keys of ``inner``'s compositor in their order.  A read whose
+    image pair does not compose raises :class:`InputError`."""
     if inner.target is not outer.source and inner.target != outer.source:
         raise InputError("pseudofunctors not composable")
-    t = outer.target
-    compositor = {}
-    for (g, f), phi_in in inner.compositor.items():
-        pair = (inner.one[g], inner.one[f])
+
+    def compositor(key: tuple[str, str]) -> str:
+        phi_in = inner.compositor[key]
+        pair = (inner.one[key[0]], inner.one[key[1]])
         outer.source.cmp1(*pair)  # an InputError if the pair does not compose
-        compositor[(g, f)] = t.vc(outer.two[phi_in], outer.compositor[pair])
+        return outer.target.vc(outer.two[phi_in], outer.compositor[pair])
+
     return PseudoFunctor(
         source=inner.source, target=outer.target,
         ob={x: outer.ob[v] for x, v in inner.ob.items()},
         one={x: outer.one[v] for x, v in inner.one.items()},
         two={x: outer.two[v] for x, v in inner.two.items()},
-        compositor=compositor,
+        compositor=_Computed(inner.compositor.keys, compositor),
     )
 
 

@@ -2,10 +2,11 @@
 the bytes it must keep.
 
 ``factor.arrow_subcat`` refuses a base that breaks a 2-category law, and
-on a lawful base builds the ``vcomp``, ``lwhisker`` and ``rwhisker`` tables
-on first read.  The two functions below are the earlier builder, kept
-verbatim as the reference: after a forced read, all nine tables hold the
-same entries in the same order.
+on a lawful base stores no ``vcomp``, ``lwhisker`` or ``rwhisker`` table:
+each is a view that computes an entry from the base when it is read.  The
+two functions below are the earlier builder, kept verbatim as the
+reference: read in full, all nine tables hold the same entries in the same
+order.
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ from twoexact import (InputError, TwoCategory, canonical_zero_ideal,
                       locally_discrete, validate_pseudofunctor,
                       validate_pseudonatural, validate_two_category)
 from twoexact import factor
-from twoexact.core import _violations, check_shape
+from twoexact.core import _Computed, _violations, check_shape
 from twoexact.cli import main
 from twoexact.factor import (ArrowTwoCategory, _ordered_unique,
                              square_two_cells, squares_between)
@@ -174,8 +175,8 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
 # inputs
 # ---------------------------------------------------------------------------
 
-#: The tables whose build may be deferred.
-DEFERRED = ("vcomp", "lwhisker", "rwhisker")
+#: The tables of a pseudo-arrow 2-category that store no entry.
+COMPUTED = ("vcomp", "lwhisker", "rwhisker")
 
 #: The nine tables of a 2-category, in field order.
 TABLES = tuple(f.name for f in dataclasses.fields(TwoCategory))
@@ -259,22 +260,25 @@ def _tables(arrow: ArrowTwoCategory) -> list:
             (arrow.squares, arrow.pairs, arrow.square_ids, arrow.pair_ids))]
 
 
-def _built(cat: TwoCategory) -> set[str]:
-    """The deferred tables of ``cat`` that have been built."""
-    return {name for name in DEFERRED
-            if "table" in vars(getattr(cat, name))}
+def _stores_no_table(cat: TwoCategory) -> bool:
+    """Whether each of the ``COMPUTED`` tables of ``cat`` is a view, which
+    holds no dict (it has no instance ``__dict__``), only its two
+    functions."""
+    return all(type(vars(cat)[name]) is _Computed
+               and not hasattr(vars(cat)[name], "__dict__")
+               for name in COMPUTED)
 
 
 def _assert_same(t: TwoCategory, mem: Iterable[str]) -> None:
-    """Build on fresh copies of the lawful ``t`` with both builders: the
-    deferred tables are unbuilt until read, and then every table matches
-    the reference."""
+    """Build on fresh copies of the lawful ``t`` with both builders: every
+    table matches the reference, and the computed ones store nothing
+    before or after every entry is read."""
     expected = _tables(arrow_subcat(_fresh(t), mem))
     base = _fresh(t)
     arrow = factor.arrow_subcat(base, mem)
-    assert _built(arrow.cat) == set()
+    assert _stores_no_table(arrow.cat)
     assert _tables(arrow) == expected
-    assert _built(arrow.cat) == set(DEFERRED)
+    assert _stores_no_table(arrow.cat)
     assert factor.arrow_subcat(base, mem) is arrow
 
 
@@ -382,43 +386,78 @@ def test_arrow_categories_of_lawful_bases_pass_the_full_sweep():
         assert next(_violations(arrow.cat), None) is None, arrow.members
 
 
-def test_the_round_trip_builds_no_whisker_table():
-    # the unit and counit are built over the composites c∘k and k∘c, whose
-    # compositors read vcomp; nothing reads either whisker table
+def test_the_round_trip_reads_no_computed_entry(monkeypatch):
+    # the unit and counit take the composites c∘k and k∘c as endpoints, and
+    # nothing on the round trip reads their compositors, nor any entry of
+    # the pseudo-arrow 2-categories' vcomp, lwhisker or rwhisker
+    reads = []
+    read = _Computed.__getitem__
+    monkeypatch.setattr(_Computed, "__getitem__", lambda view, key: (
+        reads.append(view) or read(view, key)))
     t = _fresh(LD_PB2)
     built = fs_from_ideal(t, canonical_zero_ideal(t))
-    fs = built[0]
-    for cls in (fs.left_class, fs.right_class):
-        assert _built(factor.arrow_subcat(t, cls).cat) == {"vcomp"}
     doc = parse(serialize(witness_bundle_to_document(t, *built)))
     t2, fs2, k2, c2, eta2, eps2 = document_to_witness_bundle(doc)
     ideal_from_fs(t2, fs2, k2)
-    # nor do the pseudofunctor and transformation checks: the arrow
-    # 2-categories carry their base's verdict, so they are not swept, and
-    # are thin, so no naturality equation is pasted
+    assert reads == []
+    assert isinstance(eta2.target_functor.compositor, _Computed)
+    assert isinstance(eps2.source_functor.compositor, _Computed)
+    for base, fs in ((t, built[0]), (t2, fs2)):
+        for cls in (fs.left_class, fs.right_class):
+            assert _stores_no_table(factor.arrow_subcat(base, cls).cat)
+    # the pseudofunctor and transformation checks read no whisker: the
+    # arrow 2-categories carry their base's verdict, so they are not swept,
+    # and are thin, so no naturality equation is pasted
     assert validate_pseudofunctor(k2).ok and validate_pseudofunctor(c2).ok
     assert validate_pseudonatural(eta2).ok and validate_pseudonatural(eps2).ok
-    for cls in (fs2.left_class, fs2.right_class):
-        assert _built(factor.arrow_subcat(t2, cls).cat) == {"vcomp"}
+    whiskers = [getattr(factor.arrow_subcat(t2, cls).cat, name)
+                for cls in (fs2.left_class, fs2.right_class)
+                for name in ("lwhisker", "rwhisker")]
+    assert not any(view is w for view in reads for w in whiskers)
 
 
-def test_a_deferred_table_reads_as_its_dict():
-    calls = []
+def test_a_computed_table_reads_as_its_dict():
+    reads = []
+    table = {("b", "a"): "ba", ("a", "a"): "a"}
 
-    def build():
-        calls.append(None)
-        return {("b", "a"): "ba", ("a", "a"): "a"}
+    def read(key):
+        reads.append(key)
+        return table[key]
 
-    table = factor._Deferred(build)
-    assert not calls
-    assert len(table) == 2
-    assert list(table) == list(table.keys()) == [("b", "a"), ("a", "a")]
-    assert table[("a", "a")] == "a" and ("b", "a") in table
-    assert table.get(("x", "a")) is None and table.get(("x", "a"), 0) == 0
-    assert list(table.items()) == [(("b", "a"), "ba"), (("a", "a"), "a")]
-    assert list(table.values()) == ["ba", "a"]
-    # built once, and the builder dropped
-    assert len(calls) == 1 and "_build" not in vars(table)
+    view = _Computed(table.keys, read)
+    assert len(view) == 2 and not reads
+    assert list(view) == list(view.keys()) == [("b", "a"), ("a", "a")]
+    assert view[("a", "a")] == "a" and ("b", "a") in view
+    assert ("x", "a") not in view
+    assert view.get(("x", "a")) is None and view.get(("x", "a"), 0) == 0
+    with pytest.raises(KeyError):
+        view[("x", "a")]
+    assert list(view.items()) == list(table.items())
+    assert list(view.values()) == ["ba", "a"] and view == table
+    # every read computes its entry again
+    reads.clear()
+    assert view[("a", "a")] == view[("a", "a")]
+    assert reads == [("a", "a")] * 2
+    # on a non-thin base, each computed table of a pseudo-arrow 2-category
+    # reads as the reference's dict, and a key of declared cells outside it
+    # is a KeyError, where the operation raises InputError
+    t = BANDED["bd2_pb1"]
+    mem = t.one_ids[:4]
+    expected = arrow_subcat(_fresh(t), mem).cat
+    cat = factor.arrow_subcat(_fresh(t), mem).cat
+    for name, op in zip(COMPUTED, (cat.vc, cat.lw, cat.rw)):
+        view, table = getattr(cat, name), getattr(expected, name)
+        assert len(view) == len(table) and list(view) == list(table)
+        key = next(iter(table))
+        assert key in view and view.get(key) == view[key] == table[key]
+        outside = next(k for k in itertools.product(
+            dict.fromkeys(k[0] for k in table),
+            dict.fromkeys(k[1] for k in table)) if k not in table)
+        assert outside not in view and view.get(outside, 0) == 0
+        with pytest.raises(KeyError):
+            view[outside]
+        with pytest.raises(InputError):
+            op(*outside)
 
 
 # ---------------------------------------------------------------------------

@@ -586,16 +586,6 @@ def _drop_compositor_row(body):
     del body["k"]["compositor"][0]
 
 
-#: A square whose image under `k` has the wrong ends, so `k` sends a
-#: composable pair to one that does not compose; the compositor lookup of
-#: `c∘k` used to end in a `KeyError` traceback.
-_PB1_OFF_BOUNDARY = "m0_0to0_e|m4_1to1_11|m1_0to1_e|m1_0to1_e|id_m1_0to1_e"
-
-
-def _off_boundary_one(body):
-    body["k"]["one"][_PB1_1CELL] = _PB1_OFF_BOUNDARY
-
-
 #: Edits that leave the `eta` or `epsilon` table malformed; `ideal-from-fs`,
 #: which does not read them, used to exit 0 on each.
 def _drop_eta_component(body):
@@ -624,8 +614,6 @@ _PB1_1CELL = "m0_0to0_e|m0_0to0_e|m0_0to0_e|m0_0to0_e|id_m0_0to0_e"
     (_bogus_one, f"1-cell map sends {_PB1_1CELL} to unknown 1-cell bogus"),
     (_drop_compositor_row, "compositor table is not indexed by exactly the "
                            "composable pairs of the source"),
-    (_off_boundary_one, f"1-cells not composable: ({_PB1_OFF_BOUNDARY}, "
-                        f"{_PB1_OFF_BOUNDARY})"),
     (_drop_eta_component,
      "components are not indexed by exactly the source objects"),
     (_bogus_eta_component,
@@ -635,7 +623,7 @@ _PB1_1CELL = "m0_0to0_e|m0_0to0_e|m0_0to0_e|m0_0to0_e|id_m0_0to0_e"
     (_bogus_epsilon_structure,
      f"structure cell at {_PB1_1CELL} names unknown 2-cell bogus"),
 ], ids=["drop-ob", "drop-one", "bogus-one", "drop-compositor-row",
-        "off-boundary-one", "drop-eta-component", "bogus-eta-component", "drop-eta-structure",
+        "drop-eta-component", "bogus-eta-component", "drop-eta-structure",
         "bogus-epsilon-structure"])
 @pytest.mark.parametrize("command", ["validate", "check-fs", "ideal-from-fs"])
 def test_malformed_bundle_functor_is_an_input_error(tmp_path, command, edit,
@@ -647,6 +635,64 @@ def test_malformed_bundle_functor_is_an_input_error(tmp_path, command, edit,
     proc = run(command, str(broken))
     assert (proc.returncode, proc.stdout, proc.stderr) \
         == (2, "", f"error: {error}\n")
+
+
+def _retarget(body, functor, table):
+    """Point the first entry of ``functor``'s ``table`` at the first other
+    cell of that table: the bundle stays well formed."""
+    rows = body[functor][table]
+    if table == "compositor":
+        row, key, values = rows[0], "cell", [r["cell"] for r in rows]
+    else:
+        row, key, values = rows, next(iter(rows)), list(rows.values())
+    row[key] = next(v for v in values if v != row[key])
+
+
+@pytest.mark.parametrize("functor, table", [
+    (functor, table) for functor in ("k", "c")
+    for table in ("one", "two", "compositor")],
+    ids=lambda value: value)
+@pytest.mark.parametrize("command", ["validate", "check-fs"])
+def test_a_bundle_functor_that_breaks_a_law_fails_its_check(
+        tmp_path, command, functor, table):
+    # K or C breaks a pseudofunctor law; the composites c∘k and k∘c paste
+    # its cells only when their compositors are read, so the check reports
+    # the broken law instead of an input error.  `k.one` is the square
+    # whose image has the wrong ends, so `k` sends a composable pair to one
+    # that does not compose
+    body = json.loads((FIXTURE_DIR / "pb1.bundle.json").read_text())
+    _retarget(body, functor, table)
+    broken = tmp_path / "broken.bundle.json"
+    broken.write_text(json.dumps(body))
+    proc = run(command, str(broken))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    certs = [json.loads(line) for line in proc.stdout.splitlines()[1:]]
+    which = functor.upper()
+    if command == "check-fs":
+        [cert] = certs
+        assert cert["counterexample"]["clause"] == "biequivalence"
+        inner = cert["counterexample"]["cells"]["inner"]
+        assert (inner["clause"], inner["cells"]["which"]) \
+            == ("functor-invalid", which)
+    else:
+        # the unit and counit are checked only when both functors pass
+        assert [(c["check"], c["status"]) for c in certs] == [
+            ("validate_two_category", "pass"), ("validate_fs", "pass"),
+            ("validate_pseudofunctor", "fail" if which == "K" else "pass"),
+            ("validate_pseudofunctor", "fail" if which == "C" else "pass")]
+
+
+def test_ideal_from_fs_stops_where_it_reads_an_off_boundary_image(
+        tmp_path):
+    # ideal-from-fs checks shapes only; the k.one edit above sends a square
+    # to one with the wrong ends, which ideal_from_fs then cannot compose
+    body = json.loads((FIXTURE_DIR / "pb1.bundle.json").read_text())
+    _retarget(body, "k", "one")
+    broken = tmp_path / "broken.bundle.json"
+    broken.write_text(json.dumps(body))
+    proc = run("ideal-from-fs", str(broken))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: 1-cells not composable: (m0_0to0_e, m1_0to1_e)\n")
 
 
 def test_malformed_pseudonatural_endpoint_is_an_input_error(tmp_path):
