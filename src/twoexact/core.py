@@ -96,14 +96,15 @@ def _inconclusive(check: str, exc: CapExceeded) -> Certificate:
 
 
 def _memo(build: Callable[..., Any]) -> Callable[..., Any]:
-    """Memoize ``build(t, *key)`` on the category ``t``: one table per
+    """Memoize ``build(t, *key)`` on the object ``t`` it reads, a category
+    or a side of the constructive builders (``exact._Side``): one table per
     function, kept in ``t.__dict__`` under the name ``table``, so the table
     dies with ``t``.  A hit is one lookup in it; a build that raises stores
     nothing."""
     name = f"_memo {build.__module__}.{build.__qualname__}"
 
     @wraps(build)
-    def cached(t: "TwoCategory", *key: Any) -> Any:
+    def cached(t: Any, *key: Any) -> Any:
         try:
             return t.__dict__[name][key]
         except KeyError:

@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 from .closure import _closedness, _leg_order, _reflection_conclusion, _sweeps
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, _is_lawful, natural_key, solve_lwhisker,
+                   _fail, _is_lawful, _memo, natural_key, solve_lwhisker,
                    solve_rwhisker)
 from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
                      check_fs_shape, factorizations, is_proper_11, validate_fs)
@@ -269,9 +269,12 @@ class _Side:
     the square ``(a, b, φ): f → g`` reads as ``(b, a, φ⁻¹): g → f``, the
     pair ``(σ, τ)`` as ``(τ, σ)``, and composition reverses.  The oriented
     tables are built once, so every read is one lookup.  ``cat`` is the
-    category as it is; the builders compose in it, in its own order."""
+    category as it is; the builders compose in it, in its own order.
+    ``base`` is the base the squares are read over: the dual base on the
+    dual side."""
 
     cat: TwoCategory
+    base: TwoCategory
     dual: bool
     src1: Mapping[str, str]
     tgt1: Mapping[str, str]
@@ -283,13 +286,13 @@ class _Side:
 
 def _sides(arrow: ArrowTwoCategory) -> tuple[_Side, _Side]:
     """``arrow`` read as it is and in the 1-cell dual."""
-    cat, inv = arrow.cat, arrow.base.inverse2
-    squares = {sid: (b, a, inv[phi])
+    cat, base = arrow.cat, arrow.base
+    squares = {sid: (b, a, base.inverse2[phi])
                for sid, (a, b, phi) in arrow.squares.items()}
     return (
-        _Side(cat, False, cat.src1, cat.tgt1, arrow.squares, arrow.pairs,
-              arrow.square_ids, arrow.pair_ids),
-        _Side(cat, True, cat.tgt1, cat.src1, squares,
+        _Side(cat, base, False, cat.src1, cat.tgt1, arrow.squares,
+              arrow.pairs, arrow.square_ids, arrow.pair_ids),
+        _Side(cat, base.dual, True, cat.tgt1, cat.src1, squares,
               {tid: (tau, sigma)
                for tid, (sigma, tau) in arrow.pairs.items()},
               {(cat.tgt1[sid], cat.src1[sid], *sq): sid
@@ -298,17 +301,34 @@ def _sides(arrow: ArrowTwoCategory) -> tuple[_Side, _Side]:
                for (lo, hi, sigma, tau), tid in arrow.pair_ids.items()}))
 
 
-def _kernel_functor(t: TwoCategory, n: TwoIdeal, source: _Side,
-                    target: _Side,
+@_memo
+def _lift(side: _Side, lo: str, hi: str, tau: str) -> str:
+    """The pair ``(σ, τ): lo ⇒ hi`` between two squares ``f → g`` of
+    ``side`` with bottom cell ``τ``, where ``σ`` is the one 2-cell with
+    ``g⋆σ = φ_hi⁻¹·(τ⋆f)·φ_lo``: faithfulness of the right-class leg ``g``
+    induces it, and :func:`solve_lwhisker` raises when it is not unique.
+    Compositors and :func:`_counit` take ``τ = id_v`` for ``lo``'s bottom
+    1-cell ``v``; on the lawful base that :func:`arrow_subcat` requires,
+    the right side is then ``φ_hi⁻¹·φ_lo`` by ``rwhisker-id2`` and
+    ``vcomp-unit``, so the lift is the cell that equation determines."""
+    t = side.base
+    a, _, phi = side.squares[lo]
+    a2, _, phi2 = side.squares[hi]
+    needed = t.vc_chain(t.inv(phi2), t.rw(tau, side.src1[lo]), phi)
+    sigma = solve_lwhisker(t, side.tgt1[lo], a, a2, needed)
+    return side.pair_ids[(lo, hi, sigma, tau)]
+
+
+def _kernel_functor(n: TwoIdeal, source: _Side, target: _Side,
                     chosen: dict[str, KernelPresentation]) -> PseudoFunctor:
     """The kernel functor from the left pseudo-arrow 2-category to the right
     one: objects go to chosen kernel legs, squares to the induced comparison
-    squares, 2-cells and compositors to the unique cells solving the
-    faithfulness equations.  On the dual sides, with the dual base and
-    ideal and the cokernels as kernels there, it is the cokernel functor."""
-    cat, src1, tgt1 = source.cat, source.src1, source.tgt1
-    squares, images = source.squares, target.squares
-    square_ids, pair_ids = target.square_ids, target.pair_ids
+    squares, 2-cells and compositors to the lifts (:func:`_lift`) that the
+    faithfulness of their target legs induces.  On the dual sides, with the
+    dual ideal and the cokernels as kernels there, it is the cokernel
+    functor."""
+    t, cat, src1, tgt1 = source.base, source.cat, source.src1, source.tgt1
+    squares, square_ids = source.squares, target.square_ids
     ob = {e: chosen[e].leg for e in cat.objects}
     identity_squares = set(cat.id1.values())
     one: dict[str, str] = {}
@@ -326,31 +346,14 @@ def _kernel_functor(t: TwoCategory, n: TwoIdeal, source: _Side,
         w_hat, gamma = kernel_factor(t, n, pres2, z, beta)
         one[sid] = square_ids[(ob[e], ob[e2], w_hat, a, t.inv(gamma))]
 
-    two: dict[str, str] = {}
-    for tid in cat.two_ids:
-        sid, sid2 = cat.src2[tid], cat.tgt2[tid]
-        sigma = source.pairs[tid][0]
-        img, img2 = one[sid], one[sid2]
-        w_hat, _, psi = images[img]
-        w_hat2, _, psi2 = images[img2]
-        leg2 = chosen[tgt1[sid]].leg
-        k_e = chosen[src1[sid]].leg
-        needed = t.vc_chain(t.inv(psi2), t.rw(sigma, k_e), psi)
-        mu = solve_lwhisker(t, leg2, w_hat, w_hat2, needed)
-        two[tid] = pair_ids[(img, img2, mu, sigma)]
-
+    two = {tid: _lift(target, one[cat.src2[tid]], one[cat.tgt2[tid]],
+                      source.pairs[tid][0])
+           for tid in cat.two_ids}
     compositor: dict[tuple[str, str], str] = {}
     for key, sid12 in cat.comp1.items():
-        g, f = key
-        img_comp = target.cat.comp1[(one[g], one[f])]
-        img_tgt = one[sid12]
-        u_comp, v_comp, psi_comp = images[img_comp]
-        u_tgt, _, psi_tgt = images[img_tgt]
-        leg2 = chosen[tgt1[sid12]].leg
-        kappa = solve_lwhisker(t, leg2, u_comp, u_tgt,
-                               t.vc(t.inv(psi_tgt), psi_comp))
-        compositor[key] = pair_ids[
-            (img_comp, img_tgt, kappa, t.id2[v_comp])]
+        img_comp = target.cat.comp1[(one[key[0]], one[key[1]])]
+        compositor[key] = _lift(target, img_comp, one[sid12],
+                                t.id2[target.squares[img_comp][1]])
 
     return PseudoFunctor(source=cat, target=target.cat,
                          ob=ob, one=one, two=two, compositor=compositor)
@@ -397,11 +400,11 @@ def fs_from_ideal(t: TwoCategory, n: TwoIdeal, cap: int | None = None
     e_side, e_dual = _sides(arrow_subcat(t, cokernel_legs))
     m_side, m_dual = _sides(arrow_subcat(t, kernel_legs))
     try:
-        k = _kernel_functor(t, n, e_side, m_side, chosen_kernel)
-        c = _kernel_functor(t.dual, n.dual, m_dual, e_dual, chosen_cokernel)
-        eta = _counit(t.dual, n.dual, e_dual, c, k, chosen_cokernel,
-                      chosen_kernel, cokernels)
-        epsilon = _counit(t, n, m_side, k, c, chosen_kernel, chosen_cokernel,
+        k = _kernel_functor(n, e_side, m_side, chosen_kernel)
+        c = _kernel_functor(n.dual, m_dual, e_dual, chosen_cokernel)
+        eta = _counit(n.dual, e_dual, c, k, chosen_cokernel, chosen_kernel,
+                      cokernels)
+        epsilon = _counit(n, m_side, k, c, chosen_kernel, chosen_cokernel,
                           kernels)
     except KeyError as exc:
         raise InputError(f"the ideal-side data yield the cell {exc.args[0]}, "
@@ -409,21 +412,20 @@ def fs_from_ideal(t: TwoCategory, n: TwoIdeal, cap: int | None = None
     return fs, k, c, eta, epsilon
 
 
-def _counit(t: TwoCategory, n: TwoIdeal, side: _Side,
-            k: PseudoFunctor, c: PseudoFunctor,
+def _counit(n: TwoIdeal, side: _Side, k: PseudoFunctor, c: PseudoFunctor,
             chosen_kernel: dict[str, KernelPresentation],
             chosen_cokernel: dict[str, KernelPresentation],
             kernels) -> PseudoNatural:
     """The counit ``ε: K∘C ⇒ Id``: at each right-class member ``m``, the
     comparison square from the chosen kernel of its chosen cokernel down to
-    ``m``, induced by ``m``'s own presentation as a kernel of its cokernel.
-    On the dual side, with the dual base and ideal and the roles of kernels
-    and cokernels (and of ``K`` and ``C``) swapped, it is the unit ``η: Id
-    ⇒ C∘K``: a transformation dualizes with its direction reversed and its
-    structure cells inverted, so the ends ``F ⇒ G`` swap and each cell
-    ``G(f)∘σ_X ⇒ σ_Y∘F(f)`` is taken as ``cat`` composes."""
-    cat, tgt1 = side.cat, side.tgt1
-    squares, pair_ids = side.squares, side.pair_ids
+    ``m``, induced by ``m``'s own presentation as a kernel of its cokernel;
+    each structure cell is a lift (:func:`_lift`).  On the dual side, with
+    the dual ideal and the roles of kernels and cokernels (and of ``K`` and
+    ``C``) swapped, it is the unit ``η: Id ⇒ C∘K``: a transformation
+    dualizes with its direction reversed and its structure cells inverted,
+    so the ends ``F ⇒ G`` swap and each cell ``G(f)∘σ_X ⇒ σ_Y∘F(f)`` is
+    taken as ``cat`` composes."""
+    t, cat = side.base, side.cat
     kc = compose_pseudofunctors(k, c)
     ends = (kc, identity_pseudofunctor(cat))
     source_functor, target_functor = ends[::-1] if side.dual else ends
@@ -452,11 +454,7 @@ def _counit(t: TwoCategory, n: TwoIdeal, side: _Side,
             continue
         lhs = cat.comp1[(target_functor.one[sid], component[x])]
         rhs = cat.comp1[(component[y], source_functor.one[sid])]
-        u_l, v_l, phi_l = squares[lhs]
-        u_r, _, phi_r = squares[rhs]
-        sigma = solve_lwhisker(t, tgt1[sid], u_l, u_r,
-                               t.vc(t.inv(phi_r), phi_l))
-        structure[sid] = pair_ids[(lhs, rhs, sigma, t.id2[v_l])]
+        structure[sid] = _lift(side, lhs, rhs, t.id2[side.squares[lhs][1]])
 
     return PseudoNatural(source_functor=source_functor,
                          target_functor=target_functor,

@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -470,7 +469,6 @@ def _array(brackets: str, texts: Iterable[str], inner: str,
     yield close + brackets[1]
 
 
-@lru_cache(maxsize=None)
 def _row_template(cols: tuple[str, ...], depth: int) -> str:
     """A ``%``-template for one row of a rows table at nesting ``depth``,
     with one ``%s`` per column in sorted order."""

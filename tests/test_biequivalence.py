@@ -257,3 +257,22 @@ def test_valid_copy_off_the_base_gets_the_reference_verdict(pos):
         clauses.add(want[1]["clause"])
     assert clauses & {"not-over-base", "unit-not-over-base",
                       "counit-not-over-base"}, clauses
+
+
+@pytest.mark.parametrize("name", ["ld_ct22", "ch_pb1"])
+@pytest.mark.parametrize("pos, end, clause",
+                         [(4, "target_functor", "unit-endpoints"),
+                          (5, "source_functor", "counit-endpoints")],
+                         ids=["unit", "counit"])
+def test_identity_endpoint_fails_the_endpoints_clause(name, pos, end, clause):
+    # The copies above never reach the endpoint clauses.  Here the composite
+    # end of η (C∘K) or of ε (K∘C) is replaced by the identity of its
+    # category.  On ld_term and ld_pb1 that composite is the identity, so
+    # only the other bundles can show the clause.
+    args = list(_bundle(name))
+    nat = args[pos]
+    args[pos] = dataclasses.replace(nat, **{
+        end: identity_pseudofunctor(getattr(nat, end).source)})
+    want = _reference_outcome(args)
+    assert want[:2] == ("fail", {"clause": clause, "cells": {}})
+    assert _outcome(is_biequivalence_over_base, *args) == want

@@ -34,6 +34,7 @@ from twoexact import (
     solve_lwhisker,
     solve_rwhisker,
 )
+from twoexact import exact
 from twoexact.exact import _sides
 
 # ---------------------------------------------------------------------------
@@ -332,7 +333,7 @@ def test_dual_sides_read_squares_of_the_dual_base(name):
         arrow = arrow_subcat(t, members)
         cat = arrow.cat
         for side, base in zip(_sides(arrow), (t, t.dual)):
-            assert side.cat is cat
+            assert side.cat is cat and side.base is base
             for sid, (a, b, phi) in side.squares.items():
                 f, g = side.src1[sid], side.tgt1[sid]
                 assert (base.src2[phi], base.tgt2[phi]) == (
@@ -345,3 +346,24 @@ def test_dual_sides_read_squares_of_the_dual_base(name):
                 assert base.vc(phi2, base.lw(g, sigma)) == base.vc(
                     base.rw(tau, f), phi)
                 assert side.pair_ids[(lo, hi, sigma, tau)] is tid
+
+
+def test_each_lift_is_solved_once(monkeypatch):
+    # every 2-cell image, compositor and structure cell is a lift, memoized
+    # on its side: fs_from_ideal on pb2 solves each distinct lift once (354
+    # of them), where a solve per table entry made 11,920 calls
+    solves, lifts = [], set()
+    solve, lift = exact.solve_lwhisker, exact._lift
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    def recorded_lift(side, *key):
+        lifts.add((id(side), *key))
+        return lift(side, *key)
+
+    monkeypatch.setattr(exact, "solve_lwhisker", counted_solve)
+    monkeypatch.setattr(exact, "_lift", recorded_lift)
+    fs_from_ideal(LD_PB2, canonical_zero_ideal(LD_PB2))
+    assert len(solves) == len(lifts) == 354
