@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from family import (
+    BANDED,
     CH_PB1,
     CORE,
     CORE_NAMES,
@@ -19,11 +20,13 @@ from family import (
     NO_ZERO_IDEAL,
     PB2,
     PS2,
+    THICK,
     ZERO_IDEALS,
 )
 from twoexact import (
     Certificate,
     InputError,
+    TwoCategory,
     bizero_objects,
     canonical_zero_ideal,
     chaotic_enrichment,
@@ -35,8 +38,11 @@ from twoexact import (
     replay_two_ideal_counterexample,
     validate_two_ideal,
 )
+import twoexact.ideal as ideal_module
 from twoexact.cli import main
-from twoexact.ideal import _violations
+from twoexact.core import _fail, _is_lawful
+from twoexact.formats import document_to_two_ideal, parse
+from twoexact.ideal import _vertical_closure, _violations
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -177,6 +183,104 @@ def test_ideal_validation_rejects_unknown_cells():
         validate_two_ideal(t, broken)
 
 
+def test_replacement_keys_missing_and_extra_are_counted():
+    t, n = LD_PB2, ZERO_IDEALS["ld_pb2"]
+    repl = dict(n.replacement)
+    (a, x, b), value = repl.popitem()
+    outside = next(f for f in t.one_ids
+                   if f not in n.null1 and t.src1[f] == t.src1[x]
+                   and t.tgt1[f] == t.tgt1[x])
+    repl[("m99_missing", x, b)] = value   # not a 1-cell
+    repl[(a, outside, b)] = value         # not around a null 1-cell
+    with pytest.raises(InputError, match=r"exactly the composable triples "
+                       r"around null 1-cells \(missing 1, extra 2\)$"):
+        validate_two_ideal(t, dataclasses.replace(n, replacement=repl))
+
+
+def _reference_closure(t, gens):
+    """The vertical closure as :func:`canonical_zero_ideal` first built it:
+    every pair in the list composed each round, until a round adds
+    nothing."""
+    null2 = list(gens)
+    added = True
+    while added:
+        added = False
+        for b in list(null2):
+            for a in list(null2):
+                if t.src2[b] != t.tgt2[a]:
+                    continue
+                c = t.vcomp[(b, a)]
+                if c not in null2:
+                    null2.append(c)
+                    added = True
+    return tuple(null2)
+
+
+def _reference_null_two_cells(t, zero):
+    """The null 2-cells of :func:`canonical_zero_ideal` as first built: the
+    generators deduplicated in a list, then closed by
+    :func:`_reference_closure`."""
+    gens = []
+    for a in t.objects:
+        ts = t.hom1(a, zero)
+        for b in t.objects:
+            is_ = t.hom1(zero, b)
+            for t1 in ts:
+                for t2 in ts:
+                    u = t.hom2(t1, t2)[0]
+                    for i1 in is_:
+                        for i2 in is_:
+                            v = t.hom2(i1, i2)[0]
+                            cell = t.hc(v, u)
+                            if cell not in gens:
+                                gens.append(cell)
+    return _reference_closure(t, gens)
+
+
+def _vcomp_retargeted(t, k):
+    """``t`` after 40 seeded ``retarget-vcomp`` mutations, off the laws: on
+    these the vertical closure of the null 2-cells adds composites, which it
+    never does on a lawful base."""
+    for seed in range(40 * k, 40 * k + 40):
+        t = mutate(t, "retarget-vcomp", seed)
+    return t
+
+
+_CANONICAL_BASES = {
+    **CORE,
+    **{name: t for name, (t, _) in THICK.items()},
+    "ch_pb2": chaotic_enrichment(PB2),
+    "ch_ps2": chaotic_enrichment(PS2),
+    "ch_ct22": chaotic_enrichment(CT22),
+    **{f"ch_pb2 retarget-vcomp {k}": _vcomp_retargeted(
+        chaotic_enrichment(PB2), k) for k in (3, 6, 7)},
+}
+
+
+@pytest.mark.parametrize("name", _CANONICAL_BASES)
+def test_canonical_null_two_cells_match_the_reference(name):
+    t = _CANONICAL_BASES[name]
+    for zero in bizero_objects(t):
+        assert canonical_zero_ideal(t, zero).null_two_cells \
+            == _reference_null_two_cells(t, zero)
+
+
+@pytest.mark.parametrize("name", ["ch_pb2", "ch_ps2", "ch_ct22"])
+@pytest.mark.parametrize("seed", range(4))
+def test_vertical_closures_match_the_reference(name, seed):
+    # seeded 2-cells in two hom-categories of a chaotic base, which close in
+    # several rounds, so the order in which composites join is exercised
+    t = _CANONICAL_BASES[name]
+    rng = random.Random(seed)
+    homs = [fs for fs in dict.fromkeys(t.hom1(t.src1[f], t.tgt1[f])
+                                       for f in t.one_ids) if len(fs) > 1]
+    gens = list(dict.fromkeys(t.hom2(*rng.sample(fs, 2))[0]
+                              for fs in rng.sample(homs, 2) for _ in range(3)))
+    closed = _vertical_closure(t, gens)
+    assert closed == _reference_closure(t, gens)
+    assert len(closed) > len(gens)
+
+
 # ---------------------------------------------------------------------------
 # ax3 and ax4 against a naive reference
 # ---------------------------------------------------------------------------
@@ -266,6 +370,104 @@ def test_violations_match_the_naive_ax3_ax4_reference(name):
     if name.endswith("drop 0.3"):
         assert {"closure-vcomp", "ax2", "ax3", "ax4"} \
             <= {clause for clause, _ in sweep}
+
+
+def _blocked(t, n, seed):
+    """``n`` with null 2-cells only between 1-cells of one seeded block:
+    still closed under identities and vertical composites on a locally thin
+    ``t``, so that ax2, ax3 and ax4 are the clauses left to fail."""
+    rng = random.Random(seed)
+    block = {f: rng.randrange(2) for f in t.one_ids}
+    return dataclasses.replace(n, null_two_cells=tuple(
+        c for c in n.null_two_cells if block[t.src2[c]] == block[t.tgt2[c]]))
+
+
+#: The monoid ``{i, e}`` with ``e∘e = e``, ordered ``i ≤ e``, as a locally
+#: thin 2-category on one object whose 2-cell ``th: i ⇒ e`` is not
+#: invertible.
+_POSETAL = TwoCategory(
+    objects=("o",),
+    one_cells=(("i", "o", "o"), ("e", "o", "o")),
+    comp1={("i", "i"): "i", ("i", "e"): "e", ("e", "i"): "e",
+           ("e", "e"): "e"},
+    id1={"o": "i"},
+    two_cells=(("Ii", "i", "i"), ("Ie", "e", "e"), ("th", "i", "e")),
+    vcomp={("Ii", "Ii"): "Ii", ("Ie", "Ie"): "Ie", ("th", "Ii"): "th",
+           ("Ie", "th"): "th"},
+    id2={"i": "Ii", "e": "Ie"},
+    lwhisker={**{("i", a): a for a in ("Ii", "Ie", "th")},
+              **{("e", a): "Ie" for a in ("Ii", "Ie", "th")}},
+    rwhisker={**{(a, "i"): a for a in ("Ii", "Ie", "th")},
+              **{(a, "e"): "Ie" for a in ("Ii", "Ie", "th")}},
+)
+
+_PB2_IDEAL = document_to_two_ideal(
+    parse((FIXTURE_DIR / "pb2.ideal.json").read_text()))
+
+
+_REDUCED = {
+    **_DIFFERENTIAL,
+    **{f"pb2.ideal drop-null-2cell {seed}": (_PB2_IDEAL[0], mutate(
+        _PB2_IDEAL, "drop-null-2cell", seed)) for seed in range(6)},
+    **{f"{name} {kind}": (t, ideal(t)) for name, (t, _) in THICK.items()
+       for kind, ideal in (("canonical", canonical_zero_ideal),
+                           ("maximal", maximal_two_ideal))},
+    **{f"{name} maximal": (t, maximal_two_ideal(t))
+       for name, t in BANDED.items()},
+    **{f"{name} blocked {seed}": (t, _blocked(
+        t, _retargeted_maximal_ideal(t, seed), seed))
+       for name, t in _CHAOTIC.items() for seed in (1, 2)},
+    **{f"{name} blocked {seed}": (t, _blocked(t, maximal_two_ideal(t), seed))
+       for name in ("th2_pb2", "th3_ct22") for seed in (1, 2)
+       for t in (THICK[name][0],)},
+    # a null 2-cell that is not invertible is a conjugate of ax3; without it
+    # ax3 fails
+    "posetal maximal": (_POSETAL, maximal_two_ideal(_POSETAL)),
+    "posetal without th": (_POSETAL, dataclasses.replace(
+        maximal_two_ideal(_POSETAL), null_two_cells=("Ii", "Ie"))),
+}
+
+
+def _as_reduced(clause, cells):
+    """A full sweep item as the reduced sweep reports it: without the
+    derived cell, and for ax4 without the arguments ``a2``, ``b2``."""
+    drop = {"ax2": ("conjugate",), "ax3": ("conjugate",),
+            "ax4": ("a2", "b2", "comparison")}.get(clause, ())
+    return clause, tuple(sorted((k, v) for k, v in cells.items()
+                                if k not in drop))
+
+
+@pytest.mark.parametrize("name", _REDUCED)
+def test_reduced_ideal_verdicts_match_the_reference(monkeypatch, name):
+    t, n = _REDUCED[name]
+    full = list(_violations(t, n))
+    if full:
+        want = _fail("validate_two_ideal", full[0][0], **full[0][1])
+    else:
+        want = Certificate("validate_two_ideal", "pass", witness={
+            "null_one_cells": len(n.null_one_cells),
+            "null_two_cells": len(n.null_two_cells),
+            "replacement_entries": len(n.replacement)})
+    reduced_calls = []
+
+    def recorded(t, n, reduced=False):
+        reduced_calls.append(reduced)
+        return _violations(t, n, reduced)
+
+    monkeypatch.setattr(ideal_module, "_violations", recorded)
+    assert validate_two_ideal(t, n) == want
+    banded = name.split()[0] in BANDED
+    assert banded == (not (t.locally_thin and _is_lawful(t)))
+    if banded:
+        assert True not in reduced_calls
+        return
+    assert reduced_calls[0] is True
+    reduced = list(_violations(t, n, reduced=True))
+    assert (not reduced) == (not full)
+    assert {_as_reduced(*item) for item in reduced} \
+        == {_as_reduced(*item) for item in full}
+    if " blocked " in name and name.startswith("ch_"):
+        assert {"ax2", "ax3", "ax4"} <= {clause for clause, _ in full}
 
 
 def _next(cells, cell):
