@@ -532,6 +532,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceeded as exc:
         _emit({"status": "inconclusive", "detail": str(exc)})
         return INCONCLUSIVE
+    except MemoryError:
+        # one line, as for a failed write; _write_product has removed a
+        # partial --out file
+        print("error: out of memory", file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

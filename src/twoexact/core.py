@@ -96,11 +96,11 @@ def _inconclusive(check: str, exc: CapExceeded) -> Certificate:
 
 
 def _memo(build: Callable[..., Any]) -> Callable[..., Any]:
-    """Memoize ``build(t, *key)`` on the object ``t`` it reads, a category
-    or a side of the constructive builders (``exact._Side``): one table per
-    function, kept in ``t.__dict__`` under the name ``table``, so the table
-    dies with ``t``.  A hit is one lookup in it; a build that raises stores
-    nothing."""
+    """Memoize ``build(t, *key)`` on the object ``t`` it reads, a category,
+    a side of the constructive builders (``exact._Side``) or a
+    pseudofunctor: one table per function, kept in ``t.__dict__`` under the
+    name ``table``, so the table dies with ``t``.  A hit is one lookup in
+    it; a build that raises stores nothing."""
     name = f"_memo {build.__module__}.{build.__qualname__}"
 
     @wraps(build)
@@ -398,15 +398,6 @@ class TwoCategory:
         two cells."""
         return all(len(cells) < 2 for (dim, f, g), cells in self._bounds.items()
                    if dim == 2 and f is not None and g is not None)
-
-    def parallel_pairs(self) -> Iterator[tuple[str, str]]:
-        """Ordered pairs of parallel 1-cells (same source and target objects),
-        in table order."""
-        for fs in dict.fromkeys(self.hom1(self.src1[f], self.tgt1[f])
-                                for f in self.one_ids):
-            for f in fs:
-                for g in fs:
-                    yield f, g
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from typing import Any, Mapping
 
 from .closure import _closedness, _leg_order, _reflection_conclusion, _sweeps
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _fail, _is_lawful, _memo, natural_key, solve_lwhisker,
-                   solve_rwhisker)
+                   _Computed, _fail, _is_lawful, _memo, natural_key,
+                   solve_lwhisker, solve_rwhisker)
 from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
                      check_fs_shape, factorizations, is_proper_11, validate_fs)
 from .ideal import (TwoIdeal, bizero_objects, canonical_zero_ideal,
@@ -324,9 +324,10 @@ def _kernel_functor(n: TwoIdeal, source: _Side, target: _Side,
     """The kernel functor from the left pseudo-arrow 2-category to the right
     one: objects go to chosen kernel legs, squares to the induced comparison
     squares, 2-cells and compositors to the lifts (:func:`_lift`) that the
-    faithfulness of their target legs induces.  On the dual sides, with the
-    dual ideal and the cokernels as kernels there, it is the cokernel
-    functor."""
+    faithfulness of their target legs induces.  The compositor stores no
+    entry: each is one lift, made when it is read, with the keys of the
+    source's ``comp1`` in their order.  On the dual sides, with the dual
+    ideal and the cokernels as kernels there, it is the cokernel functor."""
     t, cat, src1, tgt1 = source.base, source.cat, source.src1, source.tgt1
     squares, square_ids = source.squares, target.square_ids
     ob = {e: chosen[e].leg for e in cat.objects}
@@ -349,14 +350,17 @@ def _kernel_functor(n: TwoIdeal, source: _Side, target: _Side,
     two = {tid: _lift(target, one[cat.src2[tid]], one[cat.tgt2[tid]],
                       source.pairs[tid][0])
            for tid in cat.two_ids}
-    compositor: dict[tuple[str, str], str] = {}
-    for key, sid12 in cat.comp1.items():
-        img_comp = target.cat.comp1[(one[key[0]], one[key[1]])]
-        compositor[key] = _lift(target, img_comp, one[sid12],
-                                t.id2[target.squares[img_comp][1]])
+    source_comp1, target_comp1 = cat.comp1, target.cat.comp1
 
-    return PseudoFunctor(source=cat, target=target.cat,
-                         ob=ob, one=one, two=two, compositor=compositor)
+    def compositor(key: tuple[str, str]) -> str:
+        sid12 = source_comp1[key]
+        img_comp = target_comp1[(one[key[0]], one[key[1]])]
+        return _lift(target, img_comp, one[sid12],
+                     t.id2[target.squares[img_comp][1]])
+
+    return PseudoFunctor(source=cat, target=target.cat, ob=ob, one=one,
+                         two=two,
+                         compositor=_Computed(source_comp1.keys, compositor))
 
 
 def fs_from_ideal(t: TwoCategory, n: TwoIdeal, cap: int | None = None

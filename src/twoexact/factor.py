@@ -366,15 +366,6 @@ class ArrowTwoCategory:
             raise InputError(f"not a declared square: ({a}, {b}, {phi}): "
                              f"{f} → {g}") from None
 
-    def intern_pair(self, src_sq: str, tgt_sq: str, sigma: str,
-                    tau: str) -> str:
-        """The declared id of the pair ``(σ, τ)`` between two squares."""
-        try:
-            return self.pair_ids[(src_sq, tgt_sq, sigma, tau)]
-        except KeyError:
-            raise InputError(f"not a declared square 2-cell: ({sigma}, "
-                             f"{tau}): {src_sq} ⇒ {tgt_sq}") from None
-
     def square(self, one_id: str) -> tuple[str, str, str]:
         """Decode a declared 1-cell id into its square ``(a, b, φ)``."""
         try:
@@ -399,10 +390,10 @@ def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
     read of its cached law verdict); a lawless one raises
     :class:`InputError` naming the first broken clause, and keeps nothing.
     So every composite, identity and whisker of declared squares and pairs
-    is declared and looked up by its components: ``vcomp``, ``lwhisker``
-    and ``rwhisker`` store no entry, and compute each one from the base's
-    operations when it is read.  Built once per base and member list and
-    kept on the base, like :attr:`TwoCategory.dual`.
+    is declared and looked up by its components: ``comp1``, ``vcomp``,
+    ``lwhisker`` and ``rwhisker`` store no entry, and compute each one from
+    the base's tables when it is read.  Built once per base and member
+    list and kept on the base, like :attr:`TwoCategory.dual`.
 
     The result is lawful and records so as its law verdict: its 2-cell laws
     are base laws read componentwise, and its 1-cell laws equate fillers
@@ -460,15 +451,6 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
                           t.id2[f])]
            for f in mem}
 
-    comp1 = {}
-    for sid2, (a2, b2, phi2) in sq_of.items():
-        g, h = ends[sid2]
-        for sid1 in into[g]:
-            a1, b1, phi1 = sq_of[sid1]
-            psi = t.vc(t.lw(b2, phi1), t.rw(phi2, a1))
-            comp1[(sid2, sid1)] = square_ids[
-                (ends[sid1][0], h, t.cmp1(a2, a1), t.cmp1(b2, b1), psi)]
-
     two_cells: list[tuple[str, str, str]] = []
     pair_of: dict[str, tuple[str, str]] = {}
     pair_ids: dict[tuple[str, ...], str] = {}
@@ -489,9 +471,23 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
     id2 = {sid: pair_ids[(sid, sid, t.id2[a], t.id2[b])]
            for sid, (a, b, _) in sq_of.items()}
 
-    # 2-cells compose and whisker componentwise.  A key outside a table
-    # fails vcomp's boundary test or a lookup (comp1 holds exactly the
-    # composable squares) with KeyError before any base operation runs
+    # squares compose by pasting their fillers, and 2-cells compose and
+    # whisker componentwise, each read straight off the base's tables: the
+    # base is lawful, so every lookup of a key in a table hits.  A key
+    # outside a table fails a boundary test or a lookup with KeyError
+    base_comp1, base_vcomp = t.comp1, t.vcomp
+    base_lw, base_rw = t.lwhisker, t.rwhisker
+
+    def comp1(key: tuple[str, str]) -> str:
+        sid2, sid1 = key
+        (f, g), (g2, h) = ends[sid1], ends[sid2]
+        if g != g2:
+            raise KeyError(key)
+        (a2, b2, phi2), (a1, b1, phi1) = sq_of[sid2], sq_of[sid1]
+        psi = base_vcomp[(base_lw[(b2, phi1)], base_rw[(phi2, a1)])]
+        return square_ids[(f, h, base_comp1[(a2, a1)], base_comp1[(b2, b1)],
+                           psi)]
+
     def vcomp(key: tuple[str, str]) -> str:
         tid2, tid1 = key
         if src2[tid2] != tgt2[tid1]:
@@ -503,19 +499,21 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
     def lwhisker(key: tuple[str, str]) -> str:
         sid, tid = key
         (a2, b2, _), (sigma, tau) = sq_of[sid], pair_of[tid]
-        return pair_ids[(comp1[(sid, src2[tid])], comp1[(sid, tgt2[tid])],
+        return pair_ids[(comp1((sid, src2[tid])), comp1((sid, tgt2[tid])),
                          t.lw(a2, sigma), t.lw(b2, tau))]
 
     def rwhisker(key: tuple[str, str]) -> str:
         tid, sid = key
         (a2, b2, _), (sigma, tau) = sq_of[sid], pair_of[tid]
-        return pair_ids[(comp1[(src2[tid], sid)], comp1[(tgt2[tid], sid)],
+        return pair_ids[(comp1((src2[tid], sid)), comp1((tgt2[tid], sid)),
                          t.rw(sigma, a2), t.rw(tau, b2))]
 
     cat = TwoCategory(
         objects=mem,
         one_cells=tuple(one_cells),
-        comp1=comp1,
+        # a square g → h composes after each square into g
+        comp1=_Computed(lambda: ((sid2, sid1) for sid2 in sq_of
+                                 for sid1 in into[ends[sid2][0]]), comp1),
         id1=id1,
         two_cells=tuple(two_cells),
         vcomp=_Computed(lambda: ((b, a) for b in pair_of

@@ -9,12 +9,12 @@ base is checked between two pseudo-arrow 2-categories: the ``dom`` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .core import (
     Certificate, InputError, TwoCategory, _Computed, _fail, _is_lawful,
-    check_shape, is_equivalence,
+    _memo, check_shape, is_equivalence,
 )
 from .factor import ArrowTwoCategory
 
@@ -22,7 +22,13 @@ from .factor import ArrowTwoCategory
 @dataclass(frozen=True)
 class PseudoFunctor:
     """Object/1-cell/2-cell maps plus invertible compositors
-    ``φ_{g,f}: F(g)∘F(f) ⇒ F(g∘f)``, normalized on identities."""
+    ``φ_{g,f}: F(g)∘F(f) ⇒ F(g∘f)``, normalized on identities.
+
+    ``built`` records how :func:`identity_pseudofunctor` or
+    :func:`compose_pseudofunctors` made the functor, as ``("identity", t)``
+    or ``("compose", outer, inner)``; it is ``()`` on any other functor, a
+    copy made with :func:`dataclasses.replace` included, and is left out
+    of ``==``."""
 
     source: TwoCategory
     target: TwoCategory
@@ -30,14 +36,43 @@ class PseudoFunctor:
     one: Mapping[str, str]
     two: Mapping[str, str]
     compositor: Mapping[tuple[str, str], str]
+    built: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
+def _recorded(func: PseudoFunctor, *built) -> PseudoFunctor:
+    """``func`` with ``built`` set to how it was made."""
+    object.__setattr__(func, "built", built)
+    return func
+
+
+def _composite_of_lawful(func: PseudoFunctor) -> bool:
+    """Whether ``func`` is a composite whose two parts are well shaped and
+    pass :func:`_reduced_decides`.  Composition of pseudofunctors preserves
+    the shape and every law, so such a composite is well shaped, and passes
+    too, without a read of its tables."""
+    if func.built[:1] != ("compose",):
+        return False
+    try:
+        for part in func.built[1:]:
+            check_pseudofunctor_shape(part)
+    except InputError:
+        return False
+    return all(_reduced_decides(part) for part in func.built[1:])
+
+
+@_memo
 def check_pseudofunctor_shape(func: PseudoFunctor) -> None:
     """Shape-check the source and target, then the four maps against them,
-    raising :class:`InputError` on the first defect found."""
+    raising :class:`InputError` on the first defect found.
+
+    An identity, and a composite of two lawful functors
+    (:func:`_composite_of_lawful`), is well shaped by construction, so no
+    entry of its maps is read.  A functor that passes is checked once."""
     s, t = func.source, func.target
     check_shape(s)
     check_shape(t)
+    if func.built[:1] == ("identity",) or _composite_of_lawful(func):
+        return
     if set(func.ob) != set(s.objects):
         raise InputError("object map is not indexed by exactly the source objects")
     if set(func.one) != set(s.one_ids):
@@ -140,13 +175,19 @@ def _functor_violations(func: PseudoFunctor, reduced: bool = False
                     yield "compositor-assoc", dict(h=h, g=g, f=f)
 
 
+@_memo
 def _reduced_decides(func: PseudoFunctor) -> bool:
     """Whether the reduced clauses of :func:`_functor_violations` decide
     "pass" for the shape-checked ``func``: its target is locally thin, its
-    source and target are lawful, and those clauses find nothing."""
+    source and target are lawful, and those clauses find nothing.  They
+    find nothing, by construction and without a read, in an identity (a
+    strict 2-functor) and in a composite of two functors that pass
+    (:func:`_composite_of_lawful`).  Decided once per functor."""
     s, t = func.source, func.target
-    return (t.locally_thin and _is_lawful(s) and _is_lawful(t)
-            and next(_functor_violations(func, reduced=True), None) is None)
+    if not (t.locally_thin and _is_lawful(s) and _is_lawful(t)):
+        return False
+    return (func.built[:1] == ("identity",) or _composite_of_lawful(func)
+            or next(_functor_violations(func, reduced=True), None) is None)
 
 
 def validate_pseudofunctor(func: PseudoFunctor) -> Certificate:
@@ -166,13 +207,17 @@ def validate_pseudofunctor(func: PseudoFunctor) -> Certificate:
 
 
 def identity_pseudofunctor(t: TwoCategory) -> PseudoFunctor:
-    return PseudoFunctor(
+    """The identity of ``t``.  Its compositor stores no entry: the one at
+    ``(g, f)`` is ``id2[g∘f]``, read when it is read, with the keys of
+    ``t.comp1`` in their order."""
+    comp1, id2 = t.comp1, t.id2
+    return _recorded(PseudoFunctor(
         source=t, target=t,
         ob={x: x for x in t.objects},
         one={f: f for f in t.one_ids},
         two={a: a for a in t.two_ids},
-        compositor={k: t.id2[v] for k, v in t.comp1.items()},
-    )
+        compositor=_Computed(comp1.keys, lambda key: id2[comp1[key]]),
+    ), "identity", t)
 
 
 def compose_pseudofunctors(outer: PseudoFunctor, inner: PseudoFunctor) -> PseudoFunctor:
@@ -191,17 +236,24 @@ def compose_pseudofunctors(outer: PseudoFunctor, inner: PseudoFunctor) -> Pseudo
         outer.source.cmp1(*pair)  # an InputError if the pair does not compose
         return outer.target.vc(outer.two[phi_in], outer.compositor[pair])
 
-    return PseudoFunctor(
+    return _recorded(PseudoFunctor(
         source=inner.source, target=outer.target,
         ob={x: outer.ob[v] for x, v in inner.ob.items()},
         one={x: outer.one[v] for x, v in inner.one.items()},
         two={x: outer.two[v] for x, v in inner.two.items()},
         compositor=_Computed(inner.compositor.keys, compositor),
-    )
+    ), "compose", outer, inner)
 
 
 def pseudofunctors_equal(a: PseudoFunctor, b: PseudoFunctor) -> bool:
-    """Equality of all four structure tables (sources/targets assumed shared)."""
+    """Equality of all four structure tables (sources/targets assumed
+    shared).  True without a read when ``a is b``, or when both are
+    identities of one category or composites of the same two functors (by
+    ``built``, its parts compared by identity); otherwise compared entry by
+    entry."""
+    if a is b or (a.built[:1] == b.built[:1] != ()
+                  and all(x is y for x, y in zip(a.built[1:], b.built[1:]))):
+        return True
     return (dict(a.ob) == dict(b.ob) and dict(a.one) == dict(b.one)
             and dict(a.two) == dict(b.two)
             and dict(a.compositor) == dict(b.compositor))
@@ -364,7 +416,10 @@ def is_biequivalence_over_base(e_arrow: ArrowTwoCategory,
     projections are strict 2-functors by construction and are never built.
 
     Over-ness failures and equivalence failures are reported under distinct
-    clauses.
+    clauses.  An endpoint built as the identity of its category, or as the
+    composite of these ``K`` and ``C``, passes its endpoint clause by
+    construction (:func:`pseudofunctors_equal`); any other is compared
+    entry by entry.
     """
     name = "is_biequivalence_over_base"
     top, bottom, right = e_arrow.cat, e_arrow.base, m_arrow.cat

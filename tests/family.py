@@ -8,8 +8,11 @@ different exactness behavior, and one chaotic enrichment where hom-sets
 are genuinely 2-dimensional.
 """
 
+from typing import Iterator
+
 from twoexact import (
     FiniteCategory,
+    InputError,
     TwoCategory,
     TwoIdeal,
     banded,
@@ -85,6 +88,26 @@ THICK: dict[str, tuple[TwoCategory, FiniteCategory]] = {
     for name, c in (("pb1", PB1), ("pb2", PB2), ("ct22", CT22), ("ps2", PS2))
     for k in (2, 3)
 }
+
+
+def parallel_pairs(t: TwoCategory) -> Iterator[tuple[str, str]]:
+    """Ordered pairs of parallel 1-cells of ``t`` (same source and target
+    objects), in table order."""
+    for fs in dict.fromkeys(t.hom1(t.src1[f], t.tgt1[f]) for f in t.one_ids):
+        for f in fs:
+            for g in fs:
+                yield f, g
+
+
+def intern_pair(arrow, src_sq: str, tgt_sq: str, sigma: str,
+                tau: str) -> str:
+    """The declared id of the pair ``(σ, τ)`` between two squares of the
+    pseudo-arrow 2-category ``arrow``."""
+    try:
+        return arrow.pair_ids[(src_sq, tgt_sq, sigma, tau)]
+    except KeyError:
+        raise InputError(f"not a declared square 2-cell: ({sigma}, "
+                         f"{tau}): {src_sq} ⇒ {tgt_sq}") from None
 
 
 def full_sub(t: TwoCategory, objects: frozenset[str]) -> TwoCategory:

@@ -2,13 +2,15 @@
 the bytes it must keep.
 
 ``factor.arrow_subcat`` refuses a base that breaks a 2-category law, and
-on a lawful base stores no ``vcomp``, ``lwhisker`` or ``rwhisker`` table:
-each is a view that computes an entry from the base when it is read.  The
-two functions below are the earlier builder, kept verbatim as the
-reference: read in full, all nine tables hold the same entries in the same
-order.
+on a lawful base stores no ``comp1``, ``vcomp``, ``lwhisker`` or
+``rwhisker`` table: each is a view that computes an entry from the base
+when it is read.  The two functions below are the earlier builder, kept
+verbatim as the reference: read in full, all nine tables hold the same
+entries in the same order.  :func:`reference_comp1` keeps the loop that
+filled the stored ``comp1`` table.
 """
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -171,12 +173,28 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
         square_ids=square_ids, pair_ids=pair_ids)
 
 
+def reference_comp1(arrow: ArrowTwoCategory) -> dict:
+    """The ``comp1`` table of ``arrow`` as the loop that stored it built
+    it, with the keys in its order: each square ``g → h`` after each square
+    into ``g``, pasted ``(a₂∘a₁, b₂∘b₁, (b₂⋆φ₁)·(φ₂⋆a₁))``."""
+    t, cat, sq_of = arrow.base, arrow.cat, arrow.squares
+    comp1 = {}
+    for sid2, (a2, b2, phi2) in sq_of.items():
+        g, h = cat.src1[sid2], cat.tgt1[sid2]
+        for sid1 in cat.hom1(None, g):
+            a1, b1, phi1 = sq_of[sid1]
+            psi = t.vc(t.lw(b2, phi1), t.rw(phi2, a1))
+            comp1[(sid2, sid1)] = arrow.square_ids[
+                (cat.src1[sid1], h, t.cmp1(a2, a1), t.cmp1(b2, b1), psi)]
+    return comp1
+
+
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
 
 #: The tables of a pseudo-arrow 2-category that store no entry.
-COMPUTED = ("vcomp", "lwhisker", "rwhisker")
+COMPUTED = ("comp1", "vcomp", "lwhisker", "rwhisker")
 
 #: The nine tables of a 2-category, in field order.
 TABLES = tuple(f.name for f in dataclasses.fields(TwoCategory))
@@ -386,34 +404,104 @@ def test_arrow_categories_of_lawful_bases_pass_the_full_sweep():
         assert next(_violations(arrow.cat), None) is None, arrow.members
 
 
-def test_the_round_trip_reads_no_computed_entry(monkeypatch):
-    # the unit and counit take the composites c∘k and k∘c as endpoints, and
-    # nothing on the round trip reads their compositors, nor any entry of
-    # the pseudo-arrow 2-categories' vcomp, lwhisker or rwhisker
-    reads = []
+def test_comp1_views_match_the_reference():
+    # keys in order and every value, on every lawful arrow 2-category of
+    # the differential tests; a key of two squares that do not compose is
+    # a KeyError, where cmp1 raises InputError
+    for arrow in _lawful_arrows():
+        view, expected = arrow.cat.comp1, reference_comp1(arrow)
+        assert type(view) is _Computed
+        assert list(view.items()) == list(expected.items()), arrow.members
+        outside = next((k for k in itertools.product(arrow.squares, repeat=2)
+                        if k not in expected), None)
+        if outside is not None:
+            assert outside not in view
+            with pytest.raises(KeyError):
+                view[outside]
+            with pytest.raises(InputError):
+                arrow.cat.cmp1(*outside)
+
+
+def test_the_round_trip_reads_views_only_to_write_compositors(monkeypatch):
+    # the round trip on ld_pb2: re-reading the bundle and rebuilding the
+    # ideal read no entry of any view, and building it reads only the two
+    # comp1 entries that each structure cell of the unit and counit lifts
+    # between; writing the bundle reads each entry of the compositors of k
+    # and c once, and each of those reads at most two comp1 entries and no
+    # other view
+    log = []  # (phase, view, key, the read this one is made inside)
+    phase, inside = [None], [None]
     read = _Computed.__getitem__
-    monkeypatch.setattr(_Computed, "__getitem__", lambda view, key: (
-        reads.append(view) or read(view, key)))
+
+    def counted(view, key):
+        log.append((phase[0], view, key, inside[0]))
+        outer, inside[0] = inside[0], len(log) - 1
+        try:
+            return read(view, key)
+        finally:
+            inside[0] = outer
+    monkeypatch.setattr(_Computed, "__getitem__", counted)
+
     t = _fresh(LD_PB2)
+    phase[0] = "build"
     built = fs_from_ideal(t, canonical_zero_ideal(t))
-    doc = parse(serialize(witness_bundle_to_document(t, *built)))
-    t2, fs2, k2, c2, eta2, eps2 = document_to_witness_bundle(doc)
+    phase[0] = "write"
+    text = serialize(witness_bundle_to_document(t, *built))
+    phase[0] = "read"
+    t2, fs2, k2, c2, eta2, eps2 = document_to_witness_bundle(parse(text))
     ideal_from_fs(t2, fs2, k2)
-    assert reads == []
+    phase[0] = None
+
+    assert {entry[0] for entry in log} == {"build", "write"}
+    fs, k, c, eta, eps = built
+    cats = [factor.arrow_subcat(t, cls).cat
+            for cls in (fs.left_class, fs.right_class)]
+    build = [view for phase_, view, _, parent in log if phase_ == "build"]
+    assert all(any(view is cat.comp1 for cat in cats) for view in build)
+    for cat in cats:  # one lift per structure cell of a non-identity square
+        assert sum(view is cat.comp1 for view in build) \
+            == 2 * (len(cat.one_cells) - len(cat.objects))
+    write = [(view, key, parent) for phase_, view, key, parent in log
+             if phase_ == "write"]
+    for func in (k, c):
+        assert [key for view, key, parent in write
+                if parent is None and view is func.compositor] \
+            == list(func.compositor)
+    top = {i for i, (phase_, *_, parent) in enumerate(log)
+           if phase_ == "write" and parent is None}
+    assert len(top) == len(k.compositor) + len(c.compositor)
+    nested = [(view, parent) for view, _, parent in write
+              if parent is not None]
+    assert all(parent in top and any(view is cat.comp1 for cat in cats)
+               for view, parent in nested)
+    assert max(collections.Counter(p for _, p in nested).values()) <= 2
+    # so nothing read an entry of a composite or identity compositor, nor
+    # of vcomp, lwhisker or rwhisker
+    for end in (eta.source_functor, eta.target_functor, eps.source_functor,
+                eps.target_functor):
+        assert not any(view is end.compositor for _, view, _, _ in log)
+
     assert isinstance(eta2.target_functor.compositor, _Computed)
     assert isinstance(eps2.source_functor.compositor, _Computed)
-    for base, fs in ((t, built[0]), (t2, fs2)):
-        for cls in (fs.left_class, fs.right_class):
+    for base, fs_ in ((t, fs), (t2, fs2)):
+        for cls in (fs_.left_class, fs_.right_class):
             assert _stores_no_table(factor.arrow_subcat(base, cls).cat)
     # the pseudofunctor and transformation checks read no whisker: the
     # arrow 2-categories carry their base's verdict, so they are not swept,
-    # and are thin, so no naturality equation is pasted
+    # and are thin, so no naturality equation is pasted; the endpoints are
+    # an identity and a composite of k and c, decided by construction, so
+    # none of their compositor entries is read either
+    log.clear()
+    phase[0] = "check"
     assert validate_pseudofunctor(k2).ok and validate_pseudofunctor(c2).ok
     assert validate_pseudonatural(eta2).ok and validate_pseudonatural(eps2).ok
     whiskers = [getattr(factor.arrow_subcat(t2, cls).cat, name)
                 for cls in (fs2.left_class, fs2.right_class)
                 for name in ("lwhisker", "rwhisker")]
-    assert not any(view is w for view in reads for w in whiskers)
+    ends = [nat.source_functor.compositor for nat in (eta2, eps2)] + [
+        nat.target_functor.compositor for nat in (eta2, eps2)]
+    assert not any(view is w for _, view, _, _ in log
+                   for w in whiskers + ends)
 
 
 def test_a_computed_table_reads_as_its_dict():
@@ -445,7 +533,7 @@ def test_a_computed_table_reads_as_its_dict():
     mem = t.one_ids[:4]
     expected = arrow_subcat(_fresh(t), mem).cat
     cat = factor.arrow_subcat(_fresh(t), mem).cat
-    for name, op in zip(COMPUTED, (cat.vc, cat.lw, cat.rw)):
+    for name, op in zip(COMPUTED, (cat.cmp1, cat.vc, cat.lw, cat.rw)):
         view, table = getattr(cat, name), getattr(expected, name)
         assert len(view) == len(table) and list(view) == list(table)
         key = next(iter(table))

@@ -25,6 +25,7 @@ from twoexact import (
     identity_pseudofunctor,
     is_biequivalence_over_base,
     is_equivalence,
+    mutate,
     pseudofunctors_equal,
     validate_pseudofunctor,
     validate_pseudonatural,
@@ -276,3 +277,43 @@ def test_identity_endpoint_fails_the_endpoints_clause(name, pos, end, clause):
     want = _reference_outcome(args)
     assert want[:2] == ("fail", {"clause": clause, "cells": {}})
     assert _outcome(is_biequivalence_over_base, *args) == want
+
+
+#: (bundle, seed, end) -> the status of ``validate_pseudonatural`` on the
+#: unit (end ``C∘K'``) or counit (``K'∘C``), where ``K'`` is the
+#: ``break-compositor`` mutant of ``K`` at that seed, as computed entry by
+#: entry before composites were decided by construction: a composite read
+#: raises InputError (2-cells not vertically composable), except where the
+#: broken compositor lies outside the image of ``C``.
+_BROKEN_PART = {
+    **{("ld_ct22", seed, end): "raises"
+       for seed in range(3) for end in ("unit", "counit")},
+    **{("ch_pb1", seed, end): "raises"
+       for seed in range(3) for end in ("unit", "counit")},
+    ("ch_pb1", 1, "counit"): "pass",
+}
+
+
+@pytest.mark.parametrize("name, seed, end", _BROKEN_PART,
+                         ids=[f"{n}-{s}-{e}" for n, s, e in _BROKEN_PART])
+def test_a_composite_with_a_broken_part_is_checked_entry_by_entry(
+        name, seed, end):
+    # the composite is not decided by construction, because one of its
+    # parts fails; the verdict is that of a copy that records no
+    # construction, and the one pinned above
+    _, _, k, c, eta, epsilon = _bundle(name)
+    broken = mutate(k, "break-compositor", seed)
+    assert not validate_pseudofunctor(broken).ok
+    if end == "unit":
+        nat, field = eta, "target_functor"
+        composite = compose_pseudofunctors(c, broken)
+    else:
+        nat, field = epsilon, "source_functor"
+        composite = compose_pseudofunctors(broken, c)
+    plain = dataclasses.replace(composite)
+    assert composite.built and not plain.built
+    got = _outcome(validate_pseudonatural,
+                   dataclasses.replace(nat, **{field: composite}))
+    assert got == _outcome(validate_pseudonatural,
+                           dataclasses.replace(nat, **{field: plain}))
+    assert got[0] == _BROKEN_PART[(name, seed, end)]

@@ -9,7 +9,7 @@ name is the declared id object of its pseudo-arrow 2-category.
 
 import pytest
 
-from family import CH_PB1, LD_CT22, LD_PB1, LD_PB2
+from family import CH_PB1, LD_CT22, LD_PB1, LD_PB2, intern_pair
 from twoexact import (
     ArrowTwoCategory,
     CokernelPresentation,
@@ -85,7 +85,7 @@ def _kernel_functor(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
         k_e = chosen[cat.src1[sid]].leg
         needed = t.vc_chain(t.inv(psi2), t.rw(sigma, k_e), psi)
         mu = solve_lwhisker(t, leg2, w_hat, w_hat2, needed)
-        two[tid] = m_arrow.intern_pair(img, img2, mu, sigma)
+        two[tid] = intern_pair(m_arrow, img, img2, mu, sigma)
 
     compositor: dict[tuple[str, str], str] = {}
     for (sid2, sid1), sid12 in cat.comp1.items():
@@ -96,8 +96,8 @@ def _kernel_functor(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
         leg2 = chosen[cat.tgt1[sid2]].leg
         kappa = solve_lwhisker(t, leg2, u_comp, u_tgt,
                                t.vc(t.inv(psi_tgt), psi_comp))
-        compositor[(sid2, sid1)] = m_arrow.intern_pair(
-            img_comp, img_tgt, kappa, t.id2[v_comp])
+        compositor[(sid2, sid1)] = intern_pair(
+            m_arrow, img_comp, img_tgt, kappa, t.id2[v_comp])
 
     return PseudoFunctor(source=cat, target=m_arrow.cat,
                          ob=ob, one=one, two=two, compositor=compositor)
@@ -140,7 +140,7 @@ def _cokernel_functor(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
         c_m2 = chosen[cat.tgt1[sid]].leg
         needed = t.vc_chain(chi2, t.lw(c_m2, mu_v), t.inv(chi))
         kappa = solve_rwhisker(t, c_m, b_hat, b_hat2, needed)
-        two[tid] = e_arrow.intern_pair(img, img2, mu_v, kappa)
+        two[tid] = intern_pair(e_arrow, img, img2, mu_v, kappa)
 
     compositor: dict[tuple[str, str], str] = {}
     for (sid2, sid1), sid12 in cat.comp1.items():
@@ -151,8 +151,8 @@ def _cokernel_functor(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
         c_m = chosen[cat.src1[sid1]].leg
         kappa = solve_rwhisker(t, c_m, b_comp, b_tgt,
                                t.vc(chi_tgt, t.inv(chi_comp)))
-        compositor[(sid2, sid1)] = e_arrow.intern_pair(
-            img_comp, img_tgt, t.id2[v_comp], kappa)
+        compositor[(sid2, sid1)] = intern_pair(
+            e_arrow, img_comp, img_tgt, t.id2[v_comp], kappa)
 
     return PseudoFunctor(source=cat, target=e_arrow.cat,
                          ob=ob, one=one, two=two, compositor=compositor)
@@ -194,7 +194,7 @@ def _unit(t: TwoCategory, n: TwoIdeal, e_arrow: ArrowTwoCategory,
         a_l, b_l, phi_l = e_arrow.square(lhs)
         _, b_r, phi_r = e_arrow.square(rhs)
         tau = solve_rwhisker(t, e, b_l, b_r, t.vc(phi_r, t.inv(phi_l)))
-        structure[sid] = e_arrow.intern_pair(lhs, rhs, t.id2[a_l], tau)
+        structure[sid] = intern_pair(e_arrow, lhs, rhs, t.id2[a_l], tau)
 
     return PseudoNatural(source_functor=identity_pseudofunctor(cat),
                          target_functor=ck, component=component,
@@ -237,7 +237,7 @@ def _counit(t: TwoCategory, n: TwoIdeal, m_arrow: ArrowTwoCategory,
         u_l, v_l, phi_l = m_arrow.square(lhs)
         u_r, _, phi_r = m_arrow.square(rhs)
         sigma = solve_lwhisker(t, m2, u_l, u_r, t.vc(t.inv(phi_r), phi_l))
-        structure[sid] = m_arrow.intern_pair(lhs, rhs, sigma, t.id2[v_l])
+        structure[sid] = intern_pair(m_arrow, lhs, rhs, sigma, t.id2[v_l])
 
     return PseudoNatural(source_functor=kc,
                          target_functor=identity_pseudofunctor(cat),

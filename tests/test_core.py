@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from family import (CH_PB1, CORE, CORE_NAMES, LD_CT22, LD_PB2, ZERO_IDEALS,
-                    twisted_whisker_base)
+                    parallel_pairs, twisted_whisker_base)
 from twoexact import (
     Budget,
     CapExceeded,
@@ -226,7 +226,7 @@ def test_natural_key_reads_non_decimal_numerals_as_text():
 
 def test_iso_two_cells_on_locally_discrete_are_identities():
     t = LD_PB2
-    for f, g in t.parallel_pairs():
+    for f, g in parallel_pairs(t):
         isos = iso_two_cells(t, f, g)
         if f == g:
             assert isos == (t.id2[f],)
@@ -236,7 +236,7 @@ def test_iso_two_cells_on_locally_discrete_are_identities():
 
 def test_chaotic_enrichment_makes_every_parallel_pair_isomorphic():
     t = CH_PB1
-    for f, g in t.parallel_pairs():
+    for f, g in parallel_pairs(t):
         assert iso_two_cells(t, f, g)
 
 
@@ -267,7 +267,7 @@ def test_boundary_index_matches_table_order_scans(name, dual):
     for f in t.one_ids:
         for g in t.one_ids:
             assert t.hom2(f, g) == homs2.get((f, g), ())
-    assert list(t.parallel_pairs()) == [
+    assert list(parallel_pairs(t)) == [
         (f, g) for fs in homs1.values() for f in fs for g in fs]
 
 

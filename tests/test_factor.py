@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from family import (CH_PB1, CT22, LD_CT22, LD_PB1, LD_PB2, ZERO_IDEALS,
-                    epi_mono_fs, null_z_ideal, one_object_base)
+                    epi_mono_fs, intern_pair, null_z_ideal, one_object_base)
 from twoexact import (
     ArrowTwoCategory,
     FactorizationSystem,
@@ -110,7 +110,7 @@ def test_square_and_pair_reject_undeclared_ids():
     with pytest.raises(InputError):
         arrow.intern_square("x", "y", "a", "b", "p")
     with pytest.raises(InputError):
-        arrow.intern_pair("x|y|a|b|p", "x|y|c|d|q", "s", "t")
+        intern_pair(arrow, "x|y|a|b|p", "x|y|c|d|q", "s", "t")
 
 
 def _assert_declared(cells, ids):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from family import (BANDED, CH_PB1, CORE, CORE_NAMES, LD_PB2, LD_PB3,
-                    LD_TERM, PB1, ZERO_IDEALS)
+                    LD_TERM, PB1, ZERO_IDEALS, parallel_pairs)
 from twoexact import (
     MUTATION_OPERATORS,
     InputError,
@@ -110,7 +110,7 @@ def test_partial_bijections_scales_to_three_elements():
 
 def test_chaotic_enrichment_is_thin():
     t = CH_PB1
-    for f, g in t.parallel_pairs():
+    for f, g in parallel_pairs(t):
         assert len(t.hom2(f, g)) == 1
 
 
@@ -120,7 +120,7 @@ def test_banded_members_are_lawful_groupoid_enriched(name):
     k = int(name[2])
     assert validate_two_category(t).ok
     assert not t.locally_thin
-    for f, g in t.parallel_pairs():
+    for f, g in parallel_pairs(t):
         assert len(t.hom2(f, g)) == (k if f == g else 0)
     assert all(t.is_invertible2(a) for a in t.two_ids)
 
