@@ -158,15 +158,16 @@ def _leg_order(by_arrow: dict) -> tuple[str, ...]:
         p.leg for presentations in by_arrow.values() for p in presentations))
 
 
-def _sweeps(t: TwoCategory, n: TwoIdeal, budget: Budget,
-            lawful: bool = False) -> Iterator[_Side]:
+def _sweeps(t: TwoCategory, n: TwoIdeal, budget: Budget) -> Iterator[_Side]:
     """The kernel sweep of ``t``, then the cokernel sweep as the kernel
     sweep of the dual, both spending from ``budget``.  Lazy, so a caller
-    can stop before the second sweep.  ``lawful`` is the ``_lawful`` of
-    :func:`~twoexact.limits.two_kernels`, which holds on the duals too."""
+    can stop before the second sweep.  Each sweep decides later kernel
+    candidates by equivalence when it may, as
+    :func:`~twoexact.limits.kernel_presentations_by_arrow` says; the dual
+    of an ideal the program built on ``t`` records ``t.dual``."""
     for side, tt, nn in (("kernel", t, n), ("cokernel", t.dual, n.dual)):
         yield side, tt, nn, kernel_presentations_by_arrow(
-            tt, nn, _budget=budget, _lawful=lawful)
+            tt, nn, _budget=budget)
 
 
 def _cited(name: str, prefix: str, cert: Certificate) -> Certificate:
@@ -269,22 +270,10 @@ def weak_closure_triple(t: TwoCategory, n: TwoIdeal,
         weakly_reflects(t, n, p, _budget=budget, _verified=True).ok
         for presentations in kernels.values() for p in presentations)
 
-    b2 = True
-    for h in t.one_ids:
-        for null_m in t.hom1(t.src1[h], t.tgt1[h]):
-            if null_m not in n.null1:
-                continue
-            for rho in t.iso2(h, null_m):
-                if not _factors_through_null_object(t, n, h, null_m, rho,
-                                                    budget):
-                    b2 = False
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+    b2 = all(
+        _factors_through_null_object(t, n, h, null_m, rho, budget)
+        for h in t.one_ids for null_m in t.hom1(t.src1[h], t.tgt1[h])
+        if null_m in n.null1 for rho in t.iso2(h, null_m))
 
     b3 = all(
         weakly_reflects(t.dual, n.dual, p, _budget=budget, _verified=True).ok

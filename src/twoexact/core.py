@@ -686,7 +686,11 @@ def _law_verdict(t: TwoCategory) -> tuple[str, dict[str, str]] | None:
 
 def _is_lawful(t: TwoCategory) -> bool:
     """Whether :func:`_law_verdict` finds no violation; False when the
-    tables of ``t`` are not well shaped."""
+    tables of ``t`` are not well shaped.  The shape and the laws are
+    self-dual, so a dual with a live primal reads the primal's verdict."""
+    primal = None if t._primal is None else t._primal()
+    if primal is not None:
+        return _is_lawful(primal)
     try:
         return _law_verdict(t) is None
     except InputError:

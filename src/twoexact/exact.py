@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 from .closure import _closedness, _leg_order, _reflection_conclusion, _sweeps
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _Computed, _fail, _is_lawful, _memo, natural_key,
+                   _Computed, _fail, _memo, natural_key,
                    solve_lwhisker, solve_rwhisker)
 from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
                      check_fs_shape, factorizations, is_proper_11, validate_fs)
@@ -87,22 +87,20 @@ def _inconclusive_at(name: str, exc: CapExceeded, at: str) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def check_grandis_ii(t: TwoCategory, n: TwoIdeal, weak: bool = False,
-                     cap: int | None = None,
-                     _lawful: bool = False) -> ExactnessReport:
+                     cap: int | None = None) -> ExactnessReport:
     """Check the ideal-side exactness conditions, one certificate each:
     every 1-cell has a kernel and a cokernel, the ideal is (weakly) closed,
     every kernel leg is a kernel of its own cokernel with structure cell
     agreeing up to an invertible null 2-cell, dually for cokernel legs, and
     every 1-cell factors up to invertible 2-cell as a cokernel leg followed
-    by a kernel leg.  ``_lawful`` is passed to the sweeps, as in
-    :func:`~twoexact.limits.two_kernels`."""
+    by a kernel leg."""
     check_ideal_shape(t, n)
     mode = "weak-grandis" if weak else "grandis"
     budget = Budget(cap, "check_grandis_ii")
     checks: list[tuple[str, Certificate]] = []
 
     try:
-        sides = list(_sweeps(t, n, budget, _lawful))
+        sides = list(_sweeps(t, n, budget))
     except CapExceeded as exc:
         checks.append(("all-kernels-exist",
                        _inconclusive_at("all-kernels-exist", exc, "(sweep)")))
@@ -196,10 +194,9 @@ def check_puppe(t: TwoCategory, weak: bool = False,
                 cap: int | None = None) -> ExactnessReport:
     """Locate a bizero object, build the canonical ideal of 1-cells
     factoring through it, and run the ideal-side conditions against it.
-    On a lawful base that ideal is lawful with identity replacements (see
-    :func:`~twoexact.ideal.canonical_zero_ideal`), so the sweeps decide
-    later kernel candidates by equivalence (see
-    :func:`~twoexact.limits.two_kernels`)."""
+    The ideal records ``t``, so on a lawful base the sweeps decide later
+    kernel candidates by equivalence (see
+    :func:`~twoexact.limits.kernel_presentations_by_arrow`)."""
     mode = "weak-puppe" if weak else "puppe"
     zeros = bizero_objects(t)
     if not zeros:
@@ -208,7 +205,7 @@ def check_puppe(t: TwoCategory, weak: bool = False,
     zero = zeros[0]
     pointed = Certificate("two-pointed", "pass", {"bizero": zero})
     inner = check_grandis_ii(t, canonical_zero_ideal(t, zero), weak=weak,
-                             cap=cap, _lawful=_is_lawful(t))
+                             cap=cap)
     return ExactnessReport(mode, (("two-pointed", pointed),) + inner.checks)
 
 

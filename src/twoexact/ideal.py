@@ -22,13 +22,16 @@ from .core import Certificate, InputError, TwoCategory, _fail, _is_lawful
 class TwoIdeal:
     """Null 1-cells, null 2-cells, and the replacement table
     ``(a, n, b) ↦ (ñ, ν)`` for pre-composition by ``a`` and post-composition
-    by ``b`` around the null 1-cell ``n``."""
+    by ``b`` around the null 1-cell ``n``.  ``built_on``, left out of ``==``,
+    is the 2-category :func:`canonical_zero_ideal` or :func:`maximal_two_ideal`
+    built the ideal on, its dual on the dual ideal, and None on any other."""
 
     null_one_cells: tuple[str, ...]
     null_two_cells: tuple[str, ...]
     replacement: Mapping[tuple[str, str, str], tuple[str, str]]
     # on a dual built by :attr:`dual`, a weak reference to its primal
     _primal: Any = field(default=None, init=False, repr=False, compare=False)
+    built_on: Any = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def null1(self) -> frozenset[str]:
@@ -66,6 +69,8 @@ class TwoIdeal:
                          for (a, x, b), v in self.replacement.items()},
         )
         object.__setattr__(d, "_primal", weakref.ref(self))
+        if self.built_on is not None:
+            object.__setattr__(d, "built_on", self.built_on.dual)
         return d
 
 
@@ -367,14 +372,23 @@ def replay_two_ideal_counterexample(t: TwoCategory, n: TwoIdeal,
 # ---------------------------------------------------------------------------
 
 def maximal_two_ideal(t: TwoCategory) -> TwoIdeal:
-    """Everything is null; replacements are identities on the composites."""
+    """Everything is null; replacements are identities on the composites.
+
+    On a lawful base the result passes :func:`validate_two_ideal`, and so
+    does its dual, which is this construction on the dual base: all cells
+    are null, so the closure, nullity and conjugation clauses hold and null
+    2-cells are closed under inverses; every replacement is an identity,
+    so the replacement clauses hold, ax1 is the unit laws and ax4 compares
+    identities over one 1-cell, by associativity."""
     repl = {
         (a, x, b): (t.cmp1(b, t.cmp1(x, a)), t.id2[t.cmp1(b, t.cmp1(x, a))])
         for x in t.one_ids
         for a in t.hom1(None, t.src1[x])
         for b in t.hom1(t.tgt1[x], None)
     }
-    return TwoIdeal(t.one_ids, t.two_ids, repl)
+    n = TwoIdeal(t.one_ids, t.two_ids, repl)
+    object.__setattr__(n, "built_on", t)
+    return n
 
 
 def bizero_objects(t: TwoCategory) -> tuple[str, ...]:
@@ -468,8 +482,8 @@ def canonical_zero_ideal(t: TwoCategory, zero: str | None = None) -> TwoIdeal:
 
     On the dual base the dual ideal is this construction again, up to the
     order of the null 2-cells, so the same holds there.  These are the
-    conditions that ``_lawful`` in :func:`~twoexact.limits.two_kernels`
-    asserts.
+    conditions under which the kernel sweeps decide by equivalence (see
+    :func:`~twoexact.limits.kernel_presentations_by_arrow`).
     """
     zs = bizero_objects(t)
     if zero is None:
@@ -504,7 +518,9 @@ def canonical_zero_ideal(t: TwoCategory, zero: str | None = None) -> TwoIdeal:
                         f"composite {comp} around null {x} does not factor "
                         f"through {zero}; {zero} is not bizero")
                 repl[(a, x, b)] = (comp, t.id2[comp])
-    return TwoIdeal(tuple(nulls), null2, repl)
+    n = TwoIdeal(tuple(nulls), null2, repl)
+    object.__setattr__(n, "built_on", t)
+    return n
 
 
 def _vertical_closure(t: TwoCategory, cells: Iterable[str]) -> tuple[str, ...]:

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .core import (
     Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
-    _inconclusive, _memo,
+    _inconclusive, _is_lawful, _memo,
 )
 from .ideal import TwoIdeal
 
@@ -200,23 +200,19 @@ def kernel_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
                          f"kernel leg {pres.leg}")
     return found
 
-def two_kernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
-                _budget: Budget | None = None,
-                _lawful: bool = False) -> tuple[KernelPresentation, ...]:
-    """All verified kernel presentations of ``f``, in candidate table order.
-    Raises :class:`CapExceeded` when the cap runs out mid-search.
+
+def _kernels(t: TwoCategory, n: TwoIdeal, f: str, budget: Budget,
+             by_equivalence: bool) -> tuple[KernelPresentation, ...]:
+    """The verified kernel presentations of ``f``, spending from ``budget``.
 
     The candidates are the null cones ``(k, m, α)`` of ``f``.  Each one up
     to and including the first verified one, ``P = (K, k, m, α)``, gets the
-    full :func:`is_two_kernel`.  With ``_lawful`` a later candidate ``P' =
-    (K', k', m', α')`` is verified exactly when clause 1 of ``P``, applied
-    to the cone ``(k', α')``, gives a ``u₀: K' → K`` that is an equivalence;
-    it gives some ``(u₀, γ₀)``, as clause 1 of ``P`` held on every cone.
-    ``_lawful`` asserts that the base is lawful and that the ideal satisfies
-    its axioms with identity replacements, ``repl(a, x, b) = (b∘x∘a, id)``,
-    and with null 2-cells closed under inverses:
-    :func:`~twoexact.ideal.canonical_zero_ideal` over a lawful base is one,
-    and so is its dual over the dual base.
+    full :func:`is_two_kernel`.  With ``by_equivalence`` a later candidate
+    ``P' = (K', k', m', α')`` is verified exactly when clause 1 of ``P``,
+    applied to the cone ``(k', α')``, gives a ``u₀: K' → K`` that is an
+    equivalence; it gives some ``(u₀, γ₀)``, as clause 1 of ``P`` held on
+    every cone.  The conditions this needs are in
+    :func:`kernel_presentations_by_arrow`.
 
     Proof.  With identity replacements the clause-1 comparison of ``(u, γ)``
     for a cone ``(z, β)`` is ``χ_P(u, γ; β) = β·(f⋆γ⁻¹)·(α⁻¹⋆u): m∘u ⇒
@@ -260,14 +256,11 @@ def two_kernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
     later candidate spends one tick; the equivalences are read from
     ``TwoCategory._equivalences``.
     """
-    if f not in t.src1:
-        raise InputError(f"unknown 1-cell {f}")
-    budget = _budget if _budget is not None else Budget(cap, "two_kernels")
     out = []
     for k, nc, alpha in t.null_cones(n.null1, f):
         budget.tick()
         pres = KernelPresentation(f, t.src1[k], k, nc, alpha)
-        if out and _lawful:
+        if out and by_equivalence:
             u, _ = _cone_factor(t, n, out[0], k, alpha)
             verified = u in t._equivalences
         else:
@@ -275,6 +268,17 @@ def two_kernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
         if verified:
             out.append(pres)
     return tuple(out)
+
+
+def two_kernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
+                _budget: Budget | None = None) -> tuple[KernelPresentation, ...]:
+    """All verified kernel presentations of ``f``, in candidate table order,
+    each candidate checked with :func:`is_two_kernel`.  Raises
+    :class:`CapExceeded` when the cap runs out mid-search."""
+    if f not in t.src1:
+        raise InputError(f"unknown 1-cell {f}")
+    budget = _budget if _budget is not None else Budget(cap, "two_kernels")
+    return _kernels(t, n, f, budget, False)
 
 
 def _to_dual_kernel(pres: CokernelPresentation) -> KernelPresentation:
@@ -289,32 +293,41 @@ def is_two_cokernel(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
                    check="is_two_cokernel")
 
 
+def _to_cokernel(pres: KernelPresentation) -> CokernelPresentation:
+    return CokernelPresentation(pres.arrow, pres.apex, pres.leg,
+                                pres.null_cell, pres.structure)
+
+
 def two_cokernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
                   _budget: Budget | None = None) -> tuple[CokernelPresentation, ...]:
     """All verified cokernel presentations of ``f``, via the dual search."""
-    duals = two_kernels(t.dual, n.dual, f, cap, _budget=_budget)
-    return tuple(
-        CokernelPresentation(p.arrow, p.apex, p.leg, p.null_cell, p.structure)
-        for p in duals)
+    return tuple(map(_to_cokernel,
+                     two_kernels(t.dual, n.dual, f, cap, _budget=_budget)))
 
 
 def kernel_presentations_by_arrow(
         t: TwoCategory, n: TwoIdeal, cap: int | None = None,
-        _budget: Budget | None = None,
-        _lawful: bool = False) -> dict[str, tuple[KernelPresentation, ...]]:
+        _budget: Budget | None = None) -> dict[str, tuple[KernelPresentation, ...]]:
     """Verified kernel presentations for every 1-cell, sharing one search
-    budget across the whole sweep; ``_lawful`` as in :func:`two_kernels`."""
+    budget across the whole sweep.  When ``n.built_on is t`` and ``t`` is
+    lawful, ``n`` satisfies its axioms with identity replacements and null
+    2-cells closed under inverses, so each candidate after an arrow's first
+    verified kernel is decided by one equivalence test (:func:`_kernels`);
+    any other ideal gets a check per candidate, with the same result."""
     budget = _budget if _budget is not None else Budget(cap, "kernel_presentations_by_arrow")
-    return {f: two_kernels(t, n, f, _budget=budget, _lawful=_lawful)
-            for f in t.one_ids}
+    by_equivalence = n.built_on is t and _is_lawful(t)
+    return {f: _kernels(t, n, f, budget, by_equivalence) for f in t.one_ids}
 
 
 def cokernel_presentations_by_arrow(
         t: TwoCategory, n: TwoIdeal, cap: int | None = None,
         _budget: Budget | None = None) -> dict[str, tuple[CokernelPresentation, ...]]:
-    """Verified cokernel presentations for every 1-cell, sharing one budget."""
+    """Verified cokernel presentations for every 1-cell, sharing one budget:
+    the kernel sweep of the duals."""
     budget = _budget if _budget is not None else Budget(cap, "cokernel_presentations_by_arrow")
-    return {f: two_cokernels(t, n, f, _budget=budget) for f in t.one_ids}
+    return {f: tuple(map(_to_cokernel, presentations))
+            for f, presentations in kernel_presentations_by_arrow(
+                t.dual, n.dual, _budget=budget).items()}
 
 
 def cokernel_factor(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
@@ -447,22 +460,3 @@ def biisoinserter(t: TwoCategory, f: str, g: str, cap: int | None = None,
                 if is_biisoinserter(t, pres, _budget=budget).ok:
                     out.append(pres)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# presentation comparison (used by invariants and tests)
-# ---------------------------------------------------------------------------
-
-def kernel_presentations_equivalent(t: TwoCategory, p: KernelPresentation,
-                                    q: KernelPresentation) -> bool:
-    """Whether two kernel presentations of the same arrow are connected by an
-    equivalence of apexes commuting with the legs up to an invertible 2-cell."""
-    from .core import is_equivalence
-    if p.arrow != q.arrow:
-        raise InputError("presentations are for different arrows")
-    for j in t.hom1(p.apex, q.apex):
-        if not t.iso2(t.cmp1(q.leg, j), p.leg):
-            continue
-        if is_equivalence(t, j).ok:
-            return True
-    return False

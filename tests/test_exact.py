@@ -159,13 +159,13 @@ def _pb2_ideal():
 def test_grandis_report_sweeps_each_side_once(weak, monkeypatch):
     t, n = _pb2_ideal()
     calls = []
-    two_kernels = limits.two_kernels
+    kernels = limits._kernels
 
     def counted(*args, **kwargs):
         calls.append(args[2])
-        return two_kernels(*args, **kwargs)
+        return kernels(*args, **kwargs)
 
-    monkeypatch.setattr(limits, "two_kernels", counted)
+    monkeypatch.setattr(limits, "_kernels", counted)
     check_grandis_ii(t, n, weak=weak)
     assert len(calls) == 2 * len(t.one_ids)
 

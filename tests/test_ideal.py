@@ -41,7 +41,8 @@ from twoexact import (
 import twoexact.ideal as ideal_module
 from twoexact.cli import main
 from twoexact.core import _fail, _is_lawful
-from twoexact.formats import document_to_two_ideal, parse
+from twoexact.formats import (document_to_two_ideal, parse, serialize,
+                              two_ideal_to_document)
 from twoexact.ideal import _vertical_closure, _violations
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -53,13 +54,31 @@ def test_canonical_zero_ideal_validates(name):
     assert cert.ok, cert.counterexample
 
 
-@pytest.mark.parametrize("name", CORE_NAMES)
+@pytest.mark.parametrize("name", [*CORE_NAMES, *BANDED, *THICK])
 def test_maximal_ideal_validates(name):
-    t = CORE[name]
+    t = {**CORE, **BANDED}[name] if name not in THICK else THICK[name][0]
     m = maximal_two_ideal(t)
     assert validate_two_ideal(t, m).ok
     assert m.null1 == frozenset(t.one_ids)
     assert m.null2 == frozenset(t.two_ids)
+
+
+@pytest.mark.parametrize("build", [canonical_zero_ideal, maximal_two_ideal])
+def test_a_built_ideal_records_its_base(build):
+    # the record survives the dual and nothing else: a copy, a mutant and
+    # a parsed document record nothing, and it is left out of == and repr
+    t = CORE["ch_pb1"]
+    n = build(t)
+    assert n.built_on is t
+    assert n.dual.built_on is t.dual and n.dual.dual is n
+    assert n.dual.dual.built_on is t
+    copy = dataclasses.replace(n)
+    assert copy == n and copy.built_on is None and copy.dual.built_on is None
+    assert "built_on" not in repr(n)
+    assert mutate((t, n), "drop-null-2cell", 3).built_on is None
+    t2, n2 = document_to_two_ideal(
+        parse(serialize(two_ideal_to_document(t, n))))
+    assert t2 == t and n2.null1 == n.null1 and n2.built_on is None
 
 
 def test_zero_ideal_of_pb2_is_the_nowhere_defined_class():

@@ -11,12 +11,15 @@ its 2-cell table reversed (with their duals), the two give the same
 status, clause and cells, with the same number of budget ticks; and a cap
 cuts both off at the same instance.
 
-With ``_lawful`` the search decides each candidate after the first verified
-one by one equivalence test.  On lawful inputs with lawful ideals of
-identity replacements it finds the reference's presentations in the
-reference's order, and spends the reference's ticks up to and including the
-first verified candidate, then one tick per later candidate.  On mutants,
-where the program keeps the per-candidate search, the shortcut is not sound.
+The kernel sweep decides each candidate after an arrow's first verified one
+by one equivalence test when ``canonical_zero_ideal`` or
+``maximal_two_ideal`` built the ideal on the swept base and the base is
+lawful.  On such inputs it finds the reference's presentations in the
+reference's order, and spends the reference's ticks up to and including
+each arrow's first verified candidate, then one tick per later candidate;
+on a copy of the same ideal, which records nothing, it spends the
+reference's ticks.  On mutants, where the sweep keeps the per-candidate
+search, the shortcut is not sound.
 """
 
 import dataclasses
@@ -38,6 +41,7 @@ from twoexact import (
     chaotic_enrichment,
     is_two_kernel,
     kernel_factor,
+    kernel_presentations_by_arrow,
     maximal_two_ideal,
     mutate,
     partial_bijections,
@@ -52,7 +56,7 @@ from twoexact.cli import main
 from twoexact.closure import _reflection_conclusion, _weak_hypothesis
 from twoexact.core import _fail
 from twoexact.limits import (
-    _check_kernel_candidate, _cone_comparison, _descent_comparison,
+    _check_kernel_candidate, _cone_comparison, _descent_comparison, _kernels,
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -141,6 +145,10 @@ def reference_two_kernels(t, n, f, budget):
     return tuple(out)
 
 
+def reference_sweep(t, n, budget):
+    return {f: reference_two_kernels(t, n, f, budget) for f in t.one_ids}
+
+
 def reference_reflects_null_morphisms(t, n, k, budget):
     name = "reflects_null_morphisms"
     k_src, k_tgt = t.src1[k], t.tgt1[k]
@@ -220,6 +228,9 @@ def _spending(search, **kwargs):
     """``search`` taking its budget as the last positional argument, as the
     reference functions do."""
     return lambda *args: search(*args[:-1], _budget=args[-1], **kwargs)
+
+
+SWEEP = _spending(kernel_presentations_by_arrow)
 
 
 def _assert_same(search, reference, *args):
@@ -358,13 +369,16 @@ GATED_CASES = [(name, ideal, side) for name, ideal in LAWFUL
 def test_two_kernels_by_equivalence_match_the_reference(name, ideal, side):
     t, n = LAWFUL[(name, ideal)]
     t, n = (t, n) if side == "plain" else (t.dual, n.dual)
-    gated = _spending(two_kernels, _lawful=True)
+    assert n.built_on is t
+    reference, gated = Budget(None, "reference"), Budget(None, "reference")
+    want = reference_sweep(t, n, reference)
     for f in t.one_ids:
-        got, spent = _run(gated, t, n, f)
-        assert got == reference_two_kernels(t, n, f, Budget(None, "reference"))
-        assert spent == _run(reference_gated_spending, t, n, f)[1]
-        if spent // 2:
-            assert _run(gated, t, n, f, cap=spent // 2)[0] == "CapExceeded"
+        reference_gated_spending(t, n, f, gated)
+    assert _run(SWEEP, t, n) == (want, gated.spent)
+    if gated.spent // 2:
+        assert _run(SWEEP, t, n, cap=gated.spent // 2)[0] == "CapExceeded"
+    # a copy records nothing, so it gets the per-candidate search
+    assert _run(SWEEP, t, dataclasses.replace(n)) == (want, reference.spent)
 
 
 @pytest.mark.parametrize("operator, name, seed", MUTANTS,
@@ -382,14 +396,20 @@ def test_mutants_keep_the_per_candidate_search(operator, name, seed):
 
 
 def test_the_shortcut_needs_its_gate():
-    # on some mutants of each operator the search by equivalence finds
-    # other presentations than the reference
-    gated = _spending(two_kernels, _lawful=True)
+    # forced on some mutants of each operator, the search by equivalence
+    # finds other presentations than the reference; the public sweep keeps
+    # the per-candidate search on every mutant and its dual
+    def forced(t, n, f, budget):
+        return _kernels(t, n, f, budget, True)
+
     moved = {operator for (operator, _, _), (t, n) in MUTANTS.items()
-             if any(_run(gated, t, n, f)[0]
+             if any(_run(forced, t, n, f)[0]
                     != _run(reference_two_kernels, t, n, f)[0]
                     for f in t.one_ids)}
     assert moved == {"retarget-vcomp", "drop-null-2cell"}
+    for t, n in MUTANTS.values():
+        for tt, nn in ((t, n), (t.dual, n.dual)):
+            _assert_same(SWEEP, reference_sweep, tt, nn)
 
 
 #: The capped searches on ps2 and pb3: per (fixture, command, cap), the exit
@@ -397,7 +417,9 @@ def test_the_shortcut_needs_its_gate():
 #: input path).  The caps cut the searches off at different instances, so
 #: these pin where each cut falls as well as the results.  The Puppe modes
 #: decide later kernel candidates by equivalence, so on pb3 a cap of 20000
-#: now lets them finish, with the uncapped bytes.
+#: now lets them finish, with the uncapped bytes.  So does ``check-closed``,
+#: whose sweeps take the same path on the canonical ideal the program
+#: builds (it read ``(3, "b2ac5442…eb0d")`` with a check per candidate).
 CAPPED_SHA256 = {
     ("ps2", "kernel", 1):
         (3, "0b7e6140259aa3c75fdaa99dcbb0442b74542f1208c384141668171a2932e570"),
@@ -462,7 +484,7 @@ CAPPED_SHA256 = {
     ("pb3", "check-closed", 1000):
         (3, "ddf4e3237e88a73192ca024e7aedfab3f14cb8684d6787a217c16252be948644"),
     ("pb3", "check-closed", 20000):
-        (3, "b2ac54425942c18e3766a86365517f46ef18a8f72a9ddb0c7af86cc04a09eb0d"),
+        (0, "07f9c37b36a4a27a944fc0a14f9148cbaf5ab83ae30ae595fcd1d5c21fac5fef"),
     ("pb3", "check-exact --mode puppe", 1):
         (3, "b2d0fc30df85ea4fbdc117b4325ae94ae8e3514fb76db10f5acebb4e93ef470e"),
     ("pb3", "check-exact --mode puppe", 50):
@@ -486,12 +508,26 @@ CAPPED_SHA256 = {
 CAPPED_ARROW = {"ps2": "m14_2to2_00", "pb3": "m56_3to3_e"}
 
 
+def _pinned(capsys, fixture, command, cap=None):
+    """The exit code and the sha256 of the stdout after the header."""
+    path = str(FIXTURE_DIR / f"{fixture}.2cat.json")
+    arrow = [CAPPED_ARROW[fixture]] if command in ("kernel", "cokernel") else []
+    capped = [] if cap is None else ["--cap", str(cap)]
+    code = main(command.split() + [path, *arrow, *capped])
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest()
+
+
 @pytest.mark.parametrize("fixture, command, cap", CAPPED_SHA256,
                          ids=[f"{f} {c} {n}" for f, c, n in CAPPED_SHA256])
 def test_capped_search_output_is_pinned(capsys, fixture, command, cap):
-    path = str(FIXTURE_DIR / f"{fixture}.2cat.json")
-    arrow = [CAPPED_ARROW[fixture]] if command in ("kernel", "cokernel") else []
-    code = main(command.split() + [path, *arrow, "--cap", str(cap)])
-    out = capsys.readouterr().out
-    assert (code, hashlib.sha256(out.split("\n", 1)[1].encode()).hexdigest()) \
+    assert _pinned(capsys, fixture, command, cap) \
         == CAPPED_SHA256[(fixture, command, cap)]
+
+
+@pytest.mark.parametrize("command", ["check-closed", "check-exact --mode puppe",
+                                     "check-exact --mode weak-puppe"])
+def test_the_pb3_runs_that_finish_at_20000_print_the_uncapped_bytes(
+        capsys, command):
+    assert _pinned(capsys, "pb3", command) \
+        == CAPPED_SHA256[("pb3", command, 20000)]

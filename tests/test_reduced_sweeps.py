@@ -40,7 +40,8 @@ from twoexact import (
     validate_two_category,
 )
 from twoexact import core, pseudo
-from twoexact.core import _fail, _generating_set, _violations, check_shape
+from twoexact.core import (_fail, _generating_set, _is_lawful, _violations,
+                           check_shape)
 from twoexact.factor import arrow_subcat
 from twoexact.formats import document_to_pseudonatural, parse
 from twoexact.pseudo import _functor_violations, check_pseudofunctor_shape
@@ -178,6 +179,28 @@ def test_the_reduced_verdict_is_decided_once_per_category(monkeypatch):
     monkeypatch.setattr(core, "_violations", None)
     assert validate_two_category(t).ok
     assert validate_pseudofunctor(identity_pseudofunctor(t)).ok
+
+
+@pytest.mark.parametrize("name", ["ld_pb3", "bd2_pb1", "mutant"])
+def test_a_dual_reads_its_primal_law_verdict(monkeypatch, name):
+    # the cokernel sweep reads the dual's verdict after the kernel sweep
+    # read the primal's: no second law sweep runs, and the verdict is the
+    # one a sweep of the dual's own tables gives
+    t = _fresh({**THIN, **BANDED,
+                "mutant": mutate(LD_PB2, "retarget-vcomp", 0)}[name])
+    modes = []
+    sweep = core._violations
+
+    def counted(t, reduced=False):
+        modes.append(reduced)
+        return sweep(t, reduced)
+
+    monkeypatch.setattr(core, "_violations", counted)
+    lawful = _is_lawful(t)
+    swept = len(modes)
+    assert _is_lawful(t.dual) is lawful and len(modes) == swept
+    assert _is_lawful(_fresh(t.dual)) is lawful
+    assert lawful == (name != "mutant")
 
 
 @pytest.fixture
