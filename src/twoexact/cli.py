@@ -54,6 +54,14 @@ def _header(command: str, cap: int | None, inputs: Sequence[str]) -> None:
     _emit({"command": command, "cap": cap, "inputs": list(inputs)})
 
 
+def _cap(text: str) -> int:
+    """A ``--cap`` value: a number of instances, at least 0."""
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"N must be at least 0, got {cap}")
+    return cap
+
+
 def _status_exit(status: str) -> int:
     return {"pass": PASS, "fail": FAIL, "inconclusive": INCONCLUSIVE}[status]
 
@@ -487,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fs", default=None,
                            help="factorization_system document path")
         if cap:
-            p.add_argument("--cap", type=int, default=None,
+            p.add_argument("--cap", type=_cap, default=None,
                            help="search budget; omitted means unbounded")
         if mode:
             p.add_argument("--mode", choices=mode, default=mode[0])

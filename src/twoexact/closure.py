@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .core import (
-    Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
+    Budget, CapExceeded, Certificate, InputError, TwoCategory, _capped, _fail,
     _inconclusive,
 )
 from .ideal import TwoIdeal, null_objects
@@ -48,57 +48,51 @@ def _reflection_conclusion(t: TwoCategory, n: TwoIdeal, k: str, s: str,
 
 
 def reflects_null_morphisms(t: TwoCategory, n: TwoIdeal, k: str,
-                            cap: int | None = None,
-                            _budget: Budget | None = None) -> Certificate:
+                            cap: int | Budget | None = None) -> Certificate:
     """Whether ``k`` reflects null 1-cells: every ``s`` with an invertible
     ``δ: k∘s ⇒ null`` is invertibly null, with a coherent comparison."""
-    name = "reflects_null_morphisms"
     if k not in t.src1:
         raise InputError(f"unknown 1-cell {k}")
-    budget = _budget if _budget is not None else Budget(cap, name)
-    try:
-        for s, nc, delta in t.null_cones(n.null1, k):
-            budget.tick()
-            if _reflection_conclusion(t, n, k, s, delta) is None:
-                return _fail(name, "reflect-1cell",
-                             leg=k, cone=s, null=nc, delta=delta)
-    except CapExceeded as exc:
-        if _budget is not None:
-            raise
-        return _inconclusive(name, exc)
-    return Certificate(name, "pass", witness={"leg": k})
+    return _capped("reflects_null_morphisms", cap, _reflects_1cells, t, n, k)
+
+
+def _reflects_1cells(t: TwoCategory, n: TwoIdeal, k: str,
+                     budget: Budget) -> Certificate:
+    for s, nc, delta in t.null_cones(n.null1, k):
+        budget.tick()
+        if _reflection_conclusion(t, n, k, s, delta) is None:
+            return _fail("reflects_null_morphisms", "reflect-1cell",
+                         leg=k, cone=s, null=nc, delta=delta)
+    return Certificate("reflects_null_morphisms", "pass", witness={"leg": k})
 
 
 def reflects_null_2cells(t: TwoCategory, n: TwoIdeal, k: str,
-                         cap: int | None = None,
-                         _budget: Budget | None = None) -> Certificate:
+                         cap: int | Budget | None = None) -> Certificate:
     """Whether ``k`` reflects null 2-cells: for ``μ`` between null 1-cells
     into the source of ``k``, if the ν-conjugate of ``k⋆μ`` is null then
     ``μ`` is null."""
-    name = "reflects_null_2cells"
     if k not in t.src1:
         raise InputError(f"unknown 1-cell {k}")
-    budget = _budget if _budget is not None else Budget(cap, name)
+    return _capped("reflects_null_2cells", cap, _reflects_2cells, t, n, k)
+
+
+def _reflects_2cells(t: TwoCategory, n: TwoIdeal, k: str,
+                     budget: Budget) -> Certificate:
     k_src = t.src1[k]
-    try:
-        for mu, s, s_prime in t.two_cells:
-            if s not in n.null1 or s_prime not in n.null1:
-                continue
-            if t.tgt1[s] != k_src:
-                continue
-            budget.tick()
-            idd = t.id1[t.src1[s]]
-            _, nu_s = n.repl(idd, s, k)
-            _, nu_sp = n.repl(idd, s_prime, k)
-            conj = t.vc_chain(nu_sp, t.lw(k, mu), t.inv(nu_s))
-            if conj in n.null2 and mu not in n.null2:
-                return _fail(name, "reflect-2cell", leg=k, two_cell=mu,
-                             src=s, tgt=s_prime)
-    except CapExceeded as exc:
-        if _budget is not None:
-            raise
-        return _inconclusive(name, exc)
-    return Certificate(name, "pass", witness={"leg": k})
+    for mu, s, s_prime in t.two_cells:
+        if s not in n.null1 or s_prime not in n.null1:
+            continue
+        if t.tgt1[s] != k_src:
+            continue
+        budget.tick()
+        idd = t.id1[t.src1[s]]
+        _, nu_s = n.repl(idd, s, k)
+        _, nu_sp = n.repl(idd, s_prime, k)
+        conj = t.vc_chain(nu_sp, t.lw(k, mu), t.inv(nu_s))
+        if conj in n.null2 and mu not in n.null2:
+            return _fail("reflects_null_2cells", "reflect-2cell",
+                         leg=k, two_cell=mu, src=s, tgt=s_prime)
+    return Certificate("reflects_null_2cells", "pass", witness={"leg": k})
 
 
 def _weak_hypothesis(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
@@ -120,30 +114,29 @@ def _weak_hypothesis(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
 
 
 def weakly_reflects(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
-                    cap: int | None = None, _budget: Budget | None = None,
-                    _verified: bool = False) -> Certificate:
+                    cap: int | Budget | None = None) -> Certificate:
     """As :func:`reflects_null_morphisms` for the presentation's leg, but
     quantifying only over ``(s, null, δ)`` whose compatibility pasting with
-    the presentation's structure cell is an invertible null 2-cell."""
-    name = "weakly_reflects"
-    if not _verified and not is_two_kernel(t, n, pres, cap).ok:
+    the presentation's structure cell is an invertible null 2-cell.  Given
+    a number, it raises :class:`InputError` unless :func:`is_two_kernel`
+    passes the presentation; given a budget, it trusts the caller's sweep."""
+    if not isinstance(cap, Budget) and not is_two_kernel(t, n, pres, cap).ok:
         raise InputError("presentation is not a verified kernel")
-    budget = _budget if _budget is not None else Budget(cap, name)
+    return _capped("weakly_reflects", cap, _weak_reflection, t, n, pres)
+
+
+def _weak_reflection(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
+                     budget: Budget) -> Certificate:
     k = pres.leg
-    try:
-        for s, nc, delta in t.null_cones(n.null1, k):
-            budget.tick()
-            hyp = _weak_hypothesis(t, n, pres, s, nc, delta)
-            if not n.is_invertible_null2(t, hyp):
-                continue
-            if _reflection_conclusion(t, n, k, s, delta) is None:
-                return _fail(name, "weak-reflect-1cell",
-                             leg=k, cone=s, null=nc, delta=delta)
-    except CapExceeded as exc:
-        if _budget is not None:
-            raise
-        return _inconclusive(name, exc)
-    return Certificate(name, "pass", witness={
+    for s, nc, delta in t.null_cones(n.null1, k):
+        budget.tick()
+        hyp = _weak_hypothesis(t, n, pres, s, nc, delta)
+        if not n.is_invertible_null2(t, hyp):
+            continue
+        if _reflection_conclusion(t, n, k, s, delta) is None:
+            return _fail("weakly_reflects", "weak-reflect-1cell",
+                         leg=k, cone=s, null=nc, delta=delta)
+    return Certificate("weakly_reflects", "pass", witness={
         "leg": k, "arrow": pres.arrow, "structure": pres.structure})
 
 
@@ -166,8 +159,7 @@ def _sweeps(t: TwoCategory, n: TwoIdeal, budget: Budget) -> Iterator[_Side]:
     :func:`~twoexact.limits.kernel_presentations_by_arrow` says; the dual
     of an ideal the program built on ``t`` records ``t.dual``."""
     for side, tt, nn in (("kernel", t, n), ("cokernel", t.dual, n.dual)):
-        yield side, tt, nn, kernel_presentations_by_arrow(
-            tt, nn, _budget=budget)
+        yield side, tt, nn, kernel_presentations_by_arrow(tt, nn, budget)
 
 
 def _cited(name: str, prefix: str, cert: Certificate) -> Certificate:
@@ -197,13 +189,12 @@ def _closedness(sides: Iterable[_Side], weak: bool,
             if weak:
                 for presentations in by_arrow.values():
                     for p in presentations:
-                        cert = weakly_reflects(tt, nn, p, _budget=budget,
-                                               _verified=True)
+                        cert = weakly_reflects(tt, nn, p, budget)
                         if not cert.ok:
                             return _cited(name, f"{side}-", cert)
             for k in _leg_order(by_arrow):
                 for check in leg_checks:
-                    cert = check(tt, nn, k, _budget=budget)
+                    cert = check(tt, nn, k, budget)
                     if not cert.ok:
                         return _cited(name, f"{side}-leg-", cert)
     except CapExceeded as exc:
@@ -267,7 +258,7 @@ def weak_closure_triple(t: TwoCategory, n: TwoIdeal,
             raise InputError(f"no cokernel found for {f}")
 
     b1 = all(
-        weakly_reflects(t, n, p, _budget=budget, _verified=True).ok
+        weakly_reflects(t, n, p, budget).ok
         for presentations in kernels.values() for p in presentations)
 
     b2 = all(
@@ -276,6 +267,6 @@ def weak_closure_triple(t: TwoCategory, n: TwoIdeal,
         if null_m in n.null1 for rho in t.iso2(h, null_m))
 
     b3 = all(
-        weakly_reflects(t.dual, n.dual, p, _budget=budget, _verified=True).ok
+        weakly_reflects(t.dual, n.dual, p, budget).ok
         for presentations in cokernels.values() for p in presentations)
     return b1, b2, b3

@@ -40,7 +40,13 @@ class CapExceeded(Exception):
 
 
 class Budget:
-    """Counts quantifier instances consumed by a search against an optional cap."""
+    """Counts quantifier instances consumed by a search against an optional cap.
+
+    A search given its caller's running budget as ``cap`` spends from it and
+    leaves :class:`CapExceeded` to the caller.  Given a number or ``None``,
+    it spends from a budget of its own name, and on overflow a check returns
+    an inconclusive certificate (:func:`_capped`) and an enumeration raises
+    :class:`CapExceeded` (:func:`_spending`)."""
 
     def __init__(self, cap: int | None, context: str):
         self.cap = cap
@@ -93,6 +99,21 @@ def _inconclusive(check: str, exc: CapExceeded) -> Certificate:
         check, "inconclusive",
         detail={"reason": "cap exceeded", "context": exc.context, "cap": exc.cap},
     )
+
+
+def _spending(cap: int | Budget | None, context: str) -> Budget:
+    """The budget a search named ``context`` spends from under ``cap``."""
+    return cap if isinstance(cap, Budget) else Budget(cap, context)
+
+
+def _capped(check: str, cap: int | Budget | None, body, *args) -> Certificate:
+    """``body(*args, budget)`` for ``check``, by the rule of :class:`Budget`."""
+    if isinstance(cap, Budget):
+        return body(*args, cap)
+    try:
+        return body(*args, Budget(cap, check))
+    except CapExceeded as exc:
+        return _inconclusive(check, exc)
 
 
 def _memo(build: Callable[..., Any]) -> Callable[..., Any]:

@@ -27,8 +27,8 @@ from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
 from .ideal import (TwoIdeal, bizero_objects, canonical_zero_ideal,
                     check_ideal_shape)
 from .limits import (CokernelPresentation, KernelPresentation,
-                     _check_kernel_candidate, cokernel_factor, kernel_factor,
-                     two_cokernels, two_kernels)
+                     _check_kernel_candidate, _kernels, _to_cokernel,
+                     cokernel_factor, kernel_factor)
 from .pseudo import (PseudoFunctor, PseudoNatural, compose_pseudofunctors,
                      identity_pseudofunctor, is_biequivalence_over_base)
 
@@ -574,24 +574,19 @@ def three_pieces(t: TwoCategory, n: TwoIdeal, f: str,
         raise InputError(f"unknown 1-cell {f}")
     budget = Budget(cap, "three_pieces")
 
-    kf_all = two_kernels(t, n, f, _budget=budget)
-    if not kf_all:
-        raise InputError(f"no verified kernel for {f}")
-    pres_kf = kf_all[0]
-    first_all = two_cokernels(t, n, pres_kf.leg, _budget=budget)
-    if not first_all:
-        raise InputError(f"no verified cokernel for the kernel leg "
-                         f"{pres_kf.leg}")
-    first = first_all[0]
-    cf_all = two_cokernels(t, n, f, _budget=budget)
-    if not cf_all:
-        raise InputError(f"no verified cokernel for {f}")
-    pres_cf = cf_all[0]
-    last_all = two_kernels(t, n, pres_cf.leg, _budget=budget)
-    if not last_all:
-        raise InputError(f"no verified kernel for the cokernel leg "
-                         f"{pres_cf.leg}")
-    last = last_all[0]
+    def first_verified(dual: bool, arrow: str, what: str):
+        # the search stops at the first verified presentation
+        tt, nn = (t.dual, n.dual) if dual else (t, n)
+        for pres in _kernels(tt, nn, arrow, budget, False):
+            return _to_cokernel(pres) if dual else pres
+        side = "cokernel" if dual else "kernel"
+        raise InputError(f"no verified {side} for {what}")
+
+    pres_kf = first_verified(False, f, f)
+    first = first_verified(True, pres_kf.leg, f"the kernel leg {pres_kf.leg}")
+    pres_cf = first_verified(True, f, f)
+    last = first_verified(False, pres_cf.leg,
+                          f"the cokernel leg {pres_cf.leg}")
 
     c, kk = first.leg, last.leg
 

@@ -17,9 +17,9 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _Computed, _fail, _inconclusive, _memo, _record_lawful,
-                   equivalences, is_cofaithful, is_equivalence, is_faithful,
+from .core import (Budget, Certificate, InputError, TwoCategory, _Computed,
+                   _capped, _fail, _memo, _record_lawful, equivalences,
+                   is_cofaithful, is_equivalence, is_faithful,
                    validate_two_category)
 from .closure import _sweeps
 from .ideal import TwoIdeal
@@ -140,15 +140,6 @@ def factorizations(t: TwoCategory, f: str, left: Sequence[str],
                     yield e, m, theta
 
 
-def _capped(check: str, cap: int | None, body, *args) -> Certificate:
-    """``body(*args, budget)`` on a fresh budget for ``check``; inconclusive
-    when the cap runs out."""
-    try:
-        return body(*args, Budget(cap, check))
-    except CapExceeded as exc:
-        return _inconclusive(check, exc)
-
-
 def _equivalence_escapes(t: TwoCategory, sides) -> Iterator[tuple[str, ...]]:
     """Every ``(side, member, equivalence, composite, position)`` where a
     member composed with an equivalence before it (``"pre"``) or after it
@@ -214,7 +205,7 @@ def _lifting_failure(t: TwoCategory, e: str, m: str, budget: Budget,
 
 
 def validate_fs(t: TwoCategory, fs: FactorizationSystem,
-                cap: int | None = None) -> Certificate:
+                cap: int | Budget | None = None) -> Certificate:
     """Check every law of a factorization system with chosen factorizations.
 
     Fail clauses, in check order: ``factorization-left-class``,
@@ -539,7 +530,7 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
 
 def check_weak_two_fibration(t: TwoCategory, fs: FactorizationSystem,
                              direction: str,
-                             cap: int | None = None) -> Certificate:
+                             cap: int | Budget | None = None) -> Certificate:
     """Check that the projection out of the pseudo-arrow 2-category on one
     class admits the lifting structure of a weak 2-(op)fibration.
 
@@ -702,7 +693,7 @@ def _needs_rofs_fill(t: TwoCategory, n: TwoIdeal,
 
 def validate_rofs(t: TwoCategory, n: TwoIdeal,
                   left_class: Iterable[str], right_class: Iterable[str],
-                  cap: int | None = None) -> Certificate:
+                  cap: int | Budget | None = None) -> Certificate:
     """Validate a relatively orthogonal factorization system for the ideal.
 
     Clauses, in check order: the right class consists of verified kernel

@@ -11,10 +11,10 @@ are kernels in the dual; iso-inserters are checked directly and agree with
 kernels against a chosen null in the pointed case.
 
 Searches iterate cells in table order, so the first witness found is
-deterministic for a given presentation.  A ``cap`` bounds the number of
-quantifier instances examined; exceeding it raises
-:class:`~twoexact.core.CapExceeded` from enumeration functions and produces
-an inconclusive certificate from certificate-returning checkers.
+deterministic for a given presentation.  Each search takes one ``cap``, a
+number of quantifier instances or the running budget of the search that
+called it; :class:`~twoexact.core.Budget` says which of the two reports
+an overflow, and how.
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .core import (
-    Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
-    _inconclusive, _is_lawful, _memo,
+    Budget, Certificate, InputError, TwoCategory, _capped, _fail, _is_lawful,
+    _memo, _spending,
 )
 from .ideal import TwoIdeal
 
@@ -111,7 +111,7 @@ def _descent_comparison(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
 
 
 def is_two_kernel(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
-                  cap: int | None = None, _budget: Budget | None = None) -> Certificate:
+                  cap: int | Budget | None = None) -> Certificate:
     """Verify a candidate kernel presentation against both universal-property
     clauses.
 
@@ -120,37 +120,35 @@ def is_two_kernel(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
     Clause 2: every ``λ: leg∘u ⇒ leg∘v`` whose comparison pasting is null is
     ``leg ⋆ μ`` for exactly one ``μ: u ⇒ v``.
     """
-    name = "is_two_kernel"
     _check_kernel_candidate(t, n, pres)
-    budget = _budget if _budget is not None else Budget(cap, name)
+    return _capped("is_two_kernel", cap, _kernel_clauses, t, n, pres)
+
+
+def _kernel_clauses(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
+                    budget: Budget) -> Certificate:
     f, k = pres.arrow, pres.leg
-    try:
-        for z, nz, beta in t.null_cones(n.null1, f):
-            budget.tick()
-            if _cone_factor(t, n, pres, z, beta) is None:
-                return _fail(name, "cone-factorization",
-                             arrow=f, leg=k, cone=z, cone_null=nz, beta=beta)
-        for z_obj in t.objects:
-            for u in t.hom1(z_obj, pres.apex):
-                ku = t.cmp1(k, u)
-                for v in _through_leg(t, k, z_obj, t.hom2(ku, None)):
-                    for lam in t.hom2(ku, t.cmp1(k, v)):
-                        budget.tick()
-                        if _descent_comparison(t, n, pres, u, v, lam) not in n.null2:
-                            continue
-                        mus = [mu for mu in t.hom2(u, v) if t.lw(k, mu) == lam]
-                        if len(mus) == 0:
-                            return _fail(name, "descent-existence",
-                                         arrow=f, leg=k, u=u, v=v, lam=lam)
-                        if len(mus) > 1:
-                            return _fail(name, "descent-uniqueness",
-                                         arrow=f, leg=k, u=u, v=v, lam=lam,
-                                         mus=mus[:2])
-    except CapExceeded as exc:
-        if _budget is not None:
-            raise
-        return _inconclusive(name, exc)
-    return Certificate(name, "pass", witness={
+    for z, nz, beta in t.null_cones(n.null1, f):
+        budget.tick()
+        if _cone_factor(t, n, pres, z, beta) is None:
+            return _fail("is_two_kernel", "cone-factorization",
+                         arrow=f, leg=k, cone=z, cone_null=nz, beta=beta)
+    for z_obj in t.objects:
+        for u in t.hom1(z_obj, pres.apex):
+            ku = t.cmp1(k, u)
+            for v in _through_leg(t, k, z_obj, t.hom2(ku, None)):
+                for lam in t.hom2(ku, t.cmp1(k, v)):
+                    budget.tick()
+                    if _descent_comparison(t, n, pres, u, v, lam) not in n.null2:
+                        continue
+                    mus = [mu for mu in t.hom2(u, v) if t.lw(k, mu) == lam]
+                    if len(mus) == 0:
+                        return _fail("is_two_kernel", "descent-existence",
+                                     arrow=f, leg=k, u=u, v=v, lam=lam)
+                    if len(mus) > 1:
+                        return _fail("is_two_kernel", "descent-uniqueness",
+                                     arrow=f, leg=k, u=u, v=v, lam=lam,
+                                     mus=mus[:2])
+    return Certificate("is_two_kernel", "pass", witness={
         "arrow": f, "apex": pres.apex, "leg": k,
         "null_cell": pres.null_cell, "structure": pres.structure})
 
@@ -202,8 +200,9 @@ def kernel_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
 
 
 def _kernels(t: TwoCategory, n: TwoIdeal, f: str, budget: Budget,
-             by_equivalence: bool) -> tuple[KernelPresentation, ...]:
-    """The verified kernel presentations of ``f``, spending from ``budget``.
+             by_equivalence: bool) -> Iterator[KernelPresentation]:
+    """The verified kernel presentations of ``f``, spending from ``budget``
+    as they are drawn.
 
     The candidates are the null cones ``(k, m, α)`` of ``f``.  Each one up
     to and including the first verified one, ``P = (K, k, m, α)``, gets the
@@ -256,29 +255,28 @@ def _kernels(t: TwoCategory, n: TwoIdeal, f: str, budget: Budget,
     later candidate spends one tick; the equivalences are read from
     ``TwoCategory._equivalences``.
     """
-    out = []
+    first = None
     for k, nc, alpha in t.null_cones(n.null1, f):
         budget.tick()
         pres = KernelPresentation(f, t.src1[k], k, nc, alpha)
-        if out and by_equivalence:
-            u, _ = _cone_factor(t, n, out[0], k, alpha)
+        if first is not None and by_equivalence:
+            u, _ = _cone_factor(t, n, first, k, alpha)
             verified = u in t._equivalences
         else:
-            verified = is_two_kernel(t, n, pres, _budget=budget).ok
+            verified = is_two_kernel(t, n, pres, budget).ok
         if verified:
-            out.append(pres)
-    return tuple(out)
+            first = first or pres
+            yield pres
 
 
-def two_kernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
-                _budget: Budget | None = None) -> tuple[KernelPresentation, ...]:
+def two_kernels(t: TwoCategory, n: TwoIdeal, f: str,
+                cap: int | Budget | None = None) -> tuple[KernelPresentation, ...]:
     """All verified kernel presentations of ``f``, in candidate table order,
     each candidate checked with :func:`is_two_kernel`.  Raises
     :class:`CapExceeded` when the cap runs out mid-search."""
     if f not in t.src1:
         raise InputError(f"unknown 1-cell {f}")
-    budget = _budget if _budget is not None else Budget(cap, "two_kernels")
-    return _kernels(t, n, f, budget, False)
+    return tuple(_kernels(t, n, f, _spending(cap, "two_kernels"), False))
 
 
 def _to_dual_kernel(pres: CokernelPresentation) -> KernelPresentation:
@@ -287,7 +285,7 @@ def _to_dual_kernel(pres: CokernelPresentation) -> KernelPresentation:
 
 
 def is_two_cokernel(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
-                    cap: int | None = None) -> Certificate:
+                    cap: int | Budget | None = None) -> Certificate:
     """A cokernel is a kernel in the dual 2-category with the dual ideal."""
     return replace(is_two_kernel(t.dual, n.dual, _to_dual_kernel(pres), cap),
                    check="is_two_cokernel")
@@ -298,36 +296,35 @@ def _to_cokernel(pres: KernelPresentation) -> CokernelPresentation:
                                 pres.null_cell, pres.structure)
 
 
-def two_cokernels(t: TwoCategory, n: TwoIdeal, f: str, cap: int | None = None,
-                  _budget: Budget | None = None) -> tuple[CokernelPresentation, ...]:
+def two_cokernels(t: TwoCategory, n: TwoIdeal, f: str,
+                  cap: int | Budget | None = None) -> tuple[CokernelPresentation, ...]:
     """All verified cokernel presentations of ``f``, via the dual search."""
-    return tuple(map(_to_cokernel,
-                     two_kernels(t.dual, n.dual, f, cap, _budget=_budget)))
+    return tuple(map(_to_cokernel, two_kernels(t.dual, n.dual, f, cap)))
 
 
 def kernel_presentations_by_arrow(
-        t: TwoCategory, n: TwoIdeal, cap: int | None = None,
-        _budget: Budget | None = None) -> dict[str, tuple[KernelPresentation, ...]]:
+        t: TwoCategory, n: TwoIdeal,
+        cap: int | Budget | None = None) -> dict[str, tuple[KernelPresentation, ...]]:
     """Verified kernel presentations for every 1-cell, sharing one search
     budget across the whole sweep.  When ``n.built_on is t`` and ``t`` is
     lawful, ``n`` satisfies its axioms with identity replacements and null
     2-cells closed under inverses, so each candidate after an arrow's first
     verified kernel is decided by one equivalence test (:func:`_kernels`);
     any other ideal gets a check per candidate, with the same result."""
-    budget = _budget if _budget is not None else Budget(cap, "kernel_presentations_by_arrow")
+    budget = _spending(cap, "kernel_presentations_by_arrow")
     by_equivalence = n.built_on is t and _is_lawful(t)
-    return {f: _kernels(t, n, f, budget, by_equivalence) for f in t.one_ids}
+    return {f: tuple(_kernels(t, n, f, budget, by_equivalence))
+            for f in t.one_ids}
 
 
 def cokernel_presentations_by_arrow(
-        t: TwoCategory, n: TwoIdeal, cap: int | None = None,
-        _budget: Budget | None = None) -> dict[str, tuple[CokernelPresentation, ...]]:
+        t: TwoCategory, n: TwoIdeal,
+        cap: int | Budget | None = None) -> dict[str, tuple[CokernelPresentation, ...]]:
     """Verified cokernel presentations for every 1-cell, sharing one budget:
     the kernel sweep of the duals."""
-    budget = _budget if _budget is not None else Budget(cap, "cokernel_presentations_by_arrow")
-    return {f: tuple(map(_to_cokernel, presentations))
-            for f, presentations in kernel_presentations_by_arrow(
-                t.dual, n.dual, _budget=budget).items()}
+    kernels = kernel_presentations_by_arrow(
+        t.dual, n.dual, _spending(cap, "cokernel_presentations_by_arrow"))
+    return {f: tuple(map(_to_cokernel, ps)) for f, ps in kernels.items()}
 
 
 def cokernel_factor(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
@@ -375,52 +372,49 @@ def _check_inserter_candidate(t: TwoCategory, pres: InserterPresentation) -> Non
 
 
 def is_biisoinserter(t: TwoCategory, pres: InserterPresentation,
-                     cap: int | None = None,
-                     _budget: Budget | None = None) -> Certificate:
+                     cap: int | Budget | None = None) -> Certificate:
     """Verify an iso-inserter presentation: every 1-cell with an invertible
     comparison between the two composites factors through the leg with the
     comparison reconstructed on the nose, and cells between whiskered factors
     satisfying the evident compatibility descend uniquely."""
-    name = "is_biisoinserter"
     _check_inserter_candidate(t, pres)
-    budget = _budget if _budget is not None else Budget(cap, name)
+    return _capped("is_biisoinserter", cap, _inserter_clauses, t, pres)
+
+
+def _inserter_clauses(t: TwoCategory, pres: InserterPresentation,
+                      budget: Budget) -> Certificate:
     f, g, ell, lam = pres.left, pres.right, pres.leg, pres.structure
     a = t.src1[f]
-    try:
-        for m_obj in t.objects:
-            for m in t.hom1(m_obj, a):
-                fm = t.cmp1(f, m)
-                gm = t.cmp1(g, m)
-                for mu in t.iso2(fm, gm):
+    for m_obj in t.objects:
+        for m in t.hom1(m_obj, a):
+            fm = t.cmp1(f, m)
+            gm = t.cmp1(g, m)
+            for mu in t.iso2(fm, gm):
+                budget.tick()
+                if not _inserter_factors(t, pres, m_obj, m, mu):
+                    return _fail("is_biisoinserter", "cone-factorization",
+                                 left=f, right=g, leg=ell, cone=m, mu=mu)
+    for z_obj in t.objects:
+        vs = t.hom1(z_obj, pres.apex)
+        for v in vs:
+            lv = t.cmp1(ell, v)
+            for w in vs:
+                lw_ = t.cmp1(ell, w)
+                for tau in t.hom2(lv, lw_):
                     budget.tick()
-                    if not _inserter_factors(t, pres, m_obj, m, mu):
-                        return _fail(name, "cone-factorization",
-                                     left=f, right=g, leg=ell, cone=m, mu=mu)
-        for z_obj in t.objects:
-            vs = t.hom1(z_obj, pres.apex)
-            for v in vs:
-                lv = t.cmp1(ell, v)
-                for w in vs:
-                    lw_ = t.cmp1(ell, w)
-                    for tau in t.hom2(lv, lw_):
-                        budget.tick()
-                        lhs = t.vc(t.rw(lam, w), t.lw(f, tau))
-                        rhs = t.vc(t.lw(g, tau), t.rw(lam, v))
-                        if lhs != rhs:
-                            continue
-                        sigmas = [s for s in t.hom2(v, w) if t.lw(ell, s) == tau]
-                        if len(sigmas) == 0:
-                            return _fail(name, "descent-existence",
-                                         leg=ell, v=v, w=w, tau=tau)
-                        if len(sigmas) > 1:
-                            return _fail(name, "descent-uniqueness",
-                                         leg=ell, v=v, w=w, tau=tau,
-                                         sigmas=sigmas[:2])
-    except CapExceeded as exc:
-        if _budget is not None:
-            raise
-        return _inconclusive(name, exc)
-    return Certificate(name, "pass", witness={
+                    lhs = t.vc(t.rw(lam, w), t.lw(f, tau))
+                    rhs = t.vc(t.lw(g, tau), t.rw(lam, v))
+                    if lhs != rhs:
+                        continue
+                    sigmas = [s for s in t.hom2(v, w) if t.lw(ell, s) == tau]
+                    if len(sigmas) == 0:
+                        return _fail("is_biisoinserter", "descent-existence",
+                                     leg=ell, v=v, w=w, tau=tau)
+                    if len(sigmas) > 1:
+                        return _fail("is_biisoinserter", "descent-uniqueness",
+                                     leg=ell, v=v, w=w, tau=tau,
+                                     sigmas=sigmas[:2])
+    return Certificate("is_biisoinserter", "pass", witness={
         "left": f, "right": g, "apex": pres.apex, "leg": ell,
         "structure": lam})
 
@@ -438,8 +432,8 @@ def _inserter_factors(t: TwoCategory, pres: InserterPresentation,
     return False
 
 
-def biisoinserter(t: TwoCategory, f: str, g: str, cap: int | None = None,
-                  _budget: Budget | None = None) -> tuple[InserterPresentation, ...]:
+def biisoinserter(t: TwoCategory, f: str, g: str,
+                  cap: int | Budget | None = None) -> tuple[InserterPresentation, ...]:
     """All verified iso-inserter presentations of the parallel pair
     ``(f, g)``, in candidate table order."""
     for c in (f, g):
@@ -447,7 +441,7 @@ def biisoinserter(t: TwoCategory, f: str, g: str, cap: int | None = None,
             raise InputError(f"unknown 1-cell {c}")
     if (t.src1[f], t.tgt1[f]) != (t.src1[g], t.tgt1[g]):
         raise InputError(f"1-cells {f} and {g} are not parallel")
-    budget = _budget if _budget is not None else Budget(cap, "biisoinserter")
+    budget = _spending(cap, "biisoinserter")
     a = t.src1[f]
     out = []
     for apex in t.objects:
@@ -457,6 +451,6 @@ def biisoinserter(t: TwoCategory, f: str, g: str, cap: int | None = None,
             for lam in t.iso2(fl, gl):
                 budget.tick()
                 pres = InserterPresentation(f, g, apex, ell, lam)
-                if is_biisoinserter(t, pres, _budget=budget).ok:
+                if is_biisoinserter(t, pres, budget).ok:
                     out.append(pres)
     return tuple(out)

@@ -298,6 +298,24 @@ def test_small_cap_is_reported_as_inconclusive(files):
     assert "cap 2 exceeded" in out["detail"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-closed", str(FIXTURE_DIR / "pb2.2cat.json"), "--cap", "-5"],
+    ["kernel", str(FIXTURE_DIR / "pb2.2cat.json"), "m05_1to1_11",
+     "--cap", "-1"],
+], ids=["check-closed", "kernel"])
+def test_a_negative_cap_is_a_usage_error(argv):
+    proc = run(*argv)
+    assert proc.returncode == 2
+    assert "argument --cap: N must be at least 0, got -" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_a_cap_of_zero_runs_the_search(files):
+    proc = run("kernel", str(files["pb2"]), "m05_1to1_11", "--cap", "0")
+    assert proc.returncode == 3
+    assert "search cap 0 exceeded" in last_json(proc)["detail"]
+
+
 def test_capped_dom_fibration_check_is_inconclusive():
     proc = run("check-fibration", str(FIXTURE_DIR / "ct22.fs.json"),
                "--direction", "dom", "--cap", "1")

@@ -30,7 +30,7 @@ from twoexact import (
     solve_rwhisker,
     validate_two_category,
 )
-from twoexact import exact, limits
+from twoexact import closure, exact, factor, limits
 from twoexact.core import (Gen, Id2, Inverse, LWhisker, RWhisker, TwoCategory,
                            VComp, _law_verdict, _violations, check_shape,
                            paste)
@@ -326,6 +326,102 @@ def test_budget_unbounded_when_cap_is_none():
     b = Budget(None, "probe")
     for _ in range(10_000):
         b.tick()
+
+
+def _capped_searches():
+    """Every search that takes a cap, with inputs on ld_pb2 on which it
+    spends, and what a number that runs out makes it report: the context
+    its inconclusive certificate or ``CapExceeded`` names, or, for
+    ``weakly_reflects``, the ``InputError`` of the presentation check that
+    runs out first."""
+    t, n = LD_PB2, ZERO_IDEALS["ld_pb2"]
+    f, g = "m05_1to1_11", "m04_1to1_e"
+    pres = limits.two_kernels(t, n, f)[0]
+    fs = fs_from_ideal(t, n)[0]
+    searches = {
+        limits.is_two_kernel: (t, n, pres),
+        limits.two_kernels: (t, n, f),
+        limits.two_cokernels: (t, n, f),
+        limits.kernel_presentations_by_arrow: (t, n),
+        limits.cokernel_presentations_by_arrow: (t, n),
+        limits.is_biisoinserter: (t, limits.biisoinserter(t, g, f)[0]),
+        limits.biisoinserter: (t, g, f),
+        closure.reflects_null_morphisms: (t, n, pres.leg),
+        closure.reflects_null_2cells: (t, n, pres.leg),
+        closure.weakly_reflects: (t, n, pres),
+        factor.validate_fs: (t, fs),
+        factor.validate_rofs: (t, n, fs.left_class, fs.right_class),
+        factor.check_weak_two_fibration: (t, fs, "cod"),
+    }
+    # the cokernel search is the kernel search of the duals, under its name
+    reported = {limits.two_cokernels: "two_kernels",
+                closure.weakly_reflects: InputError}
+    return {search.__name__: (search, args, reported.get(search,
+                                                         search.__name__))
+            for search, args in searches.items()}
+
+
+CAPPED_SEARCHES = _capped_searches()
+
+
+@pytest.mark.parametrize("name", CAPPED_SEARCHES)
+def test_a_cap_is_a_number_or_the_running_budget_of_a_caller(
+        name, monkeypatch):
+    search, args, reported = CAPPED_SEARCHES[name]
+    made = []
+    init = Budget.__init__
+
+    def recorded(budget, *init_args):
+        init(budget, *init_args)
+        made.append(budget)
+
+    monkeypatch.setattr(Budget, "__init__", recorded)
+    caller = Budget(None, "caller")
+    assert search(*args, caller) == search(*args, None)
+    cap = caller.spent - 1
+    assert cap > 0
+
+    # a number: a budget of the search's own, whose overflow it reports
+    made.clear()
+    if reported is InputError:
+        with pytest.raises(InputError, match="not a verified kernel"):
+            search(*args, cap)
+        reported = "is_two_kernel"
+    else:
+        try:
+            out = search(*args, cap)
+        except CapExceeded as exc:
+            assert (exc.context, exc.cap) == (reported, cap)
+        else:
+            assert (out.check, out.status) == (reported, "inconclusive")
+            assert out.detail == {"reason": "cap exceeded",
+                                  "context": reported, "cap": cap}
+    [own] = [b for b in made if b.context == reported]
+    assert own.spent == cap + 1
+
+    # the caller's budget: spent from, and its overflow left to the caller
+    running = Budget(cap, "caller")
+    made.clear()
+    with pytest.raises(CapExceeded) as exc:
+        search(*args, running)
+    assert (exc.value.context, exc.value.cap) == ("caller", cap)
+    assert running.spent == own.spent
+    assert made == []
+
+
+def test_weakly_reflects_checks_its_presentation_only_given_a_number():
+    t, n = LD_PB2, ZERO_IDEALS["ld_pb2"]
+    f = "m05_1to1_11"
+    bad = next(pres for pres in (
+        limits.KernelPresentation(f, t.src1[k], k, nc, alpha)
+        for k, nc, alpha in t.null_cones(n.null1, f))
+        if limits.is_two_kernel(t, n, pres).status == "fail")
+    for cap in (None, 10**6):
+        with pytest.raises(InputError, match="not a verified kernel"):
+            closure.weakly_reflects(t, n, bad, cap)
+    # given a running budget, it trusts the sweep that spends from it
+    assert closure.weakly_reflects(t, n, bad, Budget(None, "sweep")).check \
+        == "weakly_reflects"
 
 
 @given(st.integers(min_value=0, max_value=11))

@@ -175,8 +175,8 @@ def test_closedness_spends_from_the_report_budget():
     # closedness, which therefore stops on the report's own budget
     t, n = _pb2_ideal()
     sweeps = Budget(None, "sweeps")
-    limits.kernel_presentations_by_arrow(t, n, _budget=sweeps)
-    limits.cokernel_presentations_by_arrow(t, n, _budget=sweeps)
+    limits.kernel_presentations_by_arrow(t, n, sweeps)
+    limits.cokernel_presentations_by_arrow(t, n, sweeps)
     rep = check_grandis_ii(t, n, cap=sweeps.spent)
     assert rep.certificate("all-kernels-exist").ok
     assert rep.certificate("all-cokernels-exist").ok

@@ -419,8 +419,8 @@ def validate_rofs(t: TwoCategory, n: TwoIdeal,
 def _validate_rofs(t: TwoCategory, n: TwoIdeal, left: tuple[str, ...],
                    right: tuple[str, ...], budget: Budget) -> Certificate:
     left_set, right_set = set(left), set(right)
-    kernels = kernel_presentations_by_arrow(t, n, _budget=budget)
-    cokernels = cokernel_presentations_by_arrow(t, n, _budget=budget)
+    kernels = kernel_presentations_by_arrow(t, n, budget)
+    cokernels = cokernel_presentations_by_arrow(t, n, budget)
     kernel_by_leg: dict[str, list[KernelPresentation]] = {}
     for ps in kernels.values():
         for p in ps:

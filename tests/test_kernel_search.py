@@ -224,15 +224,6 @@ def _run(search, *args, cap=None):
     return out, budget.spent
 
 
-def _spending(search, **kwargs):
-    """``search`` taking its budget as the last positional argument, as the
-    reference functions do."""
-    return lambda *args: search(*args[:-1], _budget=args[-1], **kwargs)
-
-
-SWEEP = _spending(kernel_presentations_by_arrow)
-
-
 def _assert_same(search, reference, *args):
     """Same outcome and spending, uncapped and cut off halfway."""
     got = _run(search, *args)
@@ -254,7 +245,7 @@ def _kernel_table(name, side):
 def test_two_kernels_match_the_reference(name, side):
     t, n = _case(name, side)
     for f in t.one_ids:
-        _assert_same(_spending(two_kernels), reference_two_kernels, t, n, f)
+        _assert_same(two_kernels, reference_two_kernels, t, n, f)
     assert {f: two_kernels(t, n, f) for f in t.one_ids} \
         == _kernel_table(name, side)
 
@@ -269,7 +260,7 @@ def test_two_cokernels_match_the_reference(name, side):
                                  p.structure)
             for p in _kernel_table(name, dual)[f])
         budget, ref = Budget(None, "cokernels"), Budget(None, "reference")
-        two_cokernels(t, n, f, _budget=budget)
+        two_cokernels(t, n, f, budget)
         reference_two_kernels(t.dual, n.dual, f, ref)
         assert budget.spent == ref.spent
 
@@ -280,7 +271,7 @@ def test_every_candidate_checks_as_the_reference(name, side):
     t, n = _case(name, side)
     for f in t.one_ids:
         for pres in reference_candidates(t, n, f):
-            _assert_same(_spending(is_two_kernel), reference_is_two_kernel,
+            _assert_same(is_two_kernel, reference_is_two_kernel,
                          t, n, pres)
 
 
@@ -299,11 +290,11 @@ def test_kernel_factor_matches_the_reference(name, side):
 def test_reflection_matches_the_reference(name, side):
     t, n = _case(name, side)
     for k in t.one_ids:
-        _assert_same(_spending(reflects_null_morphisms),
+        _assert_same(reflects_null_morphisms,
                      reference_reflects_null_morphisms, t, n, k)
     for kernels in _kernel_table(name, side).values():
         for pres in kernels:
-            _assert_same(_spending(weakly_reflects, _verified=True),
+            _assert_same(weakly_reflects,
                          reference_weakly_reflects, t, n, pres)
 
 
@@ -374,11 +365,12 @@ def test_two_kernels_by_equivalence_match_the_reference(name, ideal, side):
     want = reference_sweep(t, n, reference)
     for f in t.one_ids:
         reference_gated_spending(t, n, f, gated)
-    assert _run(SWEEP, t, n) == (want, gated.spent)
+    sweep = kernel_presentations_by_arrow
+    assert _run(sweep, t, n) == (want, gated.spent)
     if gated.spent // 2:
-        assert _run(SWEEP, t, n, cap=gated.spent // 2)[0] == "CapExceeded"
+        assert _run(sweep, t, n, cap=gated.spent // 2)[0] == "CapExceeded"
     # a copy records nothing, so it gets the per-candidate search
-    assert _run(SWEEP, t, dataclasses.replace(n)) == (want, reference.spent)
+    assert _run(sweep, t, dataclasses.replace(n)) == (want, reference.spent)
 
 
 @pytest.mark.parametrize("operator, name, seed", MUTANTS,
@@ -391,7 +383,7 @@ def test_mutants_keep_the_per_candidate_search(operator, name, seed):
         assert not validate_two_ideal(t, n).ok
     for tt, nn in ((t, n), (t.dual, n.dual)):
         for f in tt.one_ids:
-            _assert_same(_spending(two_kernels), reference_two_kernels,
+            _assert_same(two_kernels, reference_two_kernels,
                          tt, nn, f)
 
 
@@ -400,7 +392,7 @@ def test_the_shortcut_needs_its_gate():
     # finds other presentations than the reference; the public sweep keeps
     # the per-candidate search on every mutant and its dual
     def forced(t, n, f, budget):
-        return _kernels(t, n, f, budget, True)
+        return tuple(_kernels(t, n, f, budget, True))
 
     moved = {operator for (operator, _, _), (t, n) in MUTANTS.items()
              if any(_run(forced, t, n, f)[0]
@@ -409,7 +401,8 @@ def test_the_shortcut_needs_its_gate():
     assert moved == {"retarget-vcomp", "drop-null-2cell"}
     for t, n in MUTANTS.values():
         for tt, nn in ((t, n), (t.dual, n.dual)):
-            _assert_same(SWEEP, reference_sweep, tt, nn)
+            _assert_same(kernel_presentations_by_arrow, reference_sweep,
+                         tt, nn)
 
 
 #: The capped searches on ps2 and pb3: per (fixture, command, cap), the exit
@@ -531,3 +524,32 @@ def test_the_pb3_runs_that_finish_at_20000_print_the_uncapped_bytes(
         capsys, command):
     assert _pinned(capsys, "pb3", command) \
         == CAPPED_SHA256[("pb3", command, 20000)]
+
+
+#: ``three-pieces`` on pb3: per arrow, the instances its four searches spend
+#: up to their first verified presentations, where each stops, and the
+#: sha256 of its stdout after the header.
+THREE_PIECES_PB3 = {
+    "m56_3to3_e":
+        (656, "9e83616469a8d8c1d901772cc77f5ae0f153f87ebdf90b749ab593e8fbf8c962"),
+    "m38_3to0_e":
+        (346, "b6edc217e3abb74b7848be43a545096bb08caf9c45d1feb31c0ec6230e1d9632"),
+}
+
+
+@pytest.mark.parametrize("arrow", THREE_PIECES_PB3)
+def test_capped_three_pieces_output_is_pinned(capsys, arrow):
+    spent, uncapped = THREE_PIECES_PB3[arrow]
+    path = str(FIXTURE_DIR / "pb3.2cat.json")
+
+    def pinned(*capped):
+        code = main(["three-pieces", path, arrow, *capped])
+        out = capsys.readouterr().out.split("\n", 1)[1]
+        return code, hashlib.sha256(out.encode()).hexdigest(), out
+
+    assert pinned()[:2] == (0, uncapped)
+    for cap in (1000, spent):
+        assert pinned("--cap", str(cap))[:2] == (0, uncapped)
+    code, _, out = pinned("--cap", str(spent - 1))
+    assert code == 3
+    assert f"search cap {spent - 1} exceeded during three_pieces" in out
