@@ -56,7 +56,11 @@ def _header(command: str, cap: int | None, inputs: Sequence[str]) -> None:
 
 def _cap(text: str) -> int:
     """A ``--cap`` value: a number of instances, at least 0."""
-    cap = int(text)
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
     if cap < 0:
         raise argparse.ArgumentTypeError(f"N must be at least 0, got {cap}")
     return cap

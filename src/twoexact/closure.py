@@ -118,11 +118,20 @@ def weakly_reflects(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
     """As :func:`reflects_null_morphisms` for the presentation's leg, but
     quantifying only over ``(s, null, δ)`` whose compatibility pasting with
     the presentation's structure cell is an invertible null 2-cell.  Given
-    a number, it raises :class:`InputError` unless :func:`is_two_kernel`
-    passes the presentation; given a budget, it trusts the caller's sweep."""
-    if not isinstance(cap, Budget) and not is_two_kernel(t, n, pres, cap).ok:
+    a number, it first checks the presentation with :func:`is_two_kernel`
+    from the same budget and raises :class:`InputError` unless it passes;
+    given a budget, it trusts the caller's sweep."""
+    body = (_weak_reflection if isinstance(cap, Budget)
+            else _checked_weak_reflection)
+    return _capped("weakly_reflects", cap, body, t, n, pres)
+
+
+def _checked_weak_reflection(t: TwoCategory, n: TwoIdeal,
+                             pres: KernelPresentation,
+                             budget: Budget) -> Certificate:
+    if not is_two_kernel(t, n, pres, budget).ok:
         raise InputError("presentation is not a verified kernel")
-    return _capped("weakly_reflects", cap, _weak_reflection, t, n, pres)
+    return _weak_reflection(t, n, pres, budget)
 
 
 def _weak_reflection(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,

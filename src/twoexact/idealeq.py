@@ -16,8 +16,7 @@ from itertools import product
 from typing import TypeVar
 
 from .core import (
-    Budget, CapExceeded, Certificate, InputError, TwoCategory, _fail,
-    _inconclusive,
+    Budget, Certificate, InputError, TwoCategory, _capped, _fail, _spending,
 )
 from .ideal import TwoIdeal
 from .limits import CokernelPresentation, KernelPresentation
@@ -150,13 +149,13 @@ class _NoCounterpart(InputError):
 
 
 def find_equivalence_witness(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
-                             cap: int | None = None,
+                             cap: int | Budget | None = None,
                              ) -> IdealEquivalenceWitness | None:
     """Exhaustive search for a witness satisfying properties (1)–(4);
     deterministic, identity comparisons preferred.  Raises
     :class:`CapExceeded` on budget overflow and :class:`InputError` when
     some null cell has no boundary-compatible null counterpart at all."""
-    budget = Budget(cap, "find_equivalence_witness")
+    budget = _spending(cap, "find_equivalence_witness")
     forward_nulls = [f for f in t.one_ids if f in n.null1]
     backward_nulls = [f for f in t.one_ids if f in n_prime.null1]
     forward_choices = []
@@ -183,16 +182,19 @@ def find_equivalence_witness(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
 
 
 def ideals_equivalent(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
-                      cap: int | None = None) -> Certificate:
-    """Search a cellwise equivalence witness between two ideals; pass
-    certificates carry the witness found."""
+                      cap: int | Budget | None = None) -> Certificate:
+    """Search a cellwise equivalence witness between two ideals, under
+    this check's name; pass certificates carry the witness found."""
+    return _capped("ideals_equivalent", cap, _equivalence, t, n, n_prime)
+
+
+def _equivalence(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
+                 budget: Budget) -> Certificate:
     name = "ideals_equivalent"
     try:
-        w = find_equivalence_witness(t, n, n_prime, cap)
+        w = find_equivalence_witness(t, n, n_prime, budget)
     except _NoCounterpart as exc:
         return _fail(name, exc.clause, null=exc.cell)
-    except CapExceeded as exc:
-        return _inconclusive(name, exc)
     if w is None:
         return _fail(name, "no-witness")
     return Certificate(name, "pass", witness=_witness_dict(w))

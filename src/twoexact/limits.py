@@ -286,9 +286,11 @@ def _to_dual_kernel(pres: CokernelPresentation) -> KernelPresentation:
 
 def is_two_cokernel(t: TwoCategory, n: TwoIdeal, pres: CokernelPresentation,
                     cap: int | Budget | None = None) -> Certificate:
-    """A cokernel is a kernel in the dual 2-category with the dual ideal."""
-    return replace(is_two_kernel(t.dual, n.dual, _to_dual_kernel(pres), cap),
-                   check="is_two_cokernel")
+    """A cokernel is a kernel in the dual 2-category with the dual ideal,
+    checked under its own name."""
+    cert = _capped("is_two_cokernel", cap, is_two_kernel, t.dual, n.dual,
+                   _to_dual_kernel(pres))
+    return replace(cert, check="is_two_cokernel")
 
 
 def _to_cokernel(pres: KernelPresentation) -> CokernelPresentation:
@@ -298,8 +300,10 @@ def _to_cokernel(pres: KernelPresentation) -> CokernelPresentation:
 
 def two_cokernels(t: TwoCategory, n: TwoIdeal, f: str,
                   cap: int | Budget | None = None) -> tuple[CokernelPresentation, ...]:
-    """All verified cokernel presentations of ``f``, via the dual search."""
-    return tuple(map(_to_cokernel, two_kernels(t.dual, n.dual, f, cap)))
+    """All verified cokernel presentations of ``f``: the kernel search of
+    the duals, under its own name."""
+    kernels = two_kernels(t.dual, n.dual, f, _spending(cap, "two_cokernels"))
+    return tuple(map(_to_cokernel, kernels))
 
 
 def kernel_presentations_by_arrow(

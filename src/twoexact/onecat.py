@@ -2,10 +2,12 @@
 
 Everything here is implemented by direct exhaustion over the finite data using
 the classical 1-categorical definitions (kernels and cokernels relative to an
-ideal of null morphisms, closedness, normal factorization).  The rest of the
-package never calls into this module; it exists so that the 2-dimensional
-machinery can be cross-validated against an independent computation on
-locally discrete inputs.
+ideal of null morphisms, closedness, normal factorization).  Each cokernel
+notion is its kernel notion on the opposite category, ``FiniteCategory.op``,
+under the same ideal.  No checker module calls into this module, and it reads
+nothing of theirs; it exists so that the 2-dimensional machinery can be
+cross-validated against an independent computation on locally discrete
+inputs.
 """
 from __future__ import annotations
 
@@ -47,6 +49,14 @@ class FiniteCategory:
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return self._hom.get((a, b), ())
+
+    @cached_property
+    def op(self) -> FiniteCategory:
+        """The opposite category: each morphism reversed, in table order, so
+        its hom lists are this category's."""
+        return FiniteCategory(
+            self.objects, tuple((i, t, s) for i, s, t in self.morphisms),
+            {(f, g): h for (g, f), h in self.comp.items()}, self.ident)
 
 
 def check_category_shape(c: FiniteCategory) -> None:
@@ -158,26 +168,9 @@ def kernels_1cat(c: FiniteCategory, ideal: OneIdeal, f: str) -> tuple[tuple[str,
 
 
 def cokernels_1cat(c: FiniteCategory, ideal: OneIdeal, f: str) -> tuple[tuple[str, str], ...]:
-    """All ``(Q, q)`` with ``q∘f`` null and the dual universal property."""
-    if f not in c.src:
-        raise InputError(f"unknown morphism {f}")
-    b = c.tgt[f]
-    out: list[tuple[str, str]] = []
-    for qobj in c.objects:
-        for q in c.hom(b, qobj):
-            if c.comp[(q, f)] not in ideal:
-                continue
-            good = True
-            for z in c.mor_ids:
-                if c.src[z] != b or c.comp[(z, f)] not in ideal:
-                    continue
-                us = [u for u in c.hom(qobj, c.tgt[z]) if c.comp[(u, q)] == z]
-                if len(us) != 1:
-                    good = False
-                    break
-            if good:
-                out.append((qobj, q))
-    return tuple(out)
+    """All ``(Q, q)`` with ``q∘f`` null and the dual universal property: the
+    kernels of ``f`` in the opposite category."""
+    return kernels_1cat(c.op, ideal, f)
 
 
 def null_objects_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[str, ...]:
@@ -196,12 +189,16 @@ def kernel_legs_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[str, ...]:
 
 
 def cokernel_legs_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[str, ...]:
-    legs: list[str] = []
-    for f in c.mor_ids:
-        for _, q in cokernels_1cat(c, ideal, f):
-            if q not in legs:
-                legs.append(q)
-    return tuple(legs)
+    """The kernel legs of the opposite category."""
+    return kernel_legs_1cat(c.op, ideal)
+
+
+def _kernel_legs_reflect(c: FiniteCategory, ideal: OneIdeal) -> bool:
+    """Every kernel leg ``k`` reflects nullity: ``k∘s`` null implies ``s``
+    null."""
+    return not any(
+        c.tgt[s] == c.src[k] and c.comp[(k, s)] in ideal and s not in ideal
+        for k in kernel_legs_1cat(c, ideal) for s in c.mor_ids)
 
 
 def closedness_triple_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[bool, bool, bool]:
@@ -214,34 +211,11 @@ def closedness_triple_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[bool, bo
     Returned separately so callers can assert their agreement.
     """
     nulls_obj = null_objects_1cat(c, ideal)
-    b1 = True
-    for n in c.mor_ids:
-        if n not in ideal:
-            continue
-        if not any(
-            c.comp[(y, x)] == n
-            for z in nulls_obj
-            for x in c.hom(c.src[n], z)
-            for y in c.hom(z, c.tgt[n])
-        ):
-            b1 = False
-            break
-    b2 = True
-    for k in kernel_legs_1cat(c, ideal):
-        for s in c.mor_ids:
-            if c.tgt[s] == c.src[k] and c.comp[(k, s)] in ideal and s not in ideal:
-                b2 = False
-                break
-        if not b2:
-            break
-    b3 = True
-    for q in cokernel_legs_1cat(c, ideal):
-        for s in c.mor_ids:
-            if c.src[s] == c.tgt[q] and c.comp[(s, q)] in ideal and s not in ideal:
-                b3 = False
-                break
-        if not b3:
-            break
+    b1 = all(
+        any(c.comp[(y, x)] == n for z in nulls_obj
+            for x in c.hom(c.src[n], z) for y in c.hom(z, c.tgt[n]))
+        for n in c.mor_ids if n in ideal)
+    b2, b3 = (_kernel_legs_reflect(cat, ideal) for cat in (c, c.op))
     return b1, b2, b3
 
 
@@ -273,16 +247,14 @@ def grandis_exact_1cat(c: FiniteCategory, ideal: OneIdeal) -> Certificate:
 
     klegs = kernel_legs_1cat(c, ideal)
     qlegs = cokernel_legs_1cat(c, ideal)
-    for k in klegs:
-        cks = cokernels_1cat(c, ideal, k)
-        _, q = cks[0]
-        if (c.src[k], k) not in kernels_1cat(c, ideal, q):
-            return _fail(name, "kernel-of-cokernel", kernel_leg=k, cokernel_leg=q)
-    for q in qlegs:
-        ks = kernels_1cat(c, ideal, q)
-        _, k = ks[0]
-        if (c.tgt[q], q) not in cokernels_1cat(c, ideal, k):
-            return _fail(name, "cokernel-of-kernel", cokernel_leg=q, kernel_leg=k)
+    # the cokernel-of-kernel clause is the kernel-of-cokernel clause on c.op
+    for cat, legs, clause, leg, coleg in (
+            (c, klegs, "kernel-of-cokernel", "kernel_leg", "cokernel_leg"),
+            (c.op, qlegs, "cokernel-of-kernel", "cokernel_leg", "kernel_leg")):
+        for k in legs:
+            _, q = cokernels_1cat(cat, ideal, k)[0]
+            if (cat.src[k], k) not in kernels_1cat(cat, ideal, q):
+                return _fail(name, clause, **{leg: k, coleg: q})
 
     for f in c.mor_ids:
         if not any(

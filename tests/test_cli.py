@@ -203,6 +203,57 @@ def test_oracle_1cat_agrees_with_the_two_dimensional_verdict(files):
                str(files["pb2_1cat"])).returncode == 0
 
 
+#: ``oracle-1cat`` on two fixtures and three generated documents, run from
+#: their directory: the exit code and the sha256 of stdout, by document and
+#: mode.
+ORACLE_1CAT_SHA256 = {
+    ("pb2.1cat.json", "grandis"):
+        (0, "2f6e45d3047e27c3bba8700c1b57f0aa17a3d6e9f2b01cadbcd6cd77067b7967"),
+    ("pb2.1cat.json", "puppe"):
+        (0, "cd0b5aa09d4f55420e4a5957ced8b18c233771bd4509186e999ec74b7053f9f4"),
+    ("pb2.1ideal.json", "grandis"):
+        (0, "ac8957313eaf515e1569e7082630e0a0e5c20b7713b6bbcffe524057ed66b55e"),
+    ("pb2.1ideal.json", "puppe"):
+        (0, "6b6f8bf0f8bf126ef7bfded806a03c3e456af56391838292f7b6ccff4ca2610a"),
+    ("pb3.1cat.json", "grandis"):
+        (0, "db2141ee72c2566534af662a211c6682f4c214ab7cec5bab16f5c4d3e93884a2"),
+    ("pb3.1cat.json", "puppe"):
+        (0, "25a9fafb34dbcac2d90a8d89466a5b00310c44f78e8d271c162679887ff78a77"),
+    ("ps3.1cat.json", "grandis"):
+        (1, "cc774f9ea82c33477b847325c6b9caaa027beb2ba3a51a73bd46707eee2f354a"),
+    ("ps3.1cat.json", "puppe"):
+        (1, "89f6bcceb08fa8d1a78ce6ae4b2695b7b4ec6bf0388d2581d779dd45d3ee6a7d"),
+    ("ct23.1cat.json", "grandis"):
+        (0, "10c3d85c4bea69f0209d85aa86be0a726858700c5badfd009295e18773a58444"),
+    ("ct23.1cat.json", "puppe"):
+        (0, "f0e5b1aebaf25153da5a950e139b23c02ec4bb200ec56a57991da9a4149195d0"),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("oracle")
+    for name in ("pb2.1cat.json", "pb2.1ideal.json"):
+        (d / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    for name, spec in (("pb3", ["partial-bijections", "3"]),
+                       ("ps3", ["pointed-sets", "3"]),
+                       ("ct23", ["cyclic-tower", "2", "3"])):
+        proc = run("gen", *spec, "--out", str(d / f"{name}.1cat.json"))
+        assert proc.returncode == 0, proc.stderr
+    return d
+
+
+@pytest.mark.parametrize("name, mode", ORACLE_1CAT_SHA256,
+                         ids=[f"{n} {m}" for n, m in ORACLE_1CAT_SHA256])
+def test_oracle_1cat_output_is_pinned(oracle_dir, monkeypatch, capsys, name,
+                                      mode):
+    monkeypatch.chdir(oracle_dir)
+    code = cli.main(["oracle-1cat", name, "--mode", mode])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) \
+        == ORACLE_1CAT_SHA256[(name, mode)]
+
+
 def test_factorization_pipeline_round_trips(files):
     d = files["dir"]
     bundle = d / "bundle.json"
@@ -308,6 +359,26 @@ def test_a_negative_cap_is_a_usage_error(argv):
     assert proc.returncode == 2
     assert "argument --cap: N must be at least 0, got -" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_a_non_integer_cap_is_a_usage_error():
+    proc = run("check-closed", str(FIXTURE_DIR / "pb2.2cat.json"),
+               "--cap=abc")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "twoexact check-closed: error: argument --cap: "
+        "invalid int value: 'abc'")
+
+
+def test_a_stopped_ideal_equivalence_names_its_own_search():
+    path = str(FIXTURE_DIR / "pb2.ideal.json")
+    proc = run("equiv-ideals", path, path, "--cap", "0")
+    assert proc.returncode == 3
+    assert proc.stdout.splitlines()[1:] == [
+        '{"check": "ideals_equivalent","detail": {"cap": 0,"context": '
+        '"ideals_equivalent","reason": "cap exceeded"},'
+        '"status": "inconclusive"}']
 
 
 def test_a_cap_of_zero_runs_the_search(files):

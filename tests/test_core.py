@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from family import (CH_PB1, CORE, CORE_NAMES, LD_CT22, LD_PB2, ZERO_IDEALS,
-                    parallel_pairs, twisted_whisker_base)
+                    null_z_ideal, one_object_base, parallel_pairs,
+                    twisted_whisker_base)
 from twoexact import (
     Budget,
     CapExceeded,
@@ -17,6 +18,7 @@ from twoexact import (
     canonical_zero_ideal,
     check_puppe,
     fs_from_ideal,
+    ideals_equivalent,
     is_cofaithful,
     is_equivalence,
     is_faithful,
@@ -329,18 +331,19 @@ def test_budget_unbounded_when_cap_is_none():
 
 
 def _capped_searches():
-    """Every search that takes a cap, with inputs on ld_pb2 on which it
-    spends, and what a number that runs out makes it report: the context
-    its inconclusive certificate or ``CapExceeded`` names, or, for
-    ``weakly_reflects``, the ``InputError`` of the presentation check that
-    runs out first."""
+    """Every search that takes a cap, with inputs on which it spends: on
+    ld_pb2, and for ``ideals_equivalent`` two inequivalent ideals of a
+    one-object base, whose search tries four witnesses.  A number that runs
+    out makes each report its own name."""
     t, n = LD_PB2, ZERO_IDEALS["ld_pb2"]
     f, g = "m05_1to1_11", "m04_1to1_e"
     pres = limits.two_kernels(t, n, f)[0]
     fs = fs_from_ideal(t, n)[0]
+    nu = dict.fromkeys(("ii", "iz", "zi", "zz"), "iz")
     searches = {
         limits.is_two_kernel: (t, n, pres),
         limits.two_kernels: (t, n, f),
+        limits.is_two_cokernel: (t, n, limits.two_cokernels(t, n, f)[0]),
         limits.two_cokernels: (t, n, f),
         limits.kernel_presentations_by_arrow: (t, n),
         limits.cokernel_presentations_by_arrow: (t, n),
@@ -352,12 +355,10 @@ def _capped_searches():
         factor.validate_fs: (t, fs),
         factor.validate_rofs: (t, n, fs.left_class, fs.right_class),
         factor.check_weak_two_fibration: (t, fs, "cod"),
+        ideals_equivalent: (one_object_base(), null_z_ideal(("iz",), nu),
+                            null_z_ideal(("iz",), {**nu, "ii": "t"})),
     }
-    # the cokernel search is the kernel search of the duals, under its name
-    reported = {limits.two_cokernels: "two_kernels",
-                closure.weakly_reflects: InputError}
-    return {search.__name__: (search, args, reported.get(search,
-                                                         search.__name__))
+    return {search.__name__: (search, args)
             for search, args in searches.items()}
 
 
@@ -367,7 +368,7 @@ CAPPED_SEARCHES = _capped_searches()
 @pytest.mark.parametrize("name", CAPPED_SEARCHES)
 def test_a_cap_is_a_number_or_the_running_budget_of_a_caller(
         name, monkeypatch):
-    search, args, reported = CAPPED_SEARCHES[name]
+    search, args = CAPPED_SEARCHES[name]
     made = []
     init = Budget.__init__
 
@@ -383,20 +384,15 @@ def test_a_cap_is_a_number_or_the_running_budget_of_a_caller(
 
     # a number: a budget of the search's own, whose overflow it reports
     made.clear()
-    if reported is InputError:
-        with pytest.raises(InputError, match="not a verified kernel"):
-            search(*args, cap)
-        reported = "is_two_kernel"
+    try:
+        out = search(*args, cap)
+    except CapExceeded as exc:
+        assert (exc.context, exc.cap) == (name, cap)
     else:
-        try:
-            out = search(*args, cap)
-        except CapExceeded as exc:
-            assert (exc.context, exc.cap) == (reported, cap)
-        else:
-            assert (out.check, out.status) == (reported, "inconclusive")
-            assert out.detail == {"reason": "cap exceeded",
-                                  "context": reported, "cap": cap}
-    [own] = [b for b in made if b.context == reported]
+        assert (out.check, out.status) == (name, "inconclusive")
+        assert out.detail == {"reason": "cap exceeded", "context": name,
+                              "cap": cap}
+    [own] = [b for b in made if b.context == name]
     assert own.spent == cap + 1
 
     # the caller's budget: spent from, and its overflow left to the caller
@@ -422,6 +418,24 @@ def test_weakly_reflects_checks_its_presentation_only_given_a_number():
     # given a running budget, it trusts the sweep that spends from it
     assert closure.weakly_reflects(t, n, bad, Budget(None, "sweep")).check \
         == "weakly_reflects"
+
+
+def test_weakly_reflects_spends_one_budget_given_a_number():
+    t, n = LD_PB2, ZERO_IDEALS["ld_pb2"]
+    pres = limits.two_kernels(t, n, "m05_1to1_11")[0]
+    check, loop = Budget(None, "check"), Budget(None, "loop")
+    assert limits.is_two_kernel(t, n, pres, check).ok
+    assert closure.weakly_reflects(t, n, pres, loop).ok
+    # a number that runs out in the presentation check or in the quantifier
+    # is an inconclusive certificate of weakly_reflects
+    for cap in (check.spent - 1, check.spent + loop.spent - 1):
+        cert = closure.weakly_reflects(t, n, pres, cap)
+        assert (cert.check, cert.status) == ("weakly_reflects",
+                                             "inconclusive")
+        assert cert.detail == {"reason": "cap exceeded",
+                               "context": "weakly_reflects", "cap": cap}
+    assert closure.weakly_reflects(t, n, pres,
+                                   check.spent + loop.spent).ok
 
 
 @given(st.integers(min_value=0, max_value=11))

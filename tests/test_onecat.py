@@ -1,5 +1,10 @@
 """One-dimensional oracles: finite categories, ideals, exactness."""
 
+import hashlib
+import json
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from family import CT22, PB1, PB2, PB3, PS2, TERM
@@ -9,16 +14,24 @@ from twoexact import (
     closedness_triple_1cat,
     cokernel_legs_1cat,
     cokernels_1cat,
+    cyclic_tower,
     grandis_exact_1cat,
     kernel_legs_1cat,
     kernels_1cat,
     null_objects_1cat,
+    partial_bijections,
+    pointed_sets,
     puppe_exact_1cat,
+    terminal_category,
     validate_category,
     validate_one_ideal,
     zero_ideal_1cat,
     zero_objects_1cat,
 )
+from twoexact.formats import (document_to_finite_category,
+                              document_to_one_ideal, parse)
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 CATS = {"term": TERM, "pb1": PB1, "pb2": PB2, "pb3": PB3,
         "ct22": CT22, "ps2": PS2}
@@ -121,3 +134,73 @@ def test_empty_ideal_is_valid_but_not_exact():
     empty = OneIdeal(frozenset())
     assert validate_one_ideal(PB2, empty).ok
     assert not grandis_exact_1cat(PB2, empty).ok
+
+
+def _generated_ideal(c, generators):
+    """The ideal generated by ``generators``: every ``g∘m∘f``."""
+    return OneIdeal(frozenset(
+        c.comp[(g, c.comp[(m, f)])] for m in generators
+        for f in c.mor_ids if c.tgt[f] == c.src[m]
+        for g in c.mor_ids if c.src[g] == c.tgt[m]))
+
+
+def _oracle_dump(c, ideal):
+    return {
+        "kernels": {f: kernels_1cat(c, ideal, f) for f in c.mor_ids},
+        "cokernels": {f: cokernels_1cat(c, ideal, f) for f in c.mor_ids},
+        "kernel_legs": kernel_legs_1cat(c, ideal),
+        "cokernel_legs": cokernel_legs_1cat(c, ideal),
+        "closedness": closedness_triple_1cat(c, ideal),
+        "grandis": grandis_exact_1cat(c, ideal).to_json_dict(),
+    }
+
+
+def test_oracle_answers_are_pinned():
+    """Every oracle function on 13 categories, each under its zero ideal,
+    the ideal of all morphisms and the empty ideal (and the fixture ideal
+    on its own document), and on the 71 distinct ideals generated by one
+    or two morphisms of eight small categories."""
+    fixture_cat, fixture_ideal = document_to_one_ideal(
+        parse((FIXTURE_DIR / "pb2.1ideal.json").read_text()))
+    cats = {
+        "terminal": terminal_category(),
+        **{f"pb{n}": partial_bijections(n) for n in (1, 2, 3)},
+        **{f"ps{n}": pointed_sets(n) for n in (1, 2, 3)},
+        **{f"ct{p}{k}": cyclic_tower(p, k) for p in (2, 3) for k in (2, 3)},
+        "pb2.1cat.json": document_to_finite_category(
+            parse((FIXTURE_DIR / "pb2.1cat.json").read_text())),
+        "pb2.1ideal.json": fixture_cat,
+    }
+    dump = {}
+    for name, c in cats.items():
+        ideals = {"all": OneIdeal(frozenset(c.mor_ids)),
+                  "empty": OneIdeal(frozenset())}
+        if zero_objects_1cat(c):
+            ideals["zero"] = zero_ideal_1cat(c)
+        if name == "pb2.1ideal.json":
+            ideals["document"] = fixture_ideal
+        dump[name] = {
+            "puppe": puppe_exact_1cat(c).to_json_dict(),
+            **{label: _oracle_dump(c, ideal)
+               for label, ideal in ideals.items()}}
+    generated = {}
+    for name in ("terminal", "pb1", "pb2", "ps1", "ps2", "ct22", "ct23",
+                 "ct32"):
+        c = cats[name]
+        ideals = {}
+        for size in (1, 2):
+            for ms in combinations(c.mor_ids, size):
+                ideals.setdefault(_generated_ideal(c, ms).null, ms)
+        for null, ms in ideals.items():
+            generated[f"{name} {' '.join(ms)}"] = _oracle_dump(
+                c, OneIdeal(null))
+    assert len(generated) == 71
+    verdicts = {(case["grandis"].get("counterexample") or {}).get("clause")
+                for cases in (*dump.values(), generated)
+                for case in cases.values() if "grandis" in case}
+    assert verdicts >= {None, "factorization", "missing-kernel",
+                        "missing-cokernel"}
+    text = json.dumps({"categories": dump, "generated": generated},
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "ca6ffe10b01f5119e9a4bb5eed62343fc364b245b3f8c79a4b2ce29bf7e31d4d"
