@@ -53,8 +53,8 @@ class Budget:
         self.context = context
         self.spent = 0
 
-    def tick(self, n: int = 1) -> None:
-        self.spent += n
+    def tick(self) -> None:
+        self.spent += 1
         if self.cap is not None and self.spent > self.cap:
             raise CapExceeded(self.context, self.cap)
 

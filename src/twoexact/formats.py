@@ -16,8 +16,9 @@ One annotated schema, ``_SCHEMAS``, states the format once.  A field spec
 gives the field's shape and the pool each of its strings names::
 
     ("list-str", ref)             a list of strings
-    ("rows", {column: ref}, n)    a list of rows with exactly these string
+    ("rows", {column: ref}, n, k) a list of rows with exactly these string
                                   columns, sorted by their first n columns
+                                  and keyed by the first k (n if no k)
     ("map", key_ref, value_ref)   a string-to-string map
     ("bool",)                     a boolean
     ("nested", kind, export)      a document of that kind, whose pools are
@@ -29,9 +30,12 @@ gives the field's shape and the pool each of its strings names::
 A ref names a pool: ``o`` objects, ``f`` 1-cells (morphisms) or ``a``
 2-cells, after an optional scope prefix, ``src.`` or ``tgt.``, for a
 functor's source or target.  ``o!``, ``f!`` and ``a!`` mark the column that
-declares a pool, and its order gives the canonical names.  Parsing reports
-every string missing from its pool as a dangling reference, at its path in
-the document, or at its bare field name when its pool is scoped.
+declares a pool, and its order gives the canonical names.  Parsing walks
+the schema once: it reports the first shape defect, or else every string
+missing from its pool as a dangling reference, at its path in the document,
+or at its bare field name when its pool is scoped.  The readers take their
+columns from the schema too; the writers spell each row out as a dict
+display, which is faster than a generic one.
 
 A leading ``~`` marks derived cells.  The functor and natural tables of a
 ``witness-bundle`` name squares and square pairs of the two pseudo-arrow
@@ -99,7 +103,7 @@ _IDEAL_FIELDS: dict[str, tuple] = {
     "null_one_cells": ("list-str", "f"),
     "null_two_cells": ("list-str", "a"),
     "replacement": ("rows", {"a": "f", "n": "f", "b": "f", "tilde": "f",
-                             "nu": "a"}, 4),
+                             "nu": "a"}, 4, 3),
 }
 
 _FS_FIELDS: dict[str, tuple] = {
@@ -161,7 +165,25 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
 }
 
 
-def _check_fields(body: Any, fields: dict[str, tuple], where: str) -> None:
+# ---------------------------------------------------------------------------
+# the schema walks: shape and integrity check, and canonical renaming
+# ---------------------------------------------------------------------------
+
+def _key(spec: tuple) -> str | None:
+    """The column of a rows spec that declares its pool, if any."""
+    return next((c for c, r in spec[1].items() if r[-1] == "!"), None)
+
+
+def _walk(fields: dict[str, tuple], body: Any, where: str, out: list[str],
+             pools: dict | None = None) -> dict:
+    """Check a document against its fields, depth first in field order, and
+    raise the first shape defect; append each string missing from its pool
+    to ``out`` as ``"<ref> (at <place>)"``, in field, row and column order
+    (derived cells skipped; a place is prefixed by ``where`` unless its pool
+    is scoped); and return the pools the document sees, identifier to
+    canonical name, with each nested document's own under its field name.
+    A table is checked in its enclosing ``pools``.  A field names only pools
+    that earlier fields declare or export, so one walk suffices."""
     if not isinstance(body, dict):
         raise _rule("payload-object", f"{where or 'payload'} must be an "
                     f"object")
@@ -175,110 +197,73 @@ def _check_fields(body: Any, fields: dict[str, tuple], where: str) -> None:
         raise _rule("required-fields",
                     f"missing field(s) {', '.join(missing)} in "
                     f"{where or 'payload'}")
+    if pools is None:
+        pools = {}
+
+    def place(ref: str, name: str) -> str:
+        return name if "." in ref else where + name
+
     for name, spec in fields.items():
-        value = body[name]
-        at = f"{where}{name}"
-        shape = spec[0]
+        shape, value, at = spec[0], body[name], where + name
         if shape == "list-str":
             if not (isinstance(value, list)
                     and all(isinstance(x, str) for x in value)):
                 raise _rule("field-type", f"{at} must be a list of strings")
+            ref = spec[1]
+            if ref[-1] == "!":
+                pools[ref[0]] = {x: f"{ref[0]}{i}"
+                                 for i, x in enumerate(value)}
+            else:
+                pool, spot = pools[ref], place(ref, name)
+                out.extend(f"{x} (at {spot})" for x in value if x not in pool)
         elif shape == "rows":
             cols = spec[1]
             if not isinstance(value, list):
                 raise _rule("field-type", f"{at} must be a list of rows")
+            key, names = _key(spec), cols.keys()
+            need = [(col, pools[ref], place(ref, name))
+                    for col, ref in cols.items() if ref[-1] != "!"
+                    and ref[0] != "~"]
             for row in value:
-                if (not isinstance(row, dict)
-                        or set(row) != set(cols)
+                if (not isinstance(row, dict) or row.keys() != names
                         or not all(isinstance(row[c], str) for c in cols)):
                     raise _rule(
                         "row-shape",
                         f"each {at} row must have exactly the string "
                         f"fields {', '.join(cols)}")
+                for col, pool, spot in need:
+                    if row[col] not in pool:
+                        label = spot if key is None else f"{spot}[{row[key]}]"
+                        out.append(f"{row[col]} (at {label}.{col})")
+            if key is not None:
+                ref = cols[key][0]
+                pools[ref] = {row[key]: f"{ref}{i}"
+                              for i, row in enumerate(value)}
         elif shape == "map":
             if (not isinstance(value, dict)
                     or not all(isinstance(k, str) and isinstance(v, str)
                                for k, v in value.items())):
                 raise _rule("field-type",
                             f"{at} must be a string-to-string map")
+            if spec[1][0] != "~":
+                kpool, vpool = pools[spec[1]], pools[spec[2]]
+                spot = place(spec[1], name)
+                for k, v in value.items():
+                    if k not in kpool:
+                        out.append(f"{k} (at {spot} key)")
+                    if v not in vpool:
+                        out.append(f"{v} (at {spot}[{k}])")
         elif shape == "bool":
             if not isinstance(value, bool):
                 raise _rule("field-type", f"{at} must be a boolean")
         elif shape == "nested":
-            _check_fields(value, _SCHEMAS[spec[1]], f"{at}.")
-        elif shape == "table":
-            _check_fields(value, spec[1], f"{at}.")
-
-
-# ---------------------------------------------------------------------------
-# the two schema walks: referential integrity and canonical renaming
-# ---------------------------------------------------------------------------
-
-_Pools = dict[str, dict[str, str]]
-
-
-def _key(spec: tuple) -> str | None:
-    """The column of a rows spec that declares its pool, if any."""
-    return next((c for c, r in spec[1].items() if r[-1] == "!"), None)
-
-
-def _pools(fields: dict[str, tuple], body: Mapping[str, Any],
-           nested: Callable[[str, str], _Pools]) -> _Pools:
-    """The pools a document sees, each mapping its identifiers to their
-    canonical names: those it declares, and those its nested documents
-    export (``nested(field, kind)`` walks one and returns its pools)."""
-    pools: _Pools = {}
-    for name, spec in fields.items():
-        if spec[0] == "nested":
-            sub = nested(name, spec[1])
-            if spec[2] is not None:
-                pools.update({spec[2] + p: m for p, m in sub.items()})
-            continue
-        if spec[0] == "list-str" and spec[1][-1] == "!":
-            ref, ids = spec[1], body[name]
-        elif spec[0] == "rows" and (key := _key(spec)):
-            ref, ids = spec[1][key], [row[key] for row in body[name]]
-        else:
-            continue
-        pools[ref[0]] = {x: f"{ref[0]}{i}" for i, x in enumerate(ids)}
-    return pools
-
-
-def _dangling(fields: dict[str, tuple], body: Mapping[str, Any], where: str,
-              out: list[str]) -> _Pools:
-    """Append each string of a document that names no cell of its pool to
-    ``out`` as ``"<ref> (at <place>)"``, in field, row and column order, and
-    return the document's pools.  A place is prefixed by ``where`` unless
-    its pool is scoped; derived cells are skipped."""
-    pools = _pools(fields, body, lambda name, kind: _dangling(
-        _SCHEMAS[kind], body[name], f"{where}{name}.", out))
-
-    def place(ref: str, name: str) -> str:
-        return name if "." in ref else where + name
-
-    for name, spec in fields.items():
-        shape, value = spec[0], body[name]
-        if shape == "list-str" and spec[1][-1] != "!":
-            pool, at = pools[spec[1]], place(spec[1], name)
-            out.extend(f"{x} (at {at})" for x in value if x not in pool)
-        elif shape == "rows":
-            key = _key(spec)
-            need = [(col, pools[ref], place(ref, name))
-                    for col, ref in spec[1].items() if ref[-1] != "!"
-                    and ref[0] != "~"]
-            for row in value:
-                for col, pool, at in need:
-                    if row[col] not in pool:
-                        label = at if key is None else f"{at}[{row[key]}]"
-                        out.append(f"{row[col]} (at {label}.{col})")
-        elif shape == "map" and spec[1][0] != "~":
-            kpool, vpool = pools[spec[1]], pools[spec[2]]
-            at = place(spec[1], name)
-            for k, v in value.items():
-                if k not in kpool:
-                    out.append(f"{k} (at {at} key)")
-                if v not in vpool:
-                    out.append(f"{v} (at {at}[{k}])")
+            kind, export = spec[1], spec[2]
+            sub = pools[name] = _walk(_SCHEMAS[kind], value, at + ".", out)
+            if export is not None:
+                pools.update({export + p: m for p, m in sub.items()
+                              if p not in _SCHEMAS[kind]})
+        else:  # table
+            _walk(spec[1], value, at + ".", out, pools)
     return pools
 
 
@@ -306,18 +291,10 @@ def _rename_derived(cell: str, one_map: dict, two_map: dict) -> str:
 
 
 def _renamed(fields: dict[str, tuple], body: Mapping[str, Any],
-             pools: _Pools | None = None) -> tuple[dict, _Pools]:
-    """A document with every string replaced by its canonical name, and
-    its pools.  A table is renamed in the given enclosing ``pools``."""
-    out: dict[str, Any] = {}
-
-    def nested(name: str, kind: str) -> _Pools:
-        out[name], sub = _renamed(_SCHEMAS[kind], body[name])
-        return sub
-
-    if pools is None:
-        pools = _pools(fields, body, nested)
-
+             pools: dict) -> dict:
+    """A document with every string replaced by its canonical name in the
+    pools :func:`_walk` returned for it; a table is renamed in the
+    enclosing pools."""
     def renamer(ref: str) -> Callable[[str], str]:
         if ref[0] != "~":
             return pools[ref.rstrip("!")].__getitem__
@@ -331,6 +308,7 @@ def _renamed(fields: dict[str, tuple], body: Mapping[str, Any],
             return _rename_derived(x, pools[scope + "f"], pools[scope + "a"])
         return derived
 
+    out: dict[str, Any] = {}
     for name, spec in fields.items():
         shape, value = spec[0], body[name]
         if shape == "list-str":
@@ -344,21 +322,33 @@ def _renamed(fields: dict[str, tuple], body: Mapping[str, Any],
             out[name] = {key(k): val(v) for k, v in value.items()}
         elif shape == "bool":
             out[name] = value
-        elif shape == "table":
-            out[name] = _renamed(spec[1], value, pools)[0]
-    return out, pools
+        elif shape == "nested":
+            out[name] = _renamed(_SCHEMAS[spec[1]], value, pools[name])
+        else:  # table
+            out[name] = _renamed(spec[1], value, pools)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # parse / serialize / canonicalize
 # ---------------------------------------------------------------------------
 
+def _check(kind: str, body: Any) -> dict:
+    """The pools of a body of a known kind, raising its first shape defect
+    or else every dangling reference it holds."""
+    dangling: list[str] = []
+    pools = _walk(_SCHEMAS[kind], body, "", dangling)
+    if dangling:
+        raise InputError("dangling references: " + "; ".join(dangling))
+    return pools
+
+
 def parse(text: str) -> Document:
     """Parse interchange text into a :class:`Document`.
 
     Raises :class:`InputError` with line and column for malformed JSON, the
-    violated schema rule for shape errors, and an exhaustive list of
-    dangling references for integrity errors.
+    violated schema rule for the first shape error, and otherwise an
+    exhaustive list of dangling references for integrity errors.
     """
     try:
         data = json.loads(text)
@@ -374,11 +364,7 @@ def parse(text: str) -> Document:
     if kind not in KINDS:
         raise _rule("kind", f"unknown kind {kind!r}")
     body = {k: v for k, v in data.items() if k not in ("version", "kind")}
-    _check_fields(body, _SCHEMAS[kind], "")
-    dangling: list[str] = []
-    _dangling(_SCHEMAS[kind], body, "", dangling)
-    if dangling:
-        raise InputError("dangling references: " + "; ".join(dangling))
+    _check(kind, body)
     return Document(1, kind, body)
 
 
@@ -412,32 +398,6 @@ def _ranks(ids: set[str]) -> dict[str, int]:
             prev, r = k, r + 1
         rank[s] = r
     return rank
-
-
-def _normalize(fields: dict[str, tuple], body: Mapping[str, Any],
-               rank: dict[str, int]) -> dict:
-    out: dict[str, Any] = {}
-    for name, spec in fields.items():
-        value = body[name]
-        shape = spec[0]
-        if shape == "list-str":
-            out[name] = sorted(value, key=rank.__getitem__)
-        elif shape == "rows":
-            cols = tuple(spec[1])[:spec[2]]
-            if len(cols) == 1:
-                col = cols[0]
-                out[name] = sorted(value, key=lambda row: rank[row[col]])
-            else:
-                get = itemgetter(*cols)
-                out[name] = sorted(value, key=lambda row: tuple(
-                    map(rank.__getitem__, get(row))))
-        elif shape == "nested":
-            out[name] = _normalize(_SCHEMAS[spec[1]], value, rank)
-        elif shape == "table":
-            out[name] = _normalize(spec[1], value, rank)
-        else:  # maps and booleans: the writer sorts map keys itself
-            out[name] = value
-    return out
 
 
 class _Encoded(dict):
@@ -478,11 +438,12 @@ def _row_template(cols: tuple[str, ...], depth: int) -> str:
 
 
 def _write(fields: dict[str, tuple], body: Mapping[str, Any],
-           enc: Callable[[str], str], depth: int,
+           enc: Callable[[str], str], rank: dict[str, int], depth: int,
            members: Mapping[str, str] = {}) -> Iterator[str]:
-    """The JSON text of a normalized document object ``depth`` levels deep,
-    in pieces, with sorted keys and two-space indentation, and with the
-    written ``members`` (name to text) among its fields."""
+    """The JSON text of a document object ``depth`` levels deep, in pieces,
+    with sorted keys, two-space indentation, each identifier list and rows
+    table sorted by ``rank`` as it is reached, and the written ``members``
+    (name to text) among its fields."""
     close = "\n" + "  " * depth
     at = close + "  "
     inner = at + "  "
@@ -496,12 +457,16 @@ def _write(fields: dict[str, tuple], body: Mapping[str, Any],
         spec = fields[name]
         shape, value = spec[0], body[name]
         if shape == "list-str":
-            yield from _array("[]", map(enc, value), inner, at)
+            yield from _array("[]", map(enc, sorted(
+                value, key=rank.__getitem__)), inner, at)
         elif shape == "rows":
             cols = tuple(sorted(spec[1]))
             row, get = _row_template(cols, depth + 2), itemgetter(*cols)
+            by = itemgetter(*tuple(spec[1])[:spec[2]])
+            rows = sorted(value, key=(lambda r: rank[by(r)]) if spec[2] == 1
+                          else lambda r: tuple(map(rank.__getitem__, by(r))))
             yield from _array("[]", (row % tuple(map(enc, get(r)))
-                                     for r in value), inner, at)
+                                     for r in rows), inner, at)
         elif shape == "map":
             yield from _array("{}", (f"{enc(k)}: {enc(v)}"
                                      for k, v in sorted(value.items())),
@@ -509,24 +474,23 @@ def _write(fields: dict[str, tuple], body: Mapping[str, Any],
         elif shape == "bool":
             yield "true" if value else "false"
         elif shape == "nested":
-            yield from _write(_SCHEMAS[spec[1]], value, enc, depth + 1)
+            yield from _write(_SCHEMAS[spec[1]], value, enc, rank, depth + 1)
         else:  # table
-            yield from _write(spec[1], value, enc, depth + 1)
+            yield from _write(spec[1], value, enc, rank, depth + 1)
     yield close + "}"
 
 
 def serialize_pieces(doc: Document) -> Iterator[str]:
     """The text of :func:`serialize` as consecutive pieces, made as they are
     read, with each list, rows or map table in pieces of up to 1,024 items.
-    The kind is checked and the document put in normal form before this
-    returns, so reading the pieces only writes."""
+    The kind is checked and every identifier ranked before this returns;
+    each table is sorted when its first piece is read."""
     if doc.kind not in KINDS:
         raise InputError(f"unknown kind {doc.kind!r}")
     fields = _SCHEMAS[doc.kind]
-    body = _normalize(fields, doc.body, _ranks(_sorted_ids(
-        fields, doc.body, set())))
+    rank = _ranks(_sorted_ids(fields, doc.body, set()))
     enc = _Encoded().__getitem__
-    return itertools.chain(_write(fields, body, enc, 0, {
+    return itertools.chain(_write(fields, doc.body, enc, rank, 0, {
         "kind": enc(doc.kind), "version": "1"}), ("\n",))
 
 
@@ -543,15 +507,55 @@ def canonicalize(doc: Document) -> Document:
     """Rename all cells to the stable scheme (objects ``o0, o1, …``,
     1-cells ``f0, …``, 2-cells ``a0, …``) in declaration order, rewriting
     derived square identifiers componentwise.  Idempotent on serializer
-    output."""
+    output.  A body that :func:`parse` would reject raises the same
+    :class:`InputError`."""
     if doc.kind not in KINDS:
         raise InputError(f"unknown kind {doc.kind!r}")
-    return Document(1, doc.kind, _renamed(_SCHEMAS[doc.kind], doc.body)[0])
+    return Document(1, doc.kind, _renamed(_SCHEMAS[doc.kind], doc.body,
+                                          _check(doc.kind, doc.body)))
 
 
 # ---------------------------------------------------------------------------
 # entity bridges
 # ---------------------------------------------------------------------------
+
+def _decode(fields: dict[str, tuple], body: Mapping[str, Any],
+            keys: Mapping[str, str] = {},
+            values: Mapping[str, str] = {}) -> dict[str, Any]:
+    """The entity tables of a document's list, rows, map and boolean fields,
+    by field name, read column by column from the schema: a list as a
+    tuple; a rows table that declares a pool as a tuple of row tuples, and
+    any other as a map from its first k columns (its key width) to the
+    rest, one column as itself and more as a tuple; a map as a dict.  A
+    string of a key column or a map key is read as the object ``keys`` maps
+    it to, any other as the one ``values`` maps it to, where there is one."""
+    def ids(table: Mapping[str, str], xs: Iterable[str]) -> list[str]:
+        xs = list(xs)
+        return list(map(table.get, xs, xs))
+
+    out: dict[str, Any] = {}
+    for name, spec in fields.items():
+        shape, value = spec[0], body[name]
+        if shape == "list-str":
+            out[name] = tuple(value)
+        elif shape == "rows":
+            width = spec[-1]
+            cols = [ids(keys if i < width else values,
+                        map(itemgetter(c), value))
+                    for i, c in enumerate(spec[1])]
+            if _key(spec) is not None:
+                out[name] = tuple(zip(*cols))
+            else:
+                key, rest = cols[:width], cols[width:]
+                out[name] = dict(zip(zip(*key) if width > 1 else key[0],
+                                     zip(*rest) if len(rest) > 1 else rest[0]))
+        elif shape == "map":
+            out[name] = dict(zip(ids(keys, value),
+                                 ids(values, value.values())))
+        elif shape == "bool":
+            out[name] = value
+    return out
+
 
 def _twocat_body(t: TwoCategory) -> dict[str, Any]:
     return {
@@ -574,19 +578,7 @@ def _twocat_body(t: TwoCategory) -> dict[str, Any]:
 
 
 def _body_twocat(body: Mapping[str, Any]) -> TwoCategory:
-    return TwoCategory(
-        objects=tuple(body["objects"]),
-        one_cells=tuple((r["id"], r["src"], r["tgt"])
-                        for r in body["one_cells"]),
-        comp1={(r["g"], r["f"]): r["gf"] for r in body["comp1"]},
-        id1=dict(body["id1"]),
-        two_cells=tuple((r["id"], r["src"], r["tgt"])
-                        for r in body["two_cells"]),
-        vcomp={(r["b"], r["a"]): r["ba"] for r in body["vcomp"]},
-        id2=dict(body["id2"]),
-        lwhisker={(r["h"], r["a"]): r["ha"] for r in body["lwhisker"]},
-        rwhisker={(r["a"], r["e"]): r["ae"] for r in body["rwhisker"]},
-    )
+    return TwoCategory(**_decode(_TWOCAT_FIELDS, body))
 
 
 def two_category_to_document(t: TwoCategory) -> Document:
@@ -616,13 +608,7 @@ def two_ideal_to_document(t: TwoCategory, n: TwoIdeal) -> Document:
 def document_to_two_ideal(doc: Document) -> tuple[TwoCategory, TwoIdeal]:
     if doc.kind != "two_ideal":
         raise InputError(f"expected a two_ideal document, got {doc.kind}")
-    n = TwoIdeal(
-        null_one_cells=tuple(doc.body["null_one_cells"]),
-        null_two_cells=tuple(doc.body["null_two_cells"]),
-        replacement={(r["a"], r["n"], r["b"]): (r["tilde"], r["nu"])
-                     for r in doc.body["replacement"]},
-    )
-    return _body_twocat(doc.body), n
+    return _body_twocat(doc.body), TwoIdeal(**_decode(_IDEAL_FIELDS, doc.body))
 
 
 def _fs_body(fs: FactorizationSystem) -> dict[str, Any]:
@@ -635,12 +621,8 @@ def _fs_body(fs: FactorizationSystem) -> dict[str, Any]:
 
 
 def _body_fs(body: Mapping[str, Any]) -> FactorizationSystem:
-    return FactorizationSystem(
-        left_class=tuple(body["E"]),
-        right_class=tuple(body["M"]),
-        factorization={r["f"]: (r["e"], r["m"], r["theta"])
-                       for r in body["fact"]},
-    )
+    # E, M and fact are the left class, right class and factorization
+    return FactorizationSystem(*_decode(_FS_FIELDS, body).values())
 
 
 def fs_to_document(t: TwoCategory, fs: FactorizationSystem) -> Document:
@@ -681,31 +663,10 @@ def document_to_pseudofunctor(doc: Document) -> PseudoFunctor:
     return _body_pseudofunctor(doc.body)
 
 
-def _interned(table: Mapping[str, str], keys: Mapping[str, str],
-              values: Mapping[str, str]) -> dict[str, str]:
-    """``table`` with each key and value declared in ``keys`` / ``values``
-    as the declared string object; the shape checks reject any other."""
-    key, value = keys.get, values.get
-    return {key(x, x): value(v, v) for x, v in table.items()}
-
-
 def _body_pseudofunctor(body: Mapping[str, Any]) -> PseudoFunctor:
-    return _tables_functor(body, _body_twocat(body["source"]),
-                           _body_twocat(body["target"]), {}, {})
-
-
-def _tables_functor(tables: Mapping[str, Any], source: TwoCategory,
-                    target: TwoCategory, keys: Mapping[str, str],
-                    values: Mapping[str, str]) -> PseudoFunctor:
-    """A pseudofunctor read off its tables, with the ids declared in
-    ``keys`` (source) and ``values`` (target) as the declared objects."""
-    key, value = keys.get, values.get
-    return PseudoFunctor(
-        source, target,
-        *(_interned(tables[name], keys, values)
-          for name in ("ob", "one", "two")),
-        {(key(r["g"], r["g"]), key(r["f"], r["f"])):
-         value(r["cell"], r["cell"]) for r in tables["compositor"]})
+    return PseudoFunctor(_body_twocat(body["source"]),
+                         _body_twocat(body["target"]),
+                         **_decode(_SCHEMAS["pseudofunctor"], body))
 
 
 def pseudonatural_to_document(nat: PseudoNatural) -> Document:
@@ -722,17 +683,9 @@ def document_to_pseudonatural(doc: Document) -> PseudoNatural:
     if doc.kind != "pseudonatural":
         raise InputError(f"expected a pseudonatural document, got "
                          f"{doc.kind}")
-    return _tables_natural(doc.body, {},
-                           _body_pseudofunctor(doc.body["source_functor"]),
-                           _body_pseudofunctor(doc.body["target_functor"]))
-
-
-def _tables_natural(tables: Mapping[str, Any], ids: Mapping[str, str],
-                    *functors: PseudoFunctor) -> PseudoNatural:
-    """A transformation read off its tables, as :func:`_tables_functor`."""
-    return PseudoNatural(*functors, _interned(tables["component"], ids, ids),
-                         _interned(tables["structure"], ids, ids),
-                         tables["claims_equivalences"])
+    return PseudoNatural(_body_pseudofunctor(doc.body["source_functor"]),
+                         _body_pseudofunctor(doc.body["target_functor"]),
+                         **_decode(_SCHEMAS["pseudonatural"], doc.body))
 
 
 def _natural_tables(nat: PseudoNatural) -> dict[str, Any]:
@@ -782,15 +735,21 @@ def document_to_witness_bundle(doc: Document) -> tuple[
     # objects, not second copies of them
     e_ids, m_ids = ({i: i for i in itertools.chain(
         cat.objects, cat.one_ids, cat.two_ids)} for cat in (e_cat, m_cat))
-    k = _tables_functor(body["k"], e_cat, m_cat, e_ids, m_ids)
-    c = _tables_functor(body["c"], m_cat, e_cat, m_ids, e_ids)
+
+    def tables(name: str, keys: dict, values: dict) -> dict[str, Any]:
+        return _decode(_SCHEMAS["witness-bundle"][name][1], body[name],
+                       keys, values)
+
+    k = PseudoFunctor(e_cat, m_cat, **tables("k", e_ids, m_ids))
+    c = PseudoFunctor(m_cat, e_cat, **tables("c", m_ids, e_ids))
     check_pseudofunctor_shape(k)
     check_pseudofunctor_shape(c)
-    eta = _tables_natural(body["eta"], e_ids, identity_pseudofunctor(e_cat),
-                          compose_pseudofunctors(c, k))
-    epsilon = _tables_natural(body["epsilon"], m_ids,
-                              compose_pseudofunctors(k, c),
-                              identity_pseudofunctor(m_cat))
+    eta = PseudoNatural(identity_pseudofunctor(e_cat),
+                        compose_pseudofunctors(c, k),
+                        **tables("eta", e_ids, e_ids))
+    epsilon = PseudoNatural(compose_pseudofunctors(k, c),
+                            identity_pseudofunctor(m_cat),
+                            **tables("epsilon", m_ids, m_ids))
     check_pseudonatural_shape(eta)
     check_pseudonatural_shape(epsilon)
     return t, fs, k, c, eta, epsilon
@@ -811,13 +770,7 @@ def document_to_finite_category(doc: Document) -> FiniteCategory:
     if doc.kind not in ("finite_category", "one_ideal"):
         raise InputError(f"expected a finite_category document, got "
                          f"{doc.kind}")
-    return FiniteCategory(
-        objects=tuple(doc.body["objects"]),
-        morphisms=tuple((r["id"], r["src"], r["tgt"])
-                        for r in doc.body["morphisms"]),
-        comp={(r["g"], r["f"]): r["gf"] for r in doc.body["comp"]},
-        ident=dict(doc.body["ident"]),
-    )
+    return FiniteCategory(**_decode(_ONECAT_FIELDS, doc.body))
 
 
 def one_ideal_to_document(c: FiniteCategory, ideal: OneIdeal) -> Document:

@@ -160,12 +160,14 @@ def find_equivalence_witness(t: TwoCategory, n: TwoIdeal, n_prime: TwoIdeal,
     backward_nulls = [f for f in t.one_ids if f in n_prime.null1]
     forward_choices = []
     for cell in forward_nulls:
+        budget.tick()
         cands = _candidates(t, n_prime, cell)
         if not cands:
             raise _NoCounterpart("condition-A", cell)
         forward_choices.append(cands)
     backward_choices = []
     for cell in backward_nulls:
+        budget.tick()
         cands = _candidates(t, n, cell)
         if not cands:
             raise _NoCounterpart("condition-B", cell)

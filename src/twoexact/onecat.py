@@ -178,27 +178,25 @@ def null_objects_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[str, ...]:
     return tuple(o for o in c.objects if c.ident[o] in ideal)
 
 
+def _kernel_table(c: FiniteCategory, ideal: OneIdeal) -> dict[str, tuple]:
+    """The kernels of every morphism, in table order."""
+    return {f: kernels_1cat(c, ideal, f) for f in c.mor_ids}
+
+
+def _legs(table: dict[str, tuple]) -> tuple[str, ...]:
+    """The legs of a kernel table, each once, in table order."""
+    return tuple(dict.fromkeys(k for kernels in table.values()
+                               for _, k in kernels))
+
+
 def kernel_legs_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[str, ...]:
     """Morphisms appearing as the leg of some kernel, in table order."""
-    legs: list[str] = []
-    for f in c.mor_ids:
-        for _, k in kernels_1cat(c, ideal, f):
-            if k not in legs:
-                legs.append(k)
-    return tuple(legs)
+    return _legs(_kernel_table(c, ideal))
 
 
 def cokernel_legs_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[str, ...]:
     """The kernel legs of the opposite category."""
     return kernel_legs_1cat(c.op, ideal)
-
-
-def _kernel_legs_reflect(c: FiniteCategory, ideal: OneIdeal) -> bool:
-    """Every kernel leg ``k`` reflects nullity: ``k∘s`` null implies ``s``
-    null."""
-    return not any(
-        c.tgt[s] == c.src[k] and c.comp[(k, s)] in ideal and s not in ideal
-        for k in kernel_legs_1cat(c, ideal) for s in c.mor_ids)
 
 
 def closedness_triple_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[bool, bool, bool]:
@@ -210,12 +208,23 @@ def closedness_triple_1cat(c: FiniteCategory, ideal: OneIdeal) -> tuple[bool, bo
 
     Returned separately so callers can assert their agreement.
     """
+    return _closedness(c, ideal, kernel_legs_1cat(c, ideal),
+                       cokernel_legs_1cat(c, ideal))
+
+
+def _closedness(c: FiniteCategory, ideal: OneIdeal, klegs: tuple[str, ...],
+                qlegs: tuple[str, ...]) -> tuple[bool, bool, bool]:
+    """:func:`closedness_triple_1cat` read off the kernel and cokernel legs;
+    the third reading is the second on ``c.op``."""
     nulls_obj = null_objects_1cat(c, ideal)
     b1 = all(
         any(c.comp[(y, x)] == n for z in nulls_obj
             for x in c.hom(c.src[n], z) for y in c.hom(z, c.tgt[n]))
         for n in c.mor_ids if n in ideal)
-    b2, b3 = (_kernel_legs_reflect(cat, ideal) for cat in (c, c.op))
+    b2, b3 = (not any(
+        cat.tgt[s] == cat.src[k] and cat.comp[(k, s)] in ideal
+        and s not in ideal for k in legs for s in cat.mor_ids)
+        for cat, legs in ((c, klegs), (c.op, qlegs)))
     return b1, b2, b3
 
 
@@ -224,7 +233,8 @@ def grandis_exact_1cat(c: FiniteCategory, ideal: OneIdeal) -> Certificate:
     exhaustion: kernels and cokernels everywhere, a closed ideal (with the
     three closedness readings required to agree), each kernel the kernel of
     its cokernel and dually, and a cokernel-then-kernel factorization of every
-    morphism."""
+    morphism.  The kernels of every morphism in ``c`` and in ``c.op`` are
+    searched once each, and every clause reads them."""
     name = "grandis_exact_1cat"
     shape = validate_category(c)
     if not shape.ok:
@@ -233,27 +243,30 @@ def grandis_exact_1cat(c: FiniteCategory, ideal: OneIdeal) -> Certificate:
     if not icert.ok:
         return Certificate(name, "fail", counterexample=icert.counterexample)
 
+    kernels, cokernels = (_kernel_table(cat, ideal) for cat in (c, c.op))
     for f in c.mor_ids:
-        if not kernels_1cat(c, ideal, f):
+        if not kernels[f]:
             return _fail(name, "missing-kernel", morphism=f)
-        if not cokernels_1cat(c, ideal, f):
+        if not cokernels[f]:
             return _fail(name, "missing-cokernel", morphism=f)
 
-    b1, b2, b3 = closedness_triple_1cat(c, ideal)
+    klegs, qlegs = _legs(kernels), _legs(cokernels)
+    b1, b2, b3 = _closedness(c, ideal, klegs, qlegs)
     if not (b1 == b2 == b3):
         return _fail(name, "closedness-readings-disagree", triple=[b1, b2, b3])
     if not b1:
         return _fail(name, "ideal-not-closed", triple=[b1, b2, b3])
 
-    klegs = kernel_legs_1cat(c, ideal)
-    qlegs = cokernel_legs_1cat(c, ideal)
-    # the cokernel-of-kernel clause is the kernel-of-cokernel clause on c.op
-    for cat, legs, clause, leg, coleg in (
-            (c, klegs, "kernel-of-cokernel", "kernel_leg", "cokernel_leg"),
-            (c.op, qlegs, "cokernel-of-kernel", "cokernel_leg", "kernel_leg")):
+    # the cokernel-of-kernel clause is the kernel-of-cokernel clause on c.op,
+    # where kernels and cokernels trade places
+    for cat, legs, ks, qs, clause, leg, coleg in (
+            (c, klegs, kernels, cokernels, "kernel-of-cokernel",
+             "kernel_leg", "cokernel_leg"),
+            (c.op, qlegs, cokernels, kernels, "cokernel-of-kernel",
+             "cokernel_leg", "kernel_leg")):
         for k in legs:
-            _, q = cokernels_1cat(cat, ideal, k)[0]
-            if (cat.src[k], k) not in kernels_1cat(cat, ideal, q):
+            _, q = qs[k][0]
+            if (cat.src[k], k) not in ks[q]:
                 return _fail(name, clause, **{leg: k, coleg: q})
 
     for f in c.mor_ids:

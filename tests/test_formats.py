@@ -512,3 +512,72 @@ def test_canonicalize_rejects_a_square_id_with_unknown_components():
     with pytest.raises(InputError) as err:
         canonicalize(parse(json.dumps(body)))
     assert str(err.value) == "cannot canonicalize unknown cell q|q|q|q|q"
+
+
+# ---------------------------------------------------------------------------
+# what the one parse walk relies on
+# ---------------------------------------------------------------------------
+
+def _seen_after(fields, seen):
+    """Walk ``fields`` in order, asserting that every pool a field names,
+    and every pool a derived ref's renaming reads, is in ``seen`` by then;
+    return ``seen`` with the pools the fields declare or export added."""
+    for name, spec in fields.items():
+        shape = spec[0]
+        if shape == "nested":
+            sub = _seen_after(formats_module._SCHEMAS[spec[1]], set())
+            if spec[2] is not None:
+                seen = seen | {spec[2] + pool for pool in sub}
+            continue
+        if shape == "table":
+            _seen_after(spec[1], seen)
+            continue
+        refs = (list(spec[1].values()) if shape == "rows" else
+                list(spec[1:]) if shape in ("list-str", "map") else [])
+        for ref in refs:
+            if ref[-1] == "!":
+                continue
+            scope = ref.lstrip("~")[:-1]
+            needed = {ref.lstrip("~")}
+            if ref[0] == "~":
+                needed |= {scope + pool for pool in "ofa"}
+            assert needed <= seen, (name, ref, sorted(seen))
+        seen = seen | {ref[0] for ref in refs if ref[-1] == "!"}
+    return seen
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_pool_is_declared_before_a_field_names_it(kind):
+    # so the parse walk, in field order, sees each pool before it reads it
+    _seen_after(formats_module._SCHEMAS[kind], set())
+
+
+def test_a_shape_defect_is_reported_before_earlier_dangling_references():
+    body = json.loads((FIXTURE_DIR / "pb2.2cat.json").read_text())
+    body["comp1"][0]["gf"] = "zz_missing"
+    del body["lwhisker"][0]["ha"]
+    with pytest.raises(InputError) as err:
+        parse(json.dumps(body))
+    assert str(err.value) == (
+        "schema rule 'row-shape': each lwhisker row must have exactly the "
+        "string fields h, a, ha")
+
+
+def test_a_parsed_bundle_holds_the_declared_ids_of_its_arrow_categories():
+    text = (FIXTURE_DIR / "pb1.bundle.json").read_text()
+    _, _, k, c, eta, epsilon = document_to_witness_bundle(parse(text))
+    e_ids, m_ids = ({x: x for x in itertools.chain(
+        cat.objects, cat.one_ids, cat.two_ids)} for cat in (k.source,
+                                                             k.target))
+
+    def declared(ids, xs):
+        return all(ids[x] is x for x in xs)
+
+    for func, keys, values in ((k, e_ids, m_ids), (c, m_ids, e_ids)):
+        for table in (func.ob, func.one, func.two):
+            assert declared(keys, table) and declared(values, table.values())
+        assert declared(keys, itertools.chain(*func.compositor))
+        assert declared(values, func.compositor.values())
+    for nat, ids in ((eta, e_ids), (epsilon, m_ids)):
+        for table in (nat.component, nat.structure):
+            assert declared(ids, table) and declared(ids, table.values())

@@ -38,6 +38,19 @@ def test_zero_and_maximal_ideals_are_inequivalent():
     assert cert.counterexample["cells"]["null"] == "m05_1to1_11"
 
 
+def test_a_cap_bounds_the_candidate_scan():
+    # condition-B fails while the candidates are listed, before any witness
+    # is tried; each null 1-cell scanned spends one instance first
+    t, n = LD_PB2, ZERO_IDEALS["ld_pb2"]
+    m = maximal_two_ideal(t)
+    cert = ideals_equivalent(t, n, m, 0)
+    assert cert.status == "inconclusive"
+    assert cert.detail == {"reason": "cap exceeded",
+                           "context": "ideals_equivalent", "cap": 0}
+    uncapped = ideals_equivalent(t, n, m, None)
+    assert uncapped.counterexample["clause"] == "condition-B"
+
+
 def test_chaotic_zero_and_maximal_ideals_are_equivalent():
     # with every parallel pair isomorphic, the nowhere-defined maps are
     # isomorphic to everything, so the two ideals genuinely coincide up to

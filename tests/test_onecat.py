@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from family import CT22, PB1, PB2, PB3, PS2, TERM
+from twoexact import onecat
 from twoexact import (
     InputError,
     OneIdeal,
@@ -204,3 +205,20 @@ def test_oracle_answers_are_pinned():
                       sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "ca6ffe10b01f5119e9a4bb5eed62343fc364b245b3f8c79a4b2ce29bf7e31d4d"
+
+
+@pytest.mark.parametrize("name", ["pb2", "pb3", "ps2"])
+def test_the_oracle_searches_each_kernel_once(name, monkeypatch):
+    # one kernel search per morphism of c and one per morphism of c.op
+    c = CATS[name]
+    calls = []
+    search = onecat.kernels_1cat
+
+    def counted(*args):
+        calls.append(args[2])
+        return search(*args)
+
+    monkeypatch.setattr(onecat, "kernels_1cat", counted)
+    cert = grandis_exact_1cat(c, zero_ideal_1cat(c))
+    assert cert.ok == (name != "ps2")
+    assert sorted(calls) == sorted(2 * c.mor_ids)
