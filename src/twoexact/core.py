@@ -536,6 +536,20 @@ def _generating_set(t: TwoCategory) -> tuple[str, ...]:
     return tuple(gens)
 
 
+def _comp1_assoc(t: TwoCategory, middles: frozenset[str]
+                 ) -> Iterator[tuple[str, dict[str, str]]]:
+    """Every ``(h, g, f)`` with ``g`` in ``middles`` where ``(h∘g)∘f`` and
+    ``h∘(g∘f)`` differ, in table order, as ``comp1-assoc`` violations."""
+    for h in t.one_ids:
+        for g in t.hom1(None, t.src1[h]):
+            if g not in middles:
+                continue
+            hg = t.comp1[(h, g)]
+            for f in t.hom1(None, t.src1[g]):
+                if t.comp1[(hg, f)] != t.comp1[(h, t.comp1[(g, f)])]:
+                    yield "comp1-assoc", {"h": h, "g": g, "f": f}
+
+
 def _violations(t: TwoCategory,
                 reduced: bool = False) -> Iterator[tuple[str, dict[str, str]]]:
     """Every violation of a strict 2-category law in the shape-checked tables,
@@ -544,11 +558,17 @@ def _violations(t: TwoCategory,
     A violated boundary clause ends the sweep once its loop is done: the laws
     after it would read those table values as cells of the wrong boundary.
 
-    ``reduced`` keeps only the boundary clauses, ``comp1-unit`` and
-    ``comp1-assoc`` with its middle argument over :func:`_generating_set`.
-    On a locally thin input an empty reduced sweep decides "pass"; a
-    reduced violation only shows that some law fails, and the full sweep
-    names the first one:
+    ``comp1-assoc`` runs first with its middle argument over
+    :func:`_generating_set`.  That pass decides the clause when it finds no
+    violation and no ``comp1-unit`` violation came before it (Light's
+    associativity test, second point below); otherwise the full sweep runs
+    the clause again over every middle, and so names every violation in
+    ``(h, g, f)`` order, as a sweep over every middle alone would.
+
+    ``reduced`` keeps only the boundary clauses, ``comp1-unit`` and that
+    first ``comp1-assoc`` pass.  On a locally thin input an empty reduced
+    sweep decides "pass"; a reduced violation only shows that some law
+    fails, and the full sweep names the first one:
 
     - Once the reduced clauses hold, every other clause compares two
       parallel 2-cells: both sides of each unit, associativity, whisker and
@@ -571,10 +591,13 @@ def _violations(t: TwoCategory,
             yield "id1-boundary", {"object": obj, "id1": e}
     if broken:
         return
+    units_broken = False
     for f in t.one_ids:
         if t.comp1[(f, t.id1[t.src1[f]])] != f:
+            units_broken = True
             yield "comp1-unit", {"one_cell": f, "side": "right"}
         if t.comp1[(t.id1[t.tgt1[f]], f)] != f:
+            units_broken = True
             yield "comp1-unit", {"one_cell": f, "side": "left"}
 
     # composite boundaries
@@ -585,16 +608,11 @@ def _violations(t: TwoCategory,
     if broken:
         return
 
-    # associativity of 1-cell composition
-    middles = frozenset(_generating_set(t)) if reduced else None
-    for h in t.one_ids:
-        for g in t.hom1(None, t.src1[h]):
-            if middles is not None and g not in middles:
-                continue
-            hg = t.comp1[(h, g)]
-            for f in t.hom1(None, t.src1[g]):
-                if t.comp1[(hg, f)] != t.comp1[(h, t.comp1[(g, f)])]:
-                    yield "comp1-assoc", {"h": h, "g": g, "f": f}
+    # associativity of 1-cell composition, by Light's test where it holds
+    assoc = _comp1_assoc(t, frozenset(_generating_set(t)))
+    if not reduced and (units_broken or next(assoc, None) is not None):
+        assoc = _comp1_assoc(t, frozenset(t.one_ids))
+    yield from assoc
 
     # identity 2-cells: boundaries and vertical unit laws
     for f in t.one_ids:

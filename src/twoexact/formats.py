@@ -33,9 +33,11 @@ functor's source or target.  ``o!``, ``f!`` and ``a!`` mark the column that
 declares a pool, and its order gives the canonical names.  Parsing walks
 the schema once: it reports the first shape defect, or else every string
 missing from its pool as a dangling reference, at its path in the document,
-or at its bare field name when its pool is scoped.  The readers take their
-columns from the schema too; the writers spell each row out as a dict
-display, which is faster than a generic one.
+or at its bare field name when its pool is scoped.  A rows table is checked
+whole, column by column, and read row by row only to name what a column
+misses.  The readers take their columns from the schema too, and reject a
+keyed table that gives two rows one key; the writers spell each row out as
+a dict display, which is faster than a generic one.
 
 A leading ``~`` marks derived cells.  The functor and natural tables of a
 ``witness-bundle`` name squares and square pairs of the two pseudo-arrow
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -220,21 +223,25 @@ def _walk(fields: dict[str, tuple], body: Any, where: str, out: list[str],
             cols = spec[1]
             if not isinstance(value, list):
                 raise _rule("field-type", f"{at} must be a list of rows")
-            key, names = _key(spec), cols.keys()
+            key = _key(spec)
+            if not (all(map(isinstance, value, itertools.repeat(dict)))
+                    and all(map(cols.keys().__eq__, map(dict.keys, value)))
+                    and all(map(isinstance, itertools.chain.from_iterable(
+                        map(dict.values, value)), itertools.repeat(str)))):
+                raise _rule("row-shape", f"each {at} row must have exactly "
+                            f"the string fields {', '.join(cols)}")
             need = [(col, pools[ref], place(ref, name))
                     for col, ref in cols.items() if ref[-1] != "!"
                     and ref[0] != "~"]
-            for row in value:
-                if (not isinstance(row, dict) or row.keys() != names
-                        or not all(isinstance(row[c], str) for c in cols)):
-                    raise _rule(
-                        "row-shape",
-                        f"each {at} row must have exactly the string "
-                        f"fields {', '.join(cols)}")
-                for col, pool, spot in need:
-                    if row[col] not in pool:
-                        label = spot if key is None else f"{spot}[{row[key]}]"
-                        out.append(f"{row[col]} (at {label}.{col})")
+            if not all(all(map(pool.__contains__, map(itemgetter(col), value)))
+                       for col, pool, _ in need):
+                # a column misses: name each dangling string in row order
+                for row in value:
+                    for col, pool, spot in need:
+                        if row[col] not in pool:
+                            label = (spot if key is None
+                                     else f"{spot}[{row[key]}]")
+                            out.append(f"{row[col]} (at {label}.{col})")
             if key is not None:
                 ref = cols[key][0]
                 pools[ref] = {row[key]: f"{ref}{i}"
@@ -528,7 +535,9 @@ def _decode(fields: dict[str, tuple], body: Mapping[str, Any],
     any other as a map from its first k columns (its key width) to the
     rest, one column as itself and more as a tuple; a map as a dict.  A
     string of a key column or a map key is read as the object ``keys`` maps
-    it to, any other as the one ``values`` maps it to, where there is one."""
+    it to, any other as the one ``values`` maps it to, where there is one.
+    Raises :class:`InputError` naming the table and the first key that two
+    of its rows give, if any do."""
     def ids(table: Mapping[str, str], xs: Iterable[str]) -> list[str]:
         xs = list(xs)
         return list(map(table.get, xs, xs))
@@ -549,6 +558,11 @@ def _decode(fields: dict[str, tuple], body: Mapping[str, Any],
                 key, rest = cols[:width], cols[width:]
                 out[name] = dict(zip(zip(*key) if width > 1 else key[0],
                                      zip(*rest) if len(rest) > 1 else rest[0]))
+                if len(out[name]) < len(value):
+                    twice = next(k for k, n in Counter(zip(*key)).items()
+                                 if n > 1)
+                    raise _rule("unique-keys", f"two {name} rows have " +
+                                ", ".join(map("{}={}".format, spec[1], twice)))
         elif shape == "map":
             out[name] = dict(zip(ids(keys, value),
                                  ids(values, value.values())))

@@ -581,3 +581,99 @@ def test_a_parsed_bundle_holds_the_declared_ids_of_its_arrow_categories():
     for nat, ids in ((eta, e_ids), (epsilon, m_ids)):
         for table in (nat.component, nat.structure):
             assert declared(ids, table) and declared(ids, table.values())
+
+
+# ---------------------------------------------------------------------------
+# row checks over whole tables, and keyed rows that repeat a key
+# ---------------------------------------------------------------------------
+
+def _fixture_body(fixture):
+    return json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
+
+
+_COMP1_SHAPE = ("schema rule 'row-shape': each comp1 row must have exactly "
+                "the string fields g, f, gf")
+
+
+@pytest.mark.parametrize("defect", [
+    ["m0_0to0_e", "m0_0to0_e", "m0_0to0_e"], "m0_0to0_e", None, 7,
+    {"g": "m0_0to0_e", "f": "m0_0to0_e"},
+    {"g": "m0_0to0_e", "f": "m0_0to0_e", "gf": "m0_0to0_e", "h": "m0"},
+    {"g": "m0_0to0_e", "f": "m0_0to0_e", "hf": "m0_0to0_e"},
+    *({"g": "m0_0to0_e", "f": "m0_0to0_e", "gf": value}
+      for value in (3, 2.5, True, False, None, ["m0_0to0_e"],
+                    {"id": "m0_0to0_e"})),
+], ids=["list-row", "string-row", "null-row", "number-row", "missing-column",
+        "extra-column", "renamed-column", "int-value", "float-value",
+        "true-value", "false-value", "null-value", "list-value",
+        "object-value"])
+@pytest.mark.parametrize("at", [0, 500, 999])
+def test_each_row_shape_defect_is_reported_by_its_table(defect, at):
+    # in a 1,000-row table, whichever row holds the defect; parse checks
+    # shape and references, not that comp1 is total
+    body = _fixture_body("pb3.2cat")
+    body["comp1"] = body["comp1"][:1000]
+    body["comp1"][at] = defect
+    with pytest.raises(InputError) as err:
+        parse(json.dumps(body))
+    assert str(err.value) == _COMP1_SHAPE
+
+
+def test_dangling_strings_of_two_columns_are_named_in_row_order():
+    body = _fixture_body("pb2.2cat")
+    body["one_cells"][4]["tgt"] = "x1"
+    body["one_cells"][2]["src"] = "x2"
+    body["one_cells"][2]["tgt"] = "x3"
+    body["comp1"][9]["g"] = "x4"
+    body["comp1"][3]["gf"] = "x5"
+    body["comp1"][3]["g"] = "x6"
+    body["comp1"][40]["gf"] = "x7"
+    one = [row["id"] for row in body["one_cells"]]
+    with pytest.raises(InputError) as err:
+        parse(json.dumps(body))
+    assert str(err.value) == "dangling references: " + "; ".join([
+        f"x2 (at one_cells[{one[2]}].src)", f"x3 (at one_cells[{one[2]}].tgt)",
+        f"x1 (at one_cells[{one[4]}].tgt)", "x6 (at comp1.g)",
+        "x5 (at comp1.gf)", "x4 (at comp1.g)", "x7 (at comp1.gf)"])
+
+
+def _repeat_row(body, table, index, **changes):
+    """The body with a copy of ``body[table][index]``, with ``changes``,
+    added first, and the body with it added last."""
+    row = {**body[table][index], **changes}
+    return ({**body, table: [row, *body[table]]},
+            {**body, table: [*body[table], row]})
+
+
+@pytest.mark.parametrize("fixture, table, index, changes, read, named", [
+    ("pb1.2cat", "comp1", 3, {"gf": "m4_1to1_11"}, document_to_two_category,
+     "g=m1_0to1_e, f=m2_1to0_e"),
+    ("pb1.2cat", "comp1", 3, {}, document_to_two_category,
+     "g=m1_0to1_e, f=m2_1to0_e"),
+    ("pb2.ideal", "replacement", 1, {"nu": "id_m00_0to0_e"},
+     document_to_two_ideal, "a=m00_0to0_e, n=m00_0to0_e, b=m01_0to1_e"),
+    ("ct22.fs", "fact", 1, {}, document_to_fs, "f=m01_0to1x0"),
+], ids=["pb1-comp1-wrong", "pb1-comp1-exact", "pb2-replacement", "ct22-fact"])
+def test_keyed_rows_that_repeat_a_key_are_rejected(fixture, table, index,
+                                                   changes, read, named):
+    # before this rule, the row read last won: with the wrong pb1
+    # composite first validate passed, and with it last it failed
+    # comp1-assoc; an exact copy passed
+    for repeated in _repeat_row(_fixture_body(fixture), table, index,
+                                **changes):
+        doc = parse(json.dumps(repeated))
+        with pytest.raises(InputError) as err:
+            read(doc)
+        assert str(err.value) == (f"schema rule 'unique-keys': two {table} "
+                                  f"rows have {named}")
+
+
+def test_the_cli_rejects_repeated_keys_with_exit_2(tmp_path, capsys):
+    for repeated in _repeat_row(_fixture_body("pb1.2cat"), "comp1", 3,
+                                gf="m4_1to1_11"):
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(repeated))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: schema rule 'unique-keys': two comp1 rows have "
+            "g=m1_0to1_e, f=m2_1to0_e\n")

@@ -6,7 +6,9 @@ On a locally thin input, ``validate_two_category`` and
 and ``validate_pseudonatural`` skips its two clauses that compare parallel
 2-cells. Every other input, and every reduced violation, goes to the full
 sweep. These tests hold the validators to the certificate the full sweep
-gives.
+gives, and the sweeps themselves, violation by violation, to
+``_reference_violations``: the law sweep as it was when the full sweep
+checked 1-cell associativity over every middle 1-cell.
 """
 
 import dataclasses
@@ -43,14 +45,152 @@ from twoexact import core, pseudo
 from twoexact.core import (_fail, _generating_set, _is_lawful, _violations,
                            check_shape)
 from twoexact.factor import arrow_subcat
-from twoexact.formats import document_to_pseudonatural, parse
+from twoexact.formats import (document_to_pseudofunctor,
+                              document_to_pseudonatural,
+                              document_to_two_category, parse,
+                              witness_bundle_base)
 from twoexact.pseudo import _functor_violations, check_pseudofunctor_shape
 
 
+def _reference_violations(t, reduced=False):
+    """``core._violations`` before 1-cell associativity was decided by
+    Light's test in the full sweep: ``comp1-assoc`` runs once, over every
+    middle argument, or over :func:`_generating_set` when ``reduced``."""
+    # identity 1-cells: boundaries and unit laws
+    broken = False
+    for obj in t.objects:
+        e = t.id1[obj]
+        if not (t.src1[e] == obj and t.tgt1[e] == obj):
+            broken = True
+            yield "id1-boundary", {"object": obj, "id1": e}
+    if broken:
+        return
+    for f in t.one_ids:
+        if t.comp1[(f, t.id1[t.src1[f]])] != f:
+            yield "comp1-unit", {"one_cell": f, "side": "right"}
+        if t.comp1[(t.id1[t.tgt1[f]], f)] != f:
+            yield "comp1-unit", {"one_cell": f, "side": "left"}
+
+    # composite boundaries
+    for (g, f), gf in t.comp1.items():
+        if not (t.src1[gf] == t.src1[f] and t.tgt1[gf] == t.tgt1[g]):
+            broken = True
+            yield "comp1-boundary", {"g": g, "f": f, "composite": gf}
+    if broken:
+        return
+
+    # associativity of 1-cell composition
+    middles = frozenset(_generating_set(t)) if reduced else None
+    for h in t.one_ids:
+        for g in t.hom1(None, t.src1[h]):
+            if middles is not None and g not in middles:
+                continue
+            hg = t.comp1[(h, g)]
+            for f in t.hom1(None, t.src1[g]):
+                if t.comp1[(hg, f)] != t.comp1[(h, t.comp1[(g, f)])]:
+                    yield "comp1-assoc", {"h": h, "g": g, "f": f}
+
+    # identity 2-cells: boundaries and vertical unit laws
+    for f in t.one_ids:
+        i = t.id2[f]
+        if not (t.src2[i] == f and t.tgt2[i] == f):
+            broken = True
+            yield "id2-boundary", {"one_cell": f, "id2": i}
+    if broken:
+        return
+    for a, sa, ta in () if reduced else t.two_cells:
+        if t.vcomp[(a, t.id2[sa])] != a:
+            yield "vcomp-unit", {"two_cell": a, "side": "right"}
+        if t.vcomp[(t.id2[ta], a)] != a:
+            yield "vcomp-unit", {"two_cell": a, "side": "left"}
+
+    # vertical composite boundaries
+    for (b, a), ba in t.vcomp.items():
+        if not (t.src2[ba] == t.src2[a] and t.tgt2[ba] == t.tgt2[b]):
+            broken = True
+            yield "vcomp-boundary", {"b": b, "a": a, "composite": ba}
+    if broken:
+        return
+
+    # associativity of vertical composition (within each hom-category)
+    for c in () if reduced else t.two_ids:
+        for b in t.hom2(None, t.src2[c]):
+            cb = t.vcomp[(c, b)]
+            for a in t.hom2(None, t.src2[b]):
+                if t.vcomp[(cb, a)] != t.vcomp[(c, t.vcomp[(b, a)])]:
+                    yield "vcomp-assoc", {"c": c, "b": b, "a": a}
+
+    # whisker boundaries
+    for (h, a), ha in t.lwhisker.items():
+        want_s = t.comp1[(h, t.src2[a])]
+        want_t = t.comp1[(h, t.tgt2[a])]
+        if not (t.src2[ha] == want_s and t.tgt2[ha] == want_t):
+            broken = True
+            yield "lwhisker-boundary", {"h": h, "a": a, "result": ha}
+    for (a, e), ae in t.rwhisker.items():
+        want_s = t.comp1[(t.src2[a], e)]
+        want_t = t.comp1[(t.tgt2[a], e)]
+        if not (t.src2[ae] == want_s and t.tgt2[ae] == want_t):
+            broken = True
+            yield "rwhisker-boundary", {"a": a, "e": e, "result": ae}
+    if broken or reduced:
+        return
+
+    # whiskering is functorial in the 2-cell
+    for (h, a) in t.lwhisker:
+        if a == t.id2[t.src2[a]] and t.lwhisker[(h, a)] != t.id2[t.comp1[(h, t.src2[a])]]:
+            yield "lwhisker-id2", {"h": h, "a": a}
+    for (a, e) in t.rwhisker:
+        if a == t.id2[t.src2[a]] and t.rwhisker[(a, e)] != t.id2[t.comp1[(t.src2[a], e)]]:
+            yield "rwhisker-id2", {"a": a, "e": e}
+    for (b, a), ba in t.vcomp.items():
+        for h in t.hom1(t.tgt1[t.src2[a]], None):
+            if t.lwhisker[(h, ba)] != t.vcomp[(t.lwhisker[(h, b)], t.lwhisker[(h, a)])]:
+                yield "lwhisker-vcomp", {"h": h, "b": b, "a": a}
+        for e in t.hom1(None, t.src1[t.src2[a]]):
+            if t.rwhisker[(ba, e)] != t.vcomp[(t.rwhisker[(b, e)], t.rwhisker[(a, e)])]:
+                yield "rwhisker-vcomp", {"b": b, "a": a, "e": e}
+
+    # whiskering is compatible with 1-cell composition and identities
+    for a in t.two_ids:
+        fa = t.src2[a]
+        if t.lwhisker[(t.id1[t.tgt1[fa]], a)] != a:
+            yield "lwhisker-id1", {"a": a}
+        if t.rwhisker[(a, t.id1[t.src1[fa]])] != a:
+            yield "rwhisker-id1", {"a": a}
+    for (h, a) in t.lwhisker:
+        for h2 in t.hom1(t.tgt1[h], None):
+            if t.lwhisker[(t.comp1[(h2, h)], a)] != t.lwhisker[(h2, t.lwhisker[(h, a)])]:
+                yield "lwhisker-comp1", {"h2": h2, "h": h, "a": a}
+    for (a, e) in t.rwhisker:
+        for e2 in t.hom1(None, t.src1[e]):
+            if t.rwhisker[(a, t.comp1[(e, e2)])] != t.rwhisker[(t.rwhisker[(a, e)], e2)]:
+                yield "rwhisker-comp1", {"a": a, "e": e, "e2": e2}
+
+    # middle-four interchange, in the derived-horizontal-composition form
+    for b in t.two_ids:
+        g, g2 = t.src2[b], t.tgt2[b]
+        mid = t.src1[g]
+        for a in t.two_ids:
+            fa, fa2 = t.src2[a], t.tgt2[a]
+            if t.tgt1[fa] != mid:
+                continue
+            lhs = t.vcomp[(t.rwhisker[(b, fa2)], t.lwhisker[(g, a)])]
+            rhs = t.vcomp[(t.lwhisker[(g2, a)], t.rwhisker[(b, fa)])]
+            if lhs != rhs:
+                yield "interchange", {"b": b, "a": a}
+
+    # whiskering on both sides associates: h⋆(a⋆e) = (h⋆a)⋆e
+    for (a, e), ae in t.rwhisker.items():
+        for h in t.hom1(t.tgt1[t.src2[a]], None):
+            if t.lwhisker[(h, ae)] != t.rwhisker[(t.lwhisker[(h, a)], e)]:
+                yield "lwhisker-rwhisker", {"h": h, "a": a, "e": e}
+
+
 def _reference_two_category(t):
-    """The certificate of the full sweep alone."""
+    """The certificate of the reference full sweep alone."""
     check_shape(t)
-    for clause, cells in _violations(t):
+    for clause, cells in _reference_violations(t):
         return _fail("validate_two_category", clause, **cells)
     return Certificate("validate_two_category", "pass", witness={
         "objects": len(t.objects), "one_cells": len(t.one_cells),
@@ -278,6 +418,110 @@ def test_one_object_base_certificates_match_the_reference():
     for values in itertools.product(("iz", "t"), repeat=len(_ENTRIES)):
         t = one_object_base(**dict(zip(_ENTRIES, values)))
         _same(validate_two_category, _reference_two_category, t)
+
+
+# ---------------------------------------------------------------------------
+# the law sweeps, violation by violation, against the reference sweep
+# ---------------------------------------------------------------------------
+
+def _categories_in(doc):
+    """Every 2-category a parsed fixture holds, by its place in the file."""
+    if doc.kind in ("two_category", "two_ideal", "factorization_system"):
+        yield "", document_to_two_category(doc)
+    elif doc.kind == "witness-bundle":
+        yield ":base", witness_bundle_base(doc)
+    elif doc.kind == "pseudofunctor":
+        p = document_to_pseudofunctor(doc)
+        yield from ((":source", p.source), (":target", p.target))
+    elif doc.kind == "pseudonatural":
+        p = document_to_pseudonatural(doc).source_functor
+        yield from ((":source", p.source), (":target", p.target))
+
+
+def _fixture_sweep_inputs():
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        doc = parse(path.read_text(encoding="utf-8"))
+        for where, t in _categories_in(doc):
+            yield path.name + where, t
+
+
+def _mutant_sweep_inputs():
+    for name, t in {"ld_pb3": LD_PB3, "ld_ps2": CORE["ld_ps2"],
+                    "ld_ct22": CORE["ld_ct22"], "ch_pb1": CH_PB1}.items():
+        for seed in range(20):
+            yield f"{name}:{seed}", mutate(t, "retarget-vcomp", seed)
+
+
+def _moved_sweep_inputs():
+    # every comp1 value moved to each other 1-cell parallel to it: the
+    # boundaries hold, and a unit or associativity law may fail
+    for name in ("ld_pb1", "ch_pb1", "ld_ct22"):
+        t = CORE[name]
+        for key, gf in t.comp1.items():
+            for other in t.hom1(t.src1[gf], t.tgt1[gf]):
+                if other != gf:
+                    yield (f"{name}:{key}->{other}",
+                           dataclasses.replace(t, comp1={**t.comp1,
+                                                         key: other}))
+
+
+def _one_object_sweep_inputs():
+    for values in itertools.product(("iz", "t"), repeat=len(_ENTRIES)):
+        yield ",".join(values), one_object_base(**dict(zip(_ENTRIES, values)))
+
+
+_SWEEP_INPUTS = {"fixtures": _fixture_sweep_inputs,
+                 "retarget_mutants": _mutant_sweep_inputs,
+                 "moved_comp1": _moved_sweep_inputs,
+                 "one_object": _one_object_sweep_inputs}
+
+
+_SWEEP_INPUT_COUNTS = {"fixtures": 14, "retarget_mutants": 80,
+                       "moved_comp1": 108, "one_object": 1024}
+
+
+@pytest.mark.parametrize("inputs", _SWEEP_INPUTS)
+def test_law_sweeps_match_the_reference(inputs):
+    seen = Counter()
+    for name, t in _SWEEP_INPUTS[inputs]():
+        full, reduced = (list(_violations(t, r)) for r in (False, True))
+        assert full == list(_reference_violations(t)), name
+        assert reduced == list(_reference_violations(t, True)), name
+        clauses = {clause for clause, _ in full}
+        seen.update(clauses | {"inputs"})
+        if ({"comp1-unit", "comp1-assoc"} <= clauses
+                and "comp1-assoc" not in {clause for clause, _ in reduced}):
+            # the generators pass, but a unit law fails, so Light's test
+            # does not apply and the full sweep names the violations
+            seen["unit-guarded"] += 1
+    assert seen["inputs"] == _SWEEP_INPUT_COUNTS[inputs]
+    if inputs == "moved_comp1":
+        assert seen["comp1-assoc"] and seen["comp1-unit"]
+        assert seen["unit-guarded"]
+
+
+class _CountedReads(dict):
+    """A dict that counts its subscript reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("seed", [137, 582])
+def test_the_full_sweep_reads_comp1_by_lights_test(seed):
+    # the two pb3 retarget-vcomp mutants of the validate-refute benchmark
+    # (seed 1): comp1-assoc is checked on the 25 generators of the 90
+    # 1-cells, not on all 134,920 triples
+    mutant = mutate(LD_PB3, "retarget-vcomp", seed)
+    reads = {}
+    for sweep in (_violations, _reference_violations):
+        comp1 = _CountedReads(mutant.comp1)
+        list(sweep(dataclasses.replace(mutant, comp1=comp1)))
+        reads[sweep.__name__] = comp1.reads
+    assert reads == {"_violations": 56_316, "_reference_violations": 408_336}
 
 
 _TABLES = {"comp1": "one", "vcomp": "two", "id2": "two",
