@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 from .closure import _closedness, _leg_order, _reflection_conclusion, _sweeps
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
-                   _Computed, _fail, _memo, natural_key,
+                   _Computed, _fail, _is_lawful, _memo, natural_key,
                    solve_lwhisker, solve_rwhisker)
 from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
                      check_fs_shape, factorizations, is_proper_11, validate_fs)
@@ -28,7 +28,7 @@ from .ideal import (TwoIdeal, bizero_objects, canonical_zero_ideal,
                     check_ideal_shape)
 from .limits import (CokernelPresentation, KernelPresentation,
                      _check_kernel_candidate, _kernels, _to_cokernel,
-                     cokernel_factor, kernel_factor)
+                     _to_dual_kernel, cokernel_factor, kernel_factor)
 from .pseudo import (PseudoFunctor, PseudoNatural, compose_pseudofunctors,
                      identity_pseudofunctor, is_biequivalence_over_base)
 
@@ -196,7 +196,9 @@ def check_puppe(t: TwoCategory, weak: bool = False,
     factoring through it, and run the ideal-side conditions against it.
     The ideal records ``t``, so on a lawful base the sweeps decide later
     kernel candidates by equivalence (see
-    :func:`~twoexact.limits.kernel_presentations_by_arrow`)."""
+    :func:`~twoexact.limits.kernel_presentations_by_arrow`).  That gate
+    reads the law verdict, which is decided here before the ideal's tables
+    are built, so its transient does not stack on top of them."""
     mode = "weak-puppe" if weak else "puppe"
     zeros = bizero_objects(t)
     if not zeros:
@@ -204,6 +206,7 @@ def check_puppe(t: TwoCategory, weak: bool = False,
             ("two-pointed", _fail("two-pointed", "not-2-pointed")),))
     zero = zeros[0]
     pointed = Certificate("two-pointed", "pass", {"bizero": zero})
+    _is_lawful(t)
     inner = check_grandis_ii(t, canonical_zero_ideal(t, zero), weak=weak,
                              cap=cap)
     return ExactnessReport(mode, (("two-pointed", pointed),) + inner.checks)
@@ -561,6 +564,26 @@ class ThreePieces:
     connecting: str
 
 
+def _middle_route(t: TwoCategory, n: TwoIdeal, f: str,
+                  kernel: KernelPresentation, first: CokernelPresentation,
+                  cokernel: CokernelPresentation, last: KernelPresentation,
+                  refusal: str) -> tuple[str, str, str, str]:
+    """``(u, μ: f ⇒ u∘c, z, ξ: u ⇒ k∘z)`` from the cokernel ``c`` of
+    ``first`` (of the kernel leg), the coreflection of the comparison to a
+    null morphism, and the kernel ``k`` of ``last`` (of the cokernel leg);
+    ``refusal`` when ``c`` does not coreflect.  On the duals, with kernels
+    and cokernels swapped, this is the dual route ``(v, λ, z₂, ξ′)``: their
+    tables are the primal's read flipped, so every cell id is the same."""
+    u, mu = cokernel_factor(t, n, first, f, kernel.structure)
+    chi = t.vc(cokernel.structure, t.lw(cokernel.leg, t.inv(mu)))
+    concl = _reflection_conclusion(t.dual, n.dual, first.leg,
+                                   t.cmp1(cokernel.leg, u), chi)
+    if concl is None:
+        raise InputError(refusal)
+    z, xi = kernel_factor(t, n, last, u, concl[1])
+    return u, mu, z, xi
+
+
 def three_pieces(t: TwoCategory, n: TwoIdeal, f: str,
                  cap: int | None = None) -> ThreePieces:
     """Factor ``f`` as (cokernel of its kernel) then a middle piece then
@@ -591,32 +614,19 @@ def three_pieces(t: TwoCategory, n: TwoIdeal, f: str,
     c, kk = first.leg, last.leg
 
     # route one: cokernel universal property first, then coreflect, then
-    # the kernel universal property
-    u, mu = cokernel_factor(t, n, first, f, pres_kf.structure)
-    chi = t.vc(pres_cf.structure, t.lw(pres_cf.leg, t.inv(mu)))
-    concl = _reflection_conclusion(t.dual, n.dual, c,
-                                   t.cmp1(pres_cf.leg, u), chi)
-    if concl is None:
-        raise InputError(
-            f"the cokernel {c} of the kernel of {f} does not coreflect the "
-            f"comparison to a null morphism; the ideal is not closed enough "
-            f"for the middle piece")
-    _, psi = concl
-    z, xi = kernel_factor(t, n, last, u, psi)
+    # the kernel universal property; route two is route one on the duals
+    u, mu, z, xi = _middle_route(
+        t, n, f, pres_kf, first, pres_cf, last,
+        f"the cokernel {c} of the kernel of {f} does not coreflect the "
+        f"comparison to a null morphism; the ideal is not closed enough "
+        f"for the middle piece")
     composite = t.vc(t.rw(xi, c), mu)
-
-    # route two: kernel universal property first, then reflect, then the
-    # cokernel universal property
-    v, lam = kernel_factor(t, n, last, f, pres_cf.structure)
-    delta = t.vc(pres_kf.structure, t.rw(t.inv(lam), pres_kf.leg))
-    concl2 = _reflection_conclusion(t, n, kk, t.cmp1(v, pres_kf.leg), delta)
-    if concl2 is None:
-        raise InputError(
-            f"the kernel {kk} of the cokernel of {f} does not reflect the "
-            f"comparison to a null morphism; the ideal is not closed enough "
-            f"for the dual middle piece")
-    _, sigma = concl2
-    z2, xi2 = cokernel_factor(t, n, first, v, sigma)
+    v, lam, z2, xi2 = _middle_route(
+        t.dual, n.dual, f, _to_dual_kernel(pres_cf), _to_cokernel(last),
+        _to_cokernel(pres_kf), _to_dual_kernel(first),
+        f"the kernel {kk} of the cokernel of {f} does not reflect the "
+        f"comparison to a null morphism; the ideal is not closed enough "
+        f"for the dual middle piece")
 
     # the two middles agree up to a unique invertible 2-cell
     needed = t.vc_chain(t.rw(xi, c), mu, t.inv(lam),

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+import weakref
+from dataclasses import InitVar, dataclass, field, replace
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .core import (Budget, Certificate, InputError, TwoCategory, _Computed,
                    _capped, _fail, _memo, _record_lawful, equivalences,
@@ -328,10 +329,15 @@ class ArrowTwoCategory:
     ``squares`` and ``pairs`` decode the declared ids; ``square_ids`` and
     ``pair_ids`` map ``(f, g, a, b, φ)`` and ``(src, tgt, σ, τ)`` back to
     them.  No other id is ever made.
+
+    ``base`` is held by weak reference, as a dual holds its primal: the
+    base keeps this arrow 2-category in its memo table, so the two form no
+    reference cycle.  Once the base has died, ``base`` reads a category
+    on the same tables, with no memo of its own.
     """
 
     cat: TwoCategory
-    base: TwoCategory
+    base: InitVar[TwoCategory]
     members: tuple[str, ...]
     squares: Mapping[str, tuple[str, str, str]] = field(
         repr=False, compare=False)
@@ -340,6 +346,12 @@ class ArrowTwoCategory:
         repr=False, compare=False)
     pair_ids: Mapping[tuple[str, ...], str] = field(
         repr=False, compare=False)
+    _base: Any = field(init=False, repr=False, compare=False)
+    _spare: TwoCategory = field(init=False, repr=False)
+
+    def __post_init__(self, base: TwoCategory) -> None:
+        object.__setattr__(self, "_base", weakref.ref(base))
+        object.__setattr__(self, "_spare", replace(base))
 
     @staticmethod
     def square_id(f: str, g: str, a: str, b: str, phi: str) -> str:
@@ -370,6 +382,11 @@ class ArrowTwoCategory:
             return self.pairs[two_id]
         except KeyError:
             raise InputError(f"not a square 2-cell id: {two_id}") from None
+
+
+# set after the class is made: in its body, a ``base`` attribute would be the
+# default of the init-only ``base`` argument
+ArrowTwoCategory.base = property(lambda self: self._base() or self._spare)
 
 
 def arrow_subcat(t: TwoCategory, members: Iterable[str]) -> ArrowTwoCategory:
@@ -465,7 +482,8 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
     # squares compose by pasting their fillers, and 2-cells compose and
     # whisker componentwise, each read straight off the base's tables: the
     # base is lawful, so every lookup of a key in a table hits.  A key
-    # outside a table fails a boundary test or a lookup with KeyError
+    # outside a table fails a boundary test or a lookup with KeyError.  The
+    # closures hold these tables and not the base, which holds the result
     base_comp1, base_vcomp = t.comp1, t.vcomp
     base_lw, base_rw = t.lwhisker, t.rwhisker
 
@@ -484,20 +502,20 @@ def _arrow_subcat(t: TwoCategory, mem: tuple[str, ...]) -> ArrowTwoCategory:
         if src2[tid2] != tgt2[tid1]:
             raise KeyError(key)
         (s2, t2_), (s1, t1_) = pair_of[tid2], pair_of[tid1]
-        return pair_ids[(src2[tid1], tgt2[tid2], t.vc(s2, s1),
-                         t.vc(t2_, t1_))]
+        return pair_ids[(src2[tid1], tgt2[tid2], base_vcomp[(s2, s1)],
+                         base_vcomp[(t2_, t1_)])]
 
     def lwhisker(key: tuple[str, str]) -> str:
         sid, tid = key
         (a2, b2, _), (sigma, tau) = sq_of[sid], pair_of[tid]
         return pair_ids[(comp1((sid, src2[tid])), comp1((sid, tgt2[tid])),
-                         t.lw(a2, sigma), t.lw(b2, tau))]
+                         base_lw[(a2, sigma)], base_lw[(b2, tau)])]
 
     def rwhisker(key: tuple[str, str]) -> str:
         tid, sid = key
         (a2, b2, _), (sigma, tau) = sq_of[sid], pair_of[tid]
         return pair_ids[(comp1((src2[tid], sid)), comp1((tgt2[tid], sid)),
-                         t.rw(sigma, a2), t.rw(tau, b2))]
+                         base_rw[(sigma, a2)], base_rw[(tau, b2)])]
 
     cat = TwoCategory(
         objects=mem,

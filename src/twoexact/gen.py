@@ -1,12 +1,14 @@
 """Deterministic generators for test-scale categories and their enrichments,
 plus single-fault mutation operators.
 
-Each generator enumerates its cells in a fixed order and names them with
-zero-padded indices, so generated presentations are stable across runs and
-their serialized form is byte-stable.  ``mutate`` produces well-formed
-structures that fail exactly one targeted validator, searching candidate
-single-entry faults deterministically from the seed until the target
-validator rejects.
+The four enrichments (locally discrete, chaotic, banded and thickened) are
+one construction, ``_enrich``: ℤ/k-labelled 2-cells between the 1-cells of
+one block of parallel 1-cells.  Each generator enumerates its cells in a
+fixed order and names them with zero-padded indices, so generated
+presentations are stable across runs and their serialized form is
+byte-stable.  ``mutate`` produces well-formed structures that fail exactly
+one targeted validator, searching candidate single-entry faults
+deterministically from the seed until the target validator rejects.
 """
 from __future__ import annotations
 
@@ -123,31 +125,56 @@ def pointed_sets(n: int) -> FiniteCategory:
 # enrichments
 # ---------------------------------------------------------------------------
 
+def _enrich(objects: tuple, one_cells: tuple, comp1: dict, id1: dict,
+            block: Callable[[str], Any], k: int,
+            name: Callable[[str, str, int], str]) -> TwoCategory:
+    """The 2-category on the given 1-dimensional data with one 2-cell
+    ``(x, y, i): x ⇒ y``, named ``name(x, y, i)``, for 1-cells ``x``, ``y``
+    of one block and ``i ∈ ℤ/k``, listed by ``x``, ``y`` (in 1-cell order)
+    and ``i``.  Vertical composition adds labels, ``(y, z, j)·(x, y, i) =
+    (x, z, i + j)``, with identity ``(x, x, 0)``; whiskering keeps them,
+    ``h⋆(x, y, i) = (h∘x, h∘y, i)`` and ``(x, y, i)⋆e = (x∘e, y∘e, i)``,
+    listed by cell, then by ``h`` or ``e`` in 1-cell order.
+
+    The laws hold when the data is a category and the blocks are parallel
+    and closed under composition on either side (``h∘x``, ``h∘y`` share a
+    block when ``x``, ``y`` do, and so do ``x∘e``, ``y∘e``): every table is
+    then total, ``(y, x, −i)`` inverts ``(x, y, i)``, whiskering is
+    functorial as it keeps labels, and interchange holds because ``ℤ/k`` is
+    abelian: both composites of ``(h, h′, j)`` and ``(x, y, i)`` are
+    ``(h∘x, h′∘y, i + j)``.
+    """
+    ends = {x: (s, t) for x, s, t in one_cells}
+    members: dict[Any, list[str]] = {}
+    after: dict[str, list[str]] = {}
+    before: dict[str, list[str]] = {}
+    for x, s, t in one_cells:
+        members.setdefault(block(x), []).append(x)
+        after.setdefault(s, []).append(x)
+        before.setdefault(t, []).append(x)
+    peers = {x: members[block(x)] for x in ends}
+    cell = {(x, y, i): name(x, y, i)
+            for x in ends for y in peers[x] for i in range(k)}
+    return TwoCategory(
+        objects=objects, one_cells=one_cells, comp1=comp1, id1=id1,
+        two_cells=tuple((a, x, y) for (x, y, _), a in cell.items()),
+        vcomp={(cell[(y, z, j)], a): cell[(x, z, (i + j) % k)]
+               for (x, y, i), a in cell.items()
+               for z in peers[y] for j in range(k)},
+        id2={x: cell[(x, x, 0)] for x in ends},
+        lwhisker={(h, a): cell[(comp1[(h, x)], comp1[(h, y)], i)]
+                  for (x, y, i), a in cell.items()
+                  for h in after.get(ends[x][1], ())},
+        rwhisker={(a, e): cell[(comp1[(x, e)], comp1[(y, e)], i)]
+                  for (x, y, i), a in cell.items()
+                  for e in before.get(ends[x][0], ())})
+
+
 def locally_discrete(c: FiniteCategory) -> TwoCategory:
     """The 2-category with the same 1-dimensional data and only identity
     2-cells."""
-    id2 = {f: f"id_{f}" for f in c.mor_ids}
-    two_cells = tuple((id2[f], f, f) for f in c.mor_ids)
-    vcomp = {(id2[f], id2[f]): id2[f] for f in c.mor_ids}
-    lwhisker = {}
-    rwhisker = {}
-    for h in c.mor_ids:
-        for f in c.mor_ids:
-            if c.src[h] == c.tgt[f]:
-                lwhisker[(h, id2[f])] = id2[c.comp[(h, f)]]
-            if c.tgt[h] == c.src[f]:
-                rwhisker[(id2[f], h)] = id2[c.comp[(f, h)]]
-    return TwoCategory(
-        objects=c.objects,
-        one_cells=c.morphisms,
-        comp1=dict(c.comp),
-        id1=dict(c.ident),
-        two_cells=two_cells,
-        vcomp=vcomp,
-        id2=id2,
-        lwhisker=lwhisker,
-        rwhisker=rwhisker,
-    )
+    return _enrich(c.objects, c.morphisms, dict(c.comp), dict(c.ident),
+                   lambda f: f, 1, lambda f, _g, _i: f"id_{f}")
 
 
 def chaotic_enrichment(c: FiniteCategory) -> TwoCategory:
@@ -156,38 +183,9 @@ def chaotic_enrichment(c: FiniteCategory) -> TwoCategory:
     by uniqueness."""
     w = _width(len(c.mor_ids))
     index = {f: i for i, f in enumerate(c.mor_ids)}
-    cell: dict[tuple[str, str], str] = {}
-    two_cells = []
-    for f in c.mor_ids:
-        for g in c.mor_ids:
-            if c.src[f] == c.src[g] and c.tgt[f] == c.tgt[g]:
-                cid = f"c{index[f]:0{w}d}x{index[g]:0{w}d}"
-                cell[(f, g)] = cid
-                two_cells.append((cid, f, g))
-    vcomp = {}
-    for (f, g), a in cell.items():
-        for (g2, h), b in cell.items():
-            if g2 == g:
-                vcomp[(b, a)] = cell[(f, h)]
-    lwhisker = {}
-    rwhisker = {}
-    for (f, g), a in cell.items():
-        for h in c.mor_ids:
-            if c.src[h] == c.tgt[f]:
-                lwhisker[(h, a)] = cell[(c.comp[(h, f)], c.comp[(h, g)])]
-            if c.tgt[h] == c.src[f]:
-                rwhisker[(a, h)] = cell[(c.comp[(f, h)], c.comp[(g, h)])]
-    return TwoCategory(
-        objects=c.objects,
-        one_cells=c.morphisms,
-        comp1=dict(c.comp),
-        id1=dict(c.ident),
-        two_cells=tuple(two_cells),
-        vcomp=vcomp,
-        id2={f: cell[(f, f)] for f in c.mor_ids},
-        lwhisker=lwhisker,
-        rwhisker=rwhisker,
-    )
+    return _enrich(c.objects, c.morphisms, dict(c.comp), dict(c.ident),
+                   lambda f: (c.src[f], c.tgt[f]), 1,
+                   lambda f, g, _: f"c{index[f]:0{w}d}x{index[g]:0{w}d}")
 
 
 def banded(c: FiniteCategory, k: int) -> TwoCategory:
@@ -202,24 +200,10 @@ def banded(c: FiniteCategory, k: int) -> TwoCategory:
     if k < 1:
         raise InputError("need at least one label")
     w, wk = _width(len(c.mor_ids)), _width(k)
-    cell = {(f, i): f"b{n:0{w}d}n{i:0{wk}d}"
-            for n, f in enumerate(c.mor_ids) for i in range(k)}
-    return TwoCategory(
-        objects=c.objects,
-        one_cells=c.morphisms,
-        comp1=dict(c.comp),
-        id1=dict(c.ident),
-        two_cells=tuple((a, f, f) for (f, _), a in cell.items()),
-        vcomp={(cell[(f, j)], a): cell[(f, (i + j) % k)]
-               for (f, i), a in cell.items() for j in range(k)},
-        id2={f: cell[(f, 0)] for f in c.mor_ids},
-        lwhisker={(h, a): cell[(c.comp[(h, f)], i)]
-                  for (f, i), a in cell.items() for h in c.mor_ids
-                  if c.src[h] == c.tgt[f]},
-        rwhisker={(a, e): cell[(c.comp[(f, e)], i)]
-                  for (f, i), a in cell.items() for e in c.mor_ids
-                  if c.tgt[e] == c.src[f]},
-    )
+    index = {f: n for n, f in enumerate(c.mor_ids)}
+    return _enrich(c.objects, c.morphisms, dict(c.comp), dict(c.ident),
+                   lambda f: f, k,
+                   lambda f, _, i: f"b{index[f]:0{w}d}n{i:0{wk}d}")
 
 
 def thicken(c: FiniteCategory, k: int) -> TwoCategory:
@@ -238,29 +222,14 @@ def thicken(c: FiniteCategory, k: int) -> TwoCategory:
     if k < 1:
         raise InputError("need at least one copy")
     one = {(f, i): f"{f}#{i}" for f in c.mor_ids for i in range(k)}
-    cell = {(f, i, j): f"{f}#{i}>{j}"
-            for f in c.mor_ids for i in range(k) for j in range(k)}
-    return TwoCategory(
-        objects=c.objects,
-        one_cells=tuple((x, c.src[f], c.tgt[f]) for (f, _), x in one.items()),
-        comp1={(one[(g, j)], one[(f, i)]): one[(gf, (i + j) % k)]
-               for (g, f), gf in c.comp.items()
-               for i in range(k) for j in range(k)},
-        id1={x: one[(e, 0)] for x, e in c.ident.items()},
-        two_cells=tuple((a, one[(f, i)], one[(f, j)])
-                        for (f, i, j), a in cell.items()),
-        vcomp={(cell[(f, j, m)], a): cell[(f, i, m)]
-               for (f, i, j), a in cell.items() for m in range(k)},
-        id2={x: cell[(f, i, i)] for (f, i), x in one.items()},
-        lwhisker={(one[(h, b)], a):
-                  cell[(c.comp[(h, f)], (i + b) % k, (j + b) % k)]
-                  for (f, i, j), a in cell.items() for h in c.mor_ids
-                  if c.src[h] == c.tgt[f] for b in range(k)},
-        rwhisker={(a, one[(e, b)]):
-                  cell[(c.comp[(f, e)], (i + b) % k, (j + b) % k)]
-                  for (f, i, j), a in cell.items() for e in c.mor_ids
-                  if c.tgt[e] == c.src[f] for b in range(k)},
-    )
+    return _enrich(
+        c.objects,
+        tuple((x, c.src[f], c.tgt[f]) for (f, _), x in one.items()),
+        {(one[(g, j)], one[(f, i)]): one[(gf, (i + j) % k)]
+         for (g, f), gf in c.comp.items() for i in range(k) for j in range(k)},
+        {x: one[(e, 0)] for x, e in c.ident.items()},
+        lambda x: x.rpartition("#")[0], 1,
+        lambda x, y, _: f"{x}>{y.rpartition('#')[2]}")
 
 
 # ---------------------------------------------------------------------------

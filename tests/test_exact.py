@@ -1,5 +1,6 @@
 """End-to-end exactness: reports, the equivalence of presentations, pieces."""
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -33,6 +34,8 @@ from twoexact import (
     ideals_equivalent,
     is_biequivalence_over_base,
     is_equivalence,
+    locally_discrete,
+    partial_bijections,
     puppe_exact_1cat,
     three_pieces,
     validate_fs,
@@ -41,7 +44,7 @@ from twoexact import (
     validate_two_ideal,
     zero_ideal_1cat,
 )
-from twoexact import limits
+from twoexact import exact, limits
 from twoexact.cli import main
 from twoexact.formats import (
     document_to_two_category,
@@ -53,7 +56,8 @@ from twoexact.formats import (
     two_ideal_to_document,
     witness_bundle_to_document,
 )
-from twoexact.ideal import canonical_zero_ideal
+from twoexact.core import _law_verdict
+from twoexact.ideal import canonical_zero_ideal, maximal_two_ideal
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -140,6 +144,22 @@ def test_puppe_requires_a_bizero():
     rep = check_puppe(NO_ZERO)
     assert rep.status == "fail"
     assert rep.checks[0][0] == "two-pointed"
+
+
+def test_puppe_decides_the_law_verdict_before_the_canonical_ideal(
+        monkeypatch):
+    # the sweep's gate reads the verdict anyway; deciding it before the
+    # ideal's tables exist keeps its transient off their peak
+    t = locally_discrete(partial_bijections(2))
+    decided = []
+
+    def spy(base, zero):
+        decided.append(_law_verdict.table in vars(base))
+        return canonical_zero_ideal(base, zero)
+
+    monkeypatch.setattr(exact, "canonical_zero_ideal", spy)
+    assert check_puppe(t).ok
+    assert decided == [True]
 
 
 def test_missing_kernels_are_reported_per_arrow():
@@ -269,6 +289,24 @@ def test_three_pieces_constituents_cohere():
     assert t.is_invertible2(pieces.composite_iso)
     assert t.is_invertible2(pieces.connecting)
 
+
+
+def test_three_pieces_refuses_each_route_under_its_own_name():
+    # the maximal ideal of ch_pb1 with only identity null 2-cells: the
+    # route through the cokernel's universal property refuses on one arrow,
+    # the dual route through the kernel's on another
+    n = dataclasses.replace(maximal_two_ideal(CH_PB1),
+                            null_two_cells=tuple(CH_PB1.id2.values()))
+    with pytest.raises(InputError, match=(
+            "^the cokernel m2_1to0_e of the kernel of m2_1to0_e does not "
+            "coreflect the comparison to a null morphism; the ideal is not "
+            "closed enough for the middle piece$")):
+        three_pieces(CH_PB1, n, "m2_1to0_e")
+    with pytest.raises(InputError, match=(
+            "^the kernel m1_0to1_e of the cokernel of m1_0to1_e does not "
+            "reflect the comparison to a null morphism; the ideal is not "
+            "closed enough for the dual middle piece$")):
+        three_pieces(CH_PB1, n, "m1_0to1_e")
 
 def test_grandis_i_stops_at_the_first_inconclusive_subcheck(monkeypatch):
     from twoexact import exact
