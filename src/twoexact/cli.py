@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 from .closure import is_closed_ideal
 from .core import (CapExceeded, Certificate, InputError, TwoCategory,
-                   check_shape, validate_two_category)
+                   validate_two_category)
 from .exact import (check_grandis_i, check_grandis_ii, check_puppe,
                     fs_from_ideal, ideal_from_fs, three_pieces)
 from .factor import (FactorizationSystem, check_weak_two_fibration,
@@ -38,7 +39,8 @@ from .gen import (MUTATION_OPERATORS, banded, chaotic_enrichment,
                   pointed_sets, terminal_category, thicken)
 from .ideal import TwoIdeal, canonical_zero_ideal, validate_two_ideal
 from .idealeq import ideals_equivalent
-from .limits import biisoinserter, two_cokernels, two_kernels
+from .limits import (_check_arrows, _check_pair, biisoinserter, two_cokernels,
+                     two_kernels)
 from .onecat import (FiniteCategory, grandis_exact_1cat, puppe_exact_1cat,
                      validate_category, validate_one_ideal, zero_ideal_1cat)
 from .pseudo import validate_pseudofunctor, validate_pseudonatural
@@ -106,22 +108,38 @@ def _write_product(doc: Document, out: str | None) -> None:
         raise InputError(f"cannot write {out}: {exc}") from None
 
 
-def _base_and_ideal(args) -> tuple[TwoCategory, TwoIdeal]:
-    """The working 2-category and ideal: from the main file when it is a
-    two_ideal document, from --ideal when given (its base tables must match
-    the main file's), and the canonical bizero ideal otherwise.  The base
-    tables are shape-checked before anything else reads them."""
+def _lawless(t: TwoCategory, refuse: str | None = None) -> Certificate | None:
+    """The lawful-base gate, run on a base as soon as it is read, so before
+    the header: None on a 2-category, else the fail certificate of the first
+    broken law, which a certificate command prints in place of a verdict
+    that would certify nothing; or, given ``refuse`` (the error of a command
+    that writes a document), an :class:`InputError` naming that law.
+    It reads the verdict memoized on ``t``, whose shape check raises
+    :class:`InputError` on a malformed table."""
+    cert = validate_two_category(t)
+    if cert.ok:
+        return None
+    if refuse is not None:
+        raise InputError(f"{refuse}: {cert.counterexample['clause']}")
+    return cert
+
+
+def _base_and_ideal(args) -> tuple[TwoCategory, TwoIdeal | None]:
+    """The working 2-category, gated first, and ideal: from the main file
+    when it is a two_ideal document, from --ideal when given (its base
+    tables must match the main file's), and else the canonical bizero
+    ideal, which a lawless base does not get (None)."""
     doc = _load(args.file)
     own = doc.kind == "two_ideal" and args.ideal is None
     t, n = (document_to_two_ideal(doc) if own
             else (document_to_two_category(doc), None))
-    check_shape(t)
+    lawless = _lawless(t)
     if args.ideal is not None:
         t2, n = document_to_two_ideal(_load(args.ideal))
         if t2 != t:
             raise InputError("the ideal document's base tables do not "
                              "match the main input")
-    return t, canonical_zero_ideal(t) if n is None else n
+    return t, canonical_zero_ideal(t) if n is None and not lawless else n
 
 
 def _fs_file(args, t: TwoCategory) -> FactorizationSystem:
@@ -142,34 +160,42 @@ def _fs_file(args, t: TwoCategory) -> FactorizationSystem:
 
 
 def _fs_of(args, doc: Document) -> tuple[TwoCategory, FactorizationSystem]:
-    """The base and factorization system: the main document's own when it
-    is a factorization_system document and no --fs is given, else its base
-    with the --fs document's system.  The base is shape-checked before
-    anything else reads it."""
+    """The base, gated first, and factorization system: the main document's
+    own when it is a factorization_system document and no --fs is given,
+    else its base with the --fs document's system."""
     own = doc.kind == "factorization_system" and args.fs is None
     t, fs = (document_to_fs(doc) if own
              else (document_to_two_category(doc), None))
-    check_shape(t)
+    _lawless(t)
     return t, fs if own else _fs_file(args, t)
 
 
-def _unless_lawless(run: Callable[[], Any],
-                    base: Callable[[], TwoCategory]) -> Any:
-    """``run()``, or else the fail certificate of a lawless ``base()``: the
-    run composes cells that only a lawful base makes composable, and on
-    another base it may find no such cell (an :class:`InputError`) or look
-    up a composite that is not in a table (a ``KeyError``)."""
-    try:
-        return run()
-    except (InputError, KeyError):
-        cert = validate_two_category(base())
-        if cert.ok:
-            raise
-        return cert
+def _verdict(cert: Certificate) -> int:
+    _emit(cert.to_json_dict())
+    return _status_exit(cert.status)
 
 
-def _presentation_dict(pres) -> dict[str, str]:
-    return dataclasses.asdict(pres)
+def _certify(args, t: TwoCategory, run: Callable[[], int],
+             *inputs: str) -> int:
+    """Print the header of a command that read the base ``t``; then, on a
+    lawful ``t``, ``run()`` its check and return the exit code it returns,
+    and else print the base's fail certificate (exit 1)."""
+    broken = _lawless(t)
+    _header(args.command, args.cap, [args.file, *inputs])
+    return _verdict(broken) if broken else run()
+
+
+def _report(report) -> int:
+    for _, cert in report.checks:
+        _emit(cert.to_json_dict())
+    _emit({"mode": report.mode, "status": report.status})
+    return _status_exit(report.status)
+
+
+def _found(head: dict[str, str], name: str, presentations) -> int:
+    """Print the verified presentations under ``name``; fail on none."""
+    _emit({**head, name: [dataclasses.asdict(p) for p in presentations]})
+    return PASS if presentations else FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +228,10 @@ def _cmd_validate(args) -> int:
         # the rebuild refuses a lawless base, whose certificate is the report;
         # the unit and counit paste compositors of K and C, so they are
         # checked only when both functors pass
-        certs.append(validate_two_category(witness_bundle_base(doc)))
+        base = witness_bundle_base(doc)
+        certs.append(validate_two_category(base))
         if certs[-1].ok:
-            t, fs, k, c, eta, epsilon = document_to_witness_bundle(doc)
+            t, fs, k, c, eta, epsilon = document_to_witness_bundle(doc, base)
             certs += [validate_fs(t, fs, args.cap), validate_pseudofunctor(k),
                       validate_pseudofunctor(c)]
             if certs[-1].ok and certs[-2].ok:
@@ -217,9 +244,7 @@ def _cmd_validate(args) -> int:
         certs.append(validate_category(c1))
         certs.append(validate_one_ideal(c1, ideal))
     _header("validate", args.cap, [args.file])
-    for cert in certs:
-        _emit(cert.to_json_dict())
-    return _worst([_status_exit(c.status) for c in certs])
+    return _worst([_verdict(cert) for cert in certs])
 
 
 _GENERATORS = {
@@ -286,132 +311,107 @@ def _cmd_gen(args) -> int:
 def _cmd_presentations(args) -> int:
     """``kernel`` and ``cokernel``: every verified presentation."""
     t, n = _base_and_ideal(args)
-    _header(args.command, args.cap, [args.file])
+    _check_arrows(t, args.arrow)
     search = two_kernels if args.command == "kernel" else two_cokernels
-    presentations = search(t, n, args.arrow, cap=args.cap)
-    _emit({"arrow": args.arrow, f"{args.command}s":
-           [_presentation_dict(p) for p in presentations]})
-    return PASS if presentations else FAIL
+    return _certify(args, t, lambda: _found(
+        {"arrow": args.arrow}, f"{args.command}s",
+        search(t, n, args.arrow, cap=args.cap)))
 
 
 def _cmd_biisoinserter(args) -> int:
-    doc = _load(args.file)
-    t = document_to_two_category(doc)
-    check_shape(t)
-    _header("biisoinserter", args.cap, [args.file])
-    presentations = biisoinserter(t, args.left, args.right, cap=args.cap)
-    _emit({"left": args.left, "right": args.right,
-           "inserters": [_presentation_dict(p) for p in presentations]})
-    return PASS if presentations else FAIL
+    t = document_to_two_category(_load(args.file))
+    _lawless(t)
+    _check_pair(t, args.left, args.right)
+    return _certify(args, t, lambda: _found(
+        {"left": args.left, "right": args.right}, "inserters",
+        biisoinserter(t, args.left, args.right, cap=args.cap)))
 
 
 def _cmd_check_ideal(args) -> int:
     t, n = _base_and_ideal(args)
-    _header("check-ideal", args.cap, [args.file])
-    cert = _unless_lawless(lambda: validate_two_ideal(t, n), lambda: t)
-    _emit(cert.to_json_dict())
-    return _status_exit(cert.status)
+    return _certify(args, t, lambda: _verdict(validate_two_ideal(t, n)))
 
 
 def _cmd_check_closed(args) -> int:
     t, n = _base_and_ideal(args)
-    _header("check-closed", args.cap, [args.file])
-    cert = is_closed_ideal(t, n, args.cap)
-    _emit(cert.to_json_dict())
-    return _status_exit(cert.status)
+    return _certify(args, t, lambda: _verdict(
+        is_closed_ideal(t, n, args.cap)))
 
 
 def _cmd_equiv_ideals(args) -> int:
     t, n = document_to_two_ideal(_load(args.file))
-    check_shape(t)
+    _lawless(t)
     t2, n2 = document_to_two_ideal(_load(args.file2))
     if t2 != t:
         raise InputError("the two ideal documents have different base "
                          "tables")
-    _header("equiv-ideals", args.cap, [args.file, args.file2])
-    cert = ideals_equivalent(t, n, n2, args.cap)
-    _emit(cert.to_json_dict())
-    return _status_exit(cert.status)
+    return _certify(args, t, lambda: _verdict(
+        ideals_equivalent(t, n, n2, args.cap)), args.file2)
 
 
 def _cmd_check_fs(args) -> int:
     doc = _load(args.file)
     if doc.kind == "witness-bundle":
-        bundle = _unless_lawless(lambda: document_to_witness_bundle(doc),
-                                 lambda: witness_bundle_base(doc))
-        _header("check-fs", args.cap, [args.file])
-        cert = bundle if isinstance(bundle, Certificate) else \
-            check_grandis_i(*bundle, cap=args.cap)
-        _emit(cert.to_json_dict())
-        return _status_exit(cert.status)
+        t = witness_bundle_base(doc)
+        bundle = None if _lawless(t) else document_to_witness_bundle(doc, t)
+        return _certify(args, t, lambda: _verdict(
+            check_grandis_i(*bundle, cap=args.cap)))
     t, fs = _fs_of(args, doc)
-    _header("check-fs", args.cap, [args.file])
-    cert = validate_fs(t, fs, args.cap)
-    _emit(cert.to_json_dict())
-    return _status_exit(cert.status)
+    return _certify(args, t, lambda: _verdict(validate_fs(t, fs, args.cap)))
 
 
 def _cmd_check_fibration(args) -> int:
     t, fs = _fs_of(args, _load(args.file))
-    _header("check-fibration", args.cap, [args.file])
-    cert = check_weak_two_fibration(t, fs, args.direction, args.cap)
-    _emit(cert.to_json_dict())
-    return _status_exit(cert.status)
+    return _certify(args, t, lambda: _verdict(
+        check_weak_two_fibration(t, fs, args.direction, args.cap)))
 
 
 def _cmd_check_rofs(args) -> int:
     t, n = _base_and_ideal(args)
     fs = _fs_file(args, t)
-    _header("check-rofs", args.cap, [args.file])
-    cert = validate_rofs(t, n, fs.left_class, fs.right_class, args.cap)
-    _emit(cert.to_json_dict())
-    return _status_exit(cert.status)
+    return _certify(args, t, lambda: _verdict(
+        validate_rofs(t, n, fs.left_class, fs.right_class, args.cap)))
 
 
 def _cmd_check_exact(args) -> int:
     weak = args.mode.startswith("weak-")
     if args.mode.endswith("puppe"):
         t = document_to_two_category(_load(args.file))
-        check_shape(t)
-        _header("check-exact", args.cap, [args.file])
-        report = check_puppe(t, weak=weak, cap=args.cap)
+        _lawless(t)
+        check = functools.partial(check_puppe, t)
     else:
         t, n = _base_and_ideal(args)
-        _header("check-exact", args.cap, [args.file])
-        report = check_grandis_ii(t, n, weak=weak, cap=args.cap)
-    for _, cert in report.checks:
-        _emit(cert.to_json_dict())
-    _emit({"mode": report.mode, "status": report.status})
-    return _status_exit(report.status)
+        check = functools.partial(check_grandis_ii, t, n)
+    return _certify(args, t, lambda: _report(check(weak=weak, cap=args.cap)))
 
 
 def _cmd_fs_from_ideal(args) -> int:
     t, n = _base_and_ideal(args)
-    fs, k, c, eta, epsilon = fs_from_ideal(t, n, cap=args.cap)
-    _write_product(witness_bundle_to_document(t, fs, k, c, eta, epsilon),
-                   args.out)
+    _lawless(t, refuse="the base breaks a 2-category law")
+    _write_product(witness_bundle_to_document(
+        t, *fs_from_ideal(t, n, cap=args.cap)), args.out)
     return PASS
 
 
 def _cmd_ideal_from_fs(args) -> int:
     doc = _load(args.file)
-    bundle = _unless_lawless(lambda: document_to_witness_bundle(doc),
-                             lambda: witness_bundle_base(doc))
-    if isinstance(bundle, Certificate):
-        raise InputError(f"the bundle's base is not a 2-category: "
-                         f"{bundle.counterexample['clause']}")
-    t, fs, k, _, _, _ = bundle
-    n = ideal_from_fs(t, fs, k)
-    _write_product(two_ideal_to_document(t, n), args.out)
+    t = witness_bundle_base(doc)
+    _lawless(t, refuse="the bundle's base is not a 2-category")
+    t, fs, k, _, _, _ = document_to_witness_bundle(doc, t)
+    _write_product(two_ideal_to_document(t, ideal_from_fs(t, fs, k)),
+                   args.out)
     return PASS
 
 
 def _cmd_three_pieces(args) -> int:
     t, n = _base_and_ideal(args)
-    _header("three-pieces", args.cap, [args.file])
-    pieces = three_pieces(t, n, args.arrow, cap=args.cap)
-    _emit(dataclasses.asdict(pieces))
-    return PASS
+    _check_arrows(t, args.arrow)
+
+    def run() -> int:
+        _emit(dataclasses.asdict(three_pieces(t, n, args.arrow,
+                                              cap=args.cap)))
+        return PASS
+    return _certify(args, t, run)
 
 
 def _cmd_oracle_1cat(args) -> int:
@@ -425,8 +425,7 @@ def _cmd_oracle_1cat(args) -> int:
     else:
         c1 = document_to_finite_category(doc)
         cert = grandis_exact_1cat(c1, zero_ideal_1cat(c1))
-    _emit(cert.to_json_dict())
-    return _status_exit(cert.status)
+    return _verdict(cert)
 
 
 #: document kind -> (reader, writer of the mutant of the entity it read)

@@ -26,7 +26,8 @@ from .core import (
 )
 from .ideal import TwoIdeal, null_objects
 from .limits import (
-    KernelPresentation, is_two_kernel, kernel_presentations_by_arrow,
+    KernelPresentation, _check_arrows, is_two_kernel,
+    kernel_presentations_by_arrow,
 )
 
 
@@ -51,8 +52,7 @@ def reflects_null_morphisms(t: TwoCategory, n: TwoIdeal, k: str,
                             cap: int | Budget | None = None) -> Certificate:
     """Whether ``k`` reflects null 1-cells: every ``s`` with an invertible
     ``δ: k∘s ⇒ null`` is invertibly null, with a coherent comparison."""
-    if k not in t.src1:
-        raise InputError(f"unknown 1-cell {k}")
+    _check_arrows(t, k)
     return _capped("reflects_null_morphisms", cap, _reflects_1cells, t, n, k)
 
 
@@ -71,8 +71,7 @@ def reflects_null_2cells(t: TwoCategory, n: TwoIdeal, k: str,
     """Whether ``k`` reflects null 2-cells: for ``μ`` between null 1-cells
     into the source of ``k``, if the ν-conjugate of ``k⋆μ`` is null then
     ``μ`` is null."""
-    if k not in t.src1:
-        raise InputError(f"unknown 1-cell {k}")
+    _check_arrows(t, k)
     return _capped("reflects_null_2cells", cap, _reflects_2cells, t, n, k)
 
 

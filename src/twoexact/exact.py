@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .closure import _closedness, _leg_order, _reflection_conclusion, _sweeps
+from .closure import (_Side, _closedness, _leg_order, _reflection_conclusion,
+                      _sweeps)
 from .core import (Budget, CapExceeded, Certificate, InputError, TwoCategory,
                    _Computed, _fail, _is_lawful, _memo, natural_key,
                    solve_lwhisker, solve_rwhisker)
@@ -26,7 +27,7 @@ from .factor import (ArrowTwoCategory, FactorizationSystem, arrow_subcat,
                      check_fs_shape, factorizations, is_proper_11, validate_fs)
 from .ideal import (TwoIdeal, bizero_objects, canonical_zero_ideal,
                     check_ideal_shape)
-from .limits import (CokernelPresentation, KernelPresentation,
+from .limits import (CokernelPresentation, KernelPresentation, _check_arrows,
                      _check_kernel_candidate, _kernels, _to_cokernel,
                      _to_dual_kernel, cokernel_factor, kernel_factor)
 from .pseudo import (PseudoFunctor, PseudoNatural, compose_pseudofunctors,
@@ -99,15 +100,18 @@ def check_grandis_ii(t: TwoCategory, n: TwoIdeal, weak: bool = False,
     budget = Budget(cap, "check_grandis_ii")
     checks: list[tuple[str, Certificate]] = []
 
-    try:
-        sides = list(_sweeps(t, n, budget))
-    except CapExceeded as exc:
-        checks.append(("all-kernels-exist",
-                       _inconclusive_at("all-kernels-exist", exc, "(sweep)")))
-        return ExactnessReport(mode, tuple(checks))
-
-    for side, _, _, by_arrow in sides:
+    # each side's existence certificate is made as its sweep finishes, so a
+    # sweep that runs out of budget is reported under its own name
+    sides: list[_Side] = []
+    sweeps = _sweeps(t, n, budget)
+    for side in ("kernel", "cokernel"):
         name = f"all-{side}s-exist"
+        try:
+            sides.append(next(sweeps))
+        except CapExceeded as exc:
+            checks.append((name, _inconclusive_at(name, exc, "(sweep)")))
+            return ExactnessReport(mode, tuple(checks))
+        by_arrow = sides[-1][3]
         missing = [f for f in t.one_ids if not by_arrow[f]]
         if missing:
             cert = _fail(name, f"missing-{side}", one_cell=missing[0])
@@ -593,8 +597,7 @@ def three_pieces(t: TwoCategory, n: TwoIdeal, f: str,
     null morphisms — full closedness of the ideal.  Weak coreflection is
     not enough for this construction, so there is no weak variant.
     """
-    if f not in t.src1:
-        raise InputError(f"unknown 1-cell {f}")
+    _check_arrows(t, f)
     budget = Budget(cap, "three_pieces")
 
     def first_verified(dual: bool, arrow: str, what: str):

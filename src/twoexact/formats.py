@@ -737,10 +737,14 @@ def witness_bundle_base(doc: Document) -> TwoCategory:
     return _body_twocat(doc.body["base"])
 
 
-def document_to_witness_bundle(doc: Document) -> tuple[
+def document_to_witness_bundle(doc: Document,
+                               base: TwoCategory | None = None) -> tuple[
         TwoCategory, FactorizationSystem, PseudoFunctor, PseudoFunctor,
         PseudoNatural, PseudoNatural]:
-    t = witness_bundle_base(doc)
+    """The bundle, on ``base`` when the caller has read
+    ``witness_bundle_base(doc)`` already, so the base keeps its law
+    verdict."""
+    t = witness_bundle_base(doc) if base is None else base
     body = doc.body
     fs = _body_fs(body)
     e_cat = arrow_subcat(t, fs.left_class).cat

@@ -29,6 +29,14 @@ from .core import (
 from .ideal import TwoIdeal
 
 
+def _check_arrows(t: TwoCategory, *arrows: str) -> None:
+    """Raise :class:`InputError` on the first of ``arrows`` that is not a
+    1-cell of ``t``."""
+    for f in arrows:
+        if f not in t.src1:
+            raise InputError(f"unknown 1-cell {f}")
+
+
 @dataclass(frozen=True)
 class KernelPresentation:
     """Candidate kernel data for ``arrow: A → B``: ``leg: apex → A``,
@@ -58,8 +66,7 @@ class CokernelPresentation:
 def _check_kernel_candidate(t: TwoCategory, n: TwoIdeal,
                             pres: KernelPresentation) -> None:
     f = pres.arrow
-    if f not in t.src1:
-        raise InputError(f"unknown 1-cell {f}")
+    _check_arrows(t, f)
     a, b = t.src1[f], t.tgt1[f]
     if pres.apex not in t.objects:
         raise InputError(f"unknown object {pres.apex}")
@@ -190,8 +197,7 @@ def kernel_factor(t: TwoCategory, n: TwoIdeal, pres: KernelPresentation,
                   z: str, beta: str) -> tuple[str, str]:
     """Apply clause 1 of a verified kernel to the cone ``(z, β)``: the first
     ``(u, γ: z ⇒ leg∘u)`` whose comparison is an invertible null 2-cell."""
-    if z not in t.src1:
-        raise InputError(f"unknown 1-cell {z}")
+    _check_arrows(t, z)
     found = _cone_factor(t, n, pres, z, beta)
     if found is None:
         raise InputError(f"cone {z} with {beta} does not factor through "
@@ -274,8 +280,7 @@ def two_kernels(t: TwoCategory, n: TwoIdeal, f: str,
     """All verified kernel presentations of ``f``, in candidate table order,
     each candidate checked with :func:`is_two_kernel`.  Raises
     :class:`CapExceeded` when the cap runs out mid-search."""
-    if f not in t.src1:
-        raise InputError(f"unknown 1-cell {f}")
+    _check_arrows(t, f)
     return tuple(_kernels(t, n, f, _spending(cap, "two_kernels"), False))
 
 
@@ -354,13 +359,17 @@ class InserterPresentation:
     structure: str
 
 
-def _check_inserter_candidate(t: TwoCategory, pres: InserterPresentation) -> None:
-    f, g = pres.left, pres.right
-    for c in (f, g):
-        if c not in t.src1:
-            raise InputError(f"unknown 1-cell {c}")
+def _check_pair(t: TwoCategory, f: str, g: str) -> None:
+    """Raise :class:`InputError` unless ``f`` and ``g`` are parallel
+    1-cells of ``t``."""
+    _check_arrows(t, f, g)
     if (t.src1[f], t.tgt1[f]) != (t.src1[g], t.tgt1[g]):
         raise InputError(f"1-cells {f} and {g} are not parallel")
+
+
+def _check_inserter_candidate(t: TwoCategory, pres: InserterPresentation) -> None:
+    f, g = pres.left, pres.right
+    _check_pair(t, f, g)
     if pres.apex not in t.objects:
         raise InputError(f"unknown object {pres.apex}")
     a = t.src1[f]
@@ -440,11 +449,7 @@ def biisoinserter(t: TwoCategory, f: str, g: str,
                   cap: int | Budget | None = None) -> tuple[InserterPresentation, ...]:
     """All verified iso-inserter presentations of the parallel pair
     ``(f, g)``, in candidate table order."""
-    for c in (f, g):
-        if c not in t.src1:
-            raise InputError(f"unknown 1-cell {c}")
-    if (t.src1[f], t.tgt1[f]) != (t.src1[g], t.tgt1[g]):
-        raise InputError(f"1-cells {f} and {g} are not parallel")
+    _check_pair(t, f, g)
     budget = _spending(cap, "biisoinserter")
     a = t.src1[f]
     out = []

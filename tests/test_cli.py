@@ -9,12 +9,14 @@ import pytest
 
 from clirun import run_cli as run
 from family import LD_PB2, ZERO_IDEALS, one_object_base
-from twoexact import (FactorizationSystem, banded, chaotic_enrichment,
-                      cyclic_tower, maximal_two_ideal, partial_bijections)
+from twoexact import (FactorizationSystem, banded, canonical_zero_ideal,
+                      chaotic_enrichment, cyclic_tower, fs_from_ideal,
+                      maximal_two_ideal, partial_bijections)
 from twoexact import cli
 from twoexact.cli import _build_parser
 from twoexact.formats import (document_to_two_category, fs_to_document, parse,
-                              serialize, two_ideal_to_document)
+                              serialize, two_ideal_to_document,
+                              witness_bundle_to_document)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -922,6 +924,137 @@ def test_check_ideal_reports_a_composite_missing_from_a_lawless_base(
                         "clause": "comp1-boundary",
                         "cells": {"g": "m13_2to2x2", "f": "m07_1to2x2",
                                   "composite": "m13_2to2x2"}}}
+
+
+#: Three lawless bases, each one table value away from a lawful base, with
+#: every table still well shaped: per case, the main document's source, the
+#: edited table, the key of its edited row, the new value, and a 1-cell for
+#: the commands that take one.  The main document is a two_category, a
+#: two_ideal and a factorization_system document in turn.
+LAWLESS_BASES = {
+    "pb2-comp1": ("pb2.2cat.json", "comp1",
+                  {"g": "m11_2to1_11", "f": "m19_2to2_1221"}, "m00_0to0_e",
+                  "m11_2to1_11"),
+    "chaotic-pb2-maximal-ideal": (
+        None, "lwhisker", {"h": "m01_0to1_e", "a": "c09x09"}, "c00x00",
+        "m01_0to1_e"),
+    "ct22-fs": ("ct22.fs.json", "lwhisker",
+                {"h": "m01_0to1x0", "a": "id_m08_2to0x0"}, "id_m00_0to0x0",
+                "m01_0to1x0"),
+}
+
+#: The value column of an edited table, and its name in the base's fail
+#: certificate.
+_LAWLESS_VALUE = {"comp1": ("gf", "composite"), "lwhisker": ("ha", "result")}
+
+#: Every command that reads a base, on the case's main document and the
+#: documents made from the same edited base: an ideal, a factorization
+#: system and a witness bundle.
+LAWLESS_COMMANDS = {
+    "kernel": ["kernel", "{main}", "{arrow}"],
+    "cokernel": ["cokernel", "{main}", "{arrow}"],
+    "biisoinserter": ["biisoinserter", "{main}", "{arrow}", "{arrow}"],
+    "check-ideal": ["check-ideal", "{main}"],
+    "check-closed": ["check-closed", "{main}"],
+    "equiv-ideals": ["equiv-ideals", "{ideal}", "{ideal}"],
+    "check-fs": ["check-fs", "{main}", "--fs", "{fs}"],
+    "check-fibration": ["check-fibration", "{main}", "--fs", "{fs}",
+                        "--direction", "cod"],
+    "check-rofs": ["check-rofs", "{main}", "--fs", "{fs}"],
+    **{f"check-exact-{mode}": ["check-exact", "--mode", mode, "{main}"]
+       for mode in ("puppe", "weak-puppe", "grandis", "weak-grandis")},
+    "three-pieces": ["three-pieces", "{main}", "{arrow}"],
+    "fs-from-ideal": ["fs-from-ideal", "{main}"],
+    "ideal-from-fs": ["ideal-from-fs", "{bundle}"],
+}
+
+#: The chaotic pb2 witness bundle is written out at about 1.4 GB, so
+#: ideal-from-fs, the one command that reads only a bundle, is left out of
+#: that case.
+_LAWLESS_MATRIX = [(case, command) for case in LAWLESS_BASES
+                   for command in LAWLESS_COMMANDS
+                   if (case, command) != ("chaotic-pb2-maximal-ideal",
+                                          "ideal-from-fs")]
+
+
+@pytest.fixture(scope="module")
+def lawless_docs(tmp_path_factory):
+    """Per case, the paths of its main document and of the ideal,
+    factorization-system and bundle documents on the same edited base."""
+    d = tmp_path_factory.mktemp("lawless")
+    paths = {}
+    for case, (source, table, key, value, _) in LAWLESS_BASES.items():
+        if source is None:
+            t = chaotic_enrichment(partial_bijections(2))
+            main = two_ideal_to_document(t, maximal_two_ideal(t))
+        else:
+            main = parse((FIXTURE_DIR / source).read_text())
+            t = document_to_two_category(main)
+        fs, k, c, eta, epsilon = fs_from_ideal(t, canonical_zero_ideal(t))
+        ideal = main if source is None else two_ideal_to_document(
+            t, canonical_zero_ideal(t))
+        docs = {"main": main, "ideal": ideal, "fs": fs_to_document(t, fs)}
+        if source is not None:
+            docs["bundle"] = witness_bundle_to_document(
+                t, fs, k, c, eta, epsilon)
+        paths[case] = {}
+        for name, doc in docs.items():
+            body = json.loads(serialize(doc))
+            rows = body["base"][table] if name == "bundle" else body[table]
+            [row] = [r for r in rows
+                     if all(r[col] == v for col, v in key.items())]
+            row[_LAWLESS_VALUE[table][0]] = value
+            path = d / f"{case}.{name}.json"
+            path.write_text(json.dumps(body), encoding="utf-8")
+            paths[case][name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case, command", _LAWLESS_MATRIX,
+                         ids=[f"{c}-{m}" for c, m in _LAWLESS_MATRIX])
+def test_every_command_refuses_a_lawless_base(lawless_docs, capsys, case,
+                                              command):
+    # a verdict on a lawless base certifies nothing: a certificate command
+    # prints its header and the base's fail certificate and exits 1, and a
+    # command that writes a document exits 2 with one line naming the law
+    _, table, key, value, arrow = LAWLESS_BASES[case]
+    paths = lawless_docs[case]
+    argv = [a.format(arrow=arrow, **paths) for a in LAWLESS_COMMANDS[command]]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    clause = f"{table}-boundary"
+    if command in ("fs-from-ideal", "ideal-from-fs"):
+        error = ("the bundle's base is not a 2-category"
+                 if command == "ideal-from-fs"
+                 else "the base breaks a 2-category law")
+        assert (code, out, err) == (2, "", f"error: {error}: {clause}\n")
+        return
+    header, cert = map(json.loads, out.splitlines())
+    inputs = [paths["ideal"]] * 2 if command == "equiv-ideals" \
+        else [paths["main"]]
+    assert (code, err) == (1, "")
+    assert header == {"command": argv[0], "cap": None, "inputs": inputs}
+    assert cert == {"check": "validate_two_category", "status": "fail",
+                    "counterexample": {"clause": clause, "cells": {
+                        **key, _LAWLESS_VALUE[table][1]: value}}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "pb2.2cat.json", "nosuch"],
+    ["cokernel", "pb2.2cat.json", "nosuch"],
+    ["three-pieces", "pb2.2cat.json", "nosuch"],
+    ["biisoinserter", "pb2.2cat.json", "m00_0to0_e", "nosuch"],
+    ["biisoinserter", "pb2.2cat.json", "m00_0to0_e", "m11_2to1_11"],
+], ids=["kernel", "cokernel", "three-pieces", "biisoinserter-unknown",
+        "biisoinserter-not-parallel"])
+def test_arrow_arguments_are_checked_before_the_header(capsys, argv):
+    code = cli.main([str(FIXTURE_DIR / a) if a.endswith(".json") else a
+                     for a in argv])
+    out, err = capsys.readouterr()
+    left, right = argv[2], argv[-1]
+    error = (f"unknown 1-cell {right}" if right == "nosuch"
+             else f"1-cells {left} and {right} are not parallel")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 #: The input-selection and budget options each subcommand accepts: --ideal

@@ -205,6 +205,27 @@ def test_closedness_spends_from_the_report_budget():
     assert cert.detail["context"] == "check_grandis_ii"
 
 
+@pytest.mark.parametrize("over, reports", [
+    (-1, [("all-kernels-exist", "inconclusive")]),
+    (3, [("all-kernels-exist", "pass"),
+         ("all-cokernels-exist", "inconclusive")]),
+], ids=["kernel-sweep", "cokernel-sweep"])
+def test_a_sweep_that_runs_out_is_reported_under_its_own_name(over,
+                                                              reports):
+    # the kernel sweep of pb2's canonical ideal spends 477 instances: a cap
+    # just below runs out in it, and a cap of 480 runs out in the cokernel
+    # sweep, after the finished kernel sweep's certificate
+    t, n = CORE["ld_pb2"], ZERO_IDEALS["ld_pb2"]
+    kernels = Budget(None, "kernels")
+    limits.kernel_presentations_by_arrow(t, n, kernels)
+    assert kernels.spent == 477
+    rep = check_grandis_ii(t, n, cap=kernels.spent + over)
+    assert [(name, cert.status) for name, cert in rep.checks] == reports
+    assert rep.checks[-1][1].detail == (
+        f"search cap {kernels.spent + over} exceeded during "
+        f"check_grandis_ii while processing 1-cell (sweep)")
+
+
 @pytest.mark.parametrize("name", EXACT_NAMES)
 def test_factorization_data_from_the_ideal_passes_every_check(name):
     t, n = CORE[name], ZERO_IDEALS[name]

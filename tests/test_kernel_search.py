@@ -413,7 +413,10 @@ def test_the_shortcut_needs_its_gate():
 #: now lets them finish, with the uncapped bytes.  So does ``check-closed``,
 #: whose sweeps take the same path on the canonical ideal the program
 #: builds (it read ``(3, "b2ac5442…eb0d")`` with a check per candidate).
-#: A ``cokernel`` run that stops names its own search, ``two_cokernels``.
+#: A ``cokernel`` run that stops names its own search, ``two_cokernels``,
+#: and a ``check-exact`` run that stops in its cokernel sweep names
+#: ``all-cokernels-exist``, after the kernel sweep's certificate: at 1000 on
+#: ps2, where the kernel sweep spends 552.
 CAPPED_SHA256 = {
     ("ps2", "kernel", 1):
         (3, "0b7e6140259aa3c75fdaa99dcbb0442b74542f1208c384141668171a2932e570"),
@@ -444,7 +447,7 @@ CAPPED_SHA256 = {
     ("ps2", "check-exact --mode puppe", 50):
         (3, "d5bbd0b4f67788209c20824049f9e0be9ff308f17144367fbad8cc6c30e58fb6"),
     ("ps2", "check-exact --mode puppe", 1000):
-        (3, "4f3e5165ed7ca3228c6e0cd4e1f71190a55d5ca374b8d2d2fb4fba005602aa49"),
+        (3, "e49416f5fe83fa1a2754abd414a2aaaa3c858886d647b1f92d75a0ce5fa0fd51"),
     ("ps2", "check-exact --mode puppe", 20000):
         (1, "96e9e24c198d2d2b2305b52d4e44180bdba4109304237a34ba002e5791bc04e0"),
     ("ps2", "check-exact --mode weak-puppe", 1):
@@ -452,7 +455,7 @@ CAPPED_SHA256 = {
     ("ps2", "check-exact --mode weak-puppe", 50):
         (3, "c63f4763fc8159d109cd46307f7a0841d71da385a6555baf4f227509daa304c2"),
     ("ps2", "check-exact --mode weak-puppe", 1000):
-        (3, "1b617567253541b707550e1e79a4025755e892a2ef057e0c8cb59a8b896d20e8"),
+        (3, "fefecac85de5c15415e16af355d96d211984d4de11b2353100d1a5e246beb205"),
     ("ps2", "check-exact --mode weak-puppe", 20000):
         (1, "bea26b99799d354a28c454499478e391a6a0d3849cc6e909bd277bcf24358db8"),
     ("pb3", "kernel", 1):
